@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 from repro.core import EventGateway
 from repro.core.filters import EventNames
+from repro.core.subscriptions import Delivery, SubscriptionSpec
 from repro.simgrid import Simulator
 
 from . import baseline
@@ -66,8 +67,9 @@ def build_gateway(n_subs: int, *, names_filtered: bool):
     gw.register_sensor(sensor)
     for i in range(n_subs):
         flt = EventNames([f"EVNT_{i}"]) if names_filtered else None
-        gw.subscribe("vmstat", event_filter=flt, fmt=_FMTS[i % len(_FMTS)],
-                     remote=("consumer-host", 15000 + i))
+        gw.open(SubscriptionSpec(
+            "vmstat", event_filter=flt, fmt=_FMTS[i % len(_FMTS)],
+            delivery=Delivery.remote("consumer-host", 15000 + i)))
     return gw, transport
 
 

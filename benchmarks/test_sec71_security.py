@@ -17,6 +17,7 @@ from repro.core import JAMMConfig, JAMMDeployment
 from repro.core.security import (AuthorizationError, AuthorizationService,
                                  CertificateAuthority, TrustStore,
                                  UseCondition, AkentiEngine, GridMap)
+from repro.core.subscriptions import Delivery, SubscriptionSpec
 
 from .conftest import matisse_topology, report
 
@@ -78,9 +79,11 @@ def test_access_control_at_every_point(once):
     # 2. subscription at the gateway: insider streams, outsider does not
     sensor_key = manager.sensors["vmstat"].name
     got = []
-    gw.subscribe(sensor_key, callback=got.append, principal=insider)
+    spec = SubscriptionSpec(sensor_key, principal=insider,
+                            delivery=Delivery.callback(got.append))
+    gw.open(spec)
     with pytest.raises(AuthorizationError):
-        gw.subscribe(sensor_key, callback=got.append, principal=outsider)
+        gw.open(spec.replace(principal=outsider))
     results.append(("insider stream subscription", "allowed", "allowed"))
     results.append(("off-site stream subscription", "denied (summary only)",
                     "denied"))
@@ -104,7 +107,7 @@ def test_access_control_at_every_point(once):
     short = CertificateAuthority("doe-grids-ca")  # same name, same secret
     expired = short.issue("/O=LBNL/CN=brian", not_after=0.0)
     with pytest.raises(AuthorizationError):
-        gw.subscribe(sensor_key, callback=got.append, principal=expired)
+        gw.open(spec.replace(principal=expired))
     results.append(("expired certificate", "rejected", "rejected"))
 
     report("E13", "§7.1 — one authorization interface, every access point",

@@ -91,10 +91,6 @@ SEGMENT_INTERNALS = frozenset((
     "_seg_bytes", "_seg_tmins", "_rollup_tree", "_sealed_raw_count",
 ))
 
-#: the pre-PR-2 stringly delivery kwargs; any ``.subscribe(...)`` call
-#: passing one of these is using the deprecated gateway shim
-LEGACY_SUBSCRIBE_KWARGS = frozenset(("callback", "remote"))
-
 #: call wrappers whose result does not depend on iteration order — a
 #: set flowing into these is safe
 ORDER_INSENSITIVE_CALLS = frozenset((
@@ -744,43 +740,6 @@ class UnboundedRetryRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# API001 — deprecated stringly subscribe()
-# ---------------------------------------------------------------------------
-
-
-class LegacySubscribeRule(Rule):
-    code = "API001"
-    title = "deprecated stringly-typed subscribe() usage"
-    rationale = (
-        "EventGateway.subscribe(**kwargs) is a DeprecationWarning shim"
-        " returning a bare id nobody can close safely; build a"
-        " SubscriptionSpec and call .open(spec) (or go through"
-        " repro.client)."
-    )
-
-    def check(self, ctx, project):
-        for node in self._walk(ctx.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "subscribe"):
-                continue
-            kwargs = {kw.arg for kw in node.keywords if kw.arg}
-            legacy = kwargs & LEGACY_SUBSCRIBE_KWARGS
-            recv = _attr_chain(node.func)[:-1]
-            gatewayish = any("gateway" in part.lower() or part.lower() in
-                             ("gw", "gw0") for part in recv)
-            if legacy:
-                yield (node.lineno, node.col_offset,
-                       f".subscribe({', '.join(sorted(legacy))}=...) is the"
-                       f" deprecated delivery-kwarg shim — build a"
-                       f" SubscriptionSpec and call .open(spec)")
-            elif gatewayish and (kwargs or node.args):
-                yield (node.lineno, node.col_offset,
-                       "gateway.subscribe(...) is deprecated — build a "
-                       "SubscriptionSpec and call gateway.open(spec)")
-
-
-# ---------------------------------------------------------------------------
 # SLOT001 — hot-path classes must be slotted
 # ---------------------------------------------------------------------------
 
@@ -866,7 +825,6 @@ RULES: tuple[Rule, ...] = (
     ResourceLeakRule(),
     SegmentHandleEscapeRule(),
     UnboundedRetryRule(),
-    LegacySubscribeRule(),
     HotPathSlotsRule(),
 )
 

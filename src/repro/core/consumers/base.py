@@ -89,11 +89,6 @@ class Consumer:
         self._recv_port: Optional[int] = None
         self._extra_handlers: list[Callable[[ULMMessage], None]] = []
 
-    @property
-    def subscriptions(self) -> list[tuple]:
-        """Legacy view: ``(gateway, sub_id)`` pairs for open handles."""
-        return [(h.gateway, h.sub_id) for h in self.handles if not h.closed]
-
     # -- discovery -----------------------------------------------------------
 
     def discover(self, filter_text: str = "(objectclass=sensor)", *,

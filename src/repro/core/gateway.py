@@ -28,15 +28,12 @@ The gateway also:
 Subscriptions are opened from a typed :class:`SubscriptionSpec` via
 :meth:`EventGateway.open`, which returns a first-class
 :class:`SubscriptionHandle` (see :mod:`repro.core.subscriptions` and
-the :mod:`repro.client` facade).  The pre-spec kwarg signature
-:meth:`EventGateway.subscribe` survives as a thin deprecation shim
-returning the bare subscription id.
+the :mod:`repro.client` facade).
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -44,8 +41,8 @@ from typing import Any, Callable, Optional
 from ..simgrid.kernel import Simulator
 from ..ulm import ULMMessage, encode, serialize, to_xml
 from .filters import AllEvents, EventFilter, EventNames
-from .subscriptions import (Delivery, SpecError, SubscriptionHandle,
-                            SubscriptionMode, SubscriptionSpec)
+from .subscriptions import (Delivery, SubscriptionHandle, SubscriptionMode,
+                            SubscriptionSpec)
 from .summaries import SummaryService
 
 __all__ = ["EventGateway", "Subscription", "GatewayError", "GATEWAY_PORT"]
@@ -538,29 +535,6 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         if self.sim._sanitize is not None:
             self.sim._sanitize.track_handle(handle)
         return handle
-
-    def subscribe(self, sensor_name: str, *, mode: str = "stream",
-                  event_filter: Optional[EventFilter] = None,
-                  fmt: str = "ulm",
-                  callback: Optional[Callable] = None,
-                  remote: Optional[tuple] = None,
-                  principal: Any = None) -> int:
-        """Deprecated kwarg shim over :meth:`open`.
-
-        Returns the bare subscription id, as the pre-spec API did.
-        New code should build a :class:`SubscriptionSpec` and call
-        :meth:`open` (or go through :mod:`repro.client`).
-        """
-        warnings.warn("EventGateway.subscribe(**kwargs) is deprecated; "
-                      "build a SubscriptionSpec and call EventGateway.open()",
-                      DeprecationWarning, stacklevel=2)
-        try:
-            spec = SubscriptionSpec.from_legacy(
-                sensor_name, mode=mode, event_filter=event_filter, fmt=fmt,
-                callback=callback, remote=remote, principal=principal)
-            return self.open(spec).sub_id
-        except SpecError as exc:
-            raise GatewayError(str(exc)) from exc
 
     def unsubscribe(self, sub_id: int) -> bool:
         sub = self._subs.get(sub_id)

@@ -119,8 +119,6 @@ class Delivery:
 class SubscriptionSpec:
     """Declarative description of one subscription.
 
-    Replaces the kwarg soup ``subscribe(sensor, mode=..., fmt=...,
-    event_filter=..., callback=..., remote=..., principal=...)``.
     ``mode`` and ``fmt`` accept the enum or its string value; strings
     are coerced on construction, raising :class:`SpecError` on junk.
     """
@@ -203,23 +201,6 @@ class SubscriptionSpec:
         return cls(sensor=req["sensor"], mode=req.get("mode", "stream"),
                    fmt=req.get("fmt", "ulm"), event_filter=flt,
                    principal=req.get("principal"))
-
-    @classmethod
-    def from_legacy(cls, sensor: str, *, mode: str = "stream",
-                    event_filter: Optional[EventFilter] = None,
-                    fmt: str = "ulm", callback: Optional[Callable] = None,
-                    remote: Optional[tuple] = None,
-                    principal: Any = None) -> "SubscriptionSpec":
-        """Build a spec from the pre-spec kwarg signature."""
-        if callback is not None:
-            delivery = Delivery.callback(callback)
-        elif remote is not None:
-            delivery = Delivery.remote(*remote)
-        else:
-            delivery = Delivery.none()
-        return cls(sensor=sensor, mode=mode, fmt=fmt,
-                   event_filter=event_filter, delivery=delivery,
-                   principal=principal)
 
 
 class SubscriptionHandle:

@@ -123,7 +123,7 @@ def run_netaware_scenario(seed: int = 0, *, storm_bps: float = 550e6,
     plan.congestion_storm(T_STORM, gw_host.name, viz.name,
                           rate_bps=storm_bps, seed=seed + 1)
     plan.calm_traffic(T_CALM, gw_host.name, viz.name)
-    injector = world.inject(plan)
+    world.inject(plan)
 
     result = NetAwareResult(seed=seed)
     world.run(until=T_STORM - 0.5)
@@ -166,8 +166,7 @@ def run_netaware_scenario(seed: int = 0, *, storm_bps: float = 550e6,
         bottleneck.other(device), world.sim.now)
     result.transport_queue_delay_s = world.transport.queue_delay_s
     result.class_bytes = dict(world.transport.class_bytes)
-    storms = list(injector._storms.values())
-    result.storm_packets = sum(s.packets_sent for s in storms)
+    result.storm_packets = sum(g.packets_sent for g in world.traffic)
 
     world.run(until=T_END)
     result.recovered_available_bps = monitor.samples[-1][1]

@@ -469,40 +469,13 @@ class ScenarioRunner:
         self.injector = self.world.inject(plan)
         self.world.run(until=sc.horizon)
         # force the world back to health, then drain: restart every
-        # down host and heal every injector-cut link, exactly what the
-        # plan's own tail does for well-formed plans
+        # down host and undo every fault still in force, exactly what
+        # the plan's own tail does for well-formed plans
         for name in sorted(self.world.hosts):
             host = self.world.hosts[name]
             if not host.up:
                 host.restart()
-        for link in list(self.injector._downed_links):
-            self.injector._restore(link)
-        for link in list(self.injector._pristine):
-            self.injector._restore(link)
-        # ... and clear residual gray state (degraded sensors, consumer
-        # throttles, archive byte caps) the same way a plan heal would
-        for sensor in list(self.injector._degraded_sensors):
-            sensor.clear_degraded()
-        self.injector._degraded_sensors.clear()
-        for host_name in list(self.injector._throttled_hosts):
-            self.injector._set_drain_rate(host_name, None)
-        for capped in list(self.injector._capped_archives):
-            capped.set_byte_budget(None)
-        self.injector._capped_archives.clear()
-        # ... including residual *storage* gray state: wedged
-        # compactors, torn segments, slow disks
-        for stalled in list(self.injector._stalled_archives):
-            stalled.clear_compaction_stall()
-        self.injector._stalled_archives.clear()
-        for torn in list(self.injector._torn_archives):
-            torn.mend_segments()
-        self.injector._torn_archives.clear()
-        for slowed in list(self.injector._slowed_archives):
-            slowed.set_io_latency(None)
-        self.injector._slowed_archives.clear()
-        # ... and any congestion storm still blowing at the horizon
-        self.injector._stop_storms()
-        self.world.stop_traffic()
+        self.injector.heal_all()
         self.world.run(until=sc.horizon + sc.drain)
         # freeze the commit set (stop emission) and flush: in-flight
         # deliveries land and the healing sessions run their final

@@ -8,6 +8,13 @@ process kill, network partition/heal, per-link loss and latency spikes,
 clock skew — that a :class:`FaultInjector` turns into kernel-scheduled
 callbacks against a :class:`~repro.simgrid.world.GridWorld`.
 
+Every kind is one :class:`FaultKind` row of :data:`FAULT_TABLE`: its
+target type, its params schema, the function that applies it, and the
+seeded draw :meth:`FaultPlan.random` makes for it.  Validation,
+dispatch and the random kind list are all read off that table, so
+adding a kind is adding a row (plus the :class:`FaultPlan` builder that
+spells its params).
+
 Design constraints:
 
 * **Reproducible.**  Plans are plain data; :meth:`FaultPlan.random`
@@ -26,6 +33,10 @@ Design constraints:
   hooks); the transport refuses traffic to/from down hosts.  Nothing
   reaches into private service state — self-healing layers react to
   the same observable signals real ones would.
+* **Reversible in one place.**  A fault that leaves state behind files
+  an undo in the injector's single ledger (:attr:`FaultInjector.active`,
+  keyed ``(kind, target)``); restore events drop one entry and
+  :meth:`FaultInjector.heal_all` runs them all.
 """
 
 from __future__ import annotations
@@ -33,37 +44,99 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from functools import partial
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+
+from .traffic import TRAFFIC_KINDS
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjector", "FaultError",
-           "FAULT_KINDS", "SENSOR_DEGRADE_MODES"]
-
-#: every fault kind the injector knows how to apply
-FAULT_KINDS = ("host_crash", "host_restart", "process_kill",
-               "partition", "heal", "link_down", "link_up",
-               "link_loss", "link_latency", "clock_skew",
-               # gray failures: the component stays "up" but misbehaves
-               "sensor_degrade", "asymmetric_partition",
-               "slow_consumer", "disk_full",
-               # storage faults against segmented archives
-               "compaction_stall", "torn_segment", "slow_disk",
-               # background cross-traffic (shared-link congestion)
-               "congestion_storm", "calm_traffic",
-               # transient RPC faults at the transport boundary
-               "flaky_rpc", "steady_rpc")
-
-#: how a compaction stall manifests (see FaultPlan.stall_compaction)
-COMPACTION_STALL_MODES = ("wedge", "kill")
-
-#: sample-corruption modes a degraded sensor can exhibit
-SENSOR_DEGRADE_MODES = ("corrupt", "partial", "stale")
-
-#: storm traffic shapes (mirrors repro.simgrid.traffic.TRAFFIC_KINDS)
-TRAFFIC_STORM_KINDS = ("constant", "onoff")
+           "FaultKind", "Param", "FAULT_KINDS", "FAULT_TABLE"]
 
 
 class FaultError(RuntimeError):
     """A fault event references an unknown target or bad parameters."""
+
+
+#: :attr:`Param.default` of a param every event of the kind must carry
+REQUIRED = object()
+
+
+def _positive(coerce: Callable) -> Callable:
+    def positive(value: Any) -> Any:
+        value = coerce(value)
+        if value <= 0:
+            raise ValueError("must be positive")
+        return value
+    return positive
+
+
+def _probability(value: Any) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("not in [0, 1]")
+    return value
+
+
+@dataclass(frozen=True)
+class Param:
+    """One entry of a kind's params schema: how a value is coerced
+    (``ValueError``/``TypeError`` from ``coerce`` rejects the plan), what
+    an absent value means, and the values allowed when it is an enum."""
+
+    coerce: Callable[[Any], Any]
+    default: Any = REQUIRED
+    allowed: tuple = ()
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """Everything the module knows about one fault kind.
+
+    ``target`` keys :data:`_TARGETS` (what ``FaultEvent.target`` must
+    name); ``apply(injector, event, resolved_target, params)`` performs
+    the fault.  ``draw(state, at)`` adds the kind's seeded fault *and*
+    its recovery to a random plan — an event of kind ``recovery``; where
+    that is the kind itself, the recovery is its *restore form*, the
+    event whose first param is absent.  The draw is in the pick list
+    when ``gate``, a :meth:`FaultPlan.random` argument, names at least
+    ``gate_min`` targets (always, when ``gate`` is empty).
+    """
+
+    name: str
+    target: str
+    apply: Callable[["FaultInjector", "FaultEvent", Any, dict], None]
+    params: dict = field(default_factory=dict)
+    optional_target: bool = False
+    recovery: str = ""
+    gate: str = ""
+    gate_min: int = 1
+    draw: Optional[Callable[["_Draw", float], None]] = None
+
+    def bind(self, given: dict) -> dict:
+        """``given`` checked against the schema: coerced values, absent
+        (or JSON ``null``) ones defaulted."""
+        unknown = sorted(set(given) - set(self.params))
+        if unknown:
+            raise FaultError(f"{self.name} takes no param {unknown[0]!r}")
+        bound = {}
+        for name, spec in self.params.items():
+            value = given.get(name)
+            if value is None:
+                if spec.default is REQUIRED:
+                    raise FaultError(f"{self.name} needs param {name!r}")
+                bound[name] = spec.default
+                continue
+            try:
+                value = spec.coerce(value)
+            except (TypeError, ValueError) as exc:
+                raise FaultError(
+                    f"{self.name} param {name}={value!r}: {exc}") from exc
+            if spec.allowed and value not in spec.allowed:
+                raise FaultError(f"{self.name} param {name}={value!r} is "
+                                 f"not one of {spec.allowed}")
+            bound[name] = value
+        return bound
 
 
 @dataclass(frozen=True)
@@ -81,7 +154,7 @@ class FaultEvent:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in FAULT_TABLE:
             raise FaultError(f"unknown fault kind {self.kind!r}")
         if self.at < 0:
             raise FaultError(f"fault scheduled before t=0: {self.at}")
@@ -115,7 +188,9 @@ class FaultPlan:
     or generate a random-but-deterministic one with
     :meth:`FaultPlan.random`.  ``seed`` is carried for provenance (test
     failure repro lines print it); it does not affect a hand-built
-    plan.
+    plan.  Builders only spell events; params are checked against the
+    kind's schema when the plan is armed, the same as for a plan read
+    from JSON.
     """
 
     def __init__(self, events: Iterable[FaultEvent] = (), *, seed: int = 0):
@@ -129,55 +204,55 @@ class FaultPlan:
         self.events.sort(key=lambda e: e.at)
         return self
 
+    def _event(self, at: float, kind: str, target: str = "", /,
+               **params: Any) -> "FaultPlan":
+        return self.add(FaultEvent(at, kind, target, params))
+
     def crash_host(self, at: float, host: str) -> "FaultPlan":
-        return self.add(FaultEvent(at, "host_crash", host))
+        return self._event(at, "host_crash", host)
 
     def restart_host(self, at: float, host: str) -> "FaultPlan":
-        return self.add(FaultEvent(at, "host_restart", host))
+        return self._event(at, "host_restart", host)
 
     def kill_process(self, at: float, host: str, *,
                      sensor: str = "") -> "FaultPlan":
         """Kill one sensor's sampling process on ``host`` (the sensor
         object survives — exactly the wedge a supervisor must detect)."""
-        return self.add(FaultEvent(at, "process_kill", host,
-                                   {"sensor": sensor}))
+        return self._event(at, "process_kill", host, sensor=sensor)
 
     def partition(self, at: float, group_a: Iterable[str],
                   group_b: Iterable[str]) -> "FaultPlan":
         """Cut every link crossing between the two node-name groups."""
         target = ",".join(sorted(group_a)) + "|" + ",".join(sorted(group_b))
-        return self.add(FaultEvent(at, "partition", target))
+        return self._event(at, "partition", target)
 
     def heal(self, at: float) -> "FaultPlan":
-        """Bring every injector-downed link back up."""
-        return self.add(FaultEvent(at, "heal"))
+        """Undo every fault the injector still holds (see
+        :meth:`FaultInjector.heal_all`)."""
+        return self._event(at, "heal")
 
     def link_down(self, at: float, link: str) -> "FaultPlan":
-        return self.add(FaultEvent(at, "link_down", link))
+        return self._event(at, "link_down", link)
 
     def link_up(self, at: float, link: str) -> "FaultPlan":
-        return self.add(FaultEvent(at, "link_up", link))
+        return self._event(at, "link_up", link)
 
     def link_loss(self, at: float, link: str, loss_rate: float, *,
                   toward: str = "") -> "FaultPlan":
         """Set a link's random-loss rate (1.0 = true blackhole).  With
         ``toward`` (an endpoint node name) only that direction loses
         packets — the building block of asymmetric partitions."""
-        params: dict = {"loss_rate": float(loss_rate)}
-        if toward:
-            params["toward"] = toward
-        return self.add(FaultEvent(at, "link_loss", link, params))
+        extra = {"toward": toward} if toward else {}
+        return self._event(at, "link_loss", link, loss_rate=loss_rate,
+                           **extra)
 
     def link_latency(self, at: float, link: str, factor: float) -> "FaultPlan":
         """Scale a link's propagation latency (a congestion spike)."""
-        return self.add(FaultEvent(at, "link_latency", link,
-                                   {"factor": float(factor)}))
+        return self._event(at, "link_latency", link, factor=factor)
 
     def skew_clock(self, at: float, host: str, *, offset: float = 0.0,
                    drift: float = 0.0) -> "FaultPlan":
-        return self.add(FaultEvent(at, "clock_skew", host,
-                                   {"offset": float(offset),
-                                    "drift": float(drift)}))
+        return self._event(at, "clock_skew", host, offset=offset, drift=drift)
 
     # -- gray faults ---------------------------------------------------------
 
@@ -190,17 +265,13 @@ class FaultPlan:
         ``partial`` silently swallows the sample, ``stale`` freezes the
         timestamp.  Cured by a sensor restart (supervision) or
         :meth:`restore_sensor`/:meth:`heal`."""
-        if mode not in SENSOR_DEGRADE_MODES:
-            raise FaultError(f"unknown sensor degrade mode {mode!r}")
-        return self.add(FaultEvent(at, "sensor_degrade", host,
-                                   {"sensor": sensor, "mode": mode,
-                                    "rate": float(rate), "seed": int(seed)}))
+        return self._event(at, "sensor_degrade", host, sensor=sensor,
+                           mode=mode, rate=rate, seed=seed)
 
     def restore_sensor(self, at: float, host: str, *,
                        sensor: str = "") -> "FaultPlan":
         """Clear a sensor degradation (params carry no ``mode``)."""
-        return self.add(FaultEvent(at, "sensor_degrade", host,
-                                   {"sensor": sensor}))
+        return self._event(at, "sensor_degrade", host, sensor=sensor)
 
     def asymmetric_partition(self, at: float, group_a: Iterable[str],
                              group_b: Iterable[str]) -> "FaultPlan":
@@ -208,32 +279,30 @@ class FaultPlan:
         *up* (routing unchanged, no ``on_fail`` at senders) — the gray
         twin of :meth:`partition`.  Recovered by :meth:`heal`."""
         target = ",".join(sorted(group_a)) + "|" + ",".join(sorted(group_b))
-        return self.add(FaultEvent(at, "asymmetric_partition", target))
+        return self._event(at, "asymmetric_partition", target)
 
     def slow_consumer(self, at: float, host: str,
                       rate: float) -> "FaultPlan":
         """Throttle the drain rate (events/s) of every gateway
         subscription delivering to ``host`` — the classic slow-consumer
         overload that backpressure must absorb."""
-        return self.add(FaultEvent(at, "slow_consumer", host,
-                                   {"rate": float(rate)}))
+        return self._event(at, "slow_consumer", host, rate=rate)
 
     def restore_consumer(self, at: float, host: str) -> "FaultPlan":
-        """Lift a consumer drain-rate throttle."""
-        return self.add(FaultEvent(at, "slow_consumer", host,
-                                   {"rate": None}))
+        """Lift a consumer drain-rate throttle (``rate`` is JSON null)."""
+        return self._event(at, "slow_consumer", host, rate=None)
 
     def disk_full(self, at: float, archive: str,
                   budget_bytes: int) -> "FaultPlan":
         """Cap a registered :class:`EventArchive`'s byte budget: the
         archive sheds oldest records to fit, then serves reads in a
         read-only ``degraded`` mode until the budget is lifted."""
-        return self.add(FaultEvent(at, "disk_full", archive,
-                                   {"budget_bytes": int(budget_bytes)}))
+        return self._event(at, "disk_full", archive,
+                           budget_bytes=budget_bytes)
 
     def restore_disk(self, at: float, archive: str) -> "FaultPlan":
         """Lift an archive byte budget (params carry no budget)."""
-        return self.add(FaultEvent(at, "disk_full", archive))
+        return self._event(at, "disk_full", archive)
 
     # -- storage faults (segmented archives) ----------------------------------
 
@@ -245,14 +314,11 @@ class FaultPlan:
         the (still-wedged) worker until :meth:`restore_compaction`;
         ``mode="kill"`` kills the worker process once, so supervision
         alone recovers it (no restore event needed)."""
-        if mode not in COMPACTION_STALL_MODES:
-            raise FaultError(f"unknown compaction stall mode {mode!r}")
-        return self.add(FaultEvent(at, "compaction_stall", archive,
-                                   {"mode": mode}))
+        return self._event(at, "compaction_stall", archive, mode=mode)
 
     def restore_compaction(self, at: float, archive: str) -> "FaultPlan":
         """Clear a compaction stall (params carry no ``mode``)."""
-        return self.add(FaultEvent(at, "compaction_stall", archive))
+        return self._event(at, "compaction_stall", archive)
 
     def tear_segment(self, at: float, archive: str, *,
                      index: int = 0) -> "FaultPlan":
@@ -260,24 +326,22 @@ class FaultPlan:
         next query touching it quarantines it — the rest of the archive
         keeps serving, and replay floors stall at the hole until
         :meth:`mend_segments` (or ``heal``) reinstates it."""
-        return self.add(FaultEvent(at, "torn_segment", archive,
-                                   {"index": int(index)}))
+        return self._event(at, "torn_segment", archive, index=index)
 
     def mend_segments(self, at: float, archive: str) -> "FaultPlan":
         """Repair and reinstate every torn/quarantined segment."""
-        return self.add(FaultEvent(at, "torn_segment", archive))
+        return self._event(at, "torn_segment", archive)
 
     def slow_disk(self, at: float, archive: str,
                   factor: float) -> "FaultPlan":
         """Stretch an archive's seal/compaction latency by ``factor``
         (an I/O slowdown: compaction cadence, and the supervision beat
         tolerance with it, scale up)."""
-        return self.add(FaultEvent(at, "slow_disk", archive,
-                                   {"factor": float(factor)}))
+        return self._event(at, "slow_disk", archive, factor=factor)
 
     def restore_disk_speed(self, at: float, archive: str) -> "FaultPlan":
         """Restore normal I/O latency (params carry no ``factor``)."""
-        return self.add(FaultEvent(at, "slow_disk", archive))
+        return self._event(at, "slow_disk", archive)
 
     # -- congestion (background cross-traffic) --------------------------------
 
@@ -291,21 +355,17 @@ class FaultPlan:
         queuing delay, and overflow becomes drops AIMD reacts to.
         Stopped by :meth:`calm_traffic` (or ``heal``).  A second storm
         on the same ``src->dst`` pair replaces the first."""
-        return self.add(FaultEvent(at, "congestion_storm",
-                                   f"{src}|{dst}",
-                                   {"rate_bps": float(rate_bps),
-                                    "kind": kind,
-                                    "packet_bytes": int(packet_bytes),
-                                    "on_s": float(on_s),
-                                    "off_s": float(off_s),
-                                    "seed": int(seed)}))
+        return self._event(at, "congestion_storm", f"{src}|{dst}",
+                           rate_bps=rate_bps, kind=kind,
+                           packet_bytes=packet_bytes, on_s=on_s,
+                           off_s=off_s, seed=seed)
 
     def calm_traffic(self, at: float, src: str = "",
                      dst: str = "") -> "FaultPlan":
         """Stop injector-started background traffic — the ``src->dst``
         storm when named, every storm when called with no names."""
-        target = f"{src}|{dst}" if (src or dst) else ""
-        return self.add(FaultEvent(at, "calm_traffic", target))
+        return self._event(at, "calm_traffic",
+                           f"{src}|{dst}" if (src or dst) else "")
 
     # -- transient RPC faults -------------------------------------------------
 
@@ -318,15 +378,13 @@ class FaultPlan:
         ``on_fail`` callback fires), which makes it the retryable
         error class that amplifies into retry storms when callers
         have no budget.  Restored by :meth:`steady_rpc` (or ``heal``)."""
-        return self.add(FaultEvent(at, "flaky_rpc", host,
-                                   {"rate": float(rate),
-                                    "latency_s": float(latency_s),
-                                    "seed": int(seed)}))
+        return self._event(at, "flaky_rpc", host, rate=rate,
+                           latency_s=latency_s, seed=seed)
 
     def steady_rpc(self, at: float, host: str = "") -> "FaultPlan":
         """Steady the named host's RPC endpoint again — or every flaky
         host when called with no name."""
-        return self.add(FaultEvent(at, "steady_rpc", host))
+        return self._event(at, "steady_rpc", host)
 
     # -- random generation ---------------------------------------------------
 
@@ -351,168 +409,35 @@ class FaultPlan:
         caps how many hosts may be down at once so the world never
         fully halts.
 
-        Gray kinds ride along: ``sensor_degrade`` and
-        ``asymmetric_partition`` draw from ``hosts`` (always restored
-        before the final heal; stale mode is excluded — frozen
-        timestamps are indistinguishable from ancient events to replay
-        floors, so it stays a targeted-test-only mode); passing
-        ``consumers``/``archives`` additionally enables
-        ``slow_consumer``/``disk_full`` against those names.  Archives
-        also draw the storage kinds — ``compaction_stall`` (wedge
-        mode), ``torn_segment``, and ``slow_disk`` — each paired with
-        its restore within the horizon, so storage faults are
-        always-recovering like everything else.
-
-        Passing two or more ``storms`` host names enables
-        ``congestion_storm`` events between random distinct pairs of
-        those hosts, each paired with a targeted ``calm_traffic``
-        within the horizon (always-recovering congestion).
-
-        Passing ``flaky`` host names (RPC *server* hosts: directory
-        servers, gateways) enables ``flaky_rpc`` events against them,
-        each paired with a targeted ``steady_rpc`` within the horizon
-        (always-recovering transient errors).  Both knobs gate their
-        kind behind the parameter so plans drawn without them replay
-        bit-identically to plans from before the kind existed.
+        Each step picks one row of :data:`FAULT_TABLE` that has a draw
+        and whose gate is open, and lets it add its fault *and* the
+        paired recovery.  Ungated rows draw from ``hosts``/``links``;
+        ``consumers`` opens ``slow_consumer``; ``archives`` opens
+        ``disk_full`` and the storage kinds; two or more ``storms``
+        host names open ``congestion_storm`` between distinct pairs of
+        them; ``flaky`` (RPC *server* hosts) opens ``flaky_rpc``.
+        Because a closed gate keeps its rows out of the pick list,
+        plans drawn without a gate replay bit-identically to plans
+        from before its kinds existed.  (``sensor_degrade`` never draws
+        stale mode — frozen timestamps are indistinguishable from
+        ancient events to replay floors, so it stays a
+        targeted-test-only mode.)
         """
-        rng = random.Random(seed)
-        host_names = sorted(set(hosts))
-        link_names = sorted(set(links))
-        consumer_names = sorted(set(consumers))
-        archive_names = sorted(set(archives))
-        storm_names = sorted(set(storms))
-        protected = set(protect)
-        crashable = [h for h in host_names if h not in protected]
-        plan = cls(seed=seed)
-        #: host -> [(crash_at, restart_at)] — a host may crash many
-        #: times per plan, just never with overlapping down intervals
-        down_spans: dict[str, list[tuple[float, float]]] = {}
-        partitioned_until = -1.0
-        max_down = max(1, int(len(crashable) * max_down_fraction)) \
-            if crashable else 0
-
-        def hosts_down_at(t: float) -> int:
-            return sum(1 for spans in down_spans.values()
-                       for lo, hi in spans if lo <= t < hi)
-
-        def recover_at(at: float) -> float:
-            return min(at + round(rng.uniform(2.0, horizon * 0.2), 3),
-                       horizon * 0.95)
-
-        kinds = ["host_crash", "process_kill", "partition",
-                 "link_loss", "link_latency", "clock_skew",
-                 "sensor_degrade", "asymmetric_partition"]
-        if consumer_names:
-            kinds.append("slow_consumer")
-        if archive_names:
-            kinds += ["disk_full", "compaction_stall", "torn_segment",
-                      "slow_disk"]
-        if len(storm_names) >= 2:
-            kinds.append("congestion_storm")
-        flaky_names = sorted(set(flaky))
-        if flaky_names:
-            kinds.append("flaky_rpc")
+        state = _Draw(cls(seed=seed), random.Random(seed), horizon,
+                      {"hosts": hosts, "links": links,
+                       "consumers": consumers, "archives": archives,
+                       "storms": storms, "flaky": flaky},
+                      protect, max_down_fraction)
+        rows = [row for row in FAULT_TABLE.values() if row.draw is not None
+                and (not row.gate
+                     or len(state.names[row.gate]) >= row.gate_min)]
         for _ in range(max(0, int(n_steps))):
-            at = round(rng.uniform(0.0, horizon * 0.8), 3)
-            kind = rng.choice(kinds)
-            if kind == "host_crash" and crashable:
-                host = rng.choice(crashable)
-                down = round(rng.uniform(1.0, horizon * 0.15), 3)
-                restart_at = min(at + down, horizon * 0.95)
-                spans = down_spans.setdefault(host, [])
-                if any(lo <= restart_at and at <= hi for lo, hi in spans):
-                    continue  # overlaps one of this host's down windows
-                if hosts_down_at(at) >= max_down:
-                    continue  # too many hosts down at once
-                plan.crash_host(at, host)
-                plan.restart_host(restart_at, host)
-                spans.append((at, restart_at))
-            elif kind == "process_kill":
-                plan.kill_process(at, rng.choice(host_names))
-            elif kind == "partition" and len(host_names) >= 2:
-                if at <= partitioned_until:
-                    continue
-                cut = rng.randint(1, len(host_names) - 1)
-                group_a = host_names[:cut]
-                group_b = host_names[cut:]
-                heal_at = min(at + round(rng.uniform(1.0, horizon * 0.2), 3),
-                              horizon * 0.95)
-                plan.partition(at, group_a, group_b)
-                plan.heal(heal_at)
-                partitioned_until = heal_at
-            elif kind == "link_loss" and link_names:
-                plan.link_loss(at, rng.choice(link_names),
-                               round(rng.uniform(0.0, 0.2), 4))
-            elif kind == "link_latency" and link_names:
-                plan.link_latency(at, rng.choice(link_names),
-                                  round(rng.uniform(0.5, 20.0), 3))
-            elif kind == "clock_skew":
-                plan.skew_clock(at, rng.choice(host_names),
-                                offset=round(rng.uniform(-0.5, 0.5), 6),
-                                drift=round(rng.uniform(-1e-4, 1e-4), 9))
-            elif kind == "sensor_degrade":
-                pool = crashable or host_names
-                host = rng.choice(pool)
-                plan.degrade_sensor(
-                    at, host,
-                    mode=rng.choice(["corrupt", "partial"]),
-                    rate=round(rng.uniform(0.5, 1.0), 3),
-                    seed=rng.randrange(2**31))
-                plan.restore_sensor(recover_at(at), host)
-            elif kind == "asymmetric_partition" and len(host_names) >= 2:
-                if at <= partitioned_until:
-                    continue
-                cut = rng.randint(1, len(host_names) - 1)
-                heal_at = recover_at(at)
-                plan.asymmetric_partition(at, host_names[:cut],
-                                          host_names[cut:])
-                plan.heal(heal_at)
-                partitioned_until = heal_at
-            elif kind == "slow_consumer":
-                host = rng.choice(consumer_names)
-                plan.slow_consumer(at, host,
-                                   rate=round(rng.uniform(1.0, 10.0), 3))
-                plan.restore_consumer(recover_at(at), host)
-            elif kind == "disk_full":
-                archive = rng.choice(archive_names)
-                plan.disk_full(at, archive,
-                               budget_bytes=rng.randrange(8_000, 64_000))
-                plan.restore_disk(recover_at(at), archive)
-            elif kind == "compaction_stall":
-                archive = rng.choice(archive_names)
-                plan.stall_compaction(at, archive, mode="wedge")
-                plan.restore_compaction(recover_at(at), archive)
-            elif kind == "torn_segment":
-                archive = rng.choice(archive_names)
-                plan.tear_segment(at, archive, index=rng.randrange(0, 8))
-                plan.mend_segments(recover_at(at), archive)
-            elif kind == "slow_disk":
-                archive = rng.choice(archive_names)
-                plan.slow_disk(at, archive,
-                               round(rng.uniform(2.0, 20.0), 3))
-                plan.restore_disk_speed(recover_at(at), archive)
-            elif kind == "congestion_storm":
-                src = rng.choice(storm_names)
-                dst = rng.choice([h for h in storm_names if h != src])
-                shape = rng.choice(list(TRAFFIC_STORM_KINDS))
-                plan.congestion_storm(
-                    at, src, dst,
-                    rate_bps=round(rng.uniform(100e6, 900e6), 0),
-                    kind=shape,
-                    seed=rng.randrange(2**31))
-                plan.calm_traffic(recover_at(at), src, dst)
-            elif kind == "flaky_rpc":
-                host = rng.choice(flaky_names)
-                plan.flaky_rpc(at, host,
-                               rate=round(rng.uniform(0.2, 0.8), 3),
-                               latency_s=round(rng.uniform(0.0, 0.5), 3),
-                               seed=rng.randrange(2**31))
-                plan.steady_rpc(recover_at(at), host)
+            at = round(state.rng.uniform(0.0, horizon * 0.8), 3)
+            state.rng.choice(rows).draw(state, at)
         # every random plan converges: restart stragglers, heal, settle
-        for host in down_spans:
-            plan.restart_host(horizon * 0.96, host)
-        plan.heal(horizon * 0.96)
-        return plan
+        for host in state.down_spans:
+            state.plan.restart_host(horizon * 0.96, host)
+        return state.plan.heal(horizon * 0.96)
 
     # -- serialization -------------------------------------------------------
 
@@ -552,105 +477,526 @@ class FaultPlan:
         return f"<FaultPlan seed={self.seed} events={len(self.events)}>"
 
 
+# ---------------------------------------------------------------------------
+# seeded draws (FaultPlan.random): each adds one fault and its recovery
+# ---------------------------------------------------------------------------
+
+
+class _Draw:
+    """What one :meth:`FaultPlan.random` call threads through the rows'
+    draws: the plan being built, the RNG, and the cross-step state."""
+
+    def __init__(self, plan: FaultPlan, rng: random.Random, horizon: float,
+                 names: dict, protect: Iterable[str],
+                 max_down_fraction: float):
+        self.plan = plan
+        self.rng = rng
+        self.horizon = horizon
+        #: random() argument -> its names, sorted (the draw never sees
+        #: the caller's iteration order)
+        self.names = {arg: sorted(set(given))
+                      for arg, given in names.items()}
+        protected = set(protect)
+        crashable = [h for h in self.names["hosts"] if h not in protected]
+        self.names["crashable"] = crashable
+        self.names["unprotected"] = crashable or self.names["hosts"]
+        self.max_down = max(1, int(len(crashable) * max_down_fraction))
+        #: host -> [(crash_at, restart_at)] — a host may crash many
+        #: times per plan, just never with overlapping down intervals
+        self.down_spans: dict[str, list[tuple[float, float]]] = {}
+        self.partitioned_until = -1.0
+
+    def recover_at(self, at: float, soonest: float = 2.0) -> float:
+        return min(at + round(self.rng.uniform(soonest, self.horizon * 0.2),
+                              3),
+                   self.horizon * 0.95)
+
+
+def _draws(pool: str, fault: Callable, recover: Optional[Callable] = None):
+    """The usual draw: pick a target from ``pool``, add ``fault(d, at,
+    target)``, then — so no row can forget it — ``recover(plan, when,
+    target)`` at a seeded moment inside the horizon."""
+    def draw(d: _Draw, at: float) -> None:
+        if not d.names[pool]:
+            return
+        target = d.rng.choice(d.names[pool])
+        fault(d, at, target)
+        if recover is not None:
+            recover(d.plan, d.recover_at(at), target)
+    return draw
+
+
+def _crash_and_restart(d: _Draw, at: float, host: str) -> None:
+    down = round(d.rng.uniform(1.0, d.horizon * 0.15), 3)
+    restart_at = min(at + down, d.horizon * 0.95)
+    spans = d.down_spans.setdefault(host, [])
+    if any(lo <= restart_at and at <= hi for lo, hi in spans):
+        return  # overlaps one of this host's down windows
+    if sum(1 for other in d.down_spans.values()
+           for lo, hi in other if lo <= at < hi) >= d.max_down:
+        return  # too many hosts down at once
+    d.plan.crash_host(at, host)
+    d.plan.restart_host(restart_at, host)
+    spans.append((at, restart_at))
+
+
+def _draw_partition(gray: bool, d: _Draw, at: float) -> None:
+    names = d.names["hosts"]
+    if len(names) < 2 or at <= d.partitioned_until:
+        return
+    cut = d.rng.randint(1, len(names) - 1)
+    heal_at = d.recover_at(at, 2.0 if gray else 1.0)
+    split = d.plan.asymmetric_partition if gray else d.plan.partition
+    split(at, names[:cut], names[cut:])
+    d.plan.heal(heal_at)
+    d.partitioned_until = heal_at
+
+
+def _draw_congestion_storm(d: _Draw, at: float) -> None:
+    src = d.rng.choice(d.names["storms"])
+    dst = d.rng.choice([h for h in d.names["storms"] if h != src])
+    d.plan.congestion_storm(at, src, dst,
+                            kind=d.rng.choice(["constant", "onoff"]),
+                            rate_bps=round(d.rng.uniform(100e6, 900e6), 0),
+                            seed=d.rng.randrange(2**31))
+    d.plan.calm_traffic(d.recover_at(at), src, dst)
+
+
+# ---------------------------------------------------------------------------
+# target resolution (FaultKind.target): event -> what apply() works on
+# ---------------------------------------------------------------------------
+
+
+def _host(inj: "FaultInjector", name: str) -> Any:
+    host = inj.world.hosts.get(name)
+    if host is None:
+        raise FaultError(f"fault targets unknown host {name!r}")
+    return host
+
+
+def _link(inj: "FaultInjector", event: FaultEvent) -> Any:
+    network = inj.world.network
+    link = next((l for l in network.links() if l.name == event.target), None)
+    if link is None:
+        raise FaultError(f"fault targets unknown link {event.target!r}")
+    toward = event.params.get("toward")
+    if toward and network.get(toward) not in (link.a, link.b):
+        raise FaultError(f"'toward' {toward!r} is not an endpoint of "
+                         f"link {event.target!r}")
+    return link
+
+
+def _archive(inj: "FaultInjector", event: FaultEvent) -> Any:
+    archive = getattr(inj.world, "archives", {}).get(event.target)
+    if archive is None:
+        raise FaultError(f"fault targets unknown archive {event.target!r}")
+    return archive
+
+
+def _split(event: FaultEvent) -> tuple[str, str]:
+    left, bar, right = event.target.partition("|")
+    if not bar:
+        raise FaultError(
+            f"{event.kind} target needs 'a|b': {event.target!r}")
+    return left, right
+
+
+_TARGETS = {
+    "host": lambda inj, event: _host(inj, event.target),
+    "link": _link,
+    "archive": _archive,
+    # "a,b|c,d": two node-name groups, each name-sorted
+    "groups": lambda inj, event: tuple(
+        sorted(n for n in spec.split(",") if n) for spec in _split(event)),
+    # "src|dst": two known hosts
+    "pair": lambda inj, event: tuple(
+        _host(inj, name).name for name in _split(event)),
+    "none": lambda inj, event: None,
+}
+
+
+# ---------------------------------------------------------------------------
+# apply functions (FaultKind.apply): (injector, event, target, params)
+# ---------------------------------------------------------------------------
+
+
+def _pick_sensor(host: Any, wanted: str) -> tuple[str, Any]:
+    """The named sensor on ``host`` — its name-first one when the name
+    is empty or unknown, ``("", None)`` when the host runs none."""
+    manager = host.service("sensor-manager")
+    if manager is None or not getattr(manager, "sensors", None):
+        return "", None
+    name = wanted if wanted in manager.sensors else sorted(manager.sensors)[0]
+    return name, manager.sensors[name]
+
+
+def _process_kill(inj, event, host, p) -> None:
+    """Kill a sensor's sampling process without touching the sensor
+    object — the supervisor's heartbeat check must notice."""
+    proc = getattr(_pick_sensor(host, p["sensor"])[1], "_proc", None)
+    if proc is not None and proc.alive:
+        proc.kill()
+
+
+def _raise_link(inj, link) -> None:
+    if not link.up:
+        inj.world.network.set_link_state(link, True)
+
+
+def _cut(inj, link) -> None:
+    """One ``link_down``: partitions are filed as the cuts they make."""
+    if link.up:
+        inj.world.network.set_link_state(link, False)
+        inj.hold("link_down", link.name, partial(_raise_link, inj, link))
+
+
+def _link_up(inj, event, link, p) -> None:
+    for kind in ("link_down", "link_loss", "link_latency"):
+        inj.release(kind, link.name)
+    _raise_link(inj, link)
+
+
+def _cross_routes(network, group_a, group_b) -> Iterator[Any]:
+    """Every surviving a->b route, pairs taken in name order so the
+    links a partition picks are deterministic."""
+    for a in group_a:
+        if network.get(a) is None:
+            continue
+        for b in group_b:
+            if network.get(b) is None:
+                continue
+            try:
+                yield network.route(a, b)
+            except Exception:
+                continue
+
+
+def _pick_link(path, group_a, group_b) -> Any:
+    """The link of ``path`` a partition acts on: an *infrastructure*
+    link (neither endpoint in either group — switch/router trunks) so
+    intra-group connectivity survives where the topology allows, else
+    (two hosts on one switch) the B-side access link."""
+    members = set(group_a) | set(group_b)
+    infra = [l for l in path.links
+             if l.a.name not in members and l.b.name not in members]
+    return infra[len(infra) // 2] if infra else path.links[-1]
+
+
+def _partition(inj, event, groups, p) -> None:
+    """Cut links until no group-A node can route to any group-B node:
+    each pass finds a surviving cross-group route and cuts one link."""
+    while True:
+        path = next(_cross_routes(inj.world.network, *groups), None)
+        if path is None:
+            return
+        _cut(inj, _pick_link(path, *groups))
+
+
+def _dim(inj, link, rate: float, toward: Any = None) -> None:
+    """One ``link_loss``; the undo held is the link's loss as first
+    found, so stacked loss faults still restore the pristine rates."""
+    inj.hold("link_loss", link.name,
+             partial(link.restore_loss, link.loss_state()))
+    link.set_loss(rate, toward=toward)
+
+
+def _link_loss(inj, event, link, p) -> None:
+    toward = inj.world.network.get(p["toward"]) if p["toward"] else None
+    _dim(inj, link, min(1.0, max(0.0, p["loss_rate"])), toward)
+
+
+def _link_latency(inj, event, link, p) -> None:
+    undo = inj.hold(event.kind, link.name,
+                    partial(setattr, link, "latency_s", link.latency_s))
+    # the factor scales the latency the *held* undo restores (the
+    # pristine one), not whatever an earlier spike left behind
+    link.latency_s = undo.args[2] * max(0.0, p["factor"])
+
+
+def _clock_skew(inj, event, host, p) -> None:
+    if p["offset"]:
+        host.clock.adjust(p["offset"])
+    if p["drift"] is not None:
+        host.clock.set_drift(p["drift"])
+
+
+def _asymmetric_partition(inj, event, groups, p) -> None:
+    """Blackhole every A->B route while leaving B->A (and routing)
+    intact: one link per cross route — picked like :func:`_partition`
+    picks its cut — gets directional loss 1.0 toward the B side.  The
+    links stay up, so senders keep getting "successful" sends."""
+    for path in _cross_routes(inj.world.network, *groups):
+        if not path.links or path.loss_rate >= 1.0:
+            continue  # same node, or already black this way
+        chosen = _pick_link(path, *groups)
+        for node, link in zip(path.nodes[:-1], path.links):
+            if link is chosen:
+                _dim(inj, link, 1.0, link.other(node))
+                break
+
+
+def _sensor_degrade(inj, event, host, p) -> None:
+    """The sensor object keeps running and heartbeating — only
+    sample-quality supervision can tell."""
+    name, sensor = _pick_sensor(host, p["sensor"])
+    if sensor is None:
+        return
+    if p["mode"] is not None:
+        sensor.set_degraded(p["mode"], rate=p["rate"], seed=p["seed"])
+    inj.settle(event.kind, f"{host.name}/{name}", sensor.clear_degraded,
+               restore=p["mode"] is None)
+
+
+def _knob(setter: Callable) -> Callable:
+    """apply for a kind that is one value set on its target:
+    ``setter(injector, target, value)`` is the fault, and the same call
+    with ``None`` is both its restore form and its undo."""
+    def apply(inj, event, target, p) -> None:
+        (value,) = p.values()
+        if value is not None:
+            setter(inj, target, value)
+        inj.settle(event.kind, event.target,
+                   partial(setter, inj, target, None), restore=value is None)
+    return apply
+
+
+def _throttle(inj, host, rate: Optional[float]) -> None:
+    hosts = inj.world.hosts
+    for name in sorted(hosts):
+        gw = hosts[name].service("gateway")
+        if gw is not None and hasattr(gw, "throttle_consumer"):
+            gw.throttle_consumer(host.name, rate)
+
+
+def _compaction_stall(inj, event, archive, p) -> None:
+    if p["mode"] is not None:
+        archive.stall_compaction(p["mode"])
+    if p["mode"] != "kill":  # one-shot: supervision alone recovers it
+        inj.settle(event.kind, event.target, archive.clear_compaction_stall,
+                   restore=p["mode"] is None)
+
+
+def _torn_segment(inj, event, archive, p) -> None:
+    if p["index"] is None or archive.tear_segment(p["index"]):
+        inj.settle(event.kind, event.target, archive.mend_segments,
+                   restore=p["index"] is None)
+
+
+def _congestion_storm(inj, event, pair, p) -> None:
+    """Start (or replace) a background-traffic generator between the
+    host pair; the world tracks it, the ledger knows how to stop it."""
+    inj.release(event.kind, event.target)
+    world = inj.world
+    storm = world.start_traffic(dict(p, src=pair[0], dst=pair[1]))
+    inj.hold(event.kind, event.target, partial(world.stop_traffic, storm))
+
+
+def _flaky_rpc(inj, event, host, p) -> None:
+    transport = inj.world.transport
+    transport.set_flaky_host(host.name, **p)
+    inj.hold(event.kind, host.name,
+             partial(transport.clear_flaky_host, host.name))
+
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+
+#: kind name -> its row.  Order matters twice: it is the order
+#: :meth:`FaultPlan.random` picks from (append new rows' draws last, so
+#: old seeds keep their plans) and the order ``heal`` undoes kinds in.
+FAULT_TABLE: Mapping[str, FaultKind] = MappingProxyType({r.name: r for r in (
+    FaultKind("host_crash", "host", lambda inj, ev, host, p: host.crash(),
+              recovery="host_restart",
+              draw=_draws("crashable", _crash_and_restart)),
+    FaultKind("host_restart", "host",
+              lambda inj, ev, host, p: host.restart()),
+    FaultKind("process_kill", "host", _process_kill,
+              {"sensor": Param(str, "")},
+              draw=_draws("hosts", lambda d, at, host:
+                          d.plan.kill_process(at, host))),
+    FaultKind("partition", "groups", _partition,
+              recovery="heal", draw=partial(_draw_partition, False)),
+    FaultKind("heal", "none", lambda inj, ev, target, p: inj.heal_all()),
+    FaultKind("link_down", "link", lambda inj, ev, link, p: _cut(inj, link),
+              recovery="link_up"),
+    FaultKind("link_up", "link", _link_up),
+    FaultKind("link_loss", "link", _link_loss,
+              {"loss_rate": Param(float), "toward": Param(str, "")},
+              recovery="heal",
+              draw=_draws("links", lambda d, at, link: d.plan.link_loss(
+                  at, link, round(d.rng.uniform(0.0, 0.2), 4)))),
+    FaultKind("link_latency", "link", _link_latency,
+              {"factor": Param(float)}, recovery="heal",
+              draw=_draws("links", lambda d, at, link: d.plan.link_latency(
+                  at, link, round(d.rng.uniform(0.5, 20.0), 3)))),
+    FaultKind("clock_skew", "host", _clock_skew,
+              {"offset": Param(float, 0.0), "drift": Param(float, None)},
+              draw=_draws("hosts", lambda d, at, host: d.plan.skew_clock(
+                  at, host, offset=round(d.rng.uniform(-0.5, 0.5), 6),
+                  drift=round(d.rng.uniform(-1e-4, 1e-4), 9)))),
+    # gray failures: the component stays "up" but misbehaves
+    FaultKind("sensor_degrade", "host", _sensor_degrade,
+              {"mode": Param(str, None, ("corrupt", "partial", "stale")),
+               "sensor": Param(str, ""),
+               "rate": Param(float, 1.0), "seed": Param(int, 0)},
+              recovery="sensor_degrade",
+              draw=_draws("unprotected",
+                          lambda d, at, host: d.plan.degrade_sensor(
+                              at, host,
+                              mode=d.rng.choice(["corrupt", "partial"]),
+                              rate=round(d.rng.uniform(0.5, 1.0), 3),
+                              seed=d.rng.randrange(2**31)),
+                          FaultPlan.restore_sensor)),
+    FaultKind("asymmetric_partition", "groups", _asymmetric_partition,
+              recovery="heal", draw=partial(_draw_partition, True)),
+    FaultKind("slow_consumer", "host", _knob(_throttle),
+              {"rate": Param(_positive(float), None)},
+              recovery="slow_consumer", gate="consumers",
+              draw=_draws("consumers",
+                          lambda d, at, host: d.plan.slow_consumer(
+                              at, host, rate=round(d.rng.uniform(1.0, 10.0),
+                                                   3)),
+                          FaultPlan.restore_consumer)),
+    FaultKind("disk_full", "archive",
+              _knob(lambda inj, archive, v: archive.set_byte_budget(v)),
+              {"budget_bytes": Param(_positive(int), None)},
+              recovery="disk_full", gate="archives",
+              draw=_draws("archives",
+                          lambda d, at, archive: d.plan.disk_full(
+                              at, archive,
+                              budget_bytes=d.rng.randrange(8_000, 64_000)),
+                          FaultPlan.restore_disk)),
+    # storage faults against segmented archives
+    FaultKind("compaction_stall", "archive", _compaction_stall,
+              {"mode": Param(str, None, ("wedge", "kill"))},
+              recovery="compaction_stall", gate="archives",
+              draw=_draws("archives",
+                          lambda d, at, archive: d.plan.stall_compaction(
+                              at, archive, mode="wedge"),
+                          FaultPlan.restore_compaction)),
+    FaultKind("torn_segment", "archive", _torn_segment,
+              {"index": Param(int, None)},
+              recovery="torn_segment", gate="archives",
+              draw=_draws("archives",
+                          lambda d, at, archive: d.plan.tear_segment(
+                              at, archive, index=d.rng.randrange(0, 8)),
+                          FaultPlan.mend_segments)),
+    FaultKind("slow_disk", "archive",
+              _knob(lambda inj, archive, v: archive.set_io_latency(v)),
+              {"factor": Param(_positive(float), None)},
+              recovery="slow_disk", gate="archives",
+              draw=_draws("archives",
+                          lambda d, at, archive: d.plan.slow_disk(
+                              at, archive,
+                              round(d.rng.uniform(2.0, 20.0), 3)),
+                          FaultPlan.restore_disk_speed)),
+    # background cross-traffic (shared-link congestion)
+    FaultKind("congestion_storm", "pair", _congestion_storm,
+              {"rate_bps": Param(_positive(float)),
+               "kind": Param(str, "constant", TRAFFIC_KINDS),
+               "packet_bytes": Param(_positive(int), 8192),
+               "on_s": Param(_positive(float), 0.5),
+               "off_s": Param(float, 0.5), "seed": Param(int, 0)},
+              recovery="calm_traffic", gate="storms", gate_min=2,
+              draw=_draw_congestion_storm),
+    FaultKind("calm_traffic", "pair", lambda inj, ev, pair, p:
+              inj.release("congestion_storm", ev.target),
+              optional_target=True),
+    # transient RPC faults at the transport boundary
+    FaultKind("flaky_rpc", "host", _flaky_rpc,
+              {"rate": Param(_probability, 0.3),
+               "latency_s": Param(float, 0.0), "seed": Param(int, 0)},
+              recovery="steady_rpc", gate="flaky",
+              draw=_draws("flaky",
+                          lambda d, at, host: d.plan.flaky_rpc(
+                              at, host,
+                              rate=round(d.rng.uniform(0.2, 0.8), 3),
+                              latency_s=round(d.rng.uniform(0.0, 0.5), 3),
+                              seed=d.rng.randrange(2**31)),
+                          FaultPlan.steady_rpc)),
+    FaultKind("steady_rpc", "host", lambda inj, ev, host, p:
+              inj.release("flaky_rpc", ev.target),
+              optional_target=True),
+)})
+
+#: every fault kind the injector knows how to apply
+FAULT_KINDS = tuple(FAULT_TABLE)
+
+
 class FaultInjector:
     """Schedules a :class:`FaultPlan` against a GridWorld.
 
-    The injector owns the bookkeeping a plan needs to be reversible:
-    which links it took down (for ``heal``), and each link's pristine
-    loss/latency (restored on ``heal``/``link_up``).  Faults targeting
-    unknown hosts/links raise :class:`FaultError` at :meth:`arm` time —
-    a plan must be entirely valid before any of it runs.
+    The injector owns the one piece of bookkeeping that makes a plan
+    reversible: :attr:`active`, the ledger of undo callables for every
+    fault still in force.  Faults with unknown targets or params that
+    do not fit their kind's schema raise :class:`FaultError` at
+    :meth:`arm` time — a plan must be entirely valid before any of it
+    runs, wherever it came from.
     """
 
     def __init__(self, world: Any, plan: FaultPlan):
         self.world = world
         self.plan = plan
         self.applied: list[tuple[float, FaultEvent]] = []
-        self._downed_links: dict[Any, None] = {}   # insertion-ordered set
-        #: link -> ((loss_toward_b, loss_toward_a), latency_s)
-        self._pristine: dict[Any, tuple[tuple, float]] = {}
-        # gray-fault state, all cleared by heal
-        self._degraded_sensors: dict[Any, None] = {}
-        self._throttled_hosts: dict[str, None] = {}
-        self._capped_archives: dict[Any, None] = {}
-        self._stalled_archives: dict[Any, None] = {}
-        self._torn_archives: dict[Any, None] = {}
-        self._slowed_archives: dict[Any, None] = {}
-        #: "src|dst" -> running TrafficGenerator (congestion storms)
-        self._storms: dict[str, Any] = {}
-        #: host names whose RPC endpoint is transiently failing
-        self._flaky_hosts: dict[str, None] = {}
+        #: (kind, target name) -> undo, in the order the faults landed
+        self.active: dict[tuple[str, str], Callable[[], None]] = {}
         self._armed = False
 
-    # -- lookup ---------------------------------------------------------------
+    # -- the ledger -------------------------------------------------------------
 
-    def _host(self, name: str) -> Any:
-        host = self.world.hosts.get(name)
-        if host is None:
-            raise FaultError(f"fault targets unknown host {name!r}")
-        return host
+    def hold(self, kind: str, target: str,
+             undo: Callable[[], None]) -> Callable[[], None]:
+        """File ``undo`` for a fault now in force and return the undo
+        held.  A fault already active keeps its first undo — that is
+        the one that restores the pristine state."""
+        return self.active.setdefault((kind, target), undo)
 
-    def _link(self, name: str) -> Any:
-        for link in self.world.network.links():
-            if link.name == name:
-                return link
-        raise FaultError(f"fault targets unknown link {name!r}")
+    def release(self, kind: str, target: str = "") -> None:
+        """Run and drop the undo of ``(kind, target)`` — of every
+        active fault of ``kind`` when ``target`` is empty."""
+        for key in [k for k in self.active
+                    if k[0] == kind and target in ("", k[1])]:
+            self.active.pop(key)()
 
-    def _archive(self, name: str) -> Any:
-        archive = getattr(self.world, "archives", {}).get(name)
-        if archive is None:
-            raise FaultError(f"fault targets unknown archive {name!r}")
-        return archive
+    def settle(self, kind: str, target: str, undo: Callable[[], None], *,
+               restore: bool) -> None:
+        """The tail of a kind that has a restore form.  Fault form: hold
+        ``undo``.  Restore form: drop the entry and run ``undo`` — even
+        with nothing on the books, a restore event still makes the call
+        (lifting a throttle that was never set re-arms the pump)."""
+        if restore:
+            self.active.pop((kind, target), None)
+            undo()
+        else:
+            self.hold(kind, target, undo)
 
-    def _validate(self) -> None:
-        for event in self.plan:
-            if event.kind in ("host_crash", "host_restart", "process_kill",
-                              "clock_skew", "sensor_degrade",
-                              "slow_consumer"):
-                self._host(event.target)
-            elif event.kind in ("link_down", "link_up", "link_loss",
-                                "link_latency"):
-                link = self._link(event.target)
-                toward = event.params.get("toward")
-                if toward:
-                    node = self.world.network.get(toward)
-                    if node is None or node not in (link.a, link.b):
-                        raise FaultError(
-                            f"'toward' {toward!r} is not an endpoint of "
-                            f"link {event.target!r}")
-            elif event.kind in ("partition", "asymmetric_partition"):
-                if "|" not in event.target:
-                    raise FaultError(
-                        f"partition target needs 'a,b|c,d': {event.target!r}")
-            elif event.kind in ("disk_full", "compaction_stall",
-                                "torn_segment", "slow_disk"):
-                self._archive(event.target)
-            elif event.kind == "congestion_storm":
-                if "|" not in event.target:
-                    raise FaultError(
-                        f"storm target needs 'src|dst': {event.target!r}")
-                src, _, dst = event.target.partition("|")
-                self._host(src)
-                self._host(dst)
-            elif event.kind == "calm_traffic" and event.target:
-                if "|" not in event.target:
-                    raise FaultError(
-                        f"calm target needs 'src|dst': {event.target!r}")
-            elif event.kind == "flaky_rpc":
-                self._host(event.target)
-                rate = float(event.params.get("rate", 0.0))
-                if not 0.0 <= rate <= 1.0:
-                    raise FaultError(f"flaky_rpc rate {rate} not in [0, 1]")
-            elif event.kind == "steady_rpc" and event.target:
-                self._host(event.target)
+    def heal_all(self) -> None:
+        """Undo every fault still in force — kinds in table order,
+        targets in the order they were hit.  The one recovery entry
+        point: ``heal`` events and scenario teardown both land here.
+        (Crashed hosts are not the ledger's business: ``host_restart``
+        is an event, not an undo.)"""
+        for key in sorted(self.active,
+                          key=lambda k: FAULT_KINDS.index(k[0])):
+            self.active.pop(key)()
 
     # -- scheduling ------------------------------------------------------------
+
+    def _check(self, event: FaultEvent) -> tuple[FaultKind, Any, dict]:
+        """``event``'s row, resolved target and bound params, or
+        :class:`FaultError`."""
+        row = FAULT_TABLE[event.kind]
+        target = None if row.optional_target and not event.target \
+            else _TARGETS[row.target](self, event)
+        return row, target, row.bind(event.params)
 
     def arm(self) -> "FaultInjector":
         """Validate the plan and schedule every event on the kernel."""
         if self._armed:
             raise FaultError("injector already armed")
-        self._validate()
+        for event in self.plan:
+            self._check(event)
         self._armed = True
         sim = self.world.sim
         for event in self.plan:
@@ -658,313 +1004,10 @@ class FaultInjector:
             sim.call_at(when, self._apply, event)
         return self
 
-    # -- application ------------------------------------------------------------
-
     def _apply(self, event: FaultEvent) -> None:
-        handler = getattr(self, f"_apply_{event.kind}")
-        handler(event)
+        row, target, params = self._check(event)
+        row.apply(self, event, target, params)
         self.applied.append((self.world.sim.now, event))
-
-    def _apply_host_crash(self, event: FaultEvent) -> None:
-        self._host(event.target).crash()
-
-    def _apply_host_restart(self, event: FaultEvent) -> None:
-        self._host(event.target).restart()
-
-    def _apply_process_kill(self, event: FaultEvent) -> None:
-        """Kill a sensor's sampling process without touching the sensor
-        object — the supervisor's heartbeat check must notice."""
-        host = self._host(event.target)
-        manager = host.service("sensor-manager")
-        if manager is None or not getattr(manager, "sensors", None):
-            return
-        wanted = event.params.get("sensor", "")
-        names = sorted(manager.sensors)
-        name = wanted if wanted in manager.sensors else names[0]
-        sensor = manager.sensors[name]
-        proc = getattr(sensor, "_proc", None)
-        if proc is not None and proc.alive:
-            proc.kill()
-
-    def _cut(self, link: Any) -> None:
-        if link.up:
-            self.world.network.set_link_state(link, False)
-            self._downed_links[link] = None
-
-    def _restore(self, link: Any) -> None:
-        self._downed_links.pop(link, None)
-        pristine = self._pristine.pop(link, None)
-        if pristine is not None:
-            link.restore_loss(pristine[0])
-            link.latency_s = pristine[1]
-        if not link.up:
-            self.world.network.set_link_state(link, True)
-
-    def _apply_partition(self, event: FaultEvent) -> None:
-        """Cut links until no group-A node can route to any group-B node.
-
-        Each pass finds a surviving cross-group route and cuts one link
-        on it, preferring *infrastructure* links (neither endpoint in
-        either group — switch/router trunks) so intra-group
-        connectivity survives where the topology allows; when a path
-        has none (two hosts on one switch), the B-side access link is
-        cut instead.  Iteration order is name-sorted, so the cut set is
-        deterministic.
-        """
-        spec_a, _, spec_b = event.target.partition("|")
-        group_a = sorted(n for n in spec_a.split(",") if n)
-        group_b = sorted(n for n in spec_b.split(",") if n)
-        members = set(group_a) | set(group_b)
-        network = self.world.network
-        while True:
-            path = None
-            for a in group_a:
-                if network.get(a) is None:
-                    continue
-                for b in group_b:
-                    if network.get(b) is None:
-                        continue
-                    try:
-                        path = network.route(a, b)
-                    except Exception:
-                        continue
-                    break
-                if path is not None:
-                    break
-            if path is None:
-                return
-            infra = [l for l in path.links
-                     if l.a.name not in members and l.b.name not in members]
-            if infra:
-                self._cut(infra[len(infra) // 2])
-            else:
-                self._cut(path.links[-1])
-
-    def _apply_heal(self, event: FaultEvent) -> None:
-        for link in list(self._downed_links):
-            self._restore(link)
-        for link in list(self._pristine):
-            self._restore(link)
-        for sensor in list(self._degraded_sensors):
-            sensor.clear_degraded()
-        self._degraded_sensors.clear()
-        for host_name in list(self._throttled_hosts):
-            self._set_drain_rate(host_name, None)
-        for archive in list(self._capped_archives):
-            archive.set_byte_budget(None)
-        self._capped_archives.clear()
-        for archive in list(self._stalled_archives):
-            archive.clear_compaction_stall()
-        self._stalled_archives.clear()
-        for archive in list(self._torn_archives):
-            archive.mend_segments()
-        self._torn_archives.clear()
-        for archive in list(self._slowed_archives):
-            archive.set_io_latency(None)
-        self._slowed_archives.clear()
-        self._stop_storms()
-        self._steady_all_rpc()
-
-    def _apply_link_down(self, event: FaultEvent) -> None:
-        self._cut(self._link(event.target))
-
-    def _apply_link_up(self, event: FaultEvent) -> None:
-        self._restore(self._link(event.target))
-
-    def _remember_pristine(self, link: Any) -> None:
-        if link not in self._pristine:
-            self._pristine[link] = (link.loss_state(), link.latency_s)
-
-    def _apply_link_loss(self, event: FaultEvent) -> None:
-        link = self._link(event.target)
-        self._remember_pristine(link)
-        rate = min(1.0, max(0.0, event.params["loss_rate"]))
-        toward = event.params.get("toward")
-        if toward:
-            link.set_loss(rate, toward=self.world.network.get(toward))
-        else:
-            link.set_loss(rate)
-
-    def _apply_link_latency(self, event: FaultEvent) -> None:
-        link = self._link(event.target)
-        self._remember_pristine(link)
-        link.latency_s = self._pristine[link][1] * max(0.0,
-                                                       event.params["factor"])
-
-    def _apply_clock_skew(self, event: FaultEvent) -> None:
-        host = self._host(event.target)
-        offset = event.params.get("offset", 0.0)
-        drift = event.params.get("drift")
-        if offset:
-            host.clock.adjust(offset)
-        if drift is not None:
-            host.clock.set_drift(drift)
-
-    # -- gray faults ------------------------------------------------------------
-
-    def _apply_sensor_degrade(self, event: FaultEvent) -> None:
-        """Degrade (or, with no ``mode`` param, restore) one sensor's
-        sample quality.  The sensor object keeps running and
-        heartbeating — only sample-quality supervision can tell."""
-        host = self._host(event.target)
-        manager = host.service("sensor-manager")
-        if manager is None or not getattr(manager, "sensors", None):
-            return
-        wanted = event.params.get("sensor", "")
-        names = sorted(manager.sensors)
-        name = wanted if wanted in manager.sensors else names[0]
-        sensor = manager.sensors[name]
-        mode = event.params.get("mode")
-        if mode is None:
-            sensor.clear_degraded()
-            self._degraded_sensors.pop(sensor, None)
-            return
-        sensor.set_degraded(mode, rate=float(event.params.get("rate", 1.0)),
-                            seed=int(event.params.get("seed", 0)))
-        self._degraded_sensors[sensor] = None
-
-    def _apply_asymmetric_partition(self, event: FaultEvent) -> None:
-        """Blackhole every A->B route while leaving B->A (and routing)
-        intact: for each cross pair, one link on the path — preferring
-        infrastructure links, mirroring :meth:`_apply_partition`'s cut
-        heuristic — gets directional loss 1.0 toward the B side.  The
-        links stay up, so senders keep getting "successful" sends."""
-        spec_a, _, spec_b = event.target.partition("|")
-        group_a = sorted(n for n in spec_a.split(",") if n)
-        group_b = sorted(n for n in spec_b.split(",") if n)
-        members = set(group_a) | set(group_b)
-        network = self.world.network
-        for a in group_a:
-            if network.get(a) is None:
-                continue
-            for b in group_b:
-                if network.get(b) is None:
-                    continue
-                try:
-                    path = network.route(a, b)
-                except Exception:
-                    continue
-                if not path.links or path.loss_rate >= 1.0:
-                    continue  # same node, or already black this way
-                infra = [l for l in path.links
-                         if l.a.name not in members and l.b.name not in members]
-                chosen = infra[len(infra) // 2] if infra else path.links[-1]
-                for node, link in zip(path.nodes[:-1], path.links):
-                    if link is chosen:
-                        self._remember_pristine(link)
-                        link.set_loss(1.0, toward=link.other(node))
-                        break
-
-    def _set_drain_rate(self, host_name: str, rate: Optional[float]) -> None:
-        for name in sorted(self.world.hosts):
-            gw = self.world.hosts[name].service("gateway")
-            if gw is not None and hasattr(gw, "throttle_consumer"):
-                gw.throttle_consumer(host_name, rate)
-        if rate is None:
-            self._throttled_hosts.pop(host_name, None)
-        else:
-            self._throttled_hosts[host_name] = None
-
-    def _apply_slow_consumer(self, event: FaultEvent) -> None:
-        self._host(event.target)  # fail loudly on unknown hosts
-        rate = event.params.get("rate")
-        self._set_drain_rate(event.target,
-                             None if rate is None else float(rate))
-
-    def _apply_disk_full(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        budget = event.params.get("budget_bytes")
-        if budget is None:
-            archive.set_byte_budget(None)
-            self._capped_archives.pop(archive, None)
-        else:
-            archive.set_byte_budget(int(budget))
-            self._capped_archives[archive] = None
-
-    def _apply_compaction_stall(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        mode = event.params.get("mode")
-        if mode is None:
-            archive.clear_compaction_stall()
-            self._stalled_archives.pop(archive, None)
-        elif mode == "kill":
-            # one-shot: supervision alone recovers, nothing to heal
-            archive.stall_compaction("kill")
-        else:
-            archive.stall_compaction("wedge")
-            self._stalled_archives[archive] = None
-
-    def _apply_torn_segment(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        index = event.params.get("index")
-        if index is None:
-            archive.mend_segments()
-            self._torn_archives.pop(archive, None)
-        elif archive.tear_segment(int(index)):
-            self._torn_archives[archive] = None
-
-    def _apply_slow_disk(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        factor = event.params.get("factor")
-        if factor is None:
-            archive.set_io_latency(None)
-            self._slowed_archives.pop(archive, None)
-        else:
-            archive.set_io_latency(float(factor))
-            self._slowed_archives[archive] = None
-
-    # -- congestion storms -------------------------------------------------------
-
-    def _stop_storms(self, target: str = "") -> None:
-        for key in sorted(self._storms):
-            if target and key != target:
-                continue
-            self._storms.pop(key).stop()
-
-    def _apply_congestion_storm(self, event: FaultEvent) -> None:
-        """Start (or replace) a background-traffic generator between the
-        target host pair.  The injector owns the generator's lifecycle:
-        ``calm_traffic`` and ``heal`` stop it."""
-        from .traffic import TrafficGenerator, TrafficSpec
-        src, _, dst = event.target.partition("|")
-        old = self._storms.pop(event.target, None)
-        if old is not None:
-            old.stop()
-        p = event.params
-        spec = TrafficSpec(src=src, dst=dst,
-                           rate_bps=float(p["rate_bps"]),
-                           kind=p.get("kind", "constant"),
-                           packet_bytes=int(p.get("packet_bytes", 8192)),
-                           on_s=float(p.get("on_s", 0.5)),
-                           off_s=float(p.get("off_s", 0.5)),
-                           seed=int(p.get("seed", 0)))
-        self._storms[event.target] = TrafficGenerator(
-            self.world, spec).start()
-
-    def _apply_calm_traffic(self, event: FaultEvent) -> None:
-        self._stop_storms(event.target)
-
-    # -- transient RPC faults ----------------------------------------------------
-
-    def _steady_all_rpc(self) -> None:
-        if self._flaky_hosts:
-            self.world.transport.clear_flaky_host()
-            self._flaky_hosts.clear()
-
-    def _apply_flaky_rpc(self, event: FaultEvent) -> None:
-        p = event.params
-        self.world.transport.set_flaky_host(
-            event.target, rate=float(p.get("rate", 0.3)),
-            latency_s=float(p.get("latency_s", 0.0)),
-            seed=int(p.get("seed", 0)))
-        self._flaky_hosts[event.target] = None
-
-    def _apply_steady_rpc(self, event: FaultEvent) -> None:
-        if event.target:
-            self.world.transport.clear_flaky_host(event.target)
-            self._flaky_hosts.pop(event.target, None)
-        else:
-            self._steady_all_rpc()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FaultInjector plan={self.plan!r} "

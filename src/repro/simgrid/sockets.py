@@ -150,13 +150,9 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
             "rate": float(rate), "latency_s": float(latency_s),
             "rng": random.Random(int.from_bytes(digest[:8], "big"))}
 
-    def clear_flaky_host(self, name: str = "") -> None:
-        """Steady the named host again — or every flaky host when
-        called with no name (the ``heal`` path)."""
-        if name:
-            self._flaky_hosts.pop(name, None)
-        else:
-            self._flaky_hosts.clear()
+    def clear_flaky_host(self, name: str) -> None:
+        """Steady the named host again (``steady_rpc`` / ``heal``)."""
+        self._flaky_hosts.pop(name, None)
 
     # -- raw send -----------------------------------------------------------
 

@@ -161,11 +161,13 @@ class GridWorld:
         self.traffic.append(gen)
         return gen
 
-    def stop_traffic(self) -> None:
-        """Stop every tracked background-traffic generator."""
-        for gen in self.traffic:
-            gen.stop()
-        self.traffic.clear()
+    def stop_traffic(self, gen=None) -> None:
+        """Stop one tracked background-traffic generator — every one
+        when called bare."""
+        for g in list(self.traffic) if gen is None else [gen]:
+            g.stop()
+            if g in self.traffic:
+                self.traffic.remove(g)
 
     # -- archives ----------------------------------------------------------------
 

@@ -25,7 +25,6 @@ CASES = [
     ("RES001", "res001_bad.py", "res001_ok.py"),
     ("RES002", "res002_bad.py", "res002_ok.py"),
     ("RES003", "res003_bad.py", "res003_ok.py"),
-    ("API001", "api001_bad.py", "api001_ok.py"),
     ("SLOT001", "slot001_bad.py", "slot001_ok.py"),
 ]
 

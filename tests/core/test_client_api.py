@@ -2,7 +2,7 @@
 
 Covers the tentpole surfaces: typed specs (validation), first-class
 handles (events/latest/stats/pause/resume/close), session lifecycle,
-fluent discovery, legacy-shim equivalence, idempotent teardown, and
+fluent discovery, idempotent teardown, and
 the per-gateway/per-sim id-counter fixes.
 """
 
@@ -239,52 +239,6 @@ class TestPauseResume:
         assert gw.stats()["subscriptions"] == 1
 
 
-# ---------------------------------------------------------------- legacy shim
-
-
-class TestLegacyShimEquivalence:
-    def run_one(self, use_spec):
-        world, host, gw, sensor = bare_gateway(seed=9)
-        host.cpu.add_load(user=0.8)
-        got = []
-        if use_spec:
-            gw.open(SubscriptionSpec(sensor=sensor.name,
-                                     event_filter=Threshold("CPU.USER",
-                                                            ">", 10.0),
-                                     fmt="xml",
-                                     delivery=Delivery.callback(got.append)))
-        else:
-            with pytest.deprecated_call():
-                gw.subscribe(sensor.name,
-                             event_filter=Threshold("CPU.USER", ">", 10.0),
-                             fmt="xml", callback=got.append)
-        world.run(until=6.5)
-        return got, gw.stats()
-
-    def test_old_kwargs_equal_new_spec_results(self):
-        legacy_events, legacy_stats = self.run_one(use_spec=False)
-        spec_events, spec_stats = self.run_one(use_spec=True)
-        assert legacy_events == spec_events
-        assert len(legacy_events) > 0
-        for key in ("events_in", "events_delivered", "events_filtered",
-                    "subscriptions"):
-            assert legacy_stats[key] == spec_stats[key]
-
-    def test_shim_still_raises_gateway_errors(self):
-        _w, _h, gw, sensor = bare_gateway()
-        with pytest.deprecated_call():
-            with pytest.raises(GatewayError):
-                gw.subscribe(sensor.name, mode="telepathic",
-                             callback=lambda m: None)
-        with pytest.deprecated_call():
-            with pytest.raises(GatewayError):
-                gw.subscribe(sensor.name, fmt="morse",
-                             callback=lambda m: None)
-        with pytest.deprecated_call():
-            with pytest.raises(GatewayError):
-                gw.subscribe(sensor.name)  # stream, no delivery path
-
-
 # ---------------------------------------------------------------- id counters
 
 
@@ -333,7 +287,7 @@ class TestIdempotentTeardown:
         collector.unsubscribe_all()
         collector.unsubscribe_all()  # second call: no-op, no error
         assert gw.stats()["subscriptions"] == 0
-        assert collector.subscriptions == []
+        assert collector.handles == []
 
     def test_double_closed_handles_do_not_fail_teardown(self):
         _w, _sh, monitor, jamm, gw = deployed()

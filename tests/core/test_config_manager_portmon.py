@@ -6,6 +6,7 @@ import pytest
 from repro.core import (ConfigError, EventGateway, JAMMConfig, ManagerError,
                         SensorManager)
 from repro.core.directory import DirectoryClient, DirectoryServer
+from repro.core.subscriptions import Delivery, SubscriptionSpec
 from repro.simgrid import GridWorld, HTTPServer
 
 SAMPLE = """
@@ -147,11 +148,12 @@ class TestSensorManager:
         sensor = manager.sensors["cpu"]
         assert sensor.sink is None  # nobody subscribed yet
         got = []
-        sub = gw.subscribe(sensor.name, callback=got.append)
+        sub = gw.open(SubscriptionSpec(
+            sensor.name, delivery=Delivery.callback(got.append)))
         assert sensor.sink is not None
         world.run(until=2.5)
         assert got
-        gw.unsubscribe(sub)
+        sub.close()
         assert sensor.sink is None
 
     def test_http_config_refresh_activates_new_sensors(self):

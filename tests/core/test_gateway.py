@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (EventGateway, GatewayError, OnChange, Threshold)
 from repro.core.sensors import CPUSensor, NetstatSensor
+from repro.core.subscriptions import Delivery, SpecError, SubscriptionSpec
 from repro.simgrid import GridWorld
 from repro.ulm import ULMMessage, parse as parse_ulm, from_xml, decode
 
@@ -22,7 +23,8 @@ class TestSubscriptions:
     def test_stream_delivers_events(self):
         world, _h, gw, sensor = setup()
         got = []
-        gw.subscribe(sensor.name, callback=got.append)
+        gw.open(SubscriptionSpec(sensor.name,
+                                 delivery=Delivery.callback(got.append)))
         world.run(until=3.5)
         assert len(got) == 4
         assert all(isinstance(m, ULMMessage) for m in got)
@@ -37,9 +39,10 @@ class TestSubscriptions:
     def test_unsubscribe_stops_forwarding(self):
         world, _h, gw, sensor = setup()
         got = []
-        sub = gw.subscribe(sensor.name, callback=got.append)
+        sub = gw.open(SubscriptionSpec(
+            sensor.name, delivery=Delivery.callback(got.append)))
         world.run(until=2.5)
-        gw.unsubscribe(sub)
+        sub.close()
         count = len(got)
         world.run(until=6.5)
         assert len(got) == count
@@ -47,29 +50,33 @@ class TestSubscriptions:
 
     def test_consumer_count_maintained(self):
         world, _h, gw, sensor = setup()
-        s1 = gw.subscribe(sensor.name, callback=lambda m: None)
-        s2 = gw.subscribe(sensor.name, callback=lambda m: None)
+        spec = SubscriptionSpec(sensor.name,
+                                delivery=Delivery.callback(lambda m: None))
+        s1 = gw.open(spec)
+        s2 = gw.open(spec.clone())
         assert sensor.consumer_count == 2
-        gw.unsubscribe(s1)
+        s1.close()
         assert sensor.consumer_count == 1
-        gw.unsubscribe(s2)
+        s2.close()
         assert sensor.consumer_count == 0
 
     def test_unknown_sensor_rejected(self):
         _w, _h, gw, _s = setup()
         with pytest.raises(GatewayError):
-            gw.subscribe("ghost", callback=lambda m: None)
+            gw.open(SubscriptionSpec(
+                "ghost", delivery=Delivery.callback(lambda m: None)))
 
     def test_stream_needs_delivery_path(self):
         _w, _h, gw, sensor = setup()
-        with pytest.raises(GatewayError):
-            gw.subscribe(sensor.name)
+        with pytest.raises(SpecError):
+            gw.open(SubscriptionSpec(sensor.name))
 
     def test_fanout_to_many_consumers(self):
         world, _h, gw, sensor = setup()
         sinks = [[] for _ in range(5)]
         for sink in sinks:
-            gw.subscribe(sensor.name, callback=sink.append)
+            gw.open(SubscriptionSpec(
+                sensor.name, delivery=Delivery.callback(sink.append)))
         world.run(until=2.5)
         assert all(len(s) == 3 for s in sinks)
         # one event in, five deliveries out
@@ -79,7 +86,7 @@ class TestSubscriptions:
 class TestQueryMode:
     def test_query_returns_most_recent_event(self):
         world, _h, gw, sensor = setup()
-        gw.subscribe(sensor.name, mode="query")
+        gw.open(SubscriptionSpec(sensor.name, mode="query"))
         world.run(until=5.5)
         event = gw.query(sensor.name)
         assert event is not None
@@ -88,15 +95,17 @@ class TestQueryMode:
     def test_query_mode_gets_no_stream(self):
         world, _h, gw, sensor = setup()
         got = []
-        gw.subscribe(sensor.name, mode="query", callback=got.append)
+        gw.open(SubscriptionSpec(sensor.name, mode="query",
+                                 delivery=Delivery.callback(got.append)))
         world.run(until=5.5)
         assert got == []
 
     def test_bad_mode_rejected(self):
         _w, _h, gw, sensor = setup()
-        with pytest.raises(GatewayError):
-            gw.subscribe(sensor.name, mode="telepathic",
-                         callback=lambda m: None)
+        with pytest.raises(SpecError):
+            gw.open(SubscriptionSpec(
+                sensor.name, mode="telepathic",
+                delivery=Delivery.callback(lambda m: None)))
 
 
 class TestFiltering:
@@ -109,9 +118,10 @@ class TestFiltering:
         sensor.start()
         got = []
         from repro.core import AndAll, EventNames
-        gw.subscribe(sensor.name, callback=got.append,
-                     event_filter=AndAll([EventNames(["NETSTAT_RETRANSMITS"]),
-                                          OnChange("VALUE")]))
+        gw.open(SubscriptionSpec(
+            sensor.name, delivery=Delivery.callback(got.append),
+            event_filter=AndAll([EventNames(["NETSTAT_RETRANSMITS"]),
+                                 OnChange("VALUE")])))
         world.sim.call_in(4.6, lambda: host.tcp_counters.__setitem__(
             "retransmits", 9))
         world.run(until=10.5)
@@ -122,8 +132,9 @@ class TestFiltering:
     def test_threshold_subscription(self):
         world, host, gw, sensor = setup()
         got = []
-        gw.subscribe(sensor.name, callback=got.append,
-                     event_filter=Threshold("CPU.USER", ">", 50.0))
+        gw.open(SubscriptionSpec(
+            sensor.name, delivery=Delivery.callback(got.append),
+            event_filter=Threshold("CPU.USER", ">", 50.0)))
         token = [None]
         world.sim.call_in(3.5, lambda: token.__setitem__(
             0, host.cpu.add_load(user=1.6)))
@@ -150,7 +161,9 @@ class TestFormats:
             received[fmt] = []
             consumer_host.ports.bind(
                 port, lambda m, t, f=fmt: received[f].append(m.payload))
-            gw.subscribe(sensor.name, fmt=fmt, remote=(consumer_host, port))
+            gw.open(SubscriptionSpec(
+                sensor.name, fmt=fmt,
+                delivery=Delivery.remote(consumer_host, port)))
             port += 1
         world.run(until=2.5)
         ulm_events = [parse_ulm(p["wire"]) for p in received["ulm"]]
@@ -161,8 +174,10 @@ class TestFormats:
 
     def test_unknown_format_rejected_at_subscribe(self):
         world, _h, gw, sensor = setup()
-        with pytest.raises(GatewayError):
-            gw.subscribe(sensor.name, callback=lambda m: None, fmt="morse")
+        with pytest.raises(SpecError):
+            gw.open(SubscriptionSpec(
+                sensor.name, fmt="morse",
+                delivery=Delivery.callback(lambda m: None)))
 
 
 class TestSummaries:
@@ -231,8 +246,9 @@ class TestRenderOnceFanOut:
         monkeypatch.setattr(gateway_mod, "_render", counting_render)
         # ten subscribers over two formats -> at most 2 renders/event
         for i in range(10):
-            gw.subscribe(sensor.name, fmt="ulm" if i % 2 else "xml",
-                         remote=(consumer, 19000 + i))
+            gw.open(SubscriptionSpec(
+                sensor.name, fmt="ulm" if i % 2 else "xml",
+                delivery=Delivery.remote(consumer, 19000 + i)))
         world.run(until=3.5)
         assert gw.events_in > 0
         assert gw.events_delivered == 10 * gw.events_in
@@ -253,10 +269,12 @@ class TestRenderOnceFanOut:
 
         world, _h, gw, sensor = setup()
         matched, others = [], []
-        hit = gw.subscribe(sensor.name, callback=matched.append,
-                           event_filter=EventNames(["CPU_USAGE"]))
-        miss = gw.subscribe(sensor.name, callback=others.append,
-                            event_filter=EventNames(["SOME_OTHER_EVNT"]))
+        hit = gw.open(SubscriptionSpec(
+            sensor.name, delivery=Delivery.callback(matched.append),
+            event_filter=EventNames(["CPU_USAGE"]))).sub_id
+        miss = gw.open(SubscriptionSpec(
+            sensor.name, delivery=Delivery.callback(others.append),
+            event_filter=EventNames(["SOME_OTHER_EVNT"]))).sub_id
         monkeypatch.setattr(EventNames, "accept", exploding_accept)
         world.run(until=2.5)
         assert len(matched) == gw.events_in > 0

@@ -6,6 +6,7 @@ import pytest
 from repro.core import EventGateway, GATEWAY_PORT, JAMMConfig, JAMMDeployment
 from repro.core.directory import DirectoryClient, DirectoryServer, LDAPBackend
 from repro.core.sensors import CPUSensor
+from repro.core.subscriptions import SubscriptionSpec
 from repro.simgrid import GridWorld, RMIDaemon, WaitEvent
 from repro.ulm import parse as parse_ulm
 
@@ -56,7 +57,7 @@ class TestGatewayWireProtocol:
     def test_query_over_the_wire(self):
         world, _s, gw_host, consumer, gw, sensor = gateway_world()
         # register interest so forwarding is on, then query
-        gw.subscribe(sensor.name, mode="query")
+        gw.open(SubscriptionSpec(sensor.name, mode="query"))
         world.run(until=3.0)
         reply = world.transport.request(
             consumer, gw_host, GATEWAY_PORT,

@@ -7,6 +7,7 @@ from repro.core.security import (AkentiEngine, AuthorizationError,
                                  Certificate, CertificateAuthority, GridMap,
                                  SecureChannelContext, SSLHandshakeError,
                                  TrustStore, UseCondition)
+from repro.core.subscriptions import Delivery, SubscriptionSpec
 
 
 @pytest.fixture
@@ -225,9 +226,11 @@ class TestGatewayAndDirectoryIntegration:
         alice = ca.issue("/O=LBNL/CN=alice")
         mallory = CertificateAuthority("rogue").issue("/CN=mallory")
         got = []
-        gw.subscribe(sensor.name, callback=got.append, principal=alice)
+        spec = SubscriptionSpec(sensor.name, principal=alice,
+                                delivery=Delivery.callback(got.append))
+        gw.open(spec)
         with pytest.raises(AuthorizationError):
-            gw.subscribe(sensor.name, callback=got.append, principal=mallory)
+            gw.open(spec.replace(principal=mallory))
         world.run(until=2.5)
         assert got
 

@@ -9,6 +9,8 @@ ordering included.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.scenarios import Scenario, run_scenario
 from repro.simgrid import FaultPlan
 
@@ -67,3 +69,27 @@ def test_random_plan_generation_is_pure():
                           links=list(reversed(links)), n_steps=200)
     assert p1.to_dict() == p2.to_dict()
     assert FaultPlan.from_json(p1.to_json()).to_dict() == p1.to_dict()
+
+
+# digests pinned at the commit before the FaultKind table and the undo
+# ledger landed: random plans through the whole stack, the third with
+# storms, flaky RPCs and the resilience layer on
+GOLDEN_SCENARIOS = [
+    (dict(name="golden-a", seed=3, horizon=30.0, drain=12.0,
+          random_steps=40),
+     "0565cd519a33b95bdd56f50a1792903a65a4bf700d27bc0115a9ee4e2a49c43f"),
+    (dict(name="golden-b", seed=21, horizon=30.0, drain=12.0,
+          random_steps=60, n_sensor_hosts=2),
+     "b77e92d72764598185b310ef6b98723377fa8af8ef87aec3b5d40bda48e70247"),
+    (dict(name="golden-c", seed=8, horizon=30.0, drain=12.0,
+          random_steps=60, storms=True, flaky=True, resilience=True),
+     "abd6fc12ec63526f727f393737a5399311de9e99f37b1bc3e56410907a78f2dc"),
+]
+
+
+@pytest.mark.parametrize("knobs,digest", GOLDEN_SCENARIOS,
+                         ids=[k["name"] for k, _ in GOLDEN_SCENARIOS])
+def test_random_scenario_matches_pinned_digest(knobs, digest):
+    result = run_scenario(Scenario(**knobs))
+    result.check()
+    assert result.digest() == digest

@@ -135,3 +135,28 @@ class TestDiskFull:
         assert final["byte_budget"] is None
         late = [seq for _stream, seq in result.committed]
         assert max(late) > 20.0 / 0.5       # commits after the heal
+
+
+class TestForcedHeal:
+    def test_unsteadied_flaky_rpc_is_healed_at_the_horizon(self):
+        """A hand-built plan that turns the gateway host flaky and never
+        steadies it: the runner's forced heal must clear it like any
+        other residual fault, or RPCs keep failing through drain and
+        flush."""
+        horizon = 20.0
+        plan = FaultPlan(seed=31).flaky_rpc(6.0, "gw.siteA", rate=0.9,
+                                            seed=31)
+        runner = ScenarioRunner(Scenario(name="flaky-no-steady", seed=31,
+                                         plan=plan, horizon=horizon,
+                                         drain=10.0))
+        runner.build()
+        transport = runner.world.transport
+        failed_at_heal = []
+        runner.world.sim.call_at(
+            horizon + 1e-3,
+            lambda: failed_at_heal.append(transport.messages_flaky_failed))
+        result = runner.run()
+        result.check()
+        assert failed_at_heal[0] > 0, "the fault never bit"
+        assert transport.messages_flaky_failed == failed_at_heal[0]
+        assert runner.injector.active == {}

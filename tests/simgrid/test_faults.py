@@ -6,6 +6,7 @@ import pytest
 
 from repro.simgrid import (FaultError, FaultEvent, FaultPlan, GridWorld,
                            NoRouteError)
+from repro.simgrid.faults import FAULT_TABLE, REQUIRED
 
 
 def two_site_world():
@@ -77,8 +78,9 @@ class TestFaultPlan:
         assert lifted.params["rate"] is None
 
     def test_degrade_mode_validated(self):
+        plan = FaultPlan().degrade_sensor(1.0, "a1", mode="melt")
         with pytest.raises(FaultError):
-            FaultPlan().degrade_sensor(1.0, "a1", mode="melt")
+            two_site_world().inject(plan)
 
     def test_random_plans_include_and_recover_gray_kinds(self):
         plan = FaultPlan.random(
@@ -117,8 +119,11 @@ class TestFaultPlan:
         assert "mode" not in restore.params
 
     def test_stall_mode_validated(self):
+        world = two_site_world()
+        world.register_archive(object(), name="arch")
+        plan = FaultPlan().stall_compaction(1.0, "arch", mode="unplug")
         with pytest.raises(FaultError):
-            FaultPlan().stall_compaction(1.0, "arch", mode="unplug")
+            world.inject(plan)
 
     def test_random_plans_include_and_recover_storage_kinds(self):
         plan = FaultPlan.random(
@@ -531,3 +536,242 @@ class TestFlakyRpc:
         assert during > 0
         world.run(until=6.0)
         assert len(errors) == during  # heal turned flaky off
+
+
+# sha256 of FaultPlan.random(seed, ...).to_json(), pinned at the commit
+# before the FaultKind table replaced the elif chain: the table must
+# draw the same plans bit for bit, whichever gates are open
+GOLDEN_HOSTS = ["a1", "a2", "b1", "gw", "dir"]
+GOLDEN_LINKS = ["a1--sw-a", "a2--sw-a", "b1--sw-b", "sw-a--r1", "r1--sw-b"]
+GOLDEN_GATES = {
+    "base": {},
+    "consumers+archives": dict(consumers=["b1"], archives=["arch"]),
+    "storms": dict(storms=GOLDEN_HOSTS),
+    "flaky": dict(flaky=["gw", "dir"]),
+    "all": dict(consumers=["b1"], archives=["arch"], storms=GOLDEN_HOSTS,
+                flaky=["gw", "dir"]),
+}
+GOLDEN_PLANS = {
+    (0, "base"): "d2bc4af8f4208e9fc51a849c9c9a747875dbbba867e3c1c4becac83a6d2d9ec4",
+    (0, "consumers+archives"): "73d5dbaeca4de1a56667432c1c8dc431f9de125488cd565ee4d248847a819020",
+    (0, "storms"): "c7568f1b65e0b5df3fb527c658a28b15445ed850ddd5be50716845d9bf1c907d",
+    (0, "flaky"): "1d07147418c0eb7f3bcf67a516888337e1b79a6bb4e179cb917ab560803ca2f2",
+    (0, "all"): "b8cb7b6a4c6a13f56e4e009dd60ff289910a75e26fef17c8c28b43ba2a3a06b8",
+    (5, "base"): "f97870a3c55f41b02bd3e3fb6671ae56a5969e4cef0cadf9553077dbc8198e6e",
+    (5, "consumers+archives"): "2357c07008531663ced771938bcb99b61d8a6766694ed66d0892d8c9d750a058",
+    (5, "storms"): "daa5def659af32c1826a7c11976f0022b0e687915b63855d5372d08a8c54f6d4",
+    (5, "flaky"): "bd0e481728244a0ef33107442cd13e2386e3dec0d8b087ea10ec1173095ee098",
+    (5, "all"): "e2c7f90a9a6bffb1c0df4ff27a22e5f645800397173758f8f25ef1b37a90054e",
+    (15, "base"): "ecca3dd42e8b3770d77e49741504415b74c06e080f33bae21d986c3341943cc1",
+    (15, "consumers+archives"): "bf92a3ecc036ca2a20769ac86035c42478b8bbd6b7851e5ad65e5788efd8d66d",
+    (15, "storms"): "9c1605307c4ac2af4c04ea25922d8a3351798d1af9651a3b3c834f0008544a47",
+    (15, "flaky"): "0f291e4552e18b4bd8c53d3fbbb0568e488bf97edfd6e6c55e5ed9bd2c3ce3e5",
+    (15, "all"): "c4279b27bd3e9f72b537c952cffe2ce77165586e19eb5b2b9d1be3f39a515cb8",
+    (17, "base"): "af2e44f01cb3132e6d81d3c82f1a0ec0ed69bb7c1b4c344a3ca600b2e806580f",
+    (17, "consumers+archives"): "cd5acc85ea73796b24fc3f1bc04f7237151347e1df20fc544bb12a48631e1d5e",
+    (17, "storms"): "3c5fec1b59139986a7ac926a8fb791c356fcae6518bb1ed94ba52a0160f32746",
+    (17, "flaky"): "fe6668f7da4116aa5b9d0ae427d532e1101bf858635e555011ddd53d6f1800db",
+    (17, "all"): "6d86d305890ef8563d20a80a966dc2bcc71f91fdb6efa6667886aa86252ce572",
+    (99, "base"): "607dd70712719edbc042caec4e4bd424326debb5f113d98865211ace99d83391",
+    (99, "consumers+archives"): "c1f37289a48dbf6c986d3ed5291cc1e737622afbdd7f6daeb65723cec4a2ebd5",
+    (99, "storms"): "df1133d8a69f88fd8797de86367bfdd0e9bd1c5e2d9642ab92664d993790a6e8",
+    (99, "flaky"): "6a0fb7553b406f51f02d737a0a12b9ff49a5cd41a36e7dde5235484c020e1802",
+    (99, "all"): "ff2d37e3edeac06d6e3fca76e5121b22464b4cac5b50a66e84ab35967b6626a4",
+    (4002, "base"): "3a748b4f3094cbd63e40c6789e4eb67705576cf3468f7317d83d64c36a47f0ee",
+    (4002, "consumers+archives"): "e32466c782f253414a12cb6ec088172e81fc617fb4159bff0baf178f65aeb9d3",
+    (4002, "storms"): "cc6ec542185e0024c142a94ce49daf4f27ecb73444bd437e08f58541419e9b3c",
+    (4002, "flaky"): "2bcd95916c66b9c5ac814ce039821316b1da7d283a5b02e6870c6fcc929225ef",
+    (4002, "all"): "e1242d07455482ab372ee2a95c4dfe07cc08c0645bac9c3bfc63677de40e1eb0",
+}
+
+
+@pytest.mark.parametrize("seed,gates", sorted(GOLDEN_PLANS))
+def test_random_plan_matches_pinned_hash(seed, gates):
+    import hashlib
+    plan = FaultPlan.random(seed, hosts=GOLDEN_HOSTS, links=GOLDEN_LINKS,
+                            n_steps=120, horizon=60.0, protect=["b1"],
+                            **GOLDEN_GATES[gates])
+    assert hashlib.sha256(plan.to_json().encode()).hexdigest() == \
+        GOLDEN_PLANS[(seed, gates)]
+
+
+# ---------------------------------------------------------------------------
+# the FaultKind table, driven row by row
+# ---------------------------------------------------------------------------
+
+ROWS = sorted(FAULT_TABLE.values(), key=lambda row: row.name)
+ROW_IDS = [row.name for row in ROWS]
+HORIZON = 60.0
+
+#: a valid target of each target type in table_world()
+TARGET = {"host": "a1", "link": "sw-a--r1", "archive": "arch",
+          "groups": "a1,a2|b1", "pair": "a1|b1", "none": ""}
+#: a value for params the schema gives no usable default
+VALUE = {"loss_rate": 0.5, "factor": 2.0, "rate_bps": 1e6, "rate": 0.5,
+         "budget_bytes": 10**9, "index": 1}   # roomy: shedding is final
+#: drawn kinds the always-recovering rule lets off: supervision restarts
+#: a killed process, and a skewed clock harms nothing the plan must undo
+NEEDS_NO_RECOVERY = {"process_kill", "clock_skew"}
+
+
+def sample_event(row, at=1.0):
+    """A valid fault-form event of ``row``'s kind for table_world()."""
+    params = {}
+    for name, spec in row.params.items():
+        if spec.allowed:
+            params[name] = spec.allowed[0]
+        elif name in VALUE:
+            params[name] = VALUE[name]
+    return FaultEvent(at, row.name, TARGET[row.target], params)
+
+
+def table_world():
+    """two_site_world() plus one of everything a kind can act on: a
+    supervised sensor on a1, a segmented archive "arch", and a gateway
+    on b1 with a remote subscription delivering to a1."""
+    from repro.core import JAMMConfig, JAMMDeployment
+    from repro.core.subscriptions import Delivery, SubscriptionSpec
+    world = two_site_world()
+    jamm = JAMMDeployment(world)
+    gw = jamm.add_gateway("gw", host=world.host("b1"))
+    config = JAMMConfig()
+    config.add_sensor("cpu", "cpu", period=0.5)
+    manager = jamm.add_manager(world.host("a1"), config=config, gateway=gw)
+    manager.supervision_interval = 1000.0   # nothing heals but the ledger
+    sensor = manager.sensors["cpu"]
+    archive = TestFaultInjector._segmented_archive(world)
+    world.host("a1").ports.bind(7100, lambda m, _t: None)
+    sub = gw.open(SubscriptionSpec(
+        sensor.name, delivery=Delivery.remote(world.host("a1"), 7100)))
+
+    def observable():
+        return {
+            "links": [(l.name, l.up, l.loss_state(), l.latency_s)
+                      for l in world.network.links()],
+            "sensor": sensor.degrade_mode,
+            "archive": (archive.byte_budget, archive.degraded,
+                        archive.compaction_stalled,
+                        archive.io_latency_factor,
+                        len(archive.query(event="E"))),
+            "traffic": len(world.traffic),
+            "flaky": sorted(world.transport._flaky_hosts),
+            "drain_rate": sub.stats()["drain_rate"],
+        }
+    return world, observable
+
+
+@pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
+class TestFaultTable:
+    def test_json_round_trip(self, row):
+        plan = FaultPlan([sample_event(row)], seed=3)
+        clone = FaultPlan.from_json(plan.to_json())
+        assert clone.to_dict() == plan.to_dict()
+        assert clone.events[0] == plan.events[0]
+
+    def test_unknown_target_rejected_at_arm(self, row):
+        if row.target == "none":
+            pytest.skip("kind takes no target")
+        world, _ = table_world()
+        ghost = {"pair": "a1|ghost", "groups": "a1,ghost"}.get(
+            row.target, "ghost")
+        event = FaultEvent(1.0, row.name, ghost, sample_event(row).params)
+        with pytest.raises(FaultError):
+            world.inject(FaultPlan([event]))
+        assert world.sim.now == 0.0 and not world.host("a1").crashes
+
+    def test_bad_params_rejected_at_arm(self, row):
+        good = sample_event(row)
+        bad = [dict(good.params, bogus=1)]             # unknown name
+        for name, spec in row.params.items():
+            if spec.default is REQUIRED:               # missing
+                bad.append({k: v for k, v in good.params.items()
+                            if k != name})
+            if spec.allowed or spec.coerce is not str:  # ill-typed / enum
+                bad.append(dict(good.params, **{name: "bogus"}))
+        for params in bad:
+            world, _ = table_world()
+            event = FaultEvent(1.0, row.name, good.target, params)
+            with pytest.raises(FaultError):
+                world.inject(FaultPlan([event]))
+
+    def test_heal_all_empties_the_ledger_and_restores_the_world(self, row):
+        world, observable = table_world()
+        world.run(until=0.9)
+        pristine = observable()
+        injector = world.inject(FaultPlan([sample_event(row)]))
+        world.run(until=1.5)
+        assert [e.kind for _t, e in injector.applied] == [row.name]
+        # a kind leaves an undo behind exactly when something other
+        # than a host restart is what recovers it
+        holds = row.recovery not in ("", "host_restart")
+        assert bool(injector.active) == holds, injector.active
+        if holds:
+            assert observable() != pristine
+        injector.heal_all()
+        assert injector.active == {}
+        if holds:
+            assert observable() == pristine
+
+    def test_draw_emits_its_recovery_inside_the_horizon(self, row):
+        if row.draw is None:
+            assert not row.gate, "a gate with nothing to open"
+            return
+        if not row.recovery:
+            assert row.name in NEEDS_NO_RECOVERY
+            return
+        assert row.recovery in FAULT_TABLE
+        restore_param = next(iter(row.params), None)
+
+        def is_fault(e):
+            return e.kind == row.name and (
+                row.recovery != row.name
+                or e.params.get(restore_param) is not None)
+
+        def recovers(fault, e):
+            if e.kind != row.recovery or not fault.at <= e.at <= HORIZON:
+                return False
+            if row.recovery == row.name:     # the restore form
+                return e.target == fault.target and not is_fault(e)
+            return e.target in ("", fault.target)
+
+        drawn = 0
+        for seed in range(8):
+            plan = FaultPlan.random(
+                seed, hosts=GOLDEN_HOSTS, links=GOLDEN_LINKS, n_steps=300,
+                horizon=HORIZON, **GOLDEN_GATES["all"])
+            for fault in filter(is_fault, plan):
+                drawn += 1
+                assert any(recovers(fault, e) for e in plan), \
+                    f"seed {seed}: {fault} never recovers"
+        assert drawn, "gates open yet the kind was never drawn"
+
+
+def test_fault_kinds_is_the_table():
+    from repro.simgrid import FAULT_KINDS
+    assert FAULT_KINDS == tuple(FAULT_TABLE)
+    assert all(name == row.name for name, row in FAULT_TABLE.items())
+
+
+def test_heal_all_runs_table_order_then_insertion_order():
+    injector = two_site_world().inject(FaultPlan())
+    ran = []
+    for key in [("flaky_rpc", "b"), ("link_down", "z"), ("flaky_rpc", "a"),
+                ("sensor_degrade", "h/s"), ("link_down", "y")]:
+        injector.hold(*key, lambda key=key: ran.append(key))
+    injector.heal_all()
+    assert ran == [("link_down", "z"), ("link_down", "y"),
+                   ("sensor_degrade", "h/s"),
+                   ("flaky_rpc", "b"), ("flaky_rpc", "a")]
+    assert injector.active == {}
+
+
+def test_docs_list_exactly_the_fault_kinds():
+    """docs/FAULTS.md's kind table has one line per FAULT_TABLE row —
+    no kind undocumented, no documented kind the table rejects."""
+    import re
+    from pathlib import Path
+    text = (Path(__file__).parents[2] / "docs" / "FAULTS.md").read_text()
+    table = text[text.index("| kind | target |"):]
+    table = table[:table.index("\n\n")]
+    documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert documented == list(FAULT_TABLE)

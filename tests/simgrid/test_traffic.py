@@ -122,11 +122,12 @@ class TestCongestionStormFault:
                 .calm_traffic(3.0, a.name, b.name))
         injector = world.inject(plan)
         world.run(until=2.0)
-        assert len(injector._storms) == 1
-        gen = next(iter(injector._storms.values()))
+        assert list(injector.active) == [
+            ("congestion_storm", f"{a.name}|{b.name}")]
+        (gen,) = world.traffic
         assert gen.packets_sent > 0
         world.run(until=4.0)
-        assert injector._storms == {}
+        assert injector.active == {} and world.traffic == []
         sent = gen.packets_sent
         world.run(until=5.0)
         assert gen.packets_sent == sent      # really stopped
@@ -137,8 +138,10 @@ class TestCongestionStormFault:
                 .congestion_storm(1.0, a.name, b.name, rate_bps=100e6)
                 .heal(2.0))
         injector = world.inject(plan)
+        world.run(until=1.5)
+        (gen,) = world.traffic
         world.run(until=3.0)
-        assert injector._storms == {}
+        assert injector.active == {} and not gen.running
 
     def test_storm_needs_known_hosts(self):
         world, a, _b = two_sites()
