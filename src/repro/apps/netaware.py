@@ -103,10 +103,10 @@ class PathMonitor:
             path = world.network.route(self.src.node, self.dst.node)
         except Exception:
             return None
-        if not path.links:
+        hop = path.bottleneck_hop
+        if hop is None:
             return None
-        bottleneck = min(path.links, key=lambda l: l.bandwidth_bps)
-        device = path.nodes[path.links.index(bottleneck)]
+        bottleneck, device = path.links[hop], path.nodes[hop]
         now = world.sim.now
         agent = world.snmp.agent(device.name)
         if agent is not None:
@@ -117,11 +117,11 @@ class PathMonitor:
         else:
             # plain attachment nodes don't run SNMP agents; read the
             # same observables off the link directly
-            far = bottleneck.other(device)
+            far = path.nodes[hop + 1]
             util = bottleneck.utilization(far, now)
             backlog = bottleneck.queue_backlog_s(far, now)
             drops = bottleneck.queue_drops[bottleneck._dir_index(far)]
-        capacity = bottleneck.bandwidth_bps
+        capacity = path.bottleneck_bps
         available = max(capacity * (1.0 - util),
                         capacity * self.floor_fraction)
         if self._ewma is None:

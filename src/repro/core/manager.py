@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..simgrid.kernel import Timeout, WaitEvent
+from ..simgrid.sockets import ignore_failure
 from ..ulm import serialize
 from .config import ConfigError, JAMMConfig
 from .gateway import EventGateway, INTAKE_PORT
@@ -419,7 +420,7 @@ class SensorManager:
             wire = serialize(msg)
             transport.send(src, dst, INTAKE_PORT,
                            {"sensor": sensor_name, "wire": wire},
-                           size_bytes=len(wire), on_fail=lambda exc: None)
+                           size_bytes=len(wire), on_fail=ignore_failure)
         return relay
 
     # -- directory upkeep -------------------------------------------------------------------

@@ -160,10 +160,9 @@ def run_netaware_scenario(seed: int = 0, *, storm_bps: float = 550e6,
 
     # snapshot congestion evidence while the storm is still blowing
     path = world.network.route(server.node, client_host.node)
-    bottleneck = min(path.links, key=lambda l: l.bandwidth_bps)
-    device = path.nodes[path.links.index(bottleneck)]
-    result.bottleneck_utilization = bottleneck.utilization(
-        bottleneck.other(device), world.sim.now)
+    hop = path.bottleneck_hop
+    result.bottleneck_utilization = path.links[hop].utilization(
+        path.nodes[hop + 1], world.sim.now)
     result.transport_queue_delay_s = world.transport.queue_delay_s
     result.class_bytes = dict(world.transport.class_bytes)
     result.storm_packets = sum(g.packets_sent for g in world.traffic)

@@ -729,10 +729,7 @@ def _asymmetric_partition(inj, event, groups, p) -> None:
         if not path.links or path.loss_rate >= 1.0:
             continue  # same node, or already black this way
         chosen = _pick_link(path, *groups)
-        for node, link in zip(path.nodes[:-1], path.links):
-            if link is chosen:
-                _dim(inj, link, 1.0, link.other(node))
-                break
+        _dim(inj, chosen, 1.0, path.nodes[path.links.index(chosen) + 1])
 
 
 def _sensor_degrade(inj, event, host, p) -> None:

@@ -21,7 +21,7 @@ from .resources import CPUModel, MemoryModel
 __all__ = ["Host", "PortTable", "PortActivity", "NICModel"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PortActivity:
     """Traffic accounting for one TCP/UDP port on one host."""
 

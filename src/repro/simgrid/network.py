@@ -4,8 +4,10 @@ The Matisse testbed (paper Fig. 5) is a handful of hosts, two site LANs
 (1000BT), and a WAN path (OC-12 into the OC-48 DARPA Supernet).  We
 model the topology as an undirected graph of :class:`NetNode`\\ s joined
 by :class:`Link`\\ s with bandwidth, propagation latency, and an
-optional random-loss rate.  Routing is shortest-path by hop count
-(cached, invalidated on topology change or link failure).
+optional random-loss rate.  Routing is shortest-path by hop count;
+the resolved :class:`Path` stores its aggregates and a per-hop charging
+plan, and the whole cache is dropped by any topology change or link
+mutation (one epoch — see :meth:`Network._invalidate`).
 
 Routers and switches keep SNMP-visible interface counters (octets,
 unicast packets, errors, CRC errors, discards) — the statistics the
@@ -17,7 +19,7 @@ also monitored ... but no errors were reported").
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 __all__ = ["NetNode", "RouterNode", "SwitchNode", "Link", "Network",
@@ -34,7 +36,7 @@ class NoRouteError(RuntimeError):
     """No usable path between two nodes."""
 
 
-@dataclass
+@dataclass(slots=True)
 class InterfaceCounters:
     """MIB-II-style interface counters for one (node, link) interface."""
 
@@ -123,25 +125,25 @@ class Link:
     def __init__(self, a: NetNode, b: NetNode, *, bandwidth_bps: float,
                  latency_s: float, loss_rate: float = 0.0, name: str = "",
                  queue_bytes: Optional[float] = None):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
+        #: the :class:`Network` whose routes cross this link (set by
+        #: :meth:`Network.link`): every mutator tells it, so no cached
+        #: :class:`Path` outlives the values it was built from
+        self._network: Optional["Network"] = None
+        self.bandwidth_bps = bandwidth_bps
+        self.latency_s = latency_s
         if not (0.0 <= loss_rate <= 1.0):
             raise ValueError("loss rate must be in [0, 1]")
         if queue_bytes is not None and queue_bytes <= 0:
             raise ValueError("queue depth must be positive")
         self.a = a
         self.b = b
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.latency_s = float(latency_s)
         #: per-direction random-loss rates: [toward b, toward a].  1.0 is
         #: a true blackhole — packets die but the link stays "up", so
         #: routing still uses it (the gray-failure case, as opposed to
         #: ``set_up(False)`` which reroutes around the link).
         self._loss = [float(loss_rate), float(loss_rate)]
         self.name = name or f"{a.name}--{b.name}"
-        self.up = True
+        self._up = True
         #: queue depth in bytes (per direction)
         self.queue_bytes = (float(queue_bytes) if queue_bytes is not None
                             else self.QUEUE_SECONDS * self.bandwidth_bps / 8.0)
@@ -172,6 +174,43 @@ class Link:
         if node is self.b:
             return self.a
         raise ValueError(f"{node!r} not an endpoint of {self!r}")
+
+    # -- mutable properties: every change invalidates cached routes ----------
+
+    def _changed(self) -> None:
+        if self._network is not None:
+            self._network._invalidate()
+
+    @property
+    def bandwidth_bps(self) -> float:
+        return self._bandwidth_bps
+
+    @bandwidth_bps.setter
+    def bandwidth_bps(self, bps: float) -> None:
+        if bps <= 0:
+            raise ValueError("bandwidth must be positive")
+        self._bandwidth_bps = float(bps)
+        self._changed()
+
+    @property
+    def latency_s(self) -> float:
+        return self._latency_s
+
+    @latency_s.setter
+    def latency_s(self, seconds: float) -> None:
+        if seconds < 0:
+            raise ValueError("latency must be non-negative")
+        self._latency_s = float(seconds)
+        self._changed()
+
+    @property
+    def up(self) -> bool:
+        """Whether routing may use the link; change it with :meth:`set_up`."""
+        return self._up
+
+    def set_up(self, up: bool) -> None:
+        self._up = up
+        self._changed()
 
     # -- loss ----------------------------------------------------------------
 
@@ -205,6 +244,7 @@ class Link:
             self._loss[0] = self._loss[1] = rate
         else:
             self._loss[self._dir_index(toward)] = rate
+        self._changed()
 
     def loss_state(self) -> tuple:
         """Opaque snapshot of both directions (pair with :meth:`restore_loss`)."""
@@ -212,9 +252,7 @@ class Link:
 
     def restore_loss(self, state: tuple) -> None:
         self._loss = [float(state[0]), float(state[1])]
-
-    def set_up(self, up: bool) -> None:
-        self.up = up
+        self._changed()
 
     # -- shared FIFO queue ---------------------------------------------------
 
@@ -237,8 +275,15 @@ class Link:
         rejects the entire offer, otherwise the head that fits is
         accepted and the tail is the caller's loss to model.
         """
-        d = self._dir_index(self.other(src))
-        rate = self.bandwidth_bps / 8.0    # bytes/s drain rate
+        return self.queue_offer_dir(self._dir_index(self.other(src)), nbytes,
+                                    now, traffic_class, atomic)
+
+    def queue_offer_dir(self, d: int, nbytes: int, now: float,
+                        traffic_class: Optional[str],
+                        atomic: bool) -> tuple[int, float]:
+        """:meth:`queue_offer` for a caller that already holds the
+        direction index (a :attr:`Path.plan` hop)."""
+        rate = self._bandwidth_bps / 8.0    # bytes/s drain rate
         busy = self._q_busy_until[d]
         if busy <= now:
             # idle fast path: empty queue, nothing can overflow
@@ -276,15 +321,6 @@ class Link:
                 self.class_bytes[traffic_class] = \
                     self.class_bytes.get(traffic_class, 0) + accepted
         return accepted, delay
-
-    def queue_put(self, src: NetNode, nbytes: int, now: float,
-                  traffic_class: Optional[str] = None) -> float:
-        """Atomic enqueue for a whole datagram: returns the queuing
-        delay, or ``-1.0`` when the message overflowed (caller drops the
-        message whole — partial datagrams don't exist)."""
-        accepted, delay = self.queue_offer(src, nbytes, now, traffic_class,
-                                           atomic=True)
-        return delay if accepted else -1.0
 
     def utilization(self, toward: NetNode, now: float) -> float:
         """Fraction of line rate carried toward ``toward`` over the
@@ -333,48 +369,53 @@ class Link:
         return f"<Link {self.name} {self.bandwidth_bps/1e6:.0f}Mbps {state}>"
 
 
-@dataclass(frozen=True)
 class Path:
-    """A resolved route: the node sequence and its aggregate properties."""
+    """A resolved route, src -> dst, and everything a sender derives
+    from it, computed once when the route is resolved:
 
-    nodes: tuple
-    links: tuple
+    * ``nodes`` / ``links`` — ``links[i]`` is crossed from ``nodes[i]``
+      toward ``nodes[i + 1]``; ``hops``, ``router_hops``;
+    * ``latency_s`` / ``rtt_s`` — summed one-way propagation, and twice it;
+    * ``bottleneck_hop`` / ``bottleneck_bps`` — index and rate of the
+      narrowest link (the first, on a tie); ``None`` / ``inf`` on the
+      zero-hop path;
+    * ``loss_rate`` — combined *directional* loss: an asymmetric fault
+      on a link only affects paths crossing it the lossy way;
+    * ``plan`` — per hop ``(link, direction index, drain rate in
+      bytes/s, the sending node's interface counters, the receiving
+      node's)``: what ``MessageTransport.send`` charges an idle hop
+      from without a call.
 
-    @property
-    def hops(self) -> int:
-        return len(self.links)
+    :class:`Network` drops every cached ``Path`` when any link changes
+    (see ``Network._epoch``), so what ``route()`` returns is always
+    live; a ``Path`` kept across a link mutation describes the network
+    as it was — ``route()`` again."""
 
-    @property
-    def router_hops(self) -> int:
-        return sum(1 for n in self.nodes[1:-1] if n.kind == "router")
+    __slots__ = ("nodes", "links", "hops", "router_hops", "latency_s",
+                 "rtt_s", "bottleneck_hop", "bottleneck_bps", "loss_rate",
+                 "plan")
 
-    @property
-    def latency_s(self) -> float:
-        return sum(l.latency_s for l in self.links)
-
-    @property
-    def rtt_s(self) -> float:
-        return 2.0 * self.latency_s
-
-    @property
-    def bottleneck_bps(self) -> float:
-        return min(l.bandwidth_bps for l in self.links)
-
-    @property
-    def loss_rate(self) -> float:
-        """Combined *directional* loss along the path (src toward dst).
-
-        ``nodes``/``links`` are ordered src -> dst, so link *i* is
-        traversed from ``nodes[i]`` toward its far endpoint — an
-        asymmetric fault on a link only affects paths crossing it in
-        the lossy direction."""
+    def __init__(self, nodes: tuple, links: tuple):
+        self.nodes = nodes
+        self.links = links
+        self.hops = len(links)
+        self.router_hops = sum(1 for n in nodes[1:-1] if n.kind == "router")
+        self.latency_s = sum(l.latency_s for l in links)
+        self.rtt_s = 2.0 * self.latency_s
+        self.bottleneck_hop: Optional[int] = None
+        self.bottleneck_bps = float("inf")
+        plan = []
         keep = 1.0
-        for node, link in zip(self.nodes[:-1], self.links):
-            loss = link._loss
-            if loss[0] == 0.0 and loss[1] == 0.0:
-                continue        # clean link: skip the direction lookup
-            keep *= 1.0 - (loss[0] if node is link.a else loss[1])
-        return 1.0 - keep
+        for i, link in enumerate(links):
+            node, far = nodes[i], nodes[i + 1]
+            d = link._dir_index(far)
+            plan.append((link, d, link.bandwidth_bps / 8.0,
+                         node.interface(link), far.interface(link)))
+            keep *= 1.0 - link._loss[d]
+            if link.bandwidth_bps < self.bottleneck_bps:
+                self.bottleneck_hop, self.bottleneck_bps = i, link.bandwidth_bps
+        self.plan = tuple(plan)
+        self.loss_rate = 1.0 - keep
 
 
 class Network:
@@ -383,8 +424,13 @@ class Network:
     def __init__(self):
         self._nodes: dict[str, NetNode] = {}
         self._links: list[Link] = []
-        self._route_cache: dict[tuple[str, str], Path] = {}
-        self._epoch = 0  # bumped on any topology/link-state change
+        self._route_cache: dict[tuple, Path] = {}
+        #: bumped, and the route cache dropped, by every change a cached
+        #: :class:`Path` could have read: a node or link added, and each
+        #: :class:`Link` mutator (``set_up``, ``set_loss`` /
+        #: ``restore_loss`` / ``loss_rate =``, ``latency_s =``,
+        #: ``bandwidth_bps =``)
+        self._epoch = 0
 
     # -- construction -------------------------------------------------------
 
@@ -426,6 +472,7 @@ class Network:
         lk = Link(node_a, node_b, bandwidth_bps=bandwidth_bps,
                   latency_s=latency_s, loss_rate=loss_rate, name=name,
                   queue_bytes=queue_bytes)
+        lk._network = self
         self._links.append(lk)
         self._invalidate()
         return lk
@@ -449,7 +496,6 @@ class Network:
 
     def set_link_state(self, link: Link, up: bool) -> None:
         link.set_up(up)
-        self._invalidate()
 
     def _invalidate(self) -> None:
         self._route_cache.clear()
@@ -458,17 +504,17 @@ class Network:
     # -- routing ------------------------------------------------------------
 
     def route(self, src: NetNode | str, dst: NetNode | str) -> Path:
-        """Shortest usable path by hop count (BFS), cached."""
-        src_node = self._nodes[src] if isinstance(src, str) else src
-        dst_node = self._nodes[dst] if isinstance(dst, str) else dst
-        key = (src_node.name, dst_node.name)
-        cached = self._route_cache.get(key)
+        """Shortest usable path by hop count (BFS), cached under the
+        endpoints as the caller named them (node or node name)."""
+        cached = self._route_cache.get((src, dst))
         if cached is not None:
             return cached
+        src_node = self._nodes[src] if isinstance(src, str) else src
+        dst_node = self._nodes[dst] if isinstance(dst, str) else dst
         path = self._bfs(src_node, dst_node)
         if path is None:
             raise NoRouteError(f"no route {src_node.name} -> {dst_node.name}")
-        self._route_cache[key] = path
+        self._route_cache[src, dst] = path
         return path
 
     def _bfs(self, src: NetNode, dst: NetNode) -> Optional[Path]:
@@ -480,7 +526,7 @@ class Network:
         while queue:
             node = queue.popleft()
             for link in node.links:
-                if not link.up:
+                if not link._up:
                     continue
                 neighbor = link.other(node)
                 if neighbor in seen:

@@ -21,13 +21,19 @@ from typing import Any, Callable, Optional
 
 from .host import Host
 from .kernel import EventFlag, Simulator
-from .network import NoRouteError
+from .network import Link, NoRouteError
 
-__all__ = ["Message", "MessageTransport", "DeliveryError"]
+__all__ = ["Message", "MessageTransport", "DeliveryError", "ignore_failure"]
 
 
 class DeliveryError(RuntimeError):
     """Message could not be delivered (no route / no listener / host down)."""
+
+
+def ignore_failure(exc: Exception) -> None:
+    """The ``on_fail`` of a fire-and-forget send: an undeliverable
+    message is dropped rather than raised.  One shared function, so such
+    senders allocate no closure per message."""
 
 
 @dataclass(slots=True)
@@ -204,7 +210,8 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self.class_bytes[traffic_class] = \
             self.class_bytes.get(traffic_class, 0) + size
         src.ports.record(src_port, bytes_out=size, packets_out=npackets)
-        loss = path.loss_rate if src is not dst else 0.0
+        plan = path.plan    # () between a host and itself
+        loss = path.loss_rate
         if loss > 0.0:
             flow = (src.name, dst.name, -1 if oneshot else dst_port)
             rng = self._loss_rngs.get(flow)
@@ -219,11 +226,13 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                 # fires — failure detectors counting consecutive
                 # on_fail events stay quiet (the asymmetric-partition
                 # gray case); only interface discard counters notice.
-                for node, link in zip(path.nodes[:-1], path.links):
-                    link.record_transit(node, size, npackets)
-                    receiver = link.other(node)
-                    if link.loss_toward(receiver) > 0.0:
-                        receiver.interface(link).discards += npackets
+                for link, d, _rate, out, inn in plan:
+                    out.out_octets += size
+                    out.out_packets += npackets
+                    inn.in_octets += size
+                    inn.in_packets += npackets
+                    if link._loss[d] > 0.0:
+                        inn.discards += npackets
                         break
                 self.messages_lost += 1
                 return msg
@@ -231,26 +240,47 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         # output queue is charged at send time (single-timestamp
         # approximation); backlog ahead of this message becomes extra
         # delivery delay, and a full queue eats the datagram whole.
+        # An idle hop (transmitter free: nothing queued, nothing can
+        # overflow) is charged right here from the route's plan — the
+        # same arithmetic as Link.queue_offer_dir, which only a
+        # backlogged hop calls.
         qdelay = 0.0
-        if src is not dst:
-            now = self.sim.now
-            for node, link in zip(path.nodes[:-1], path.links):
-                d = link.queue_put(node, size, now, traffic_class)
-                if d < 0.0:
+        now = self.sim.now
+        window_s = Link.UTIL_WINDOW_S
+        for link, d, rate, out, inn in plan:
+            busy = link._q_busy_until
+            if busy[d] <= now:
+                busy[d] = now + size / rate
+                if now - link._win_start[d] >= window_s:
+                    elapsed = now - link._win_start[d]
+                    link._win_rate_bps[d] = link._win_bytes[d] * 8.0 / elapsed
+                    link._win_start[d] = now
+                    link._win_bytes[d] = size
+                else:
+                    link._win_bytes[d] += size
+                carried = link.class_bytes
+                carried[traffic_class] = carried.get(traffic_class, 0) + size
+            else:
+                accepted, waited = link.queue_offer_dir(
+                    d, size, now, traffic_class, True)
+                if not accepted:
                     # queue overflow: congestion drop at this hop.
                     # Silent like link loss — the sender saw a
                     # successful send, neither callback fires; only the
                     # discard counters (which the monitoring path
                     # polls) notice.
-                    link.other(node).interface(link).discards += npackets
+                    inn.discards += npackets
                     self.messages_lost_congestion += 1
                     return msg
-                qdelay += d
-                link.record_transit(node, size, npackets)
-            self.queue_delay_s += qdelay
+                qdelay += waited
+            out.out_octets += size
+            out.out_packets += npackets
+            inn.in_octets += size
+            inn.in_packets += npackets
+        self.queue_delay_s += qdelay
         dst.ports.record(dst_port, bytes_in=size, packets_in=npackets)
         delay = (path.latency_s + (size * 8.0) / path.bottleneck_bps + qdelay) \
-            if path.links else 1e-6
+            if plan else 1e-6
         if self._flaky_hosts:
             flaky = self._flaky_hosts.get(dst.name)
             if flaky is not None:
@@ -384,4 +414,4 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         (each would be permanent — the flow-state leak)."""
         self.send(original.dst_host, original.src_host, original.src_port,
                   payload, size_bytes=size_bytes, oneshot=True,
-                  on_fail=lambda exc: None)
+                  on_fail=ignore_failure)

@@ -404,8 +404,9 @@ class TCPFlow:
                 # --- congestion: bottleneck link + receiver NIC buckets ----
                 granted = float(send_bytes)
                 bottleneck = None
-                if path.links:
-                    bottleneck = min(path.links, key=lambda l: l.bandwidth_bps)
+                hop = path.bottleneck_hop
+                if hop is not None:
+                    bottleneck = path.links[hop]
                     granted = _link_bucket(self.sim, bottleneck).grant(granted)
                 granted = _nic_bucket(self.sim, self.dst).grant(granted)
                 granted_pkts = int(granted // self.mss)
@@ -419,17 +420,16 @@ class TCPFlow:
                 # what overflows the queue is loss AIMD will react to.
                 qdelay = 0.0
                 if bottleneck is not None and granted_pkts > 0:
-                    bnode = path.nodes[path.links.index(bottleneck)]
                     accepted, qdelay = bottleneck.queue_offer(
-                        bnode, granted_pkts * self.mss, self.sim.now,
-                        self.traffic_class)
+                        path.nodes[hop], granted_pkts * self.mss,
+                        self.sim.now, self.traffic_class)
                     queue_lost = granted_pkts - accepted // self.mss
                     if queue_lost > 0:
                         granted_pkts -= queue_lost
                         congestion_lost += queue_lost
                         stats.queue_drops += queue_lost
                         self.src.tcp_counters["congestion_drops"] += queue_lost
-                        bottleneck.other(bnode).interface(bottleneck) \
+                        path.nodes[hop + 1].interface(bottleneck) \
                             .discards += queue_lost
                 if qdelay > 0.0:
                     stats.queue_delay_s += qdelay

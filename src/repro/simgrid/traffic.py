@@ -21,6 +21,7 @@ from typing import Any, Optional
 
 from .kernel import Timeout
 from .network import TRAFFIC_CLASSES
+from .sockets import ignore_failure
 
 __all__ = ["TrafficSpec", "TrafficGenerator", "TRAFFIC_PORT",
            "TRAFFIC_KINDS"]
@@ -153,7 +154,7 @@ class TrafficGenerator:
         msg = transport.send(
             src, dst, spec.port, None, size_bytes=payload_bytes,
             traffic_class=spec.traffic_class,
-            on_fail=lambda exc: None)
+            on_fail=ignore_failure)
         if msg is None:
             self.send_failures += 1
         else:

@@ -105,6 +105,70 @@ class TestPathProperties:
         assert path.router_hops == 1
 
 
+class TestStoredAggregatesStayLive:
+    """A Path stores what it derived from its links; every link mutator
+    must drop the route cache so the next route() re-derives it."""
+
+    def test_set_up_called_directly_reroutes(self):
+        net, (a, _b, c), (ab, bc, ac) = triangle()
+        assert net.route(a, c).links == (ac,)
+        ac.set_up(False)                      # not via Network.set_link_state
+        assert net.route(a, c).links == (ab, bc)
+        ab.set_up(False)
+        with pytest.raises(NoRouteError):
+            net.route(a, c)
+        ac.set_up(True)
+        assert net.route(a, c).links == (ac,)
+
+    @pytest.mark.parametrize("mutate, attr, expected", [
+        (lambda l, far: setattr(l, "latency_s", 0.5), "latency_s", 0.5),
+        (lambda l, far: setattr(l, "latency_s", 0.5), "rtt_s", 1.0),
+        (lambda l, far: setattr(l, "bandwidth_bps", 1e3), "bottleneck_bps", 1e3),
+        (lambda l, far: setattr(l, "loss_rate", 0.25), "loss_rate", 0.25),
+        (lambda l, far: l.set_loss(0.5), "loss_rate", 0.5),
+        (lambda l, far: l.set_loss(1.0, toward=far), "loss_rate", 1.0),
+        (lambda l, far: l.restore_loss((0.75, 0.0)), "loss_rate", 0.75),
+    ])
+    def test_every_link_mutator_invalidates(self, mutate, attr, expected):
+        net, (a, _b, c), (_ab, _bc, ac) = triangle()
+        before = net.route(a, c)
+        epoch = net._epoch
+        mutate(ac, c)
+        after = net.route(a, c)
+        assert net._epoch > epoch
+        assert after is not before
+        assert getattr(after, attr) == expected
+
+    def test_plan_tracks_drain_rate_and_direction(self):
+        net, (a, _b, c), (_ab, _bc, ac) = triangle()
+        (link, d, rate, out, inn), = net.route(c, a).plan
+        assert (link, d, rate) == (ac, ac._dir_index(a), 1e7 / 8.0)
+        assert out is c.interface(ac) and inn is a.interface(ac)
+        ac.bandwidth_bps = 8e6
+        assert net.route(c, a).plan[0][2] == 1e6
+
+    def test_bottleneck_hop_is_first_narrowest(self):
+        net = Network()
+        n = [net.node(f"n{i}") for i in range(4)]
+        links = [net.link(x, y, bandwidth_bps=bps, latency_s=1e-3)
+                 for x, y, bps in zip(n, n[1:], (1e9, 1e6, 1e6))]
+        path = net.route(n[0], n[3])
+        assert path.bottleneck_hop == 1
+        assert path.links[path.bottleneck_hop] is links[1]
+        assert net.route(n[0], n[0]).bottleneck_hop is None
+
+    def test_setters_validate_like_the_constructor(self):
+        _net, _nodes, (ab, _bc, _ac) = triangle()
+        with pytest.raises(ValueError):
+            ab.bandwidth_bps = 0
+        with pytest.raises(ValueError):
+            ab.latency_s = -1e-3
+        assert (ab.bandwidth_bps, ab.latency_s) == (1e9, 1e-3)
+        with pytest.raises(AttributeError):
+            ab.up = False                     # set_up() is the mutator
+        assert ab.up
+
+
 class TestValidationAndCounters:
     def test_duplicate_node_rejected(self):
         net = Network()
@@ -192,7 +256,8 @@ class TestLinkQueue:
     def test_atomic_overflow_drops_whole_datagram(self):
         _net, (a, b), link = queue_link()
         link.queue_offer(a, 1_000_000, 0.0)        # 1 s backlog >> 0.25 s cap
-        assert link.queue_put(a, 1_000, 0.0) == -1.0
+        accepted, _delay = link.queue_offer(a, 1_000, 0.0, atomic=True)
+        assert accepted == 0
         toward = link._dir_index(b)
         assert link.queue_drops[toward] == 1
         assert link.queue_dropped_bytes[toward] == 1_000
@@ -229,7 +294,7 @@ class TestLinkQueue:
         _net, (a, _b), link = queue_link()
         link.queue_offer(a, 100_000, 0.0)
         link.queue_offer(a, 100_000, 0.0, "bulk")
-        link.queue_put(a, 1_000_000, 0.0)
+        link.queue_offer(a, 1_000_000, 0.0, atomic=True)
         stats = link.queue_stats()
         assert stats["queue_bytes"] == 250_000
         assert stats["drops"] == (1, 0)

@@ -1,0 +1,311 @@
+"""Reference-model oracle for the route plan (ROADMAP aim 3).
+
+``MessageTransport.send`` charges an idle hop inline from the stored
+per-route plan and reads the path's latency / bottleneck / loss as
+stored values.  The trivially-correct version — resolve the route from
+scratch, re-derive every aggregate from the links as they are *now*,
+and walk ``queue_offer`` -> ``record_transit`` one hop at a time — is
+kept here as :class:`ModelTransport`.  Hypothesis drives it and the real
+transport, on twin worlds built from one seed, through one random
+interleaving of sends and link mutations, and every observable must
+come out equal with exact float equality.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.simgrid import DeliveryError, GridWorld
+from repro.simgrid.network import TRAFFIC_CLASSES
+from repro.simgrid.sockets import Message, MessageTransport
+
+PORTS = (5000, 5001)
+HOSTS = ("a1", "a2", "b1")
+#: every link of the twin topology, by name (order = index in an op)
+LINKS = ("a1--swA", "a2--swA", "b1--swB", "swA--r1", "r1--swB",
+         "swA--r2", "r2--r3", "r3--swB")
+WAN_BPS = 8e6       # 1e6 bytes/s: a storm backlogs it in milliseconds
+
+
+class ModelTransport(MessageTransport):
+    """The per-hop send this repository had before routes carried a
+    plan: nothing cached, nothing stored, one call chain per hop."""
+
+    def send(self, src, dst, dst_port, payload, *, size_bytes=256,
+             src_port=None, traffic_class="monitoring", on_fail=None,
+             on_delivered=None, oneshot=False):
+        size = size_bytes + self.HEADER_BYTES
+        if src_port is None:
+            src_port = next(self._ephemeral)
+        msg = Message(src_host=src, dst_host=dst, src_port=src_port,
+                      dst_port=dst_port, payload=payload, size_bytes=size,
+                      msg_id=next(self._msg_ids), sent_at=self.sim.now)
+        if not src.up or not dst.up:
+            self.messages_dropped += 1
+            exc = DeliveryError("host is down")
+            if on_fail is not None:
+                on_fail(exc)
+                return None
+            raise exc
+        # no route cache: breadth-first search over the links that are up
+        path = self.network._bfs(src.node, dst.node)
+        if path is None:
+            self.messages_dropped += 1
+            exc = DeliveryError(f"no route {src.name} -> {dst.name}")
+            if on_fail is not None:
+                on_fail(exc)
+                return None
+            raise exc
+        hops = list(zip(path.nodes[:-1], path.links))
+        npackets = max(1, (size + self.MTU - 1) // self.MTU)
+        self.messages_sent += 1
+        self.bytes_sent += size
+        self.per_host_sent[src.name] = self.per_host_sent.get(src.name, 0) + 1
+        self.per_host_bytes[src.name] = \
+            self.per_host_bytes.get(src.name, 0) + size
+        self.class_bytes[traffic_class] = \
+            self.class_bytes.get(traffic_class, 0) + size
+        src.ports.record(src_port, bytes_out=size, packets_out=npackets)
+        keep = 1.0
+        for node, link in hops:
+            keep *= 1.0 - link.loss_toward(link.other(node))
+        loss = 1.0 - keep
+        if loss > 0.0:
+            flow = (src.name, dst.name, -1 if oneshot else dst_port)
+            rng = self._loss_rngs.get(flow)
+            if rng is None:
+                digest = hashlib.sha256(
+                    f"{self._loss_salt}:{flow}".encode()).digest()
+                rng = self._loss_rngs[flow] = random.Random(
+                    int.from_bytes(digest[:8], "big"))
+            if rng.random() < loss:
+                for node, link in hops:
+                    link.record_transit(node, size, npackets)
+                    receiver = link.other(node)
+                    if link.loss_toward(receiver) > 0.0:
+                        receiver.interface(link).discards += npackets
+                        break
+                self.messages_lost += 1
+                return msg
+        qdelay = 0.0
+        now = self.sim.now
+        for node, link in hops:
+            accepted, delay = link.queue_offer(node, size, now, traffic_class,
+                                               atomic=True)
+            if not accepted:
+                link.other(node).interface(link).discards += npackets
+                self.messages_lost_congestion += 1
+                return msg
+            qdelay += delay
+            link.record_transit(node, size, npackets)
+        if hops:
+            self.queue_delay_s += qdelay
+        dst.ports.record(dst_port, bytes_in=size, packets_in=npackets)
+        if hops:
+            delay = sum(l.latency_s for l in path.links) \
+                + (size * 8.0) / min(l.bandwidth_bps for l in path.links) \
+                + qdelay
+        else:
+            delay = 1e-6
+        when = self.sim.now + delay
+        if not oneshot:
+            flow = (src.name, dst.name, dst_port)
+            prev = self._flow_clock.get(flow)
+            if prev is not None and when < prev:
+                when = prev
+            self._flow_clock[flow] = when
+        if self.messages_sent >= self._prune_at:
+            self._prune_flow_state()
+        batch = self._arrivals.get(when)
+        if batch is None:
+            self._arrivals[when] = batch = []
+            self.delivery_wakeups += 1
+            self.sim.call_at(when, self._deliver_batch, when)
+        batch.append((msg, on_fail, on_delivered))
+        return msg
+
+
+class Twin:
+    """One world of the pair: two site LANs joined by a short WAN path
+    (one router) and a longer detour (two routers), so downing a trunk
+    reroutes and downing both partitions."""
+
+    def __init__(self, seed: int, *, model: bool):
+        world = self.world = GridWorld(seed=seed)
+        if model:
+            salt = world.transport._loss_salt
+            world.transport = ModelTransport(world.sim, world.network)
+            world.transport._loss_salt = salt
+        hosts = [world.add_host(name) for name in HOSTS]
+        world.lan(hosts[:2], switch="swA")
+        world.lan(hosts[2:], switch="swB")
+        world.wan_path("swA", "swB", routers=["r1"], bandwidth_bps=WAN_BPS,
+                       latency_s=5e-3)
+        world.wan_path("swA", "swB", routers=["r2", "r3"],
+                       bandwidth_bps=WAN_BPS, latency_s=5e-3)
+        self.links = {l.name: l for l in world.network.links()}
+        assert tuple(self.links) == LINKS
+        self.arrivals: list = []
+        self.failures: list = []
+        self.storms: list = []
+        for host in hosts:
+            for port in PORTS:
+                host.ports.bind(port, self._arrived)
+
+    def _arrived(self, msg, _transport) -> None:
+        self.arrivals.append((msg.payload, msg.sent_at, self.world.now,
+                              msg.msg_id, msg.dst_host.name, msg.dst_port))
+
+    def _failed(self, exc) -> None:
+        self.failures.append((self.world.now, str(exc)))
+
+    def apply(self, op: tuple) -> None:
+        world, kind = self.world, op[0]
+        if kind == "send":
+            _, src, dst, port, size, cls, oneshot, tag = op
+            world.transport.send(
+                world.hosts[src], world.hosts[dst], port, tag,
+                size_bytes=size, traffic_class=cls, oneshot=oneshot,
+                src_port=4000, on_fail=self._failed)
+        elif kind == "loss":
+            _, name, rate, toward = op
+            link = self.links[name]
+            link.set_loss(rate, toward=(None, link.a, link.b)[toward])
+        elif kind == "latency":
+            self.links[op[1]].latency_s = op[2]
+        elif kind == "bandwidth":
+            self.links[op[1]].bandwidth_bps = op[2]
+        elif kind == "updown":
+            self.links[op[1]].set_up(op[2])
+        elif kind == "storm":
+            _, src, dst, rate_bps, packet_bytes, duration, seed = op
+            self.storms.append(world.start_traffic({
+                "src": src, "dst": dst, "rate_bps": rate_bps,
+                "packet_bytes": packet_bytes, "duration": duration,
+                "jitter": 0.2, "seed": seed}))
+        else:
+            assert kind == "wait"
+            world.run(until=world.now + op[1])
+
+    def observables(self) -> dict:
+        world, tr = self.world, self.world.transport
+        now = world.now
+        out = {
+            "arrivals": self.arrivals,
+            "failures": self.failures,
+            "transport": {name: getattr(tr, name) for name in (
+                "messages_sent", "bytes_sent", "messages_lost",
+                "messages_lost_congestion", "messages_dropped",
+                "queue_delay_s", "delivery_wakeups", "class_bytes",
+                "per_host_sent", "per_host_bytes")},
+            "storms": [(g.packets_sent, g.send_failures)
+                       for g in self.storms],
+        }
+        for name, link in self.links.items():
+            out[f"link:{name}"] = (
+                link.queue_stats(),
+                link.utilization(link.a, now), link.utilization(link.b, now),
+                link.queue_backlog_s(link.a, now),
+                link.queue_backlog_s(link.b, now),
+                link.a.interface(link).as_dict(),
+                link.b.interface(link).as_dict())
+        for name in HOSTS:
+            ports = world.hosts[name].ports
+            out[f"ports:{name}"] = {
+                port: (act.bytes_in, act.bytes_out, act.packets_in,
+                       act.packets_out, act.last_activity)
+                for port, act in sorted(ports._activity.items())}
+        return out
+
+
+sizes = st.sampled_from([1, 200, 1436, 1437, 9000, 60_000])
+link_names = st.sampled_from(LINKS)
+trunks = st.sampled_from(LINKS[3:])
+tags = st.integers(0, 10**6)
+
+sends = st.tuples(
+    st.just("send"), st.sampled_from(HOSTS), st.sampled_from(HOSTS),
+    st.sampled_from(PORTS), sizes, st.sampled_from(TRAFFIC_CLASSES),
+    st.booleans(), tags)
+waits = st.tuples(st.just("wait"),
+                  st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.0, 2.5]))
+mutations = st.one_of(
+    st.tuples(st.just("loss"), link_names,
+              st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2)),
+    st.tuples(st.just("latency"), link_names,
+              st.sampled_from([0.0, 1e-4, 5e-3, 0.2])),
+    st.tuples(st.just("bandwidth"), link_names,
+              st.sampled_from([1e6, WAN_BPS, 1e9])),
+    st.tuples(st.just("updown"), trunks, st.booleans()),
+    # a generator offering several times the WAN's line rate: backlogs
+    # the trunk hop past its queue depth, so sends behind it see
+    # queuing delay, then overflow
+    st.tuples(st.just("storm"), st.sampled_from(["a1", "a2"]), st.just("b1"),
+              st.sampled_from([2 * WAN_BPS, 6 * WAN_BPS]),
+              st.sampled_from([1500, 8192]),
+              st.sampled_from([0.2, 1.5]), st.integers(0, 3)),
+)
+# mostly sends: any mutation drops every cached route, so a stale plan
+# only shows when the same pair sends on both sides of one mutation
+ops = st.one_of(sends, sends, sends, sends, waits, waits, mutations)
+
+
+def run_twins(seed: int, script: list) -> tuple[Twin, Twin]:
+    real, model = Twin(seed, model=False), Twin(seed, model=True)
+    for twin in (real, model):
+        for op in script:
+            twin.apply(op)
+        twin.world.run(until=twin.world.now + 5.0)
+        twin.world.stop_traffic()
+    return real, model
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), script=st.lists(ops, max_size=60))
+def test_planned_send_matches_per_hop_model(seed, script):
+    real, model = run_twins(seed, script)
+    got, want = real.observables(), model.observables()
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_each_mutator_between_two_sends_of_one_pair():
+    """The oracle on one fixed script that sends a1 -> b1 on both sides
+    of every kind of link mutation (so a plan that outlived any of them
+    would show), through a storm that backlogs and then overflows the
+    trunk, a one-way blackhole, a detour and a partition — and checks
+    the script really reached those states."""
+    def send(tag, size=200, src="a1", dst="b1", cls="monitoring"):
+        return ("send", src, dst, 5000, size, cls, False, tag)
+    script = [
+        send(1), send(2, dst="a1"),
+        ("latency", "r1--swB", 0.2), send(3), ("latency", "r1--swB", 5e-3),
+        ("bandwidth", "swA--r1", 1e6), send(4, 60_000),
+        ("bandwidth", "swA--r1", WAN_BPS), ("wait", 2.5),
+        ("storm", "a2", "b1", 6 * WAN_BPS, 8192, 1.5, 0), ("wait", 0.01),
+        send(5, cls="bulk"), ("wait", 1.0), send(11, 9000, cls="bulk"),
+        ("wait", 2.5),
+        ("loss", "swA--r1", 1.0, 2), send(6), send(7, src="b1", dst="a1"),
+        ("loss", "swA--r1", 0.0, 0), send(8),
+        ("updown", "r1--swB", False), send(9),
+        ("updown", "r2--r3", False), send(10), ("wait", 1.0),
+    ]
+    real, model = run_twins(11, script)
+    got = real.observables()
+    assert got == model.observables()
+    tr = real.world.transport
+    assert tr.messages_lost == 1                    # 6: black toward r1
+    assert tr.messages_lost_congestion > 0          # 11, and storm packets
+    assert tr.messages_dropped == 1                 # 10: partitioned
+    took = {a[0]: a[2] - a[1] for a in got["arrivals"] if a[0] is not None}
+    assert set(took) == {1, 2, 3, 4, 5, 7, 8, 9}
+    assert took[2] == 1e-6                          # same host
+    assert took[1] < 0.02 < 0.2 < took[3]           # the latency spike
+    assert took[5] > took[1] + 5e-3                 # queued behind the storm
+    assert took[4] > 60_000 * 8 / 1e6               # the narrowed trunk
+    assert took[9] - took[8] > 4e-3                 # one more WAN segment
