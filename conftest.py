@@ -9,6 +9,12 @@ e.g. in a nightly soak alongside ``scripts/soak.py``.
 import os
 
 import pytest
+from hypothesis import settings
+
+# the nightly job's budget for tests that pin none of their own
+# (tests/core/test_archive_oracle.py): --hypothesis-profile=nightly
+settings.register_profile("nightly", max_examples=2000,
+                          stateful_step_count=120, deadline=None)
 
 
 def pytest_addoption(parser):

@@ -38,6 +38,13 @@ from repro.scenarios import Scenario, run_scenario  # noqa: E402
 CORPUS = ROOT / "tests" / "scenarios" / "corpus"
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=25,
@@ -64,9 +71,9 @@ def main(argv=None) -> int:
                              "retry-storm ingredient)")
     storage = parser.add_argument_group(
         "storage", "commit-log shape: segments, retention, compaction")
-    storage.add_argument("--segment-events", type=int, default=64,
+    storage.add_argument("--segment-events", type=_positive_int, default=64,
                          help="seal a segment every N admissions "
-                              "(default 64; 0 disables sealing)")
+                              "(default 64; must be >= 1)")
     storage.add_argument("--retention-bytes", type=int, default=None,
                          help="byte budget for the commit log (retention "
                               "pressure + disk_full degradation)")

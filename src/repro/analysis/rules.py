@@ -87,7 +87,7 @@ RESOURCE_CLOSERS = frozenset(("close", "stop", "shutdown", "unsubscribe",
 #: quarantines segments on any pass, so handles to these outside
 #: ``repro/core/archive.py`` dangle as soon as the compactor runs.
 SEGMENT_INTERNALS = frozenset((
-    "_segments", "_seal_head", "_quarantined", "_merge_pending",
+    "_segments", "_seal_head", "_quarantined",
     "_seg_bytes", "_seg_tmins", "_rollup_tree", "_sealed_raw_count",
 ))
 

@@ -10,16 +10,18 @@ event-name patterns) are always kept; normal events are kept at a
 configurable sampling fraction.  The archive itself is "just another
 consumer" — see :class:`repro.core.consumers.archiver.ArchiverAgent`.
 
-Storage is log-structured: an active **write head** absorbs appends
-(time-ordered, with a pending buffer for late arrivals merged in one
-amortized O(n) pass), and every ``segment_events`` admissions the head
-is sealed into an immutable **segment** — its own time span, per-host /
-per-event posting indexes, byte-accounted footprint, and pre-aggregated
+Storage is log-structured with one shape, parallel arrays in ``(date,
+arrival id)`` order: the active **write head** is just those arrays (a
+late arrival is a binary search plus an insert), and every
+``segment_events`` admissions it is sealed into an immutable
+**segment** — the same arrays plus a time span, per-host / per-event
+posting indexes, byte-accounted footprint, and pre-aggregated
 **rollups** (count/sum/min/max per event name, plus per-event prefix
-sums for exact partial-window reads).  A **catalog** ordered by segment
-start time resolves a window query to just the overlapping segments;
-non-overlapping segments chain, overlapping ones merge by
-``(date, arrival id)`` — bit-identical to a flat time-ordered list.
+sums for exact partial-window reads); one routine reads both.  A
+**catalog** ordered by segment start time resolves a window query to
+just the overlapping segments; non-overlapping segments chain,
+overlapping ones merge by ``(date, arrival id)`` — bit-identical to a
+flat time-ordered list.
 
 :class:`RetentionPolicy` bounds the store by age and/or bytes; a
 :class:`ArchiveCompactor` (kernel-scheduled, supervised like sensors)
@@ -115,7 +117,7 @@ class ArchiveQuery:
 
 @dataclass(frozen=True)
 class RetentionPolicy:
-    """How much history a segmented archive keeps.
+    """How much history the archive keeps.
 
     ``max_age`` retires segments whose span has fallen that far behind
     the newest ingested date; ``max_bytes`` caps the total (modelled)
@@ -144,10 +146,6 @@ class RetentionPolicy:
         if (self.max_age is not None and self.downsample_after is not None
                 and self.downsample_after >= self.max_age):
             raise ValueError("downsample_after must be < max_age")
-
-    @property
-    def bounded(self) -> bool:
-        return self.max_age is not None or self.max_bytes is not None
 
 
 #: fixed per-record overhead (header + length prefixes), mirroring the
@@ -197,6 +195,58 @@ def _intersect_sorted(a: list, b: list) -> list:
         else:
             j += 1
     return out
+
+
+def _iter_rows(messages: Optional[list], dates: list, ids: list,
+               by_host: Optional[dict], by_event: Optional[dict],
+               q: ArchiveQuery, end_exclusive: bool):
+    """Yield the rows of one ``(date, arrival id)``-ordered run that
+    match ``q`` (half-open ``[t0, t1)`` if ``end_exclusive``), in that
+    order, as ``(date, arrival_id, msg)`` — the archive's one read
+    routine.  A sealed segment passes its positional posting lists and
+    the planner picks the most selective access path; the write head
+    passes ``None`` for both and walks its window slice, which the seal
+    threshold bounds.
+    """
+    if messages is None:
+        return  # rollup-only segment: no raw events to serve
+    lo = bisect_left(dates, q.t0)
+    hi = bisect_left(dates, q.t1) if end_exclusive \
+        else bisect_right(dates, q.t1)
+    if lo >= hi:
+        return
+    host, event, lvl = q.host, q.event, q.lvl
+    pos_lists = []
+    for postings, key in ((by_event, event), (by_host, host)):
+        if postings is not None and key is not None:
+            positions = postings.get(key)
+            if positions is None:
+                return
+            pos_lists.append(positions)
+    pos_lists.sort(key=len)
+    if pos_lists and hi - lo > len(pos_lists[0]):
+        # the equality indexes lead: they compose via sorted-position
+        # intersection, and the window reduces to a range of the result
+        candidate = pos_lists[0]
+        for other in pos_lists[1:]:
+            candidate = _intersect_sorted(candidate, other)
+        a = bisect_left(candidate, lo)
+        b = bisect_left(candidate, hi)
+        for pos in candidate[a:b]:
+            msg = messages[pos]
+            if lvl is None or msg.lvl == lvl:
+                yield dates[pos], ids[pos], msg
+        return
+    # the window is the most selective access path: walk the slice and
+    # check the equality constraints per message
+    for pos in range(lo, hi):
+        msg = messages[pos]
+        if host is not None and msg.host != host:
+            continue
+        if event is not None and msg.event != event:
+            continue
+        if lvl is None or msg.lvl == lvl:
+            yield dates[pos], ids[pos], msg
 
 
 # -- rollup rows: [count, value_sum, value_count, value_min, value_max] -----
@@ -282,66 +332,6 @@ class _Segment:
         self.bytes = 64 + 48 * rows
         self.mend()
 
-    # -- window reads -------------------------------------------------------
-
-    def _window(self, t0: float, t1: float,
-                end_exclusive: bool) -> tuple[int, int]:
-        dates = self.dates
-        lo = bisect_left(dates, t0) if t0 != float("-inf") else 0
-        if t1 == float("inf"):
-            return lo, len(dates)
-        hi = bisect_left(dates, t1) if end_exclusive \
-            else bisect_right(dates, t1)
-        return lo, hi
-
-    def iter_window(self, q: ArchiveQuery, *, end_exclusive: bool = False):
-        """Yield matching ``(date, arrival_id, msg)`` in (date, id) order."""
-        if self.messages is None:
-            return  # rollup-only: no raw events to serve
-        lo, hi = self._window(q.t0, q.t1, end_exclusive)
-        if lo >= hi:
-            return
-        lvl = q.lvl
-        messages, dates, ids = self.messages, self.dates, self.ids
-        pos_lists = []
-        if q.event is not None:
-            positions = self.by_event.get(q.event)
-            if positions is None:
-                return
-            pos_lists.append(positions)
-        if q.host is not None:
-            positions = self.by_host.get(q.host)
-            if positions is None:
-                return
-            pos_lists.append(positions)
-        if not pos_lists:
-            for pos in range(lo, hi):
-                msg = messages[pos]
-                if lvl is None or msg.lvl == lvl:
-                    yield dates[pos], ids[pos], msg
-            return
-        pos_lists.sort(key=len)
-        if hi - lo <= len(pos_lists[0]):
-            host, event = q.host, q.event
-            for pos in range(lo, hi):
-                msg = messages[pos]
-                if host is not None and msg.host != host:
-                    continue
-                if event is not None and msg.event != event:
-                    continue
-                if lvl is None or msg.lvl == lvl:
-                    yield dates[pos], ids[pos], msg
-            return
-        candidate = pos_lists[0]
-        for other in pos_lists[1:]:
-            candidate = _intersect_sorted(candidate, other)
-        a = bisect_left(candidate, lo)
-        b = bisect_left(candidate, hi)
-        for pos in candidate[a:b]:
-            msg = messages[pos]
-            if lvl is None or msg.lvl == lvl:
-                yield dates[pos], ids[pos], msg
-
     def window_rollup(self, t0: float, t1: float) -> dict:
         """Exact count/sum rollup of the half-open sub-window [t0, t1).
 
@@ -350,7 +340,8 @@ class _Segment:
         min/max — so a summary that clips this segment never touches
         raw messages.
         """
-        lo, hi = self._window(t0, t1, True)
+        lo = bisect_left(self.dates, t0)
+        hi = bisect_left(self.dates, t1)
         out: dict = {}
         if lo >= hi:
             return out
@@ -418,14 +409,15 @@ def _build_segment(seq: int, messages: list, dates: list,
 class EventArchive:
     """Append-only archived event store: write head + sealed segments.
 
-    The head keeps the seed archive's shape — time-ordered parallel
-    arrays, arrival-id posting lists, a pending buffer for late
-    arrivals merged in one amortized O(n) pass — and every
-    ``segment_events`` admissions it is sealed into an immutable
-    :class:`_Segment` and entered into the catalog (sorted by segment
-    start time; window queries binary-search it and touch only
-    overlapping segments).  ``segment_events=None`` disables sealing
-    and degenerates to the flat store.
+    The head is three parallel arrays in ``(date, arrival id)`` order —
+    the shape a segment is built from, with no indexes of its own: an
+    in-order append is O(1), a late arrival is a binary search plus an
+    insert, and a head read walks its window slice.  Every
+    ``segment_events`` admissions (a positive ``int``; that threshold
+    is what bounds both the insert and the walk) the head is sealed
+    into an immutable :class:`_Segment` and entered into the catalog
+    (sorted by segment start time; window queries binary-search it and
+    touch only overlapping segments).
 
     Queries stream in global ``(date, arrival id)`` order: segments
     whose spans don't overlap simply chain; overlapping ones (late
@@ -437,19 +429,18 @@ class EventArchive:
 
     def __init__(self, name: str = "archive0",
                  policy: Optional[SamplingPolicy] = None, *,
-                 segment_events: Optional[int] = _DEFAULT_SEGMENT_EVENTS,
+                 segment_events: int = _DEFAULT_SEGMENT_EVENTS,
                  retention: Optional[RetentionPolicy] = None):
         self.name = name
         self.policy = policy if policy is not None else SamplingPolicy()
-        if segment_events is not None and segment_events <= 0:
-            segment_events = None
+        if not isinstance(segment_events, int) or segment_events < 1:
+            raise ValueError("segment_events must be a positive int, got "
+                             f"{segment_events!r}")
         self.segment_events = segment_events
         self.retention = retention
         self.rejected = 0
-        #: number of out-of-order arrivals (merged in lazily)
+        #: number of out-of-order arrivals (inserted at their date)
         self.reordered = 0
-        #: number of pending-buffer merge passes performed
-        self.merges = 0
         #: total successful appends ever (the accounting identity base)
         self.admitted = 0
         # -- storage budget (disk-full degradation) ----------------------
@@ -498,15 +489,12 @@ class EventArchive:
         self._seg_bytes = 0         # sealed bytes (always current)
         self._bytes_current = bool(retention is not None
                                    and retention.max_bytes is not None)
+        # the write head: (date, arrival id)-ordered parallel arrays
         self._messages: list[ULMMessage] = []
-        self._dates: list[float] = []      # parallel to _messages
-        self._ids: list[int] = []          # parallel to _messages (arrival id)
-        self._pending: list[tuple[ULMMessage, int]] = []  # late arrivals
+        self._dates: list[float] = []
+        self._ids: list[int] = []
         self._next_id = 0
         self._head_id_lo = 0               # first arrival id in this head
-        self._pos_by_id: dict[int, int] = {}
-        self._by_host: dict[str, list[int]] = {}
-        self._by_event: dict[str, list[int]] = {}
         self._segments: list[_Segment] = []     # catalog, sorted by t_min
         self._seg_tmins: list[float] = []       # parallel bisect keys
         self._prefix_tmax: list[float] = []     # running max of t_max
@@ -520,10 +508,7 @@ class EventArchive:
 
     @property
     def messages(self) -> list[ULMMessage]:
-        """Archived messages in time order (late arrivals merged in)."""
-        self._merge_pending()
-        if not self._segments:
-            return self._messages
+        """Archived messages in time order, as a fresh list."""
         return list(self.iter_query())
 
     # -- ingest ---------------------------------------------------------------
@@ -556,24 +541,22 @@ class EventArchive:
         date = msg.date
         if not self._dates or date >= self._dates[-1]:
             # the common (monotonic) case: O(1) append
-            self._pos_by_id[arrival_id] = len(self._messages)
             self._messages.append(msg)
             self._dates.append(date)
             self._ids.append(arrival_id)
         else:
+            # late: after everything dated <= date, which on equal
+            # dates is arrival order (ids only grow)
             self.reordered += 1
-            self._pending.append((msg, arrival_id))
-            if len(self._pending) > max(1024, len(self._messages) // 8):
-                self._merge_pending()
-        self._by_host.setdefault(msg.host, []).append(arrival_id)
-        if msg.event:
-            self._by_event.setdefault(msg.event, []).append(arrival_id)
+            pos = bisect_right(self._dates, date)
+            self._messages.insert(pos, msg)
+            self._dates.insert(pos, date)
+            self._ids.insert(pos, arrival_id)
         if self._t_min is None or date < self._t_min:
             self._t_min = date
         if self._t_max is None or date > self._t_max:
             self._t_max = date
-        if self.segment_events is not None and \
-                len(self._messages) + len(self._pending) >= self.segment_events:
+        if len(self._messages) >= self.segment_events:
             self._seal_head()
         ret = self.retention
         if (ret is not None and ret.max_bytes is not None
@@ -589,43 +572,6 @@ class EventArchive:
     def extend(self, messages: Iterable[ULMMessage]) -> int:
         return sum(1 for m in messages if self.append(m))
 
-    def _merge_pending(self) -> None:
-        """Fold the late-arrival buffer into the time-ordered store.
-
-        One O(n + p log p) pass.  Stability: the sort is stable (ties
-        keep arrival order among pending), and the merge takes existing
-        messages first on equal dates — an existing equal-dated message
-        always arrived before anything still pending, because a message
-        only lands in pending when its date is *below* the tail at
-        arrival time.
-        """
-        if not self._pending:
-            return
-        self.merges += 1
-        pending = self._pending
-        self._pending = []
-        pending.sort(key=lambda pair: pair[0].date)
-        messages, dates, ids = self._messages, self._dates, self._ids
-        merged_m: list[ULMMessage] = []
-        merged_d: list[float] = []
-        merged_i: list[int] = []
-        mi, n = 0, len(messages)
-        for msg, arrival_id in pending:
-            date = msg.date
-            while mi < n and dates[mi] <= date:
-                merged_m.append(messages[mi])
-                merged_d.append(dates[mi])
-                merged_i.append(ids[mi])
-                mi += 1
-            merged_m.append(msg)
-            merged_d.append(date)
-            merged_i.append(arrival_id)
-        merged_m.extend(messages[mi:])
-        merged_d.extend(dates[mi:])
-        merged_i.extend(ids[mi:])
-        self._messages, self._dates, self._ids = merged_m, merged_d, merged_i
-        self._pos_by_id = {aid: pos for pos, aid in enumerate(merged_i)}
-
     # -- sealing & the catalog -------------------------------------------------
 
     def checkpoint(self) -> bool:
@@ -638,7 +584,6 @@ class EventArchive:
         return self._seal_head() is not None
 
     def _seal_head(self) -> Optional[_Segment]:
-        self._merge_pending()
         if not self._messages:
             return None
         seg = _build_segment(self._next_seq, self._messages, self._dates,
@@ -651,9 +596,6 @@ class EventArchive:
         self._messages = []
         self._dates = []
         self._ids = []
-        self._pos_by_id = {}
-        self._by_host = {}
-        self._by_event = {}
         self._head_id_lo = self._next_id
         self._catalog_insert(seg)
         return seg
@@ -826,7 +768,6 @@ class EventArchive:
     def _ensure_bytes_current(self) -> None:
         if self._bytes_current:
             return
-        self._merge_pending()
         self._bytes_stored = sum(map(_msg_bytes, self._messages))
         self._bytes_current = True  # segment bytes are always current
 
@@ -835,10 +776,8 @@ class EventArchive:
 
         Whole cold segments retire first, then the head front-sheds
         message-granular.  Every dropped message is counted in
-        :attr:`shed` and the loss floor advances — rare (fault-path
-        only), so index rebuilds are acceptable.
+        :attr:`shed` and the loss floor advances.
         """
-        self._merge_pending()
         while self._segments and \
                 self._bytes_stored + self._seg_bytes > target:
             seg = self._segments[0]
@@ -865,15 +804,6 @@ class EventArchive:
         self._messages = messages[cut:]
         self._dates = dates[cut:]
         self._ids = ids[cut:]
-        self._pos_by_id = {aid: pos for pos, aid in enumerate(self._ids)}
-        kept = set(self._ids)
-        for index in (self._by_host, self._by_event):
-            for key in list(index):
-                pruned = [aid for aid in index[key] if aid in kept]
-                if pruned:
-                    index[key] = pruned
-                else:
-                    del index[key]
 
     # -- retention & compaction --------------------------------------------------
 
@@ -891,7 +821,6 @@ class EventArchive:
         if self._stall_mode is not None:
             report["stalled"] = True
             return report
-        self._merge_pending()
         ret = self.retention
         now = self._t_max
         if ret is not None and now is not None:
@@ -957,7 +886,7 @@ class EventArchive:
     def _merge_small_segments(self) -> int:
         """Merge adjacent runt segments (small seals accumulate under
         churny ingest) back up to the nominal segment size."""
-        limit = self.segment_events or _DEFAULT_SEGMENT_EVENTS
+        limit = self.segment_events
         small = max(1, limit // 2)
         merged = 0
         i = 0
@@ -999,72 +928,6 @@ class EventArchive:
 
     # -- query ----------------------------------------------------------------
 
-    def _window(self, t0: float, t1: float, *,
-                end_exclusive: bool = False) -> tuple[int, int]:
-        """Head positions [lo, hi) of the time window via binary search."""
-        lo = bisect_left(self._dates, t0) if t0 != float("-inf") else 0
-        if t1 == float("inf"):
-            return lo, len(self._dates)
-        hi = bisect_left(self._dates, t1) if end_exclusive \
-            else bisect_right(self._dates, t1)
-        return lo, hi
-
-    def _head_iter(self, q: ArchiveQuery, *, end_exclusive: bool = False):
-        """Yield head matches as ``(date, arrival_id, msg)`` triples."""
-        lo, hi = self._window(q.t0, q.t1, end_exclusive=end_exclusive)
-        if lo >= hi:
-            return
-        lvl = q.lvl
-        messages, dates, ids = self._messages, self._dates, self._ids
-        id_lists = []
-        if q.event is not None:
-            aids = self._by_event.get(q.event)
-            if aids is None:
-                return
-            id_lists.append(aids)
-        if q.host is not None:
-            aids = self._by_host.get(q.host)
-            if aids is None:
-                return
-            id_lists.append(aids)
-        if not id_lists:
-            # pure time window: the slice IS the answer (modulo lvl)
-            for pos in range(lo, hi):
-                msg = messages[pos]
-                if lvl is None or msg.lvl == lvl:
-                    yield dates[pos], ids[pos], msg
-            return
-        id_lists.sort(key=len)
-        if hi - lo <= len(id_lists[0]):
-            # the window is the most selective access path: walk the
-            # slice and check the equality constraints per message
-            host, event = q.host, q.event
-            for pos in range(lo, hi):
-                msg = messages[pos]
-                if host is not None and msg.host != host:
-                    continue
-                if event is not None and msg.event != event:
-                    continue
-                if lvl is None or msg.lvl == lvl:
-                    yield dates[pos], ids[pos], msg
-            return
-        # otherwise the equality indexes lead: they compose via sorted-id
-        # intersection, and the window reduces to a position-range check
-        candidate = id_lists[0]
-        for aids in id_lists[1:]:
-            candidate = _intersect_sorted(candidate, aids)
-        pos_by_id = self._pos_by_id
-        if lo > 0 or hi < len(messages):
-            positions = [p for p in map(pos_by_id.__getitem__, candidate)
-                         if lo <= p < hi]
-        else:
-            positions = list(map(pos_by_id.__getitem__, candidate))
-        positions.sort()  # id order is arrival order; emit in time order
-        for pos in positions:
-            msg = messages[pos]
-            if lvl is None or msg.lvl == lvl:
-                yield dates[pos], ids[pos], msg
-
     def _candidates(self, t0: float, t1: float,
                     end_exclusive: bool) -> list[_Segment]:
         """Catalog segments overlapping the window, quarantining any
@@ -1104,25 +967,22 @@ class EventArchive:
 
         ``end_exclusive`` makes the window half-open ``[t0, t1)`` — the
         period-summary convention — instead of the query's inclusive
-        ``[t0, t1]``.
+        ``[t0, t1]``.  Drain the stream before the next ``append``: a
+        late arrival moves rows of the unsealed head in place.
         """
         q = query if query is not None else ArchiveQuery(**kwargs)
-        self._merge_pending()
         sources = []
         for seg in self._candidates(q.t0, q.t1, end_exclusive):
             sources.append((seg.seq, seg.t_min, seg.t_max, seg.id_lo,
                             seg.id_hi,
-                            seg.iter_window(q, end_exclusive=end_exclusive)))
+                            _iter_rows(seg.messages, seg.dates, seg.ids,
+                                       seg.by_host, seg.by_event, q,
+                                       end_exclusive)))
         if self._dates:
             sources.append((self._next_seq, self._dates[0], self._dates[-1],
                             self._head_id_lo, self._next_id,
-                            self._head_iter(q, end_exclusive=end_exclusive)))
-        if not sources:
-            return
-        if len(sources) == 1:
-            for _, _, msg in sources[0][5]:
-                yield msg
-            return
+                            _iter_rows(self._messages, self._dates, self._ids,
+                                       None, None, q, end_exclusive)))
         sources.sort(key=lambda s: s[0])
         chained = all(
             a[2] < b[1] or (a[2] == b[1] and a[4] < b[3])
@@ -1168,27 +1028,47 @@ class EventArchive:
         self._rollup_tree = levels
         self._tree_dirty = False
 
+    def _summarize_rows(self, rows, out: dict) -> None:
+        """Fold raw ``(date, id, msg)`` rows into ``out``, counted."""
+        for _, _, msg in rows:
+            _roll_add(out, msg.event or "?", _msg_value(msg))
+            self.summary_raw_scanned += 1
+
+    def _summarize_segment(self, seg: _Segment, t0: float, t1: float,
+                           host: Optional[str], out: dict) -> None:
+        """One segment's share of a summary (the tree walk's leaf): its
+        pre-aggregated rollup when [t0, t1) covers it, else the exact
+        boundary — prefix sums, or a posting-led raw scan for one host."""
+        if seg.t_max < t0 or seg.t_min >= t1:
+            return
+        rolls = seg.rollups if host is None else seg.host_rollups.get(host)
+        if t0 <= seg.t_min and seg.t_max < t1:
+            if rolls:
+                _roll_merge(out, rolls)
+                self.summary_rollup_hits += 1
+        elif seg.downsampled:
+            # raw is gone: approximate the clipped span with the whole
+            # segment's rollup, visibly
+            if rolls:
+                _roll_merge(out, rolls)
+                self.summary_rollup_clipped += 1
+        elif host is None:
+            partial = seg.window_rollup(t0, t1)
+            if partial:
+                _roll_merge(out, partial)
+                self.summary_rollup_hits += 1
+        else:
+            self._summarize_rows(
+                _iter_rows(seg.messages, seg.dates, seg.ids, seg.by_host,
+                           seg.by_event, ArchiveQuery(t0=t0, t1=t1, host=host),
+                           True), out)
+
     def _summarize_node(self, level: int, index: int, t0: float, t1: float,
                         out: dict) -> None:
         """Recursive rollup-tree walk: merge fully-covered nodes, recurse
         into boundary nodes, resolve leaf boundaries via prefix sums."""
         if level < 0:
-            seg = self._segments[index]
-            if seg.t_max < t0 or seg.t_min >= t1:
-                return
-            if t0 <= seg.t_min and seg.t_max < t1:
-                _roll_merge(out, seg.rollups)
-                self.summary_rollup_hits += 1
-            elif seg.downsampled:
-                # raw is gone: approximate the clipped span with the
-                # whole segment's rollup, visibly
-                _roll_merge(out, seg.rollups)
-                self.summary_rollup_clipped += 1
-            else:
-                partial = seg.window_rollup(t0, t1)
-                if partial:
-                    _roll_merge(out, partial)
-                    self.summary_rollup_hits += 1
+            self._summarize_segment(self._segments[index], t0, t1, None, out)
             return
         node_t0, node_t1, rolls = self._rollup_tree[level][index]
         if node_t1 < t0 or node_t0 >= t1:
@@ -1217,7 +1097,6 @@ class EventArchive:
         """
         if t1 <= t0:
             raise ValueError("need t1 > t0")
-        self._merge_pending()
         out: dict = {}
         # lazy torn detection first: a corrupted segment must not feed
         # summaries, whether it would be read raw or via rollups
@@ -1233,38 +1112,23 @@ class EventArchive:
                 self._summarize_node(-1, 0, t0, t1, out)
         else:
             for seg in cands:
-                if t0 <= seg.t_min and seg.t_max < t1:
-                    rolls = seg.host_rollups.get(host)
-                    if rolls:
-                        _roll_merge(out, rolls)
-                        self.summary_rollup_hits += 1
-                elif seg.downsampled:
-                    rolls = seg.host_rollups.get(host)
-                    if rolls:
-                        _roll_merge(out, rolls)
-                        self.summary_rollup_clipped += 1
-                else:
-                    q = ArchiveQuery(t0=t0, t1=t1, host=host)
-                    for _, _, msg in seg.iter_window(q, end_exclusive=True):
-                        _roll_add(out, msg.event or "?", _msg_value(msg))
-                        self.summary_raw_scanned += 1
-        q = ArchiveQuery(t0=t0, t1=t1, host=host)
-        for _, _, msg in self._head_iter(q, end_exclusive=True):
-            _roll_add(out, msg.event or "?", _msg_value(msg))
-            self.summary_raw_scanned += 1
+                self._summarize_segment(seg, t0, t1, host, out)
+        self._summarize_rows(
+            _iter_rows(self._messages, self._dates, self._ids, None, None,
+                       ArchiveQuery(t0=t0, t1=t1, host=host), True), out)
         return {event: tuple(row) for event, row in out.items()}
 
     # -- catalog counters -------------------------------------------------------
 
     def hosts(self) -> list[str]:
-        names = set(self._by_host)
+        names = {msg.host for msg in self._messages}
         for seg in self._segments:
             names.update(seg.by_host if seg.by_host is not None
                          else seg.host_rollups)
         return sorted(names)
 
     def event_names(self) -> list[str]:
-        names = set(self._by_event)
+        names = {msg.event for msg in self._messages if msg.event}
         for seg in self._segments:
             if seg.by_event is not None:
                 names.update(seg.by_event)
@@ -1276,7 +1140,6 @@ class EventArchive:
         """Span of *retained* storage (catalog + head).  The full
         ingested span — which never shrinks under shed/retention — is in
         ``stats()["ingested_span"]``."""
-        self._merge_pending()
         lo = hi = None
         if self._dates:
             lo, hi = self._dates[0], self._dates[-1]
@@ -1290,8 +1153,7 @@ class EventArchive:
         return (lo, hi)
 
     def __len__(self) -> int:
-        return len(self._messages) + len(self._pending) + \
-            self._sealed_raw_count
+        return len(self._messages) + self._sealed_raw_count
 
     def stats(self) -> dict:
         """Catalog counters for the archiver's directory entry."""

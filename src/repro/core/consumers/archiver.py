@@ -80,7 +80,9 @@ class ArchiverAgent(Consumer):
         Returns ``True`` when the publish reached the directory."""
         if self.directory is None:
             return True
-        stats = self.archive.stats()  # O(1): span/counters are incremental
+        # counters are incremental; host/event names cost one pass over
+        # the catalog plus the unsealed head (at most the seal threshold)
+        stats = self.archive.stats()
         attrs = {"objectclass": "archive",
                  "events": self.archive.event_names() or ["none"],
                  "hosts": self.archive.hosts() or ["none"],

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .archive import ArchiveQuery, EventArchive
+from .archive import EventArchive
 
 __all__ = ["PeriodSummary", "EventTypeStats", "summarize_period",
            "compare_periods", "PeriodDelta", "find_change_points"]
@@ -53,53 +53,21 @@ def summarize_period(archive: EventArchive, t0: float, t1: float, *,
                      host: Optional[str] = None) -> PeriodSummary:
     """Per-event-type counts/rates/means over the half-open [t0, t1).
 
-    Segmented archives resolve this through their multi-resolution
-    rollups (:meth:`EventArchive.summarize_window`): fully-covered
-    segments cost one pre-merged rollup each, so a month-scale window
-    costs about the same as a minute-scale one.  Any other store with
-    ``iter_query`` falls back to one streaming pass over the window:
-    per-event counters accumulate as messages flow by, so no
-    intermediate message or group lists are materialized (the window
-    can be most of a large archive).
+    The archive resolves this through its multi-resolution rollups
+    (:meth:`EventArchive.summarize_window`): fully-covered segments
+    cost one pre-merged rollup each, so a month-scale window costs
+    about the same as a minute-scale one.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    summarize = getattr(archive, "summarize_window", None)
-    if summarize is not None:
-        rollup = summarize(t0, t1, host=host)
-        span = t1 - t0
-        by_event = {
-            event: EventTypeStats(
-                event=event, count=row[0], rate_per_s=row[0] / span,
-                value_mean=(row[1] / row[2] if row[2] else None))
-            for event, row in rollup.items()}
-        total = sum(row[0] for row in rollup.values())
-        return PeriodSummary(t0=t0, t1=t1, total_events=total,
-                             by_event=by_event)
-    total = 0
-    counts: dict[str, int] = {}
-    value_sums: dict[str, float] = {}
-    value_counts: dict[str, int] = {}
-    for msg in archive.iter_query(ArchiveQuery(t0=t0, t1=t1, host=host),
-                                  end_exclusive=True):
-        total += 1
-        event = msg.event or "?"
-        counts[event] = counts.get(event, 0) + 1
-        raw = msg.fields.get("VALUE")
-        if raw is not None:
-            try:
-                value = float(raw)
-            except ValueError:
-                continue
-            value_sums[event] = value_sums.get(event, 0.0) + value
-            value_counts[event] = value_counts.get(event, 0) + 1
+    rollup = archive.summarize_window(t0, t1, host=host)
     span = t1 - t0
     by_event = {
         event: EventTypeStats(
-            event=event, count=count, rate_per_s=count / span,
-            value_mean=(value_sums[event] / value_counts[event]
-                        if value_counts.get(event) else None))
-        for event, count in counts.items()}
+            event=event, count=row[0], rate_per_s=row[0] / span,
+            value_mean=(row[1] / row[2] if row[2] else None))
+        for event, row in rollup.items()}
+    total = sum(row[0] for row in rollup.values())
     return PeriodSummary(t0=t0, t1=t1, total_events=total, by_event=by_event)
 
 

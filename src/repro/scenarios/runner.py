@@ -116,9 +116,8 @@ class Scenario:
     #: run under the dynamic sanitizer (checks fire at teardown only,
     #: so digests are unaffected; tier-1 asserts bit-identity)
     sanitize: bool = True
-    #: commit-log storage shape: seal a segment every N events (None ->
-    #: flat, unsegmented store — the pre-retention seed behaviour)
-    archive_segment_events: Optional[int] = 64
+    #: commit-log seal threshold: a segment every N admitted events
+    archive_segment_events: int = 64
     #: retention policy for the commit log (all None -> keep everything)
     archive_retention_age: Optional[float] = None
     archive_retention_bytes: Optional[int] = None
@@ -517,8 +516,7 @@ class ScenarioRunner:
         brute-force pass over ``iter_query`` is a complete oracle there.
         """
         archive = self.archive
-        summarize = getattr(archive, "summarize_window", None)
-        if summarize is None or len(archive) == 0:
+        if len(archive) == 0:
             return None
         t0, t1 = archive.time_span()
         floor = archive.loss_floor
@@ -526,7 +524,7 @@ class ScenarioRunner:
         hi = t1 + 1e-6  # summarize_window is end-exclusive
         if hi <= lo:
             return None
-        rolled = summarize(lo, hi)
+        rolled = archive.summarize_window(lo, hi)
         counts: dict[str, int] = {}
         sums: dict[str, float] = {}
         vcounts: dict[str, int] = {}

@@ -52,11 +52,29 @@ class TestSealing:
         assert sum(c["events"] for c in catalog) + \
             (len(archive) - sum(c["events"] for c in catalog)) == 30
 
-    def test_segment_events_none_keeps_flat_store(self):
-        archive = EventArchive(policy=keep_all(), segment_events=None)
-        fill(archive, 200)
+    @pytest.mark.parametrize("bad", [None, 0, -1])
+    def test_segment_events_must_be_a_positive_int(self, bad):
+        """There is no flat mode: "never seal" used to be spelled
+        ``None`` (or, silently, anything <= 0)."""
+        with pytest.raises(ValueError, match="segment_events"):
+            EventArchive(policy=keep_all(), segment_events=bad)
+
+    def test_messages_is_a_fresh_list_before_and_after_a_seal(self):
+        archive = EventArchive(policy=keep_all(), segment_events=8)
+        expect = fill(archive, 5)
         assert archive.stats()["segments"] == 0
-        assert len(archive.messages) == 200
+        view = archive.messages
+        view.sort(key=lambda m: -m.date)   # a caller's own business
+        view.pop()
+        assert [id(m) for m in archive.messages] == [id(m) for m in expect]
+        assert len(archive) == 5
+        expect += fill(archive, 10, start=1.0)
+        assert archive.stats()["segments"] >= 1
+        view = archive.messages
+        view.reverse()
+        del view[:3]
+        assert [id(m) for m in archive.messages] == [id(m) for m in expect]
+        assert [id(m) for m in archive.query()] == [id(m) for m in expect]
 
     def test_checkpoint_seals_the_head(self):
         archive = EventArchive(policy=keep_all(), segment_events=1000)
@@ -78,12 +96,12 @@ class TestSealing:
 
 
 class TestQueryParity:
-    """A segmented archive answers every query exactly like the flat
-    (seed-shaped) store fed the same workload."""
+    """The archive answers every query exactly like a flat list of the
+    same arrivals sorted by ``(date, arrival order)``."""
 
     def build_pair(self, n=300, seed=5):
         seg = EventArchive(policy=keep_all(), segment_events=7)
-        flat = EventArchive(policy=keep_all(), segment_events=None)
+        flat = []
         rng = random.Random(seed)
         for i in range(n):
             t = i * 0.05
@@ -93,11 +111,12 @@ class TestQueryParity:
                     host=HOSTS[rng.randrange(3)], value=i % 17)
             seg.append(m)
             flat.append(m)
+        flat.sort(key=lambda m: m.date)  # stable: ties keep arrival order
         return seg, flat
 
     def test_full_scan_order_identical(self):
         seg, flat = self.build_pair()
-        assert [id(m) for m in seg.query()] == [id(m) for m in flat.query()]
+        assert [id(m) for m in seg.query()] == [id(m) for m in flat]
 
     def test_windowed_and_filtered_queries_identical(self):
         seg, flat = self.build_pair()
@@ -108,16 +127,17 @@ class TestQueryParity:
                              host=rng.choice((None,) + HOSTS),
                              event=rng.choice((None,) + EVENTS))
             end_exclusive = rng.random() < 0.5
+            expect = [m for m in flat if q.matches(m)
+                      and not (end_exclusive and m.date == q.t1)]
             assert [id(m) for m in seg.iter_query(q,
                                                   end_exclusive=end_exclusive)] \
-                == [id(m) for m in flat.iter_query(q,
-                                                   end_exclusive=end_exclusive)]
+                == [id(m) for m in expect]
 
     def test_hosts_events_and_span_identical(self):
         seg, flat = self.build_pair()
-        assert seg.hosts() == flat.hosts()
-        assert seg.event_names() == flat.event_names()
-        assert seg.time_span() == flat.time_span()
+        assert seg.hosts() == sorted({m.host for m in flat})
+        assert seg.event_names() == sorted({m.event for m in flat})
+        assert seg.time_span() == (flat[0].date, flat[-1].date)
 
 
 class TestChurnProperty:
@@ -391,8 +411,10 @@ class TestFaultSurface:
         assert sum(row[0] for row in rolled.values()) == len(raw)
 
     def test_tear_without_segments_is_a_noop(self):
-        archive = EventArchive(policy=keep_all(), segment_events=None)
+        archive = EventArchive(policy=keep_all(), segment_events=100)
+        fill(archive, 20)  # under the threshold: nothing sealed yet
         assert not archive.tear_segment(0)
+        assert len(archive.query()) == 20
 
     def test_stall_modes_validated_and_visible(self):
         archive = self.build()
@@ -420,7 +442,7 @@ class TestSpanAccounting:
     reported ingest history — retained and ingested spans are distinct."""
 
     def test_front_shed_keeps_ingested_span(self):
-        archive = EventArchive(policy=keep_all(), segment_events=None)
+        archive = EventArchive(policy=keep_all(), segment_events=100)
         for i in range(50):
             archive.append(msg(i * 1.0, value=1, PAD="z" * 40))
         archive.set_byte_budget(2_000)  # well under 50 padded records
