@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from dataclasses import field as _dc_field
 from typing import Any, Callable, Generator, Optional
 
-from repro.core.gateway import _render
 from repro.simgrid.kernel import Interrupt, Timeout
-from repro.ulm import EPOCH, ULMMessage
+from repro.ulm import EPOCH, ULMMessage, encode, serialize, to_xml
 from repro.ulm.fields import DATE, HOST, LVL, PROG, is_valid_field_name
 from repro.ulm.parse import ParseError
 
@@ -126,6 +125,9 @@ def seed_parse_stream(text: str) -> list:
 
 # -- seed gateway fan-out: filter + render per subscription ------------------
 
+_SEED_RENDER = {"ulm": serialize, "xml": to_xml, "binary": encode}
+
+
 def seed_fanout(subscriptions, msg: ULMMessage, send) -> int:
     """The seed ingest loop: every subscription runs its filter and
     renders its own copy of the event, even when formats repeat."""
@@ -135,8 +137,7 @@ def seed_fanout(subscriptions, msg: ULMMessage, send) -> int:
             continue
         if not sub.event_filter.accept(msg):
             continue
-        wire = _render(msg, sub.fmt)
-        send(sub, wire)
+        send(sub, _SEED_RENDER[sub.fmt](msg))
         delivered += 1
     return delivered
 

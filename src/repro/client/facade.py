@@ -305,7 +305,7 @@ class ClientSession:
     """A scope of subscriptions with deterministic teardown.
 
     Internally a plain :class:`Consumer` supplies the delivery
-    machinery (receive port, wire decode, handle demux), so sessions
+    machinery (receive port, frame unpacking, handle demux), so sessions
     behave exactly like the built-in consumer types — they just have no
     ``on_event`` of their own: events live on the handles.
     """

@@ -16,16 +16,22 @@ Delivery paths:
 
 * in-process callback, when the gateway has no network identity;
 * a bound receive port on the consumer's host, when both sides are on
-  the simulated network — the gateway pushes rendered events (ULM /
-  XML / binary) tagged with the originating gateway and subscription
-  id, which the consumer decodes and routes to the owning handle.
+  the simulated network — the gateway pushes each event as a
+  ``((gateway name, sub id), Frame)`` pair, and the consumer routes
+  the message the frame carries to the owning handle.  Only a frame
+  that arrives without one (foreign input) is decoded; a malformed
+  wire is counted in ``decode_errors``.
+
+A delivered event is shared — every recipient, the gateway and the
+archive hold the same :class:`ULMMessage` — so handlers must not mutate
+it (``copy()`` first).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Union
 
-from ...ulm import ULMMessage, decode as ulm_decode, from_xml, parse as parse_ulm
+from ...ulm import ULMMessage
 from ..subscriptions import (DEFAULT_BUFFER_LIMIT, Delivery,
                              SubscriptionHandle, SubscriptionSpec,
                              sensor_key_for)
@@ -87,7 +93,6 @@ class Consumer:
         #: (gateway name, sub id) -> handle, for network-delivery demux
         self._wire_handles: dict[tuple, SubscriptionHandle] = {}
         self._recv_port: Optional[int] = None
-        self._extra_handlers: list[Callable[[ULMMessage], None]] = []
 
     # -- discovery -----------------------------------------------------------
 
@@ -211,23 +216,13 @@ class Consumer:
     # -- delivery ---------------------------------------------------------------------
 
     def _handle_delivery(self, msg, _transport) -> None:
-        payload = msg.payload
-        fmt = payload.get("fmt", "ulm")
-        wire = payload.get("wire")
+        wire_key, frame = msg.payload
         try:
-            if fmt == "ulm":
-                event = parse_ulm(wire)
-            elif fmt == "xml":
-                event = from_xml(wire)
-            elif fmt == "binary":
-                event = ulm_decode(wire)
-            else:
-                raise ValueError(f"unknown format {fmt!r}")
-        except Exception:
+            event = frame.message()
+        except ValueError:
             self.decode_errors += 1
             return
-        handle = self._wire_handles.get((payload.get("gw"),
-                                         payload.get("sub")))
+        handle = self._wire_handles.get(wire_key)
         if handle is not None:
             # the handle buffers the event and fans out to attached
             # callbacks — self._accept among them
@@ -238,11 +233,6 @@ class Consumer:
     def _accept(self, event: ULMMessage) -> None:
         self.received += 1
         self.on_event(event)
-        for handler in self._extra_handlers:
-            handler(event)
-
-    def add_handler(self, handler: Callable[[ULMMessage], None]) -> None:
-        self._extra_handlers.append(handler)
 
     def on_event(self, event: ULMMessage) -> None:
         """Subclass hook."""

@@ -25,6 +25,13 @@ The gateway also:
   fans out (§2.3) — and nothing at all flows for sensors nobody
   subscribed to.
 
+Events cross both links as :class:`~repro.ulm.Frame` objects.  The
+gateway renders each requested format at most once per event, hands its
+``ulm`` subscribers the text it received at intake, and every recipient
+of an event (remote consumers, callbacks, ``last_event``) holds the
+*same* :class:`ULMMessage`, which nobody may mutate.  A malformed
+intake wire is dropped and counted (``intake_decode_errors``).
+
 Subscriptions are opened from a typed :class:`SubscriptionSpec` via
 :meth:`EventGateway.open`, which returns a first-class
 :class:`SubscriptionHandle` (see :mod:`repro.core.subscriptions` and
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..simgrid.kernel import Simulator
-from ..ulm import ULMMessage, encode, serialize, to_xml
+from ..ulm import Frame, ULMMessage, serialize
 from .filters import AllEvents, EventFilter, EventNames
 from .subscriptions import (Delivery, SubscriptionHandle, SubscriptionMode,
                             SubscriptionSpec)
@@ -56,16 +63,6 @@ class GatewayError(RuntimeError):
     pass
 
 
-def _render(msg: ULMMessage, fmt: str):
-    if fmt == "ulm":
-        return serialize(msg)
-    if fmt == "xml":
-        return to_xml(msg)
-    if fmt == "binary":
-        return encode(msg)
-    raise GatewayError(f"unknown event format {fmt!r}")
-
-
 @dataclass(slots=True)
 class Subscription:
     """One consumer's event channel (or query registration)."""
@@ -77,6 +74,9 @@ class Subscription:
     fmt: str = "ulm"
     callback: Optional[Callable] = None      # in-process delivery
     remote: Optional[tuple] = None           # (host, port) delivery
+    #: ``(gateway name, sub id)``, sent beside every frame: the
+    #: consumer's key to the owning handle
+    wire_key: Optional[tuple] = None
     principal: Any = None
     delivered: int = 0
     filtered: int = 0
@@ -106,7 +106,7 @@ class Subscription:
     fail_cb: Optional[Callable] = None
     ok_cb: Optional[Callable] = None
     # -- backpressure (remote delivery only) --------------------------------
-    #: bounded queue of rendered-but-unsent events; the fast path (no
+    #: bounded queue of rendered-but-unsent frames; the fast path (no
     #: throttle, empty queue) bypasses it entirely
     outbox: deque = field(default_factory=deque)
     outbox_limit: int = 256
@@ -233,6 +233,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         self.events_in = 0
         self.events_delivered = 0
         self.events_filtered = 0
+        #: malformed wires dropped at the intake port
+        self.intake_decode_errors = 0
         # backpressure accounting — every shed event lands in exactly
         # one policy bucket, so drops are never silent
         self.events_shed = 0
@@ -298,8 +300,10 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
 
     # -- event path ---------------------------------------------------------------
 
-    def ingest(self, sensor_name: str, msg: ULMMessage) -> None:
-        """One event arrives from a sensor."""
+    def ingest(self, sensor_name: str, msg: ULMMessage,
+               frame: Optional[Frame] = None) -> None:
+        """One event arrives from a sensor, with the ``frame`` it
+        crossed the network in (that format is not rendered again)."""
         if not self.up:
             return  # a crashed gateway commits nothing
         handle = self._handles.get(sensor_name)
@@ -319,7 +323,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         # delivery of this event (§2.3: the producer's cost must not
         # grow with the consumer count — neither should the gateway's
         # rendering cost)
-        rendered: dict[str, Any] = {}
+        rendered: dict[str, Frame] = \
+            {} if frame is None else {frame.fmt: frame}
         for sub in generic:
             if not sub.event_filter.accept(msg):
                 sub.filtered += 1
@@ -345,31 +350,30 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             self.sim.call_in(0.0, sub.callback, msg)
         elif sub.remote is not None and self.transport is not None \
                 and self.host is not None:
-            wire = rendered.get(sub.fmt)
-            if wire is None:
-                wire = rendered[sub.fmt] = _render(msg, sub.fmt)
+            frame = rendered.get(sub.fmt)
+            if frame is None:
+                frame = rendered[sub.fmt] = Frame.of(msg, sub.fmt)
             if sub.drain_rate is None and not sub.outbox \
                     and not sub.blocked and not sub.degraded:
                 # fast path: unthrottled and nothing queued ahead
                 sub.delivered += 1
                 self.events_delivered += 1
-                self._send_wire(sub, wire)
+                self._send_frame(sub, frame)
             else:
-                self._enqueue(sub, msg, wire)
+                self._enqueue(sub, msg, frame)
 
-    def _send_wire(self, sub: Subscription, wire: Any) -> None:
+    def _send_frame(self, sub: Subscription, frame: Frame) -> None:
         dst_host, dst_port = sub.remote
-        size = len(wire) if isinstance(wire, (str, bytes)) else 256
         self.transport.send(self.host, dst_host, dst_port,
-                            {"sub": sub.sub_id, "gw": self.name,
-                             "fmt": sub.fmt, "wire": wire},
-                            size_bytes=size,
+                            (sub.wire_key, frame),
+                            size_bytes=frame.size,
                             on_fail=sub.fail_cb,
                             on_delivered=sub.ok_cb)
 
     # -- backpressure: bounded outboxes + drain pump -----------------------------
 
-    def _enqueue(self, sub: Subscription, msg: ULMMessage, wire: Any) -> None:
+    def _enqueue(self, sub: Subscription, msg: ULMMessage,
+                 frame: Frame) -> None:
         """Queue one rendered event for a throttled/backed-up consumer,
         applying the subscription's overflow policy at the cap."""
         if sub.degraded:
@@ -393,7 +397,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             policy = sub.overflow_policy
             if policy == "drop_oldest":
                 sub.outbox.popleft()
-                sub.outbox.append(wire)
+                sub.outbox.append(frame)
                 sub.dropped_oldest += 1
                 self.shed_by_policy["drop_oldest"] += 1
             elif policy == "drop_newest":
@@ -411,7 +415,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                 sub.shed_degraded += 1
                 self.shed_by_policy["degrade"] += 1
         else:
-            sub.outbox.append(wire)
+            sub.outbox.append(frame)
             depth = len(sub.outbox)
             if depth > sub.outbox_peak:
                 sub.outbox_peak = depth
@@ -435,10 +439,10 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         if sub.sub_id not in self._subs or sub.paused or not self.up:
             return
         if sub.outbox:
-            wire = sub.outbox.popleft()
+            frame = sub.outbox.popleft()
             sub.delivered += 1
             self.events_delivered += 1
-            self._send_wire(sub, wire)
+            self._send_frame(sub, frame)
         depth = len(sub.outbox)
         if depth * 2 <= sub.outbox_limit:
             sub.blocked = False
@@ -461,7 +465,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             event="SUB_DEGRADED_SUMMARY",
             fields={"SHED": shed, "FROM": sub.degrade_from, "TO": now})
         sub.summaries_sent += 1
-        self._send_wire(sub, _render(summary, sub.fmt))
+        self._send_frame(sub, Frame.of(summary, sub.fmt))
 
     def throttle_consumer(self, host_name: str,
                           rate: Optional[float]) -> int:
@@ -521,6 +525,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             sub.callback = handle._dispatch
         elif delivery.kind == "remote":
             sub.remote = delivery.address
+            sub.wire_key = (self.name, sub.sub_id)
             sub.fail_cb = lambda exc, _s=sub: self._note_send_failure(_s)
             sub.ok_cb = lambda _msg, _s=sub: setattr(_s, "fail_count", 0)
             if sub.outbox_limit > self.outbox_limit_max:
@@ -688,13 +693,13 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
     def _handle_intake(self, msg, _transport) -> None:
         """Events forwarded from a remote sensor host (one message per
         event, regardless of consumer count — §2.3)."""
-        from ..ulm import parse as parse_ulm
-        payload = msg.payload
+        sensor_name, frame = msg.payload
         try:
-            event = parse_ulm(payload["wire"])
-        except Exception:
+            event = frame.message()
+        except ValueError:
+            self.intake_decode_errors += 1
             return
-        self.ingest(payload["sensor"], event)
+        self.ingest(sensor_name, event, frame)
 
     # -- networked request handling ------------------------------------------------------------
 
@@ -770,6 +775,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                 "events_in": self.events_in,
                 "events_delivered": self.events_delivered,
                 "events_filtered": self.events_filtered,
+                "intake_decode_errors": self.intake_decode_errors,
                 "events_shed": self.events_shed,
                 "shed_by_policy": dict(self.shed_by_policy),
                 "sub_overflows": self.sub_overflows,

@@ -30,7 +30,7 @@ from typing import Any, Optional
 
 from ..simgrid.kernel import Timeout, WaitEvent
 from ..simgrid.sockets import ignore_failure
-from ..ulm import serialize
+from ..ulm import Frame
 from .config import ConfigError, JAMMConfig
 from .gateway import EventGateway, INTAKE_PORT
 from .portmon import PortMonitorAgent
@@ -417,10 +417,11 @@ class SensorManager:
         dst = gateway.host
 
         def relay(msg) -> None:
-            wire = serialize(msg)
-            transport.send(src, dst, INTAKE_PORT,
-                           {"sensor": sensor_name, "wire": wire},
-                           size_bytes=len(wire), on_fail=ignore_failure)
+            # the event's one encode: the gateway reads the frame's
+            # message and hands this same ULM text to its subscribers
+            frame = Frame.of(msg, "ulm")
+            transport.send(src, dst, INTAKE_PORT, (sensor_name, frame),
+                           size_bytes=frame.size, on_fail=ignore_failure)
         return relay
 
     # -- directory upkeep -------------------------------------------------------------------

@@ -85,8 +85,8 @@ class Delivery:
 
     * ``Delivery.callback(fn)`` — in-process; ``fn`` may be ``None``
       when the handle's buffer / attached callbacks are the consumer;
-    * ``Delivery.remote(host, port)`` — rendered events pushed over the
-      simulated network to a bound port;
+    * ``Delivery.remote(host, port)`` — events pushed over the simulated
+      network to a bound port as ``((gateway, sub id), Frame)`` pairs;
     * ``Delivery.none()`` — no event channel (query mode).
     """
 

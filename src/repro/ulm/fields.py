@@ -21,7 +21,7 @@ import re
 __all__ = [
     "DATE", "HOST", "PROG", "LVL", "NL_EVNT", "REQUIRED_FIELDS",
     "REQUIRED_SET", "LEVELS", "EPOCH", "check_token", "format_date",
-    "parse_date", "is_valid_field_name", "FieldError",
+    "parse_date", "quantize_date", "is_valid_field_name", "FieldError",
 ]
 
 DATE = "DATE"
@@ -86,6 +86,15 @@ def format_date(wallclock_s: float) -> str:
         raise FieldError(f"negative wall-clock time: {wallclock_s}")
     sec, usec = divmod(int(round(wallclock_s * 1e6)), 1_000_000)
     return f"{_stamp_of_second(sec)}.{usec:06d}"
+
+
+def quantize_date(wallclock_s: float) -> float:
+    """``parse_date(format_date(d))`` without the text: the value a DATE
+    has after crossing a ULM or XML wire.  The same float expression as
+    :func:`parse_date` (whole seconds plus ``usec / 1e6``), so the two
+    agree bit for bit."""
+    sec, usec = divmod(int(round(wallclock_s * 1e6)), 1_000_000)
+    return sec + usec / 1e6
 
 
 def parse_date(text: str) -> float:

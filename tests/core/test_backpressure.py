@@ -33,7 +33,7 @@ def build(reap_threshold: int = 3):
     gateway.register_sensor(sensor)
     received = []
     consumer_host.ports.bind(
-        PORT, lambda msg, _t: received.append(parse_ulm(msg.payload["wire"])))
+        PORT, lambda msg, _t: received.append(parse_ulm(msg.payload[1].wire)))
     return world, gateway, sensor, consumer_host, received
 
 
@@ -239,7 +239,7 @@ class TestThrottleScoping:
         other_got = []
         other_host.ports.bind(
             PORT,
-            lambda msg, _t: other_got.append(parse_ulm(msg.payload["wire"])))
+            lambda msg, _t: other_got.append(parse_ulm(msg.payload[1].wire)))
         open_remote(gw, consumer_host, limit=4)
         gw.open(SubscriptionSpec(
             sensor="vmstat", delivery=Delivery.remote(other_host, PORT)))

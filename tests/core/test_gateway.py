@@ -160,17 +160,22 @@ class TestFormats:
         for fmt in ("ulm", "xml", "binary"):
             received[fmt] = []
             consumer_host.ports.bind(
-                port, lambda m, t, f=fmt: received[f].append(m.payload))
+                port, lambda m, t, f=fmt: received[f].append(m.payload[1]))
             gw.open(SubscriptionSpec(
                 sensor.name, fmt=fmt,
                 delivery=Delivery.remote(consumer_host, port)))
             port += 1
         world.run(until=2.5)
-        ulm_events = [parse_ulm(p["wire"]) for p in received["ulm"]]
-        xml_events = [from_xml(p["wire"]) for p in received["xml"]]
-        bin_events = [decode(p["wire"]) for p in received["binary"]]
+        ulm_events = [parse_ulm(f.wire) for f in received["ulm"]]
+        xml_events = [from_xml(f.wire) for f in received["xml"]]
+        bin_events = [decode(f.wire) for f in received["binary"]]
         assert len(ulm_events) == len(xml_events) == len(bin_events) == 3
         assert ulm_events == xml_events == bin_events
+        # the message each frame carries is what its wire decodes to
+        for fmt, events in (("ulm", ulm_events), ("xml", xml_events),
+                            ("binary", bin_events)):
+            assert [f.fmt for f in received[fmt]] == [fmt] * 3
+            assert [f.message() for f in received[fmt]] == events
 
     def test_unknown_format_rejected_at_subscribe(self):
         world, _h, gw, sensor = setup()
@@ -232,10 +237,10 @@ class TestRenderOnceFanOut:
         return world, gw, sensor, consumer
 
     def test_render_called_once_per_distinct_format(self, monkeypatch):
-        import repro.core.gateway as gateway_mod
+        from repro.ulm import Frame
         world, gw, sensor, consumer = self._remote_gateway()
         calls = []
-        real_render = gateway_mod._render
+        real_render = Frame.of
 
         def counting_render(msg, fmt):
             # hold the message itself: a bare id() could be reused by a
@@ -243,7 +248,7 @@ class TestRenderOnceFanOut:
             calls.append((msg, fmt))
             return real_render(msg, fmt)
 
-        monkeypatch.setattr(gateway_mod, "_render", counting_render)
+        monkeypatch.setattr(Frame, "of", staticmethod(counting_render))
         # ten subscribers over two formats -> at most 2 renders/event
         for i in range(10):
             gw.open(SubscriptionSpec(

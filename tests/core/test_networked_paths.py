@@ -37,7 +37,9 @@ class TestGatewayWireProtocol:
         assert reply.value["ok"]
         assert reply.value["sub_id"] > 0
         assert len(deliveries) >= 3
-        event = parse_ulm(deliveries[0]["wire"])
+        wire_key, frame = deliveries[0]
+        assert wire_key == ("gw0", reply.value["sub_id"])
+        event = parse_ulm(frame.wire)
         assert event.event == "CPU_USAGE"
 
     def test_subscribe_with_wire_filter_spec(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.core import JAMMConfig, JAMMDeployment
 from repro.core.gateway import INTAKE_PORT
 from repro.simgrid import GridWorld
+from repro.ulm import Frame
 
 
 def multi_gateway_world(n_hosts=8, seed=90):
@@ -89,9 +90,12 @@ class TestEventPathEdgeCases:
     def test_malformed_intake_wire_is_dropped_not_fatal(self):
         world, sensor_host, gw_host, jamm, gw = self.setup_pair()
         world.transport.send(sensor_host, gw_host, INTAKE_PORT,
-                             {"sensor": "cpu@s", "wire": "NOT ULM AT ALL"})
+                             ("cpu@s", Frame("ulm", "NOT ULM AT ALL")))
         world.run(until=1.0)
-        assert gw.events_in == 0  # dropped silently
+        assert gw.events_in == 0
+        # dropped, but never silently
+        assert gw.intake_decode_errors == 1
+        assert gw.stats()["intake_decode_errors"] == 1
 
     def test_intake_for_unknown_sensor_ignored(self):
         world, sensor_host, gw_host, jamm, gw = self.setup_pair()
@@ -99,9 +103,10 @@ class TestEventPathEdgeCases:
         wire = serialize(ULMMessage(date=0.0, host="s", prog="x",
                                     event="E"))
         world.transport.send(sensor_host, gw_host, INTAKE_PORT,
-                             {"sensor": "ghost", "wire": wire})
+                             ("ghost", Frame("ulm", wire)))
         world.run(until=1.0)
         assert gw.events_in == 0
+        assert gw.intake_decode_errors == 0  # well-formed, just unknown
 
     def test_consumer_counts_decode_errors(self):
         world, sensor_host, gw_host, jamm, gw = self.setup_pair()
@@ -109,7 +114,7 @@ class TestEventPathEdgeCases:
         collector.subscribe_all("(sensortype=cpu)")
         port = collector._ensure_recv_port()
         world.transport.send(gw_host, sensor_host, port,
-                             {"fmt": "ulm", "wire": "garbage line"})
+                             (None, Frame("ulm", "garbage line")))
         world.run(until=3.0)
         assert collector.decode_errors == 1
         assert collector.received > 0  # real events still flow

@@ -1,8 +1,8 @@
 """Tier-1 guard: the work one idle send does, counted, not timed.
 
-``test_throughput_floor.py`` holds a wall-clock floor an order of
-magnitude under reality, so a slow box never trips it — and neither
-would a 5x regression.  This gate cannot flake: it counts the Python
+A wall-clock floor low enough that a slow box never trips it lets a 5x
+regression through as well.  This gate (like the codec budget in
+``test_throughput_floor.py``) cannot flake: it counts the Python
 function calls inside ``MessageTransport.send`` (``'call'`` events under
 ``sys.setprofile``) for sends spaced so that every hop's queue is idle.
 A route's hops are charged inline from its stored plan, so the count

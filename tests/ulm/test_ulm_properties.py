@@ -4,8 +4,9 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ulm import (ULMMessage, decode, encode, from_xml, parse,
-                       serialize, to_xml)
+from repro.ulm import (Frame, ULMMessage, decode, encode, format_date,
+                       from_xml, parse, parse_date, quantize_date, serialize,
+                       to_xml)
 
 token = st.text(alphabet=string.ascii_letters + string.digits + ".-_",
                 min_size=1, max_size=30)
@@ -83,3 +84,74 @@ def test_ascii_roundtrip_quoting_heavy(values):
     parsed = parse(serialize(msg))
     assert parsed == msg
     assert parsed.fields == msg.fields
+
+
+# -- the wire frame vs. re-decoding its wire ------------------------------------
+#
+# A frame carries the message its wire stands for, and receivers read
+# that instead of decoding.  These properties are what makes that safe:
+# the carried message is what a decode of the wire returns — DATE
+# compared as a float, not at ``__eq__``'s microsecond tolerance.
+
+# dates that sit on, just under and just over a microsecond or a whole
+# second: where rounding to the wire's quantum can carry
+awkward_dates = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.9999995, 12.9999995, 59.9999994999,
+                     86399.9999996, 1e-7, 4.9e-7, 5e-7, 123456.000001,
+                     2.5e8 + 0.1234565]),
+    st.integers(0, 3 * 10**8).map(float),
+    st.integers(0, 3 * 10**14).map(lambda us: us / 1e6),
+    st.floats(min_value=0, max_value=3e8, allow_nan=False,
+              allow_infinity=False))
+
+frame_values = st.one_of(
+    st.just(""), field_value, quoting_heavy_value,
+    st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFFFF,
+                                   blacklist_categories=("Cs",),
+                                   blacklist_characters="\ufffe\uffff"),
+            max_size=20))
+
+
+@st.composite
+def frame_messages(draw):
+    msg = ULMMessage(date=draw(awkward_dates), host=draw(token),
+                     prog=draw(token), lvl="Usage",
+                     event=draw(st.one_of(st.none(), token)))
+    # the binary format's ceiling, now and then; a handful otherwise
+    n_fields = draw(st.one_of(st.integers(0, 6),
+                              st.just(255 - len(msg.fields))))
+    for i in range(n_fields):
+        msg.set(f"F{i}", draw(frame_values) if i < 8 else str(i))
+    return msg
+
+
+_CODECS = {"ulm": (serialize, parse), "xml": (to_xml, from_xml),
+           "binary": (encode, decode)}
+
+
+@given(frame_messages())
+@settings(max_examples=300, deadline=None)
+def test_frame_message_is_what_its_wire_decodes_to(msg):
+    for fmt, (render, read) in _CODECS.items():
+        frame = Frame.of(msg, fmt)
+        carried, decoded = frame.message(), read(frame.wire)
+        assert decoded == carried
+        assert decoded.date == carried.date      # the float, not ~1 us
+        assert list(decoded.fields.items()) == list(carried.fields.items())
+        # the wire is the carried message's own rendering, and its size
+        # is what the link is charged
+        assert render(carried) == frame.wire
+        assert frame.size == len(frame.wire)
+        # a frame that arrives bare decodes to the same thing
+        bare = Frame(fmt, frame.wire).message()
+        assert bare == carried and bare.date == carried.date
+    assert Frame.of(msg, "binary").message() is msg
+
+
+@given(awkward_dates)
+@settings(max_examples=500, deadline=None)
+def test_quantize_date_is_format_then_parse(d):
+    q = quantize_date(d)
+    assert q == parse_date(format_date(d))
+    assert quantize_date(q) == q            # canonical dates stay put
+    assert format_date(q) == format_date(d)
