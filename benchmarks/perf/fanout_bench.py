@@ -53,9 +53,15 @@ class _StubTransport:
     def __init__(self):
         self.sent = 0
 
+    def ephemeral_port(self):
+        return 32768
+
     def send(self, src, dst, dst_port, payload, *, size_bytes=0,
-             on_fail=None, on_delivered=None):
+             src_port=None, on_fail=None, on_delivered=None):
         self.sent += 1
+
+    def send_burst(self, src, deliveries, *, traffic_class="monitoring"):
+        self.sent += len(deliveries)
 
 
 def build_gateway(n_subs: int, *, names_filtered: bool):

@@ -27,6 +27,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from ...simgrid.kernel import EventFlag, Simulator, Timeout
+from ...simgrid.sockets import ignore_failure
 from .entry import DN, Entry
 from .filterlang import (AndFilter, EqualityFilter, OrFilter, SearchFilter,
                          parse_filter_cached)
@@ -265,6 +266,7 @@ class PersistentSearch:
     search_filter: SearchFilter
     callback: Optional[Callable[[str, Entry], None]] = None
     remote: Optional[tuple] = None  # (host, port) for networked notify
+    src_port: Optional[int] = None  # the notify stream's one source port
 
 
 class DirectoryServer:
@@ -443,6 +445,8 @@ class DirectoryServer:
             psearch_id=next(self._psearch_ids), base=DN.of(base),
             search_filter=parse_filter_cached(filter_text),
             callback=callback, remote=remote)
+        if remote is not None and self.transport is not None:
+            ps.src_port = self.transport.ephemeral_port()
         self._psearches[ps.psearch_id] = ps
         return ps.psearch_id
 
@@ -465,7 +469,8 @@ class DirectoryServer:
                     self.host, dst_host, dst_port,
                     {"psearch": ps.psearch_id, "op": op,
                      "entry": snapshot.to_dict()},
-                    size_bytes=400, on_fail=lambda exc: None)
+                    size_bytes=400, src_port=ps.src_port,
+                    on_fail=ignore_failure)
 
     # -- networked service ------------------------------------------------------------
 

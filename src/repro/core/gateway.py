@@ -23,7 +23,9 @@ The gateway also:
 * keeps the producer's cost flat in the number of consumers: one event
   crosses from the monitored host to the gateway once, and the gateway
   fans out (§2.3) — and nothing at all flows for sensors nobody
-  subscribed to.
+  subscribed to.  The gateway's own cost per consumer stays small: one
+  event's unqueued remote deliveries leave as one ``send_burst``, each
+  on its subscription's own source port, and ``AllEvents`` never runs.
 
 Events cross both links as :class:`~repro.ulm.Frame` objects.  The
 gateway renders each requested format at most once per event, hands its
@@ -77,6 +79,8 @@ class Subscription:
     #: ``(gateway name, sub id)``, sent beside every frame: the
     #: consumer's key to the owning handle
     wire_key: Optional[tuple] = None
+    #: the stream's one source port on the gateway host, minted at open
+    src_port: Optional[int] = None
     principal: Any = None
     delivered: int = 0
     filtered: int = 0
@@ -146,7 +150,9 @@ class _SensorHandle:
     events_in: int = 0
     # fan-out index, rebuilt on subscription churn (rare) so the
     # per-event path (hot) never scans non-matching subscriptions:
-    #: stream subs that need their filter invoked on every event
+    #: ``(sub, accept)`` for the stream subs ``ingest`` visits on every
+    #: event: the filter's bound ``accept``, or None for ``AllEvents``
+    #: (which is not evaluated)
     generic: list = field(default_factory=list)
     #: NL.EVNT -> stream subs whose EventNames filter names it
     by_event: dict = field(default_factory=dict)
@@ -169,7 +175,8 @@ class _SensorHandle:
                     self.by_event.setdefault(event_name, []).append(sub)
                 self.indexed_subs.append(sub)
             else:
-                self.generic.append(sub)
+                self.generic.append(
+                    (sub, None if type(flt) is AllEvents else flt.accept))
 
     def reconcile_filtered(self) -> int:
         """Bring subscriptions' ``filtered`` counters current.
@@ -325,25 +332,30 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         # rendering cost)
         rendered: dict[str, Frame] = \
             {} if frame is None else {frame.fmt: frame}
-        for sub in generic:
-            if not sub.event_filter.accept(msg):
+        # the event's unqueued remote deliveries, in fan-out order: they
+        # leave this host at one instant, as one transport operation
+        burst: list = []
+        for sub, accept in generic:
+            if accept is not None and not accept(msg):
                 sub.filtered += 1
                 self.events_filtered += 1
                 continue
-            self._deliver(sub, msg, rendered)
+            self._deliver(sub, msg, rendered, burst)
         if indexed:
             matching = handle.by_event.get(msg.event)
             if matching is not None:
                 # the index already proved NL.EVNT membership; accept()
                 # is not invoked for these subscriptions
                 for sub in matching:
-                    self._deliver(sub, msg, rendered)
+                    self._deliver(sub, msg, rendered, burst)
                 self.events_filtered += indexed - len(matching)
             else:
                 self.events_filtered += indexed
+        if burst:
+            self.transport.send_burst(self.host, burst)
 
     def _deliver(self, sub: Subscription, msg: ULMMessage,
-                 rendered: dict) -> None:
+                 rendered: dict, burst: list) -> None:
         if sub.callback is not None:
             sub.delivered += 1
             self.events_delivered += 1
@@ -358,7 +370,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                 # fast path: unthrottled and nothing queued ahead
                 sub.delivered += 1
                 self.events_delivered += 1
-                self._send_frame(sub, frame)
+                burst.append((*sub.remote, (sub.wire_key, frame), frame.size,
+                              sub.src_port, sub.fail_cb, sub.ok_cb))
             else:
                 self._enqueue(sub, msg, frame)
 
@@ -366,7 +379,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         dst_host, dst_port = sub.remote
         self.transport.send(self.host, dst_host, dst_port,
                             (sub.wire_key, frame),
-                            size_bytes=frame.size,
+                            size_bytes=frame.size, src_port=sub.src_port,
                             on_fail=sub.fail_cb,
                             on_delivered=sub.ok_cb)
 
@@ -526,6 +539,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         elif delivery.kind == "remote":
             sub.remote = delivery.address
             sub.wire_key = (self.name, sub.sub_id)
+            if self.transport is not None:
+                sub.src_port = self.transport.ephemeral_port()
             sub.fail_cb = lambda exc, _s=sub: self._note_send_failure(_s)
             sub.ok_cb = lambda _msg, _s=sub: setattr(_s, "fail_count", 0)
             if sub.outbox_limit > self.outbox_limit_max:

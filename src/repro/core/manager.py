@@ -415,13 +415,15 @@ class SensorManager:
         transport = self.transport
         src = self.host
         dst = gateway.host
+        src_port = transport.ephemeral_port()   # the stream's one port
 
         def relay(msg) -> None:
             # the event's one encode: the gateway reads the frame's
             # message and hands this same ULM text to its subscribers
             frame = Frame.of(msg, "ulm")
             transport.send(src, dst, INTAKE_PORT, (sensor_name, frame),
-                           size_bytes=frame.size, on_fail=ignore_failure)
+                           size_bytes=frame.size, src_port=src_port,
+                           on_fail=ignore_failure)
         return relay
 
     # -- directory upkeep -------------------------------------------------------------------

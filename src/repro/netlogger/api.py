@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Union
 
+from ..simgrid.sockets import ignore_failure
 from ..ulm import ULMMessage, serialize
 
 __all__ = ["NetLogger", "Destination", "MemoryDestination", "FileDestination",
@@ -91,13 +92,14 @@ class HostDestination(Destination):
         self.src_host = src_host
         self.dst_host = dst_host
         self.port = port
+        self.src_port = transport.ephemeral_port()
         self.sent = 0
 
     def emit(self, msg: ULMMessage) -> None:
         wire = serialize(msg)
         self.transport.send(self.src_host, self.dst_host, self.port, wire,
-                            size_bytes=len(wire),
-                            on_fail=lambda exc: None)
+                            size_bytes=len(wire), src_port=self.src_port,
+                            on_fail=ignore_failure)
         self.sent += 1
 
 

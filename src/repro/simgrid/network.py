@@ -383,8 +383,7 @@ class Path:
       on a link only affects paths crossing it the lossy way;
     * ``plan`` — per hop ``(link, direction index, drain rate in
       bytes/s, the sending node's interface counters, the receiving
-      node's)``: what ``MessageTransport.send`` charges an idle hop
-      from without a call.
+      node's)``: what :meth:`charge` walks for ``MessageTransport``.
 
     :class:`Network` drops every cached ``Path`` when any link changes
     (see ``Network._epoch``), so what ``route()`` returns is always
@@ -416,6 +415,52 @@ class Path:
                 self.bottleneck_hop, self.bottleneck_bps = i, link.bandwidth_bps
         self.plan = tuple(plan)
         self.loss_rate = 1.0 - keep
+
+    def charge(self, size: int, npackets: int, now: float,
+               traffic_class: str) -> Optional[float]:
+        """Charge one datagram sent at ``now`` to every hop: its output
+        queue (single-timestamp approximation: backlog ahead of the
+        message becomes delivery delay), utilization window, per-class
+        bytes and both interfaces' counters.  Returns the queuing delay
+        summed over the hops, or None when a full queue ate the datagram
+        whole — a congestion drop at that hop, silent like link loss:
+        the sender saw a successful send, only the discard counters
+        (which the monitoring path polls) notice.  One pass, no call per
+        hop; the arithmetic is :meth:`Link.queue_offer_dir`'s with
+        ``atomic=True``, addition for addition."""
+        qdelay = 0.0
+        window_s = Link.UTIL_WINDOW_S
+        for link, d, rate, out, inn in self.plan:
+            busy = link._q_busy_until
+            ahead = busy[d]
+            if ahead <= now:    # transmitter free: nothing can overflow
+                busy[d] = now + size / rate
+            else:
+                waited = ahead - now
+                if waited > link.queue_peak_s[d]:
+                    link.queue_peak_s[d] = waited
+                if size > link.queue_bytes - waited * rate:
+                    link.queue_drops[d] += 1
+                    link.queue_dropped_bytes[d] += size
+                    inn.discards += npackets
+                    return None
+                busy[d] = ahead + size / rate
+                link.queue_delay_total_s[d] += waited
+                qdelay += waited
+            if now - link._win_start[d] >= window_s:
+                elapsed = now - link._win_start[d]
+                link._win_rate_bps[d] = link._win_bytes[d] * 8.0 / elapsed
+                link._win_start[d] = now
+                link._win_bytes[d] = size
+            else:
+                link._win_bytes[d] += size
+            carried = link.class_bytes
+            carried[traffic_class] = carried.get(traffic_class, 0) + size
+            out.out_octets += size
+            out.out_packets += npackets
+            inn.in_octets += size
+            inn.in_packets += npackets
+        return qdelay
 
 
 class Network:

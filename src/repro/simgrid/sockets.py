@@ -6,6 +6,10 @@ reliable datagrams: a message from host A to host B on port P arrives
 after path propagation latency plus serialization at the bottleneck
 link, updating per-port traffic counters on both ends (feeding the port
 monitor) and SNMP interface counters on every transited node.
+:meth:`MessageTransport.send_burst` is the k datagrams one host emits
+at one instant (a gateway's fan-out of one event): exactly k sends, for
+less host time.  A stream owns one source port: long-lived senders mint
+it once (:meth:`MessageTransport.ephemeral_port`), not per message.
 
 Bulk data transfers (DPSS reads, iperf) do NOT use this module — they
 use the congestion-controlled :mod:`repro.simgrid.tcp` model.
@@ -21,7 +25,7 @@ from typing import Any, Callable, Optional
 
 from .host import Host
 from .kernel import EventFlag, Simulator
-from .network import Link, NoRouteError
+from .network import NoRouteError
 
 __all__ = ["Message", "MessageTransport", "DeliveryError", "ignore_failure"]
 
@@ -236,47 +240,12 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                         break
                 self.messages_lost += 1
                 return msg
-        # shared-link queues + delivered-traffic accounting.  Each hop's
-        # output queue is charged at send time (single-timestamp
-        # approximation); backlog ahead of this message becomes extra
-        # delivery delay, and a full queue eats the datagram whole.
-        # An idle hop (transmitter free: nothing queued, nothing can
-        # overflow) is charged right here from the route's plan — the
-        # same arithmetic as Link.queue_offer_dir, which only a
-        # backlogged hop calls.
-        qdelay = 0.0
-        now = self.sim.now
-        window_s = Link.UTIL_WINDOW_S
-        for link, d, rate, out, inn in plan:
-            busy = link._q_busy_until
-            if busy[d] <= now:
-                busy[d] = now + size / rate
-                if now - link._win_start[d] >= window_s:
-                    elapsed = now - link._win_start[d]
-                    link._win_rate_bps[d] = link._win_bytes[d] * 8.0 / elapsed
-                    link._win_start[d] = now
-                    link._win_bytes[d] = size
-                else:
-                    link._win_bytes[d] += size
-                carried = link.class_bytes
-                carried[traffic_class] = carried.get(traffic_class, 0) + size
-            else:
-                accepted, waited = link.queue_offer_dir(
-                    d, size, now, traffic_class, True)
-                if not accepted:
-                    # queue overflow: congestion drop at this hop.
-                    # Silent like link loss — the sender saw a
-                    # successful send, neither callback fires; only the
-                    # discard counters (which the monitoring path
-                    # polls) notice.
-                    inn.discards += npackets
-                    self.messages_lost_congestion += 1
-                    return msg
-                qdelay += waited
-            out.out_octets += size
-            out.out_packets += npackets
-            inn.in_octets += size
-            inn.in_packets += npackets
+        # shared-link queues + delivered-traffic accounting: charged at
+        # send time, hop by hop, from the route's plan
+        qdelay = path.charge(size, npackets, self.sim.now, traffic_class)
+        if qdelay is None:
+            self.messages_lost_congestion += 1
+            return msg
         self.queue_delay_s += qdelay
         dst.ports.record(dst_port, bytes_in=size, packets_in=npackets)
         delay = (path.latency_s + (size * 8.0) / path.bottleneck_bps + qdelay) \
@@ -322,6 +291,93 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
             self.sim.call_at(when, self._deliver_batch, when)
         batch.append((msg, on_fail, on_delivered))
         return msg
+
+    def ephemeral_port(self) -> int:
+        """A fresh source port (from the counter :meth:`request` draws
+        reply ports from).  A stream owns one source port: a long-lived
+        sender mints it once and passes it on every send, so a host's
+        :class:`PortTable` grows with its flows, not its messages."""
+        return next(self._ephemeral)
+
+    def send_burst(self, src: Host, deliveries, *,
+                   traffic_class: str = "monitoring") -> None:
+        """The messages one host emits at one instant (a gateway's
+        fan-out of one event), each ``(dst, dst_port, payload,
+        size_bytes, src_port, on_fail, on_delivered)``: exactly one
+        :meth:`send` per delivery, in order — the same message ids,
+        float additions, watermarks, arrival instants and overflow drops
+        — with the up check, route and port table resolved once per
+        destination host.  A delivery off the clean path (an end down,
+        no route, a lossy or zero-hop path, any flaky host, no source
+        port) goes through :meth:`send`; that may run ``on_fail`` —
+        anything — so hosts are resolved afresh after it."""
+        sim, now = self.sim, self.sim.now
+        header, mtu = self.HEADER_BYTES, self.MTU
+        msg_ids, arrivals, flow_clock = \
+            self._msg_ids, self._arrivals, self._flow_clock
+        src_name, src_ports = src.name, src.ports
+        routes: dict = {}       # dst host -> what send derives from it
+        per_host_sent, per_host_bytes, class_bytes = \
+            self.per_host_sent, self.per_host_bytes, self.class_bytes
+        for dst, dst_port, payload, size_bytes, src_port, on_fail, \
+                on_delivered in deliveries:
+            route = routes.get(dst)
+            if route is None:
+                route = False
+                if src.up and dst.up and not self._flaky_hosts:
+                    try:
+                        path = self.network.route(src.node, dst.node)
+                        if path.plan and path.loss_rate == 0.0:
+                            route = (path.charge, path.latency_s,
+                                     path.bottleneck_bps, dst.name, dst.ports)
+                    except NoRouteError:
+                        pass
+                routes[dst] = route
+            if not route or src_port is None:
+                self.send(src, dst, dst_port, payload, size_bytes=size_bytes,
+                          src_port=src_port, traffic_class=traffic_class,
+                          on_fail=on_fail, on_delivered=on_delivered)
+                routes.clear()
+                continue
+            charge, latency_s, bottleneck_bps, dst_name, dst_ports = route
+            size = size_bytes + header
+            npackets = max(1, (size + mtu - 1) // mtu)
+            msg = Message(src, dst, src_port, dst_port, payload, size,
+                          next(msg_ids), now)
+            self.messages_sent += 1
+            self.bytes_sent += size
+            per_host_sent[src_name] = per_host_sent.get(src_name, 0) + 1
+            per_host_bytes[src_name] = per_host_bytes.get(src_name, 0) + size
+            class_bytes[traffic_class] = class_bytes.get(traffic_class, 0) + size
+            act = src_ports._activity.get(src_port) \
+                or src_ports.activity(src_port)
+            act.bytes_out += size
+            act.packets_out += npackets
+            act.last_activity = now
+            qdelay = charge(size, npackets, now, traffic_class)
+            if qdelay is None:
+                self.messages_lost_congestion += 1
+                continue
+            self.queue_delay_s += qdelay
+            act = dst_ports._activity.get(dst_port) \
+                or dst_ports.activity(dst_port)
+            act.bytes_in += size
+            act.packets_in += npackets
+            act.last_activity = now
+            when = now + (latency_s + (size * 8.0) / bottleneck_bps + qdelay)
+            flow = (src_name, dst_name, dst_port)
+            prev = flow_clock.get(flow)
+            if prev is not None and when < prev:
+                when = prev
+            flow_clock[flow] = when
+            if self.messages_sent >= self._prune_at:
+                self._prune_flow_state()
+            batch = arrivals.get(when)
+            if batch is None:
+                arrivals[when] = batch = []
+                self.delivery_wakeups += 1
+                sim.call_at(when, self._deliver_batch, when)
+            batch.append((msg, on_fail, on_delivered))
 
     def _prune_flow_state(self) -> None:
         """Drop ordering watermarks that have passed: once a flow's

@@ -111,6 +111,10 @@ class TrafficGenerator:
         self.running = False
         self._proc = None
         self._bound_sink = False
+        #: the stream's one source port; what else every packet needs —
+        #: ``(transport, src, dst, payload bytes)`` — :meth:`start` resolves
+        self.src_port = world.transport.ephemeral_port()
+        self._flow: Optional[tuple] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -118,7 +122,10 @@ class TrafficGenerator:
         if self.running:
             return self
         self.running = True
+        transport = self.world.transport
         dst = self.world.hosts[self.spec.dst]
+        self._flow = (transport, self.world.hosts[self.spec.src], dst, max(
+            1, self.spec.packet_bytes - transport.HEADER_BYTES))
         if dst.ports.listener(self.spec.port) is None:
             dst.ports.bind(self.spec.port, lambda msg, tr: None)
             self._bound_sink = True
@@ -147,13 +154,10 @@ class TrafficGenerator:
 
     def _send_one(self) -> None:
         spec = self.spec
-        src = self.world.hosts[spec.src]
-        dst = self.world.hosts[spec.dst]
-        transport = self.world.transport
-        payload_bytes = max(1, spec.packet_bytes - transport.HEADER_BYTES)
+        transport, src, dst, payload_bytes = self._flow
         msg = transport.send(
             src, dst, spec.port, None, size_bytes=payload_bytes,
-            traffic_class=spec.traffic_class,
+            src_port=self.src_port, traffic_class=spec.traffic_class,
             on_fail=ignore_failure)
         if msg is None:
             self.send_failures += 1

@@ -24,6 +24,12 @@ in-process sensor, and holds it to the model:
 The model never decides what an overflow policy sheds — it reads the
 gateway's own counters and checks that they add up.
 
+A pass-everything subscription is not evaluated at all: every test in
+this file runs with ``AllEvents.accept`` replaced by a function that
+raises, while ``EventNames`` (indexed), ``OnChange`` and ``Threshold``
+(stateful, evaluated on every event, in subscription order) share the
+fan-out with them.
+
 Checked against three mutations of ``core/gateway.py``: ``reindex``
 keeping paused subscriptions in the fan-out lists, ``reindex`` entering
 only the first name of an ``EventNames`` set, and ``ingest`` forgetting
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
@@ -46,7 +53,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.core import EventGateway, JAMMConfig
 from repro.core.consumers.base import Consumer
-from repro.core.filters import EventNames, OnChange, Threshold
+from repro.core.filters import AllEvents, EventNames, OnChange, Threshold
 from repro.core.manager import SensorManager
 from repro.core.subscriptions import Delivery, SubscriptionSpec
 from repro.simgrid import GridWorld
@@ -61,8 +68,16 @@ SLOW, FAST = "c1", "c0"
 #: long enough for a LAN hop to land, short against the throttled rates
 STEP = 0.02
 
+
+@pytest.fixture(autouse=True)
+def all_events_is_never_evaluated(monkeypatch):
+    def accept(self, msg):
+        raise AssertionError("ingest evaluated an AllEvents filter")
+    monkeypatch.setattr(AllEvents, "accept", accept)
+
+
 kinds = st.one_of(
-    st.just(("all",)),
+    st.just(("all",)), st.just(("all", "explicit")),
     st.tuples(st.just("names"),
               st.frozensets(st.sampled_from(NAMES), min_size=1, max_size=2)),
     st.just(("on-change",)),
@@ -98,7 +113,8 @@ def reference_filter(kind: tuple):
 
 def make_filter(kind: tuple):
     if kind[0] == "all":
-        return None
+        # the spec's default, or the same filter spelled out
+        return AllEvents() if len(kind) > 1 else None
     if kind[0] == "names":
         return EventNames(sorted(kind[1]))
     if kind[0] == "on-change":

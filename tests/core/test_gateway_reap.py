@@ -100,6 +100,31 @@ class TestReap:
         assert len(received) == 4
 
 
+    def test_reap_inside_a_fan_out_burst_spares_the_rest_of_it(self):
+        """One event's remote deliveries leave as one transport burst.
+        A dead consumer's send fails synchronously in the middle of it —
+        ``on_fail`` -> reap -> unsubscribe -> reindex — and the items
+        behind it are still sent; every item was counted as delivered
+        before the burst left, as a lone send always was."""
+        world, gw, sensor, dead_host, _ = build(reap_threshold=1)
+        live_host = world.add_host("live.lbl.gov")
+        world.lan([live_host], switch="sw")
+        got = []
+        live_host.ports.bind(PORT, lambda msg, _t: got.append(msg))
+        first_dead = open_remote(gw, dead_host)
+        live = open_remote(gw, live_host)
+        last_dead = open_remote(gw, dead_host)
+        dead_host.crash()
+        emit(world, sensor, 2)
+        assert first_dead.reaped and last_dead.reaped and not live.reaped
+        assert gw.subs_reaped == 2
+        assert len(got) == 2
+        assert gw.events_delivered == 3 + 1     # both dead ones: event 1 only
+        assert [h.stats()["delivered"] for h in (first_dead, live, last_dead)] \
+            == [1, 2, 1]
+        assert world.transport.messages_dropped == 2
+
+
 class TestHandleRacingReap:
     def test_close_after_reap_is_idempotent(self):
         world, gw, sensor, consumer_host, _ = build()

@@ -4,9 +4,13 @@ protocol, directory remote operations, and RMI-exported managers."""
 import pytest
 
 from repro.core import EventGateway, GATEWAY_PORT, JAMMConfig, JAMMDeployment
+from repro.core.consumers.base import Consumer
 from repro.core.directory import DirectoryClient, DirectoryServer, LDAPBackend
+from repro.core.gateway import INTAKE_PORT
+from repro.core.manager import SensorManager
 from repro.core.sensors import CPUSensor
 from repro.core.subscriptions import SubscriptionSpec
+from repro.netlogger import NetLogDaemon, NetLogger
 from repro.simgrid import GridWorld, RMIDaemon, WaitEvent
 from repro.ulm import parse as parse_ulm
 
@@ -194,3 +198,62 @@ class TestRMIBoundManager:
         assert results[1][1] is True
         assert results[2][1] is True
         assert not manager.sensors["cpu"].running
+
+
+class TestStreamsOwnOneSourcePort:
+    def test_port_tables_are_bounded_by_flows_not_messages(self):
+        """Every long-lived sender mints its source port once: a sensor
+        host's relay, a gateway subscription, the directory's
+        persistent-search notifier, a NetLogger sender and a background
+        traffic generator.  After the first round of traffic no host's
+        port table grows, however many messages follow, and the gateway
+        host shows one port per subscription beside its intake."""
+        world = GridWorld(seed=72)
+        hosts = s_host, g_host, c_host, d_host = [
+            world.add_host(name) for name in ("s", "g", "c", "d")]
+        world.lan(hosts, switch="sw")
+        gw = EventGateway(world.sim, name="gw0", host=g_host,
+                          transport=world.transport)
+        config = JAMMConfig()
+        config.add_sensor("probe", "cpu", mode="manual", period=1.0)
+        manager = SensorManager(world.sim, s_host, gateway=gw,
+                                transport=world.transport, config=config,
+                                supervision_interval=None)
+        manager.start()
+        consumer = Consumer(world.sim, host=c_host)
+        received = []
+        for fmt in ("ulm", "xml", "binary"):
+            consumer.subscribe(gw, spec=SubscriptionSpec(
+                sensor="probe@s", fmt=fmt)).attach(received.append)
+        server = DirectoryServer(world.sim, backend=LDAPBackend(),
+                                 host=d_host, transport=world.transport)
+        notified = []
+        c_host.ports.bind(23000, lambda m, t: notified.append(m.payload["op"]))
+        server.persistent_search("o=grid", "(objectclass=*)",
+                                 remote=(c_host, 23000))
+        server.add_now("x=1,o=grid", {"n": "0"})
+        daemon = NetLogDaemon(c_host)
+        log = NetLogger("app", host=s_host, transport=world.transport)
+        log.open((c_host, daemon.port))
+        world.start_traffic({"src": "s", "dst": "c", "rate_bps": 1e6,
+                             "packet_bytes": 1500})
+
+        def one_round(i: int) -> None:
+            manager.sensors["probe"].emit("CPU_USAGE", {"N": i})
+            server.modify_now("x=1,o=grid", {"n": str(i)})
+            log.write("Tick", N=i)
+            world.run(until=world.now + 0.05)
+
+        one_round(0)
+        tables = {h.name: len(h.ports._activity) for h in hosts}
+        for i in range(1, 300):
+            one_round(i)
+        world.stop_traffic()
+        assert len(received) == 3 * 300 and len(daemon) == 300
+        assert notified.count("modify") == 300
+        assert {h.name: len(h.ports._activity) for h in hosts} == tables
+        on_gateway = g_host.ports.ports_with_traffic()
+        assert INTAKE_PORT in on_gateway and len(on_gateway) == 1 + 3
+        # relay, NetLogger sender and traffic generator on the sensor host
+        assert len(s_host.ports.ports_with_traffic()) == 3
+        assert len(d_host.ports.ports_with_traffic()) == 1

@@ -5,25 +5,41 @@ regression through as well.  This gate (like the codec budget in
 ``test_throughput_floor.py``) cannot flake: it counts the Python
 function calls inside ``MessageTransport.send`` (``'call'`` events under
 ``sys.setprofile``) for sends spaced so that every hop's queue is idle.
-A route's hops are charged inline from its stored plan, so the count
-must be small and must not grow with the number of hops; before routes
-carried a plan this test counted 33 calls on the 2-hop route and 53 on
-the 4-hop one.
+A route's hops are charged in one pass over its stored plan
+(``Path.charge``, one call whatever their number), so the count must be
+small and must not grow with the number of hops; before routes carried
+a plan this test counted 33 calls on the 2-hop route and 53 on the
+4-hop one.
+
+The second gate counts one ``MessageTransport.send_burst`` — a
+gateway's fan-out of one event — with every hop's queue backlogged, the
+state a fan-out puts them in: three calls per message (``Message()``,
+the same ``Path.charge``, and ``Simulator.call_at`` because each lands
+at its own instant) plus a handful per burst, at any hop count.  As
+single sends the same messages cost the nine of an idle send each.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from repro.simgrid import GridWorld
 
-#: send itself, Message(), Network.route, two PortTable.record ->
-#: .activity pairs, Simulator.call_at; a little slack, far below 33
+#: send itself, Message(), Network.route, Path.charge, two
+#: PortTable.record -> .activity pairs, Simulator.call_at: nine
 MAX_CALLS_PER_IDLE_SEND = 10
+#: send_burst itself, Network.route once per destination host (3 here);
+#: a little slack
+MAX_CALLS_PER_BURST = 6
+#: Message(), Path.charge, Simulator.call_at
+MAX_CALLS_PER_BURST_MESSAGE = 3
 
 
-def calls_per_idle_send(world, src, dst, *, sends: int = 8) -> list[int]:
-    counts = []
+def count_calls(fn, *args, **kwargs) -> int:
+    """Python-level calls made by ``fn(*args, **kwargs)``.  The
+    collector is off meanwhile: a finalizer of some earlier test's
+    garbage, run by an allocation in here, is a call too."""
     calls = 0
 
     def profile(_frame, event, _arg):
@@ -31,16 +47,22 @@ def calls_per_idle_send(world, src, dst, *, sends: int = 8) -> list[int]:
         if event == "call":
             calls += 1
 
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def calls_per_idle_send(world, src, dst, *, sends: int = 8) -> list[int]:
+    counts = []
     for _ in range(sends):
         world.run(until=world.now + 1.0)      # every queue drains
-        calls = 0
-        sys.setprofile(profile)
-        try:
-            world.transport.send(src, dst, 5000, None, size_bytes=200,
-                                 src_port=4000)
-        finally:
-            sys.setprofile(None)
-        counts.append(calls)
+        counts.append(count_calls(world.transport.send, src, dst, 5000, None,
+                                  size_bytes=200, src_port=4000))
     return counts[1:]       # the first send resolves the route (BFS)
 
 
@@ -62,3 +84,39 @@ def test_idle_send_costs_the_same_on_any_route():
     assert wan[0] == lan[0], (lan, wan)
     assert world.transport.queue_delay_s == 0.0   # every hop was idle
     assert world.transport.messages_sent == 16
+
+
+def calls_per_backlogged_burst(world, src, dsts, *, k: int = 12) -> int:
+    deliveries = [(dsts[i % len(dsts)], 5000, None, 200, 4000 + i, None, None)
+                  for i in range(k)]
+    world.run(until=world.now + 1.0)
+    # the same burst once uncounted, at the same instant: it creates the
+    # port records and leaves every hop's transmitter busy
+    world.transport.send_burst(src, deliveries)
+    return count_calls(world.transport.send_burst, src, deliveries)
+
+
+def test_backlogged_burst_costs_three_calls_per_message_on_any_route():
+    world = GridWorld(seed=5)
+    a = world.add_host("a")
+    near = [world.add_host(f"n{i}") for i in range(3)]
+    far = [world.add_host(f"f{i}") for i in range(3)]
+    world.lan([a] + near, switch="swA")
+    world.lan(far, switch="swB")
+    world.wan_path("swA", "swB", routers=["r1"])
+    for host in near + far:
+        host.ports.bind(5000, lambda msg, transport: None)
+    assert world.network.route(a.node, near[0].node).hops == 2
+    assert world.network.route(a.node, far[0].node).hops == 4
+
+    k = 12
+    lan = calls_per_backlogged_burst(world, a, near, k=k)
+    queued = world.transport.queue_delay_s
+    wan = calls_per_backlogged_burst(world, a, far, k=k)
+    assert lan <= MAX_CALLS_PER_BURST + MAX_CALLS_PER_BURST_MESSAGE * k, lan
+    assert wan == lan, (lan, wan)
+    # every counted message queued behind the one before it, on every hop
+    assert 0.0 < queued < world.transport.queue_delay_s
+    assert world.transport.messages_sent == 4 * k
+    assert world.transport.messages_lost_congestion == 0
+    assert len(a.ports._activity) == k

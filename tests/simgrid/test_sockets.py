@@ -252,6 +252,30 @@ class TestFlowStateBounds:
         assert len(world.transport._flow_clock) <= 8
         assert len(world.transport._loss_rngs) <= 8
 
+    def test_a_stream_owns_one_source_port(self):
+        """5,000 sends on one flow, from a sender that minted its source
+        port once: neither end's port table grows after the first send
+        (one ``PortActivity`` per flow, not per message).  A caller that
+        passes no ``src_port`` still gets a fresh one per send."""
+        world, a, b = pair()
+        b.ports.bind(5000, lambda msg, tr: None)
+        src_port = world.transport.ephemeral_port()
+        world.transport.send(a, b, 5000, "first", src_port=src_port)
+        tables = (len(a.ports._activity), len(b.ports._activity))
+        assert tables == (1, 1)
+        for i in range(5_000):
+            world.transport.send(a, b, 5000, i, src_port=src_port)
+            if i % 100 == 0:
+                world.run()
+        world.run()
+        assert (len(a.ports._activity), len(b.ports._activity)) == tables
+        assert a.ports.ports_with_traffic() == [src_port]
+        # never a port request() could be waiting for a reply on
+        assert world.transport.ephemeral_port() > src_port
+        world.transport.send(a, b, 5000, "one-off")
+        world.transport.send(a, b, 5000, "one-off")
+        assert len(a.ports._activity) == 3
+
     def test_oneshot_skips_watermark_but_keeps_delivery(self):
         world, a, b = pair()
         got = []

@@ -1,14 +1,35 @@
 """Reference-model oracle for the route plan (ROADMAP aim 3).
 
-``MessageTransport.send`` charges an idle hop inline from the stored
-per-route plan and reads the path's latency / bottleneck / loss as
-stored values.  The trivially-correct version — resolve the route from
-scratch, re-derive every aggregate from the links as they are *now*,
-and walk ``queue_offer`` -> ``record_transit`` one hop at a time — is
-kept here as :class:`ModelTransport`.  Hypothesis drives it and the real
-transport, on twin worlds built from one seed, through one random
-interleaving of sends and link mutations, and every observable must
-come out equal with exact float equality.
+``MessageTransport.send`` charges every hop of a route in one pass over
+the stored per-route plan (``Path.charge``) and reads the path's latency
+/ bottleneck / loss as stored values.  The trivially-correct version —
+resolve the route from scratch, re-derive every aggregate from the
+links as they are *now*, and walk ``queue_offer`` -> ``record_transit``
+one hop at a time — is kept here as :class:`ModelTransport`.  Hypothesis
+drives it and the real transport, on twin worlds built from one seed,
+through one random interleaving of sends and link mutations, and every
+observable must come out equal with exact float equality.
+
+``MessageTransport.send_burst`` is held to the same model: the k
+deliveries one host emits at one instant are one ``send_burst`` on the
+real transport and k ``send`` calls on the model, interleaved with the
+same link mutations plus a crashed host, an unbound port and a flaky
+endpoint, and with bursts large enough to overflow the trunk queue
+half-way through.
+
+Checked against eight mutations, each of which fails the fixed burst
+script at the bottom of this file.  Of ``Path.charge``: adding a hop's
+``queue_delay_total_s`` after the loop instead of inside it, leaving
+``queue_peak_s`` alone on an overflowing offer, refusing a datagram
+that fills the queue exactly.  Of ``send_burst``: adding
+``queue_delay_s`` once per burst, testing for the watermark sweep once
+per burst (so it runs late), dropping the parentheses from
+``now + (latency + serialization + queued)``, skipping the destination
+port record, and keeping the resolved hosts across a fallback ``send``
+whose ``on_fail`` changed the network.  The random runs find about
+half of them, run to run — never the late sweep, the exact fill or the
+stale hosts, which need a constructed case.  All three tests pass at
+the parent commit, where a burst is a loop of ``send`` calls.
 """
 
 from __future__ import annotations
@@ -24,6 +45,7 @@ from repro.simgrid.network import TRAFFIC_CLASSES
 from repro.simgrid.sockets import Message, MessageTransport
 
 PORTS = (5000, 5001)
+UNBOUND = 5002      # nobody listens: fails on arrival, not at the send
 HOSTS = ("a1", "a2", "b1")
 #: every link of the twin topology, by name (order = index in an op)
 LINKS = ("a1--swA", "a2--swA", "b1--swB", "swA--r1", "r1--swB",
@@ -46,7 +68,8 @@ class ModelTransport(MessageTransport):
                       msg_id=next(self._msg_ids), sent_at=self.sim.now)
         if not src.up or not dst.up:
             self.messages_dropped += 1
-            exc = DeliveryError("host is down")
+            exc = DeliveryError(
+                f"host {src.name if not src.up else dst.name} is down")
             if on_fail is not None:
                 on_fail(exc)
                 return None
@@ -111,6 +134,20 @@ class ModelTransport(MessageTransport):
                 + qdelay
         else:
             delay = 1e-6
+        # the endpoint's transient faults are not the route's business:
+        # the same decisions as the real send, on the same streams
+        flaky = self._flaky_hosts.get(dst.name)
+        if flaky is not None:
+            if flaky["latency_s"] > 0.0:
+                delay += flaky["latency_s"]
+                self.flaky_delay_s += flaky["latency_s"]
+            if flaky["rate"] > 0.0 and flaky["rng"].random() < flaky["rate"]:
+                self.messages_flaky_failed += 1
+                if on_fail is not None:
+                    self.sim.call_at(
+                        self.sim.now + delay, on_fail, DeliveryError(
+                            f"transient rpc failure at {dst.name}"))
+                return msg
         when = self.sim.now + delay
         if not oneshot:
             flow = (src.name, dst.name, dst_port)
@@ -127,6 +164,14 @@ class ModelTransport(MessageTransport):
             self.sim.call_at(when, self._deliver_batch, when)
         batch.append((msg, on_fail, on_delivered))
         return msg
+
+    def send_burst(self, src, deliveries, *, traffic_class="monitoring"):
+        """What a burst is defined to be: k sends, in order."""
+        for dst, dst_port, payload, size_bytes, src_port, on_fail, \
+                on_delivered in deliveries:
+            self.send(src, dst, dst_port, payload, size_bytes=size_bytes,
+                      src_port=src_port, traffic_class=traffic_class,
+                      on_fail=on_fail, on_delivered=on_delivered)
 
 
 class Twin:
@@ -150,7 +195,10 @@ class Twin:
         self.links = {l.name: l for l in world.network.links()}
         assert tuple(self.links) == LINKS
         self.arrivals: list = []
-        self.failures: list = []
+        #: every ``on_fail`` / ``on_delivered`` call, in the order made
+        self.callbacks: list = []
+        #: ops the next ``on_fail`` applies from inside the send ("arm")
+        self.armed: list = []
         self.storms: list = []
         for host in hosts:
             for port in PORTS:
@@ -161,7 +209,12 @@ class Twin:
                               msg.msg_id, msg.dst_host.name, msg.dst_port))
 
     def _failed(self, exc) -> None:
-        self.failures.append((self.world.now, str(exc)))
+        self.callbacks.append(("fail", self.world.now, str(exc)))
+        while self.armed:
+            self.apply(self.armed.pop(0))
+
+    def _delivered(self, msg) -> None:
+        self.callbacks.append(("ok", self.world.now, msg.msg_id))
 
     def apply(self, op: tuple) -> None:
         world, kind = self.world, op[0]
@@ -170,7 +223,30 @@ class Twin:
             world.transport.send(
                 world.hosts[src], world.hosts[dst], port, tag,
                 size_bytes=size, traffic_class=cls, oneshot=oneshot,
-                src_port=4000, on_fail=self._failed)
+                src_port=4000, on_fail=self._failed,
+                on_delivered=self._delivered)
+        elif kind == "burst":
+            _, src, cls, items = op
+            world.transport.send_burst(world.hosts[src], [
+                (world.hosts[dst], port, tag, size, src_port, self._failed,
+                 self._delivered)
+                for dst, port, size, src_port, tag in items],
+                traffic_class=cls)
+        elif kind == "arm":
+            self.armed.append(op[1])
+        elif kind == "host":
+            host = world.hosts[op[1]]
+            if op[2]:
+                host.restart()
+            else:
+                host.crash()
+        elif kind == "flaky":
+            _, name, rate, latency_s = op
+            if rate is None:
+                world.transport.clear_flaky_host(name)
+            else:
+                world.transport.set_flaky_host(name, rate=rate,
+                                               latency_s=latency_s, seed=1)
         elif kind == "loss":
             _, name, rate, toward = op
             link = self.links[name]
@@ -196,12 +272,14 @@ class Twin:
         now = world.now
         out = {
             "arrivals": self.arrivals,
-            "failures": self.failures,
+            "callbacks": self.callbacks,
             "transport": {name: getattr(tr, name) for name in (
                 "messages_sent", "bytes_sent", "messages_lost",
                 "messages_lost_congestion", "messages_dropped",
+                "messages_flaky_failed", "flaky_delay_s",
                 "queue_delay_s", "delivery_wakeups", "class_bytes",
-                "per_host_sent", "per_host_bytes")},
+                "per_host_sent", "per_host_bytes", "_flow_clock",
+                "_prune_at")},
             "storms": [(g.packets_sent, g.send_failures)
                        for g in self.storms],
         }
@@ -231,6 +309,16 @@ sends = st.tuples(
     st.just("send"), st.sampled_from(HOSTS), st.sampled_from(HOSTS),
     st.sampled_from(PORTS), sizes, st.sampled_from(TRAFFIC_CLASSES),
     st.booleans(), tags)
+# one host's deliveries of one instant: up to a dozen, to any host
+# (itself included) and port, on a stream's own source port or a minted
+# one; twelve jumbo ones overflow the trunk queue half-way through
+bursts = st.tuples(
+    st.just("burst"), st.sampled_from(HOSTS), st.sampled_from(TRAFFIC_CLASSES),
+    st.lists(st.tuples(st.sampled_from(HOSTS),
+                       st.sampled_from(PORTS + (UNBOUND,)),
+                       st.one_of(sizes, st.integers(1, 60_000)),
+                       st.sampled_from([4000, 4001, None]), tags),
+             min_size=1, max_size=12))
 waits = st.tuples(st.just("wait"),
                   st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.0, 2.5]))
 mutations = st.one_of(
@@ -248,10 +336,15 @@ mutations = st.one_of(
               st.sampled_from([2 * WAN_BPS, 6 * WAN_BPS]),
               st.sampled_from([1500, 8192]),
               st.sampled_from([0.2, 1.5]), st.integers(0, 3)),
+    st.tuples(st.just("host"), st.sampled_from(HOSTS), st.booleans()),
+    st.tuples(st.just("flaky"), st.sampled_from(HOSTS),
+              st.sampled_from([None, 0.0, 0.5]),
+              st.sampled_from([0.0, 0.05])),
 )
 # mostly sends: any mutation drops every cached route, so a stale plan
 # only shows when the same pair sends on both sides of one mutation
-ops = st.one_of(sends, sends, sends, sends, waits, waits, mutations)
+ops = st.one_of(sends, sends, sends, bursts, bursts, bursts, waits, waits,
+                mutations)
 
 
 def run_twins(seed: int, script: list) -> tuple[Twin, Twin]:
@@ -309,3 +402,66 @@ def test_each_mutator_between_two_sends_of_one_pair():
     assert took[5] > took[1] + 5e-3                 # queued behind the storm
     assert took[4] > 60_000 * 8 / 1e6               # the narrowed trunk
     assert took[9] - took[8] > 4e-3                 # one more WAN segment
+
+
+def test_burst_is_k_sends_through_overflow_and_every_fallback():
+    """The burst oracle on one fixed script: a mixed burst (two hosts,
+    the sender itself, an unbound port, a minted source port), a dozen
+    jumbo messages that overflow the trunk queue half-way through, a
+    crashed destination, a flaky one, a blackholed and then a
+    partitioned trunk between two items' hosts, and enough small bursts
+    for the watermark sweep to fall inside one — and checks the script
+    really reached those states."""
+    def burst(src, items, cls="monitoring"):
+        return ("burst", src, cls, items)
+    mixed = [("b1", 5000, 200, 4000, 1), ("a2", 5001, 1436, 4001, 2),
+             ("a1", 5000, 1, None, 3), ("b1", UNBOUND, 200, 4000, 4),
+             ("b1", 5000, 9000, None, 5)]
+    jumbo = [("b1", 5000 + i % 2, 60_000, 4000 + i % 2, 100 + i)
+             for i in range(12)]
+    pair = [("b1", 5000, 200, 4000, 0), ("a2", 5000, 200, 4000, 0),
+            ("b1", 5001, 9000, 4001, 0)]
+    script = [
+        burst("a1", mixed), burst("a1", jumbo, "bulk"), ("wait", 1.0),
+        # the crashed host's on_fail slows the trunk: the rest of the
+        # burst is on the network as it is now
+        ("host", "a2", False), ("arm", ("latency", "r1--swB", 0.2)),
+        burst("a1", pair), ("host", "a2", True),
+        ("latency", "r1--swB", 5e-3), ("wait", 1.0),
+        # 125 kB behind 125 kB on an idle 250 kB queue: exactly full
+        burst("a2", [("b1", 5000, 125_000 - 64, 4000, 60 + i)
+                     for i in range(2)]),
+        ("wait", 1.0),
+        ("flaky", "b1", 0.5, 0.05),
+        burst("a2", [("b1", 5000, 200, 4000, 30 + i) for i in range(8)]),
+        ("flaky", "b1", None, 0.0),
+        ("loss", "swA--r1", 1.0, 2), burst("a1", pair),
+        ("loss", "swA--r1", 0.0, 0),
+        ("updown", "r1--swB", False), burst("a1", pair),
+        ("updown", "r2--r3", False), burst("a1", pair),
+        ("updown", "r1--swB", True), ("wait", 1.0),
+    ]
+    for i in range(24):
+        script += [burst("a1", [(("b1", "a2")[j % 2], 5000 + j % 2, 200,
+                                 4000, 1000 + 12 * i + j)
+                                for j in range(12)]), ("wait", 0.3)]
+    real, model = run_twins(11, script)
+    got = real.observables()
+    assert got == model.observables()
+    tr = real.world.transport
+    arrived = {a[0] for a in got["arrivals"]}
+    assert {1, 2, 3, 5, 60, 61} <= arrived and 4 not in arrived
+    took = [a[2] - a[1] for a in got["arrivals"] if a[0] == 0]
+    assert took[1] > 0.2 > took[0]      # 3rd of the pair: slowed mid-burst
+    assert 0 < len(arrived & set(range(100, 112))) < 12     # overflowed
+    assert tr.messages_lost_congestion == 12 - len(arrived & set(range(100, 112)))
+    assert tr.messages_lost == 2                # the blackholed pair to b1
+    assert tr.messages_dropped == 1 + 1 + 2     # unbound, crashed, no route
+    assert 0 < tr.messages_flaky_failed < 8
+    assert tr.flaky_delay_s > 0.0
+    assert tr._prune_at == 512      # swept at send 256: 4th of a burst
+    fails = [text for kind, _, text in got["callbacks"] if kind == "fail"]
+    # the unbound port fails on arrival, the crashed host inside the burst
+    assert [text.split()[0] for text in fails[:2]] == ["no", "host"]
+    assert sum(text.startswith("transient") for text in fails) \
+        == tr.messages_flaky_failed
