@@ -1,10 +1,10 @@
 """Shared benchmark infrastructure.
 
 Every benchmark regenerates one of the paper's figures or headline
-results (see DESIGN.md §4 for the experiment index).  The `benchmark`
-fixture is used with ``pedantic(rounds=1)`` — these are scientific
-reproductions, not micro-benchmarks, and one deterministic run is the
-measurement.
+results (see DESIGN.md §4 for the experiment index).  These are
+scientific reproductions, not micro-benchmarks: one deterministic run
+is the measurement, so the :func:`once` fixture is a plain call and the
+suite needs nothing beyond pytest.
 
 Each benchmark prints a paper-vs-measured table via :func:`report`; the
 same numbers are recorded in EXPERIMENTS.md.
@@ -30,8 +30,7 @@ def report(exp_id: str, title: str, rows: list) -> None:
 
 
 def matisse_topology(seed: int = 1, *, wan_segment_latency: float = 10e-3):
-    """The paper's Fig. 5 testbed (same builder as tests/conftest.py,
-    duplicated here because pytest-benchmark runs from benchmarks/)."""
+    """The paper's Fig. 5 testbed (same builder as tests/conftest.py)."""
     world = GridWorld(seed=seed)
     servers = [world.add_host(f"dpss{i}.lbl.gov") for i in range(1, 5)]
     gw_host = world.add_host("gw.lbl.gov")
@@ -55,9 +54,8 @@ def lan_topology(seed: int = 1):
 
 
 @pytest.fixture
-def once(benchmark):
-    """Run a scenario exactly once under pytest-benchmark timing."""
+def once():
+    """Run a scenario exactly once."""
     def run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
+        return fn(*args, **kwargs)
     return run

@@ -16,7 +16,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from repro.core import EventGateway
-from repro.core.filters import EventNames
+from repro.core.filters import AllEvents, EventNames
 from repro.core.subscriptions import Delivery, SubscriptionSpec
 from repro.simgrid import Simulator
 
@@ -94,8 +94,11 @@ def run(quick: bool = False) -> dict:
                 msg.set("NL.EVNT", f"EVNT_{i % max(sub_counts)}")
         for n_subs in sub_counts:
             gw, transport = build_gateway(n_subs, names_filtered=names_filtered)
-            handle = gw._handles["vmstat"]
-            subs = list(handle.subscriptions)
+            # the seed loop reads a record per subscription
+            subs = [SimpleNamespace(
+                        mode=h.spec.mode.value, fmt=h.spec.fmt.value,
+                        event_filter=h.spec.event_filter or AllEvents())
+                    for h in gw._handles["vmstat"].subscriptions]
             # the seed loop is O(subs) renders per event — cap its work
             # so the 1000-subscriber point stays affordable
             batch = events if n_subs <= 100 else events[:max(20, n_events // 10)]

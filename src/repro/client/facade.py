@@ -450,7 +450,7 @@ class ClientSession:
         """Give ``handle`` delivery tracking — a fresh tracker, or a
         predecessor's (resubscribe) so dedupe spans the reconnect."""
         if tracker is None:
-            if getattr(handle, "_heal_tracker", None) is not None:
+            if handle._heal_tracker is not None:
                 return
             tracker = _StreamTracker()
             self._trackers.append(tracker)
@@ -484,7 +484,7 @@ class ClientSession:
         healed = 0
         now = self.client.sim.now
         for handle in list(self.handles):
-            if not handle.reaped or getattr(handle, "superseded", False):
+            if not handle.reaped or handle.superseded:
                 continue
             key = handle.spec.sensor
             if not self._resilience.retry_ready(_EDGE_RESUBSCRIBE, key,
@@ -503,7 +503,7 @@ class ClientSession:
             for handle in list(self.handles):
                 if handle.closed:
                     continue
-                tracker = getattr(handle, "_heal_tracker", None)
+                tracker = handle._heal_tracker
                 if tracker is None:
                     continue
                 if handle.paused:
@@ -589,17 +589,16 @@ class ClientSession:
         # over the tracker (watermark + dedupe state spans the
         # reconnect), and the dead handle leaves the session entirely
         # so repeated crashes don't grow the watchdog's scan set
-        dead_tracker = getattr(dead, "_heal_tracker", None)
+        dead_tracker = dead._heal_tracker
         if dead_tracker is not None:
-            fresh = getattr(replacement, "_heal_tracker", None)
+            fresh = replacement._heal_tracker
             if fresh is not None and fresh in self._trackers:
                 self._trackers.remove(fresh)
             self._track(replacement, tracker=dead_tracker)
         dead.superseded = True
         if dead in self._consumer.handles:
             self._consumer.handles.remove(dead)
-        self._consumer._wire_handles.pop(
-            (dead.gateway.name, dead.sub_id), None)
+        self._consumer._wire_handles.pop(dead.wire_key, None)
         self.resubscribes += 1
         self._replay(replacement)
         return True
@@ -611,7 +610,7 @@ class ClientSession:
         if self._heal_archive is None or handle.paused:
             return
         key = handle.spec.sensor
-        tracker = getattr(handle, "_heal_tracker", None)
+        tracker = handle._heal_tracker
         floor = tracker.replay_floor if tracker is not None else 0.0
         t0 = max(0.0, floor - self._replay_slack)
         max_seen = floor

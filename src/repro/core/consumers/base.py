@@ -193,9 +193,8 @@ class Consumer:
         handle = gateway.open(spec)
         handle.attach(self._accept)
         self.handles.append(handle)
-        if handle.spec.delivery is not None and \
-                handle.spec.delivery.kind == "remote":
-            self._wire_handles[(gateway.name, handle.sub_id)] = handle
+        if handle.remote is not None:
+            self._wire_handles[handle.wire_key] = handle
         return handle
 
     def unsubscribe_all(self) -> None:

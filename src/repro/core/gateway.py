@@ -35,26 +35,33 @@ of an event (remote consumers, callbacks, ``last_event``) holds the
 intake wire is dropped and counted (``intake_decode_errors``).
 
 Subscriptions are opened from a typed :class:`SubscriptionSpec` via
-:meth:`EventGateway.open`, which returns a first-class
-:class:`SubscriptionHandle` (see :mod:`repro.core.subscriptions` and
-the :mod:`repro.client` facade).
+:meth:`EventGateway.open`.  The :class:`SubscriptionHandle` it returns
+*is* the subscription (see :mod:`repro.core.subscriptions`): the
+gateway keeps no record of its own beside it — ``_subs`` and the
+per-sensor fan-out lists hold the handles, the outbox, backpressure
+flags and counters are the handle's slots — and every way a
+subscription ends (``handle.close()``, the networked ``unsubscribe``
+op, a dead-consumer reap, a host crash, a retired sensor) is
+:meth:`EventGateway.unsubscribe`, after which the gateway no longer
+touches the handle.  Nothing on the event path counts filtered events:
+``filtered`` is derived from one identity on the handle, and
+``events_filtered`` is the sum of those.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..simgrid.kernel import Simulator
 from ..ulm import Frame, ULMMessage, serialize
-from .filters import AllEvents, EventFilter, EventNames
+from .filters import AllEvents, EventNames
 from .subscriptions import (Delivery, SubscriptionHandle, SubscriptionMode,
                             SubscriptionSpec)
 from .summaries import SummaryService
 
-__all__ = ["EventGateway", "Subscription", "GatewayError", "GATEWAY_PORT"]
+__all__ = ["EventGateway", "GatewayError", "GATEWAY_PORT"]
 
 GATEWAY_PORT = 14840
 #: port on which gateways accept forwarded events from remote sensor hosts
@@ -66,85 +73,10 @@ class GatewayError(RuntimeError):
 
 
 @dataclass(slots=True)
-class Subscription:
-    """One consumer's event channel (or query registration)."""
-
-    sub_id: int
-    sensor_name: str
-    mode: str                      # "stream" | "query"
-    event_filter: EventFilter
-    fmt: str = "ulm"
-    callback: Optional[Callable] = None      # in-process delivery
-    remote: Optional[tuple] = None           # (host, port) delivery
-    #: ``(gateway name, sub id)``, sent beside every frame: the
-    #: consumer's key to the owning handle
-    wire_key: Optional[tuple] = None
-    #: the stream's one source port on the gateway host, minted at open
-    src_port: Optional[int] = None
-    principal: Any = None
-    delivered: int = 0
-    filtered: int = 0
-    #: the sensor's events_in when this subscription opened — lets the
-    #: index path reconstruct ``filtered`` without touching skipped
-    #: subscriptions per event (see _SensorHandle.reconcile_filtered)
-    events_at_subscribe: int = 0
-    #: True when routed through the NL.EVNT index (EventNames filter):
-    #: ``filtered`` is then reconstructed by formula, never counted
-    indexed: bool = False
-    #: paused subscriptions are dropped from the fan-out structures, so
-    #: the per-event hot path never sees them
-    paused: bool = False
-    #: sensor events_in when the current pause began (missed events are
-    #: folded into ``filtered`` on resume / reconcile)
-    pause_mark: int = 0
-    #: the SubscriptionHandle this subscription was opened as — notified
-    #: when the gateway tears the subscription down (reap, crash, or an
-    #: out-of-band unsubscribe), so handle state can never go stale
-    handle: Any = None
-    #: consecutive undeliverable sends (dead-consumer detection; reset
-    #: by the transport's delivery ack, so a flapping link that heals
-    #: before ``reap_threshold`` failures never reaps a live consumer)
-    fail_count: int = 0
-    #: per-subscription failure/ack callbacks, built once at open time
-    #: so the per-event remote path allocates nothing extra
-    fail_cb: Optional[Callable] = None
-    ok_cb: Optional[Callable] = None
-    # -- backpressure (remote delivery only) --------------------------------
-    #: bounded queue of rendered-but-unsent frames; the fast path (no
-    #: throttle, empty queue) bypasses it entirely
-    outbox: deque = field(default_factory=deque)
-    outbox_limit: int = 256
-    overflow_policy: str = "drop_oldest"
-    #: events/s the drain pump releases; None = unthrottled
-    drain_rate: Optional[float] = None
-    #: True from the moment the outbox hits its cap until the consumer
-    #: drains it to half (hysteresis, so the flag doesn't flap)
-    overflow: bool = False
-    blocked: bool = False       # block policy engaged (intake shed)
-    degraded: bool = False      # degrade policy engaged (summary-only)
-    outbox_peak: int = 0
-    overflow_events: int = 0    # times the outbox hit its cap
-    dropped_oldest: int = 0
-    dropped_newest: int = 0
-    dropped_blocked: int = 0
-    shed_degraded: int = 0
-    summaries_sent: int = 0
-    #: degrade-window accounting feeding the summary event
-    degrade_from: float = 0.0
-    degrade_shed_mark: int = 0
-    #: the scheduled drain-pump call, if one is pending
-    pump: Any = None
-
-    @property
-    def shed_total(self) -> int:
-        return (self.dropped_oldest + self.dropped_newest
-                + self.dropped_blocked + self.shed_degraded)
-
-
-@dataclass(slots=True)
 class _SensorHandle:
     sensor: Any
     manager: Any = None
+    #: every open :class:`SubscriptionHandle` on this sensor
     subscriptions: list = field(default_factory=list)
     last_event: Optional[ULMMessage] = None
     events_in: int = 0
@@ -156,56 +88,24 @@ class _SensorHandle:
     generic: list = field(default_factory=list)
     #: NL.EVNT -> stream subs whose EventNames filter names it
     by_event: dict = field(default_factory=dict)
-    #: stream subs reached only through ``by_event``
-    indexed_subs: list = field(default_factory=list)
 
     def reindex(self) -> None:
         self.generic = []
         self.by_event = {}
-        self.indexed_subs = []
         for sub in self.subscriptions:
-            if sub.mode != "stream" or sub.paused:
+            if sub.spec.mode is not SubscriptionMode.STREAM or sub.paused:
                 continue
-            flt = sub.event_filter
+            flt = sub.spec.event_filter
             if type(flt) is EventNames:
                 # the index *is* the filter: an event reaches exactly
                 # the subs whose name set contains its NL.EVNT, so
                 # accept() never runs for these
                 for event_name in flt.names:
                     self.by_event.setdefault(event_name, []).append(sub)
-                self.indexed_subs.append(sub)
             else:
                 self.generic.append(
-                    (sub, None if type(flt) is AllEvents else flt.accept))
-
-    def reconcile_filtered(self) -> int:
-        """Bring subscriptions' ``filtered`` counters current.
-
-        The hot path never touches skipped subscriptions, so indexed
-        counters are reconstructed on observation (every event ingested
-        since subscribing was either delivered or filtered), and events
-        missed by paused subscriptions are folded in.  Returns the
-        number of pause-gap events newly accounted, so the gateway can
-        keep its aggregate ``events_filtered`` consistent with the sum
-        of the per-subscription counters."""
-        pause_gap = 0
-        for sub in self.subscriptions:
-            if sub.mode != "stream":
-                continue
-            if sub.paused:
-                gap = self.events_in - sub.pause_mark
-                sub.pause_mark = self.events_in
-                pause_gap += gap
-                if not sub.indexed:
-                    sub.filtered += gap
-            if sub.indexed:
-                # queued and shed events were routed to the sub but not
-                # (or not yet) delivered — they are neither "filtered"
-                # nor "delivered", so both subtract out
-                sub.filtered = (self.events_in - sub.events_at_subscribe
-                                - sub.delivered - sub.shed_total
-                                - len(sub.outbox))
-        return pause_gap
+                    (sub, None if flt is None or type(flt) is AllEvents
+                     else flt.accept))
 
 
 class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
@@ -229,7 +129,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         self.subs_reaped = 0
         self.subs_dropped_on_crash = 0
         self._handles: dict[str, _SensorHandle] = {}
-        self._subs: dict[int, Subscription] = {}
+        self._subs: dict[int, SubscriptionHandle] = {}
         # per-gateway id sequence: ids must not depend on how many
         # gateways (or simulations) ran earlier in the process
         self._sub_ids = itertools.count(1)
@@ -239,7 +139,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             directory=directory)
         self.events_in = 0
         self.events_delivered = 0
-        self.events_filtered = 0
+        #: what torn-down subscriptions had filtered (see events_filtered)
+        self._filtered_closed = 0
         #: malformed wires dropped at the intake port
         self.intake_decode_errors = 0
         # backpressure accounting — every shed event lands in exactly
@@ -273,11 +174,13 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                                                    manager=manager)
 
     def unregister_sensor(self, sensor_name: str) -> None:
-        handle = self._handles.pop(sensor_name, None)
+        """Retire a sensor; its subscribers are torn down as reaped."""
+        handle = self._handles.get(sensor_name)
         if handle is None:
             return
         for sub in list(handle.subscriptions):
-            self._subs.pop(sub.sub_id, None)
+            self.unsubscribe(sub.sub_id, reaped=True)
+        del self._handles[sensor_name]
         self._set_forwarding(handle, False)
 
     def sensors(self) -> list[str]:
@@ -323,8 +226,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         if spec is not None:
             self.summaries.ingest_event(sensor_name, msg, spec)
         generic = handle.generic
-        indexed = len(handle.indexed_subs)
-        if not generic and not indexed:
+        by_event = handle.by_event
+        if not generic and not by_event:
             return  # nobody streams this sensor: no fan-out work at all
         # one render per distinct requested format, shared by every
         # delivery of this event (§2.3: the producer's cost must not
@@ -336,35 +239,27 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         # leave this host at one instant, as one transport operation
         burst: list = []
         for sub, accept in generic:
-            if accept is not None and not accept(msg):
-                sub.filtered += 1
-                self.events_filtered += 1
-                continue
+            if accept is None or accept(msg):
+                self._deliver(sub, msg, rendered, burst)
+        # the index already proved NL.EVNT membership; accept() is not
+        # invoked for these subscriptions
+        for sub in by_event.get(msg.event, ()):
             self._deliver(sub, msg, rendered, burst)
-        if indexed:
-            matching = handle.by_event.get(msg.event)
-            if matching is not None:
-                # the index already proved NL.EVNT membership; accept()
-                # is not invoked for these subscriptions
-                for sub in matching:
-                    self._deliver(sub, msg, rendered, burst)
-                self.events_filtered += indexed - len(matching)
-            else:
-                self.events_filtered += indexed
         if burst:
             self.transport.send_burst(self.host, burst)
 
-    def _deliver(self, sub: Subscription, msg: ULMMessage,
+    def _deliver(self, sub: SubscriptionHandle, msg: ULMMessage,
                  rendered: dict, burst: list) -> None:
-        if sub.callback is not None:
+        if sub.remote is None:
+            # in-process: events route through the handle's dispatch, so
+            # ``handle.events()`` and attached callbacks observe them
             sub.delivered += 1
             self.events_delivered += 1
-            self.sim.call_in(0.0, sub.callback, msg)
-        elif sub.remote is not None and self.transport is not None \
-                and self.host is not None:
-            frame = rendered.get(sub.fmt)
+            self.sim.call_in(0.0, sub._dispatch, msg)
+        elif self.transport is not None and self.host is not None:
+            frame = rendered.get(sub.wire_fmt)
             if frame is None:
-                frame = rendered[sub.fmt] = Frame.of(msg, sub.fmt)
+                frame = rendered[sub.wire_fmt] = Frame.of(msg, sub.wire_fmt)
             if sub.drain_rate is None and not sub.outbox \
                     and not sub.blocked and not sub.degraded:
                 # fast path: unthrottled and nothing queued ahead
@@ -375,7 +270,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             else:
                 self._enqueue(sub, msg, frame)
 
-    def _send_frame(self, sub: Subscription, frame: Frame) -> None:
+    def _send_frame(self, sub: SubscriptionHandle, frame: Frame) -> None:
         dst_host, dst_port = sub.remote
         self.transport.send(self.host, dst_host, dst_port,
                             (sub.wire_key, frame),
@@ -385,7 +280,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
 
     # -- backpressure: bounded outboxes + drain pump -----------------------------
 
-    def _enqueue(self, sub: Subscription, msg: ULMMessage,
+    def _enqueue(self, sub: SubscriptionHandle, msg: ULMMessage,
                  frame: Frame) -> None:
         """Queue one rendered event for a throttled/backed-up consumer,
         applying the subscription's overflow policy at the cap."""
@@ -402,12 +297,11 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             self.shed_by_policy["block"] += 1
             self._ensure_pump(sub)
             return
-        if len(sub.outbox) >= sub.outbox_limit:
+        if len(sub.outbox) >= sub.spec.outbox_limit:
             sub.overflow = True
-            sub.overflow_events += 1
             self.sub_overflows += 1
             self.events_shed += 1
-            policy = sub.overflow_policy
+            policy = sub.spec.overflow
             if policy == "drop_oldest":
                 sub.outbox.popleft()
                 sub.outbox.append(frame)
@@ -436,7 +330,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                     self.outbox_peak = depth
         self._ensure_pump(sub)
 
-    def _ensure_pump(self, sub: Subscription) -> None:
+    def _ensure_pump(self, sub: SubscriptionHandle) -> None:
         if sub.pump is not None or sub.paused or not self.up:
             return
         if not sub.outbox and not sub.degraded:
@@ -447,38 +341,39 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             sub.pump = self.sim.call_in(1.0 / sub.drain_rate,
                                         self._pump_one, sub)
 
-    def _pump_one(self, sub: Subscription) -> None:
+    def _pump_one(self, sub: SubscriptionHandle) -> None:
         sub.pump = None
-        if sub.sub_id not in self._subs or sub.paused or not self.up:
+        if sub.closed or sub.paused or not self.up:
             return
         if sub.outbox:
             frame = sub.outbox.popleft()
             sub.delivered += 1
             self.events_delivered += 1
             self._send_frame(sub, frame)
+            if sub.closed:
+                return  # undeliverable once too often: the send reaped it
         depth = len(sub.outbox)
-        if depth * 2 <= sub.outbox_limit:
+        if depth * 2 <= sub.spec.outbox_limit:
             sub.blocked = False
             sub.overflow = sub.overflow and sub.degraded
         if depth == 0 and sub.degraded:
+            sub.degraded = sub.overflow = False
             self._send_degrade_summary(sub)
-            sub.degraded = False
-            sub.overflow = False
         if sub.outbox:
             self._ensure_pump(sub)
 
-    def _send_degrade_summary(self, sub: Subscription) -> None:
+    def _send_degrade_summary(self, sub: SubscriptionHandle) -> None:
         """The degrade policy's catch-up event: one synthetic summary
         covering everything shed while the stream was summary-only."""
         shed = sub.shed_degraded - sub.degrade_shed_mark
         now = self.host.timestamp() if self.host is not None else self.sim.now
         summary = ULMMessage(
             date=now, host=self.host.name if self.host else self.name,
-            prog=sub.sensor_name, lvl="Warning",
+            prog=sub.spec.sensor, lvl="Warning",
             event="SUB_DEGRADED_SUMMARY",
             fields={"SHED": shed, "FROM": sub.degrade_from, "TO": now})
         sub.summaries_sent += 1
-        self._send_frame(sub, Frame.of(summary, sub.fmt))
+        self._send_frame(sub, Frame.of(summary, sub.wire_fmt))
 
     def throttle_consumer(self, host_name: str,
                           rate: Optional[float]) -> int:
@@ -504,10 +399,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         """Open a subscription described by ``spec``; the primary API.
 
         Streaming specs need a resolved delivery path (callback or
-        remote address).  Returns a :class:`SubscriptionHandle`; for
-        callback/handle-buffered delivery, events route through the
-        handle's dispatch so ``handle.events()`` and attached callbacks
-        observe the stream.
+        remote address).  Returns the :class:`SubscriptionHandle`.
         """
         if not self.up:
             raise GatewayError(f"gateway {self.name} is down")
@@ -519,32 +411,15 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         if sensor_handle is None:
             raise GatewayError(f"gateway {self.name} fronts no sensor "
                                f"{spec.sensor!r}")
-        event_filter = spec.event_filter or AllEvents()
-        sub = Subscription(sub_id=next(self._sub_ids),
-                           sensor_name=spec.sensor,
-                           mode=spec.mode.value,
-                           event_filter=event_filter,
-                           fmt=spec.fmt.value,
-                           principal=spec.principal,
-                           events_at_subscribe=sensor_handle.events_in,
-                           indexed=(streaming
-                                    and type(event_filter) is EventNames),
-                           outbox_limit=spec.outbox_limit,
-                           overflow_policy=spec.overflow)
-        handle = SubscriptionHandle(self, spec, sub.sub_id)
-        sub.handle = handle
-        delivery = spec.delivery or Delivery.none()
-        if delivery.kind == "callback":
-            sub.callback = handle._dispatch
-        elif delivery.kind == "remote":
-            sub.remote = delivery.address
-            sub.wire_key = (self.name, sub.sub_id)
+        sub = SubscriptionHandle(self, spec, next(self._sub_ids),
+                                 sensor_handle)
+        if sub.remote is not None:
             if self.transport is not None:
                 sub.src_port = self.transport.ephemeral_port()
             sub.fail_cb = lambda exc, _s=sub: self._note_send_failure(_s)
             sub.ok_cb = lambda _msg, _s=sub: setattr(_s, "fail_count", 0)
-            if sub.outbox_limit > self.outbox_limit_max:
-                self.outbox_limit_max = sub.outbox_limit
+            if spec.outbox_limit > self.outbox_limit_max:
+                self.outbox_limit_max = spec.outbox_limit
         was_empty = not sensor_handle.subscriptions
         sensor_handle.subscriptions.append(sub)
         sensor_handle.reindex()
@@ -553,58 +428,50 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         if was_empty:
             self._set_forwarding(sensor_handle, True)
         if self.sim._sanitize is not None:
-            self.sim._sanitize.track_handle(handle)
-        return handle
+            self.sim._sanitize.track_handle(sub)
+        return sub
 
-    def unsubscribe(self, sub_id: int) -> bool:
-        sub = self._subs.get(sub_id)
+    def unsubscribe(self, sub_id: int, *, reaped: bool = False) -> bool:
+        """The one teardown path: ``handle.close()``, the networked
+        ``unsubscribe`` op, the dead-consumer reap, a gateway crash and
+        a retired sensor (the last three with ``reaped``) all end here."""
+        sub = self._subs.pop(sub_id, None)
         if sub is None:
             return False
-        final_stats = self.sub_stats(sub_id)
-        del self._subs[sub_id]
         if sub.pump is not None:
             sub.pump.cancel()
             sub.pump = None
-        if sub.outbox:
-            # queued events die with the channel — accounted, and
-            # recoverable via auto-heal replay since they were committed
-            self.outbox_abandoned += len(sub.outbox)
-            sub.outbox.clear()
-        handle = self._handles.get(sub.sensor_name)
-        if handle is not None:
-            self.events_filtered += handle.reconcile_filtered()
-            handle.subscriptions = [s for s in handle.subscriptions
-                                    if s.sub_id != sub_id]
-            handle.reindex()
-            handle.sensor.consumer_count = len(handle.subscriptions)
-            if not handle.subscriptions:
-                self._set_forwarding(handle, False)
-        if sub.handle is not None:
-            # whatever tore the subscription down (handle.close, a reap,
-            # an out-of-band unsubscribe), the handle ends consistent:
-            # closed, with its final counters frozen
-            sub.handle._mark_detached(final_stats)
+        sensor_handle = sub._sensor
+        # freeze the two live terms of the ``filtered`` identity; every
+        # other counter simply stops being written.  Queued events die
+        # with the channel — accounted, and recoverable via auto-heal
+        # replay since they were committed
+        sub._queued_end = len(sub.outbox)
+        sub._events_end = sensor_handle.events_in
+        self.outbox_abandoned += sub._queued_end
+        sub.outbox.clear()
+        self._filtered_closed += sub.filtered
+        sub.closed = True
+        sub.reaped = reaped
+        sensor_handle.subscriptions.remove(sub)
+        sensor_handle.reindex()
+        sensor_handle.sensor.consumer_count = len(sensor_handle.subscriptions)
+        if not sensor_handle.subscriptions:
+            self._set_forwarding(sensor_handle, False)
         return True
 
     # -- dead-consumer reaping ---------------------------------------------------
 
-    def _note_send_failure(self, sub: Subscription) -> None:
+    def _note_send_failure(self, sub: SubscriptionHandle) -> None:
         """One undeliverable event for ``sub`` (down host / dead port /
         no route).  After ``reap_threshold`` *consecutive* failures
         (delivery acks reset the count) the consumer is declared dead
         and the subscription reaped — consumers reconnect and
         resubscribe through :mod:`repro.client`."""
         sub.fail_count += 1
-        if sub.fail_count >= self.reap_threshold \
-                and sub.sub_id in self._subs:
-            self._reap(sub)
-
-    def _reap(self, sub: Subscription) -> None:
-        self.subs_reaped += 1
-        handle = sub.handle
-        self.unsubscribe(sub.sub_id)
-        if handle is not None:
-            handle.reaped = True
+        if sub.fail_count >= self.reap_threshold and not sub.closed:
+            self.subs_reaped += 1
+            self.unsubscribe(sub.sub_id, reaped=True)
 
     # -- host fault hooks (called by Host.crash/restart) ----------------------------
 
@@ -615,12 +482,8 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         by managers — but every consumer must resubscribe."""
         self.up = False
         for sub_id in list(self._subs):
-            sub = self._subs[sub_id]
             self.subs_dropped_on_crash += 1
-            handle = sub.handle
-            self.unsubscribe(sub_id)
-            if handle is not None:
-                handle.reaped = True
+            self.unsubscribe(sub_id, reaped=True)
 
     def on_host_up(self) -> None:
         self.up = True
@@ -634,37 +497,24 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         per-event hot path pays nothing for them; events missed while
         paused count as filtered."""
         sub = self._subs.get(sub_id)
-        if sub is None or sub.mode != "stream" or sub.paused:
+        if sub is None or sub.paused \
+                or sub.spec.mode is not SubscriptionMode.STREAM:
             return False
-        handle = self._handles.get(sub.sensor_name)
         sub.paused = True
-        sub.pause_mark = handle.events_in if handle is not None else 0
         if sub.pump is not None:
             # the outbox holds its contents across the pause; the pump
             # restarts on resume
             sub.pump.cancel()
             sub.pump = None
-        if handle is not None:
-            handle.reindex()
+        sub._sensor.reindex()
         return True
 
     def resume(self, sub_id: int) -> bool:
         sub = self._subs.get(sub_id)
         if sub is None or not sub.paused:
             return False
-        handle = self._handles.get(sub.sensor_name)
-        if handle is not None:
-            # fold the pause gap into the counters: per-sub for generic
-            # subs (indexed ones reconstruct by formula) and aggregate
-            # for both, since ingest() never saw the paused sub
-            gap = handle.events_in - sub.pause_mark
-            self.events_filtered += gap
-            if not sub.indexed:
-                sub.filtered += gap
-            sub.pause_mark = handle.events_in
         sub.paused = False
-        if handle is not None:
-            handle.reindex()
+        sub._sensor.reindex()
         self._ensure_pump(sub)
         return True
 
@@ -753,37 +603,15 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
 
     # -- diagnostics ---------------------------------------------------------------------------
 
-    def sub_stats(self, sub_id: int) -> Optional[dict]:
-        """Current counters for one subscription (handles' ``.stats()``)."""
-        sub = self._subs.get(sub_id)
-        if sub is None:
-            return None
-        handle = self._handles.get(sub.sensor_name)
-        if handle is not None:
-            self.events_filtered += handle.reconcile_filtered()
-        return {"sub_id": sub.sub_id, "sensor": sub.sensor_name,
-                "mode": sub.mode, "fmt": sub.fmt,
-                "delivered": sub.delivered, "filtered": sub.filtered,
-                "paused": sub.paused,
-                # backpressure surface (zeros for in-process delivery)
-                "queued": len(sub.outbox),
-                "outbox_limit": sub.outbox_limit,
-                "outbox_peak": sub.outbox_peak,
-                "overflow_policy": sub.overflow_policy,
-                "overflow": (sub.overflow or sub.blocked or sub.degraded),
-                "blocked": sub.blocked,
-                "degraded": sub.degraded,
-                "drain_rate": sub.drain_rate,
-                "dropped": sub.shed_total,
-                "dropped_oldest": sub.dropped_oldest,
-                "dropped_newest": sub.dropped_newest,
-                "dropped_blocked": sub.dropped_blocked,
-                "shed_degraded": sub.shed_degraded,
-                "summaries_sent": sub.summaries_sent}
+    @property
+    def events_filtered(self) -> int:
+        """Nothing counts filtered events: the total is the sum of the
+        per-subscription identities (``SubscriptionHandle.filtered``),
+        live ones now plus what torn-down ones ended with."""
+        return self._filtered_closed + sum(
+            sub.filtered for sub in self._subs.values())
 
     def stats(self) -> dict:
-        for handle in self._handles.values():
-            self.events_filtered += handle.reconcile_filtered()
         return {"name": self.name,
                 "sensors": len(self._handles),
                 "subscriptions": len(self._subs),

@@ -60,8 +60,6 @@ class SensorManager:
                  sensor_context: Optional[dict] = None,
                  suffix: str = "o=grid",
                  supervision_interval: Optional[float] = 5.0,
-                 restart_backoff: float = 1.0,
-                 restart_backoff_max: float = 60.0,
                  resilience: Optional[ResiliencePolicy] = None):
         self.sim = sim
         self.host = host
@@ -84,8 +82,6 @@ class SensorManager:
         self._refresher = None
         #: None disables supervision entirely (no process is spawned)
         self.supervision_interval = supervision_interval
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_max = restart_backoff_max
         #: supervisor restarts performed (crash-loop visibility)
         self.sensor_restarts = 0
         #: the subset of restarts triggered by sample-quality wedges
@@ -93,20 +89,13 @@ class SensorManager:
         self.quality_restarts = 0
         self._supervisor = None
         #: restart backoff gates + publish counters live on the policy
-        #: (``manager.restart`` / ``manager.publish`` edges); jitter
-        #: stays 0 unless the caller supplies a policy with its own
-        #: config, so the historical base→×2→cap sequence is preserved
+        #: (``manager.restart`` / ``manager.publish`` edges), and its
+        #: config is the one place the restart backoff is set: 1 s →
+        #: ×2 → 60 s without jitter unless the caller supplies a policy
         self.resilience = resilience if resilience is not None else \
-            ResiliencePolicy(sim, ResilienceConfig(
-                backoff_base=restart_backoff,
-                backoff_max=restart_backoff_max),
-                name=f"manager[{host.name}]")
-        if resilience is not None:
-            # an injected policy's config wins over the constructor
-            # knobs (keeps check_sensors' live-edit sync from fighting
-            # a deployment-wide resilience config)
-            self.restart_backoff = self.resilience.config.backoff_base
-            self.restart_backoff_max = self.resilience.config.backoff_max
+            ResiliencePolicy(sim, ResilienceConfig(backoff_base=1.0,
+                                                   backoff_max=60.0),
+                             name=f"manager[{host.name}]")
         #: sensors that were running when the host crashed
         self._resume_after_crash: list[str] = []
         host.register_service("sensor-manager", self)
@@ -322,13 +311,6 @@ class SensorManager:
         restarted = 0
         now = self.sim.now
         policy = self.resilience
-        cfg = policy.config
-        if (cfg.backoff_base != self.restart_backoff
-                or cfg.backoff_max != self.restart_backoff_max):
-            # the legacy knobs are public attributes; honor live edits
-            from dataclasses import replace
-            policy.config = replace(cfg, backoff_base=self.restart_backoff,
-                                    backoff_max=self.restart_backoff_max)
         for name in sorted(self.sensors):
             sensor = self.sensors[name]
             if not sensor.running:

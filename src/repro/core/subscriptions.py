@@ -10,9 +10,13 @@ build on:
 * :class:`SubscriptionSpec` — a declarative description of one
   subscription (sensor, mode, wire format, event filter, delivery
   path, principal), validated before it touches a gateway;
-* :class:`SubscriptionHandle` — the object a subscription *is* from the
-  consumer's point of view: iterate received events, query the latest
-  one, read delivery/filter counters, pause/resume the stream, close.
+* :class:`SubscriptionHandle` — the object a subscription *is*, for
+  the consumer (iterate received events, query the latest one, read
+  the counters, pause/resume the stream, close) and for the gateway,
+  which keeps its per-subscription state — delivery target, outbox,
+  backpressure flags, counters — in the handle's slots and nowhere
+  else.  ``filtered`` is derived, not counted: one identity, stated on
+  the class.
 
 Specs serialize to plain dicts (:meth:`SubscriptionSpec.to_request`) so
 the networked consumer path can ship them over the wire unchanged.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Optional
 
@@ -204,22 +208,41 @@ class SubscriptionSpec:
 
 
 class SubscriptionHandle:
-    """A live subscription, as the consumer sees it.
+    """One subscription: what the consumer holds *and* what the gateway
+    fans out to.
 
     Created by :meth:`EventGateway.open`; self-describing (carries its
     spec) and self-contained (knows its gateway, so teardown needs no
-    side tables).  Handles buffer the last ``spec.buffer_limit``
-    delivered events for :meth:`events` iteration and fan each event
-    out to every :meth:`attach`-ed callback.
+    side tables).  The consumer's half buffers the last
+    ``spec.buffer_limit`` delivered events for :meth:`events` and fans
+    each one out to every :meth:`attach`-ed callback.  The gateway's
+    half is the rest of the slots — delivery target, outbox and
+    backpressure flags, the ``delivered`` and per-policy shed counters
+    — which only the owning gateway writes, and stops writing at
+    teardown: a closed handle simply keeps its last values.
+
+    ``filtered`` is not counted anywhere.  Every event the sensor sent
+    while a stream subscription was open was delivered, shed, is still
+    queued, or was filtered (by its filter, or by being paused), so::
+
+        filtered = events_in(now, or at teardown) - events_in(at open)
+                   - delivered - dropped - queued
     """
 
     # handles ride the per-event delivery path; __weakref__ lets the
     # sanitizer track them without keeping them alive
     __slots__ = ("gateway", "spec", "sub_id", "closed", "reaped",
-                 "superseded", "_admit", "_final_stats", "_callbacks",
-                 "_buffer", "_heal_tracker", "__weakref__")
+                 "superseded", "paused", "_admit", "_callbacks", "_buffer",
+                 "_heal_tracker", "_sensor", "_events_open", "_events_end",
+                 "_queued_end", "delivered", "remote", "wire_key",
+                 "wire_fmt", "src_port", "fail_count", "fail_cb", "ok_cb",
+                 "outbox", "drain_rate", "overflow", "blocked", "degraded",
+                 "outbox_peak", "dropped_oldest", "dropped_newest",
+                 "dropped_blocked", "shed_degraded", "summaries_sent",
+                 "degrade_from", "degrade_shed_mark", "pump", "__weakref__")
 
-    def __init__(self, gateway: Any, spec: SubscriptionSpec, sub_id: int):
+    def __init__(self, gateway: Any, spec: SubscriptionSpec, sub_id: int,
+                 sensor_record: Any):
         self.gateway = gateway
         self.spec = spec
         self.sub_id = sub_id
@@ -230,18 +253,72 @@ class SubscriptionHandle:
         #: set by ClientSession.enable_auto_heal (resubscribe bookkeeping)
         self._heal_tracker: Any = None
         #: True when the *gateway* tore the subscription down (dead
-        #: consumer reap, gateway-host crash) rather than the consumer
-        #: closing it — the signal self-healing sessions resubscribe on
+        #: consumer reap, gateway-host crash, sensor retired) rather
+        #: than the consumer closing it — the signal self-healing
+        #: sessions resubscribe on
         self.reaped = False
+        #: paused subscriptions are dropped from the gateway's fan-out
+        #: structures, so the per-event hot path never sees them
+        self.paused = False
         #: optional admission predicate installed by self-healing
         #: sessions (watermark/dup suppression); None costs one check
         self._admit: Optional[Callable] = None
-        self._final_stats: Optional[dict] = None
         self._callbacks: list[Callable] = []
         # buffer_limit == 0 keeps nothing (callback-only consumption)
         self._buffer: deque = deque(maxlen=spec.buffer_limit)
-        if spec.delivery is not None and spec.delivery.fn is not None:
-            self._callbacks.append(spec.delivery.fn)
+        delivery = spec.delivery
+        if delivery is not None and delivery.fn is not None:
+            self._callbacks.append(delivery.fn)
+        # -- the gateway's half ----------------------------------------------
+        #: the gateway's per-sensor record: its ``events_in`` is "now"
+        #: for the ``filtered`` identity until teardown freezes it
+        self._sensor = sensor_record
+        self._events_open: int = sensor_record.events_in
+        #: the sensor's events_in and the outbox depth at teardown
+        self._events_end: Optional[int] = None
+        self._queued_end = 0
+        self.delivered = 0
+        #: ``(host, port)`` for remote delivery; None = in-process, the
+        #: gateway schedules :meth:`_dispatch` itself
+        self.remote: Optional[tuple] = \
+            delivery.address if delivery is not None else None
+        #: sent beside every frame: the consumer's key to this handle
+        self.wire_key = (gateway.name, sub_id)
+        self.wire_fmt: str = spec.fmt.value
+        #: the stream's one source port on the gateway host
+        self.src_port: Optional[int] = None
+        #: consecutive undeliverable sends (dead-consumer detection; reset
+        #: by the transport's delivery ack, so a flapping link that heals
+        #: before ``reap_threshold`` failures never reaps a live consumer)
+        self.fail_count = 0
+        #: failure/ack callbacks, built once at open so the per-event
+        #: remote path allocates nothing extra
+        self.fail_cb: Optional[Callable] = None
+        self.ok_cb: Optional[Callable] = None
+        # backpressure (remote delivery only): a bounded queue of
+        # rendered-but-unsent frames; the fast path (no throttle, empty
+        # queue) bypasses it entirely
+        self.outbox: deque = deque()
+        #: events/s the drain pump releases; None = unthrottled
+        self.drain_rate: Optional[float] = None
+        #: True while the gateway is shedding or holding this
+        #: subscription's events: from the moment the outbox hits its
+        #: cap until the consumer drains it to half (hysteresis), and
+        #: for as long as ``blocked`` / ``degraded`` last
+        self.overflow = False
+        self.blocked = False        # block policy engaged (intake shed)
+        self.degraded = False       # degrade policy engaged (summary-only)
+        self.outbox_peak = 0
+        self.dropped_oldest = 0
+        self.dropped_newest = 0
+        self.dropped_blocked = 0
+        self.shed_degraded = 0
+        self.summaries_sent = 0
+        #: degrade-window accounting feeding the summary event
+        self.degrade_from = 0.0
+        self.degrade_shed_mark = 0
+        #: the scheduled drain-pump call, if one is pending
+        self.pump: Any = None
 
     # -- description ---------------------------------------------------------
 
@@ -258,30 +335,27 @@ class SubscriptionHandle:
         return self.spec.fmt
 
     @property
-    def paused(self) -> bool:
-        record = self.gateway._subs.get(self.sub_id)
-        return bool(record is not None and record.paused)
-
-    @property
-    def overflow(self) -> bool:
-        """True while the gateway is shedding or holding this
-        subscription's events (full outbox, block, or degrade state) —
-        the signal auto-heal replay uses to know there is catching up
-        to do beyond reaps."""
-        record = self.gateway._subs.get(self.sub_id)
-        return bool(record is not None
-                    and (record.overflow or record.blocked
-                         or record.degraded))
-
-    @property
     def dropped(self) -> int:
         """Events the gateway shed for this subscription (all overflow
         policies combined); every drop is accounted, never silent."""
-        record = self.gateway._subs.get(self.sub_id)
-        if record is not None:
-            return record.shed_total
-        stats = self._final_stats or {}
-        return int(stats.get("dropped", 0))
+        return (self.dropped_oldest + self.dropped_newest
+                + self.dropped_blocked + self.shed_degraded)
+
+    @property
+    def queued(self) -> int:
+        """Outbox depth — at teardown, once the channel is gone."""
+        return len(self.outbox) if self._events_end is None \
+            else self._queued_end
+
+    @property
+    def filtered(self) -> int:
+        """The accounting identity in the class docstring."""
+        if self.spec.mode is not SubscriptionMode.STREAM:
+            return 0
+        events_in = self._sensor.events_in if self._events_end is None \
+            else self._events_end
+        return (events_in - self._events_open - self.delivered
+                - self.dropped - self.queued)
 
     # -- event intake (called by the gateway / consumer demux) ------------------
 
@@ -293,15 +367,6 @@ class SubscriptionHandle:
         self._buffer.append(event)
         for callback in self._callbacks:
             callback(event)
-
-    def _mark_detached(self, final_stats: Optional[dict]) -> None:
-        """The gateway removed this subscription (any teardown path).
-
-        Idempotent; freezes the final counters so :meth:`stats` stays
-        truthful after the registration is gone."""
-        if self._final_stats is None and final_stats is not None:
-            self._final_stats = final_stats
-        self.closed = True
 
     # -- consumer surface -----------------------------------------------------------
 
@@ -324,44 +389,46 @@ class SubscriptionHandle:
                                   principal=self.spec.principal)
 
     def stats(self) -> dict:
-        """Delivered/filtered counters from the gateway, plus local
-        buffer/lifecycle state.  After :meth:`close`, the counters are
-        the snapshot taken at close time — not zeros."""
-        stats = (self._final_stats or self.gateway.sub_stats(self.sub_id)
-                 or {"sub_id": self.sub_id, "sensor": self.spec.sensor,
-                     "mode": self.spec.mode.value,
-                     "fmt": self.spec.fmt.value,
-                     "delivered": 0, "filtered": 0, "paused": False,
-                     "queued": 0, "dropped": 0, "overflow": False})
-        stats = dict(stats)
-        stats["buffered"] = len(self._buffer)
-        stats["closed"] = self.closed
-        return stats
+        """This subscription's counters and flags, plus local
+        buffer/lifecycle state.  After teardown they are the values the
+        channel ended with — not zeros."""
+        spec = self.spec
+        return {"sub_id": self.sub_id, "sensor": spec.sensor,
+                "mode": spec.mode.value, "fmt": self.wire_fmt,
+                "delivered": self.delivered, "filtered": self.filtered,
+                "paused": self.paused,
+                # backpressure surface (zeros for in-process delivery)
+                "queued": self.queued,
+                "outbox_limit": spec.outbox_limit,
+                "outbox_peak": self.outbox_peak,
+                "overflow_policy": spec.overflow,
+                "overflow": self.overflow,
+                "blocked": self.blocked,
+                "degraded": self.degraded,
+                "drain_rate": self.drain_rate,
+                "dropped": self.dropped,
+                "dropped_oldest": self.dropped_oldest,
+                "dropped_newest": self.dropped_newest,
+                "dropped_blocked": self.dropped_blocked,
+                "shed_degraded": self.shed_degraded,
+                "summaries_sent": self.summaries_sent,
+                "buffered": len(self._buffer), "closed": self.closed}
 
     # -- flow control -------------------------------------------------------------
 
     def pause(self) -> bool:
         """Stop deliveries without giving up the subscription.  False
         once the subscription is closed or was reaped."""
-        if self.closed:
-            return False
-        return self.gateway.pause(self.sub_id)
+        return not self.closed and self.gateway.pause(self.sub_id)
 
     def resume(self) -> bool:
-        if self.closed:
-            return False
-        return self.gateway.resume(self.sub_id)
+        return not self.closed and self.gateway.resume(self.sub_id)
 
     def close(self) -> bool:
         """Tear the subscription down.  Idempotent: the second and
         later calls — and calls racing a gateway-side reap — return
         False and do nothing."""
-        if self.closed:
-            return False
-        self.closed = True
-        # keep the final counters readable after teardown
-        self._final_stats = self.gateway.sub_stats(self.sub_id)
-        return self.gateway.unsubscribe(self.sub_id)
+        return not self.closed and self.gateway.unsubscribe(self.sub_id)
 
     # -- context manager / repr --------------------------------------------------------
 

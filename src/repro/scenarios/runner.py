@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from ..core import JAMMDeployment
@@ -80,6 +80,15 @@ if "seq" not in _REGISTRY:  # idempotent under re-import
     register_sensor(SeqSensor)
 
 
+#: the scenario world's fixed cadences (seconds): sensor supervision,
+#: session and directory watchdogs, resubscribe backoff cap, replication
+SUPERVISION_INTERVAL = 2.0
+HEAL_INTERVAL = 2.0
+HEAL_BACKOFF_MAX = 4.0
+DIRECTORY_HEAL_INTERVAL = 2.0
+REPLICATION_DELAY = 0.05
+
+
 @dataclass
 class Scenario:
     """One declarative fault scenario."""
@@ -92,14 +101,6 @@ class Scenario:
     drain: float = 20.0                # post-heal settle time
     sensor_period: float = 0.5
     random_steps: int = 50             # plan size when plan is None
-    supervision_interval: float = 2.0
-    heal_interval: float = 2.0
-    heal_backoff_max: float = 4.0
-    directory_heal_interval: float = 2.0
-    replication_delay: float = 0.05
-    #: extra fault targets protected from random crashes (the consumer
-    #: host always is — the invariants read its records)
-    protect: tuple = ()
     #: let the random plan raise congestion storms (background-traffic
     #: bursts between host pairs that contend for the shared links)
     storms: bool = False
@@ -164,9 +165,10 @@ class ScenarioResult:
 
     def repro_line(self) -> str:
         sc = self.scenario
-        args = (f"name={sc.name!r}, seed={sc.seed}, horizon={sc.horizon}, "
-                f"drain={sc.drain}, n_sensor_hosts={sc.n_sensor_hosts}, "
-                f"random_steps={sc.random_steps}")
+        # every field off its default; check() appends the plan itself
+        args = ", ".join(
+            f"{f.name}={getattr(sc, f.name)!r}" for f in fields(sc)
+            if f.name != "plan" and getattr(sc, f.name) != f.default)
         return (f"scenario={sc.name!r} seed={sc.seed} "
                 f"(rerun: run_scenario(Scenario({args})))")
 
@@ -353,11 +355,11 @@ class ScenarioRunner:
 
         deployment = JAMMDeployment(
             world, directory_hosts=(dir_a, dir_b), n_directory_replicas=1,
-            replication_delay=sc.replication_delay,
+            replication_delay=REPLICATION_DELAY,
             resilience=sc.resilience)
         self.deployment = deployment
         deployment.enable_self_healing(
-            check_interval=sc.directory_heal_interval, master_grace=2)
+            check_interval=DIRECTORY_HEAL_INTERVAL, master_grace=2)
         gateway = deployment.add_gateway("gw0", host=gw_host)
 
         config = JAMMConfig()
@@ -365,7 +367,7 @@ class ScenarioRunner:
         for host in sensor_hosts:
             manager = deployment.add_manager(host, config=config,
                                              gateway=gateway)
-            manager.supervision_interval = sc.supervision_interval
+            manager.supervision_interval = SUPERVISION_INTERVAL
 
         # the commit log: a session beside the gateway whose callback
         # appends to an archive that keeps everything.  "The archive is
@@ -396,8 +398,8 @@ class ScenarioRunner:
             commit_client.sensors(type="seq"),
             on_event=self._commit)
         self.commit_session.enable_auto_heal(
-            check_interval=sc.heal_interval,
-            backoff_max=sc.heal_backoff_max)
+            check_interval=HEAL_INTERVAL,
+            backoff_max=HEAL_BACKOFF_MAX)
 
         # the consumer: a self-healing session recording every delivery,
         # resuming from the commit log's watermark after reconnects
@@ -414,8 +416,8 @@ class ScenarioRunner:
                                    spec=proto, on_event=self._record)
         self.session.enable_auto_heal(
             archive=self.archive,
-            check_interval=sc.heal_interval,
-            backoff_max=sc.heal_backoff_max,
+            check_interval=HEAL_INTERVAL,
+            backoff_max=HEAL_BACKOFF_MAX,
             replay_slack=1.0)
         return self
 
@@ -454,7 +456,8 @@ class ScenarioRunner:
             sc.seed, hosts=hosts, links=links, n_steps=sc.random_steps,
             horizon=sc.horizon,
             consumers=("consumer.siteB",), archives=("commit-log",),
-            protect=set(sc.protect) | {"consumer.siteB"},
+            # the invariants read the consumer host's records
+            protect={"consumer.siteB"},
             storms=tuple(sorted(self.world.hosts)) if sc.storms else (),
             flaky=("dir.siteA", "gw.siteA") if sc.flaky else ())
 
@@ -484,7 +487,7 @@ class ScenarioRunner:
             manager = self.deployment.managers[name]
             for sensor_name in sorted(manager.sensors):
                 manager.sensors[sensor_name].stop()
-        flush = 2.0 * max(sc.heal_interval, sc.supervision_interval) + 1.0
+        flush = 2.0 * max(HEAL_INTERVAL, SUPERVISION_INTERVAL) + 1.0
         self.world.run(until=sc.horizon + sc.drain + flush)
         # wall-clock throughput of the run itself (build excluded);
         # digests never cover stats, so this cannot perturb determinism

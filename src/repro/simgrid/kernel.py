@@ -631,53 +631,6 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
 
     # -- execution ----------------------------------------------------------
 
-    def _pop_next(self) -> Optional[ScheduledCall]:
-        """Pop the next live call in (time, seq) order, or None.
-
-        Cancelled heads are discarded lazily from both queues.
-        """
-        imm = self._immediate
-        heap = self._heap
-        while imm and imm[0].cancelled:
-            imm.popleft()
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._heap_cancelled -= 1
-        if imm:
-            call = imm[0]
-            if heap:
-                head = heap[0]
-                if head[0] < call.time or (head[0] == call.time
-                                           and head[1] < call.seq):
-                    heapq.heappop(heap)
-                    return head[2]
-            imm.popleft()
-            return call
-        if heap:
-            return heapq.heappop(heap)[2]
-        return None
-
-    def _execute(self, call: ScheduledCall) -> None:
-        self.now = call.time
-        self._pending -= 1
-        self.events_executed += 1
-        call.sim = None  # fired: cancel() is a no-op from here on
-        if call.throw is not None:
-            call.fn(*call.args, throw=call.throw)
-        else:
-            call.fn(*call.args)
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False when queue is empty."""
-        call = self._pop_next()
-        if call is None:
-            return False
-        if call.time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("event queue time went backwards")
-        self._execute(call)
-        self._maybe_raise_crash()
-        return True
-
     def run(self, until: Optional[float] = None, *, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
@@ -688,8 +641,6 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
         self._running = True
         self._stopped = False
         events = 0
-        # hot loop: a deliberate inline of _pop_next + _execute (minus
-        # the defensive backwards-time check) — keep the three in sync
         imm = self._immediate
         heap = self._heap
         heappop = heapq.heappop

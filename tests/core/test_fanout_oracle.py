@@ -2,9 +2,10 @@
 
 ``EventGateway.ingest`` never scans its subscriptions: stream
 subscriptions with an ``EventNames`` filter are reached through a
-NL.EVNT index, paused ones are dropped from the fan-out lists, the
-``filtered`` counters of both are reconstructed by formula when somebody
-looks, and each requested wire format is rendered once per event.  The
+NL.EVNT index, paused ones are dropped from the fan-out lists, nobody
+counts ``filtered`` (every subscription derives it from one identity
+when somebody looks), and each requested wire format is rendered once
+per event.  The
 trivially-correct version is the one ``wide_fanout`` carries in
 ``benchmarks/e2e/workloads.py``: keep every event that was ingested and
 ask *every* subscription's filter — a plain closure over
@@ -24,19 +25,28 @@ in-process sensor, and holds it to the model:
 The model never decides what an overflow policy sheds — it reads the
 gateway's own counters and checks that they add up.
 
+A subscription is one object, so nothing copies its counters when the
+channel goes: every teardown — ``handle.close()``, a dead-consumer reap,
+a gateway crash, a retired sensor — passes through
+``EventGateway.unsubscribe``, which this file wraps to read
+``handle.stats()`` immediately before and after.  The two reads must
+agree on every key but ``closed``, and every later read must agree with
+them however many events the sensor sends afterwards.
+
 A pass-everything subscription is not evaluated at all: every test in
 this file runs with ``AllEvents.accept`` replaced by a function that
 raises, while ``EventNames`` (indexed), ``OnChange`` and ``Threshold``
 (stateful, evaluated on every event, in subscription order) share the
 fan-out with them.
 
-Checked against three mutations of ``core/gateway.py``: ``reindex``
+Checked against two mutations of ``core/gateway.py`` — ``reindex``
 keeping paused subscriptions in the fan-out lists, ``reindex`` entering
-only the first name of an ``EventNames`` set, and ``ingest`` forgetting
-to count an indexed miss in ``events_filtered`` — each fails the fixed
-script below, the first two the random runs as well.  Which *format* a
-recipient's frame is in is not this oracle's business (receivers read
-the message whatever the wire): the codec budget in
+only the first name of an ``EventNames`` set: each fails the fixed
+script below, the first the random runs as well — and three of the
+``filtered`` identity in ``core/subscriptions.py`` (see
+``test_every_teardown_freezes_the_handle_as_it_read_just_before``).
+Which *format* a recipient's frame is in is not this oracle's business
+(receivers read the message whatever the wire): the codec budget in
 ``tests/scenarios/test_throughput_floor.py`` fails when the render memo
 hands a subscriber another format's frame.
 """
@@ -67,6 +77,7 @@ SENSORS = (REMOTE, LOCAL)
 SLOW, FAST = "c1", "c0"
 #: long enough for a LAN hop to land, short against the throttled rates
 STEP = 0.02
+POLICIES = ("drop_oldest", "drop_newest", "block", "degrade")
 
 
 @pytest.fixture(autouse=True)
@@ -137,6 +148,8 @@ class ModelSub:
         self.paused = False
         self.opened_at = opened_at      # events the sensor had ingested
         self.closed_at = None
+        #: ``handle.stats()`` as read right after the teardown
+        self.final = None
         #: the N field of every event the reference filter passed
         self.accepted: list = []
         #: N of every event that arrived (SUMMARY for a catch-up event)
@@ -172,8 +185,11 @@ class FanoutMachine(RuleBasedStateMachine):
         self.local_sensor = SimpleNamespace(name=LOCAL, sink=None,
                                             consumer_count=0)
         gw.register_sensor(self.local_sensor)
+        self.sensor_objects = {REMOTE: (self.remote_sensor, manager),
+                               LOCAL: (self.local_sensor, None)}
         self.consumers = {host.name: Consumer(world.sim, host=host)
                           for host in consumer_hosts}
+        self._watch_teardowns()
         self.serial = 0
         self.ingested = {name: 0 for name in SENSORS}
         self.subs: list[ModelSub] = []
@@ -194,6 +210,31 @@ class FanoutMachine(RuleBasedStateMachine):
         self.subs.append(ModelSub(handle, sensor, kind, where,
                                   self.ingested[sensor]))
 
+    def _watch_teardowns(self) -> None:
+        """Every teardown ends in ``gw.unsubscribe``: hold the handle's
+        stats to the read taken immediately before, whoever called."""
+        gw, teardown = self.gw, self.gw.unsubscribe
+
+        def unsubscribe(sub_id, **kwargs):
+            handle = gw._subs.get(sub_id)
+            before = handle.stats() if handle is not None else None
+            done = teardown(sub_id, **kwargs)
+            if handle is not None:
+                sub = next(s for s in self.subs if s.handle is handle)
+                sub.closed_at = self.ingested[sub.sensor]
+                sub.final = handle.stats()
+                assert done and sub.final == {**before, "closed": True}
+                assert handle.reaped == kwargs.get("reaped", False)
+            return done
+        gw.unsubscribe = unsubscribe
+
+    def _reopen_taps(self) -> None:
+        for sensor in SENSORS:
+            if not any(sub.sensor == sensor and sub.closed_at is None
+                       for sub in self.subs):
+                self._open(sensor, ("all",), "ulm", "callback", 4,
+                           "drop_oldest")
+
     def _settle(self, seconds: float = STEP) -> None:
         self.world.run(until=self.world.now + seconds)
 
@@ -210,8 +251,7 @@ class FanoutMachine(RuleBasedStateMachine):
           fmt=st.sampled_from(["ulm", "xml", "binary"]),
           where=st.sampled_from(["callback", FAST, SLOW]),
           limit=st.integers(1, 4),
-          overflow=st.sampled_from(["drop_oldest", "drop_newest", "block",
-                                    "degrade"]))
+          overflow=st.sampled_from(POLICIES))
     def open(self, sensor, kind, fmt, where, limit, overflow):
         self._open(sensor, kind, fmt, where, limit, overflow)
 
@@ -220,7 +260,7 @@ class FanoutMachine(RuleBasedStateMachine):
         sub = self._live(index)
         if sub is not None:
             assert sub.handle.close() is True
-            sub.closed_at = self.ingested[sub.sensor]
+            assert sub.closed_at is not None and not sub.handle.reaped
 
     @rule(index=st.integers(0, 63))
     def pause(self, index):
@@ -236,6 +276,32 @@ class FanoutMachine(RuleBasedStateMachine):
             assert sub.handle.resume() == sub.paused
             sub.paused = False
             self._settle()
+
+    @rule(sensor=st.sampled_from(SENSORS))
+    def retire(self, sensor):
+        """A config push drops the sensor, the next one brings it back:
+        every subscriber it had is torn down as reaped."""
+        had = [sub for sub in self.subs
+               if sub.sensor == sensor and sub.closed_at is None]
+        sensor_object, manager = self.sensor_objects[sensor]
+        self.gw.unregister_sensor(sensor)
+        assert all(sub.handle.reaped and sub.closed_at is not None
+                   for sub in had)
+        assert sensor_object.sink is None and sensor not in self.gw.sensors()
+        self.gw.register_sensor(sensor_object, manager=manager)
+        self._reopen_taps()
+
+    @rule()
+    def crash(self):
+        """The gateway host goes down and comes back: the sensors stay
+        registered, every subscription dies with the process."""
+        had = [sub for sub in self.subs if sub.closed_at is None]
+        self.gw.host.crash()
+        assert all(sub.handle.reaped and sub.closed_at is not None
+                   for sub in had)
+        assert self.gw.stats()["subscriptions"] == 0
+        self.gw.host.restart()
+        self._reopen_taps()
 
     @rule(rate=st.sampled_from([None, 5.0, 40.0]))
     def throttle(self, rate):
@@ -254,6 +320,13 @@ class FanoutMachine(RuleBasedStateMachine):
             fields = {"N": self.serial}
             if value is not None:
                 fields["VALUE"] = value
+            if not any(sub.sensor == sensor and sub.closed_at is None
+                       for sub in self.subs):
+                # nothing flows for a sensor nobody subscribed to (§2.3)
+                assert self.sensor_objects[sensor][0].sink is None
+                if sensor == REMOTE:
+                    self.remote_sensor.emit(name, fields)
+                continue
             if sensor == REMOTE:
                 self.remote_sensor.emit(name, fields)
             else:
@@ -279,6 +352,8 @@ class FanoutMachine(RuleBasedStateMachine):
         stats = sub.handle.stats()
         until = self.ingested[sub.sensor] if sub.closed_at is None \
             else sub.closed_at
+        assert stats == sub.final or sub.closed_at is None, (stats, sub.final)
+        assert stats["overflow"] or not (stats["blocked"] or stats["degraded"])
         routed = stats["delivered"] + stats["dropped"] + stats["queued"]
         assert routed == len(sub.accepted), (sub.where, stats)
         assert stats["filtered"] == until - sub.opened_at - routed, \
@@ -293,9 +368,8 @@ class FanoutMachine(RuleBasedStateMachine):
             assert stats["dropped"] == stats["queued"] == 0
             assert got == sub.accepted, sub.where
 
-    # a rule, not an invariant: reading a subscription's stats reconciles
-    # its counters, and the lazy paths (pause gap folded in on resume,
-    # ``filtered`` by formula) only run when nobody looked in between
+    # a rule, not an invariant: most steps should run without anybody
+    # having looked at the counters in between
     @rule()
     def subscriptions_match_the_model(self):
         for sub in self.subs:
@@ -342,15 +416,15 @@ def test_index_pause_and_overflow_on_one_fixed_script():
     """The oracle on one script that reaches every state the rules can:
     an indexed and a generic subscription paused across events, a
     throttled consumer overflowing under each policy, a close with
-    events still queued — and checks the script really got there."""
+    events still queued, a sensor retired under its subscribers — and
+    checks the script really got there."""
     machine = FanoutMachine()
     machine.build(seed=3)
     names = ("names", frozenset({"CPU_USAGE"}))
     machine.open(REMOTE, names, "xml", FAST, 4, "drop_oldest")          # 2
     machine.open(REMOTE, ("on-change",), "binary", "callback", 4, "block")
     machine.open(LOCAL, ("threshold", 5.0), "ulm", FAST, 4, "block")    # 4
-    for index, policy in enumerate(("drop_oldest", "drop_newest", "block",
-                                    "degrade")):
+    for index, policy in enumerate(POLICIES):
         machine.open(SENSORS[index % 2], ("all",), ("ulm", "xml", "binary")
                      [index % 3], SLOW, 2, policy)                      # 5..8
     # a second indexed subscription beside #2 with a disjoint name set:
@@ -362,7 +436,7 @@ def test_index_pause_and_overflow_on_one_fixed_script():
             (REMOTE, "NET_IO", "41"), (LOCAL, "CPU_USAGE", "0")]
     machine.emit(beat)
     machine.subscriptions_match_the_model()
-    # a pause nobody looks into: the gap is folded in by resume alone
+    # a pause nobody looks into
     machine.pause(2)
     machine.pause(3)
     machine.emit(beat)
@@ -382,6 +456,16 @@ def test_index_pause_and_overflow_on_one_fixed_script():
     machine.emit(beat)
     machine.subscriptions_match_the_model()
     subs = machine.subs
+    # the REMOTE sensor is retired under a paused indexed subscription
+    # and a blocked one with a full outbox, and comes back
+    machine.pause(2)
+    machine.emit(beat)
+    machine.retire(REMOTE)
+    assert all(subs[i].handle.reaped for i in (0, 2, 3, 7, 9))
+    assert subs[2].final["paused"] and subs[7].final["queued"] == 2
+    machine.emit(beat)
+    machine.subscriptions_match_the_model()
+    assert subs[-1].sensor == REMOTE and len(subs[-1].accepted) == 2
     by_policy = {sub.handle.spec.overflow: sub.handle.stats()
                  for sub in subs[5:9]}
     assert all(stats["dropped"] > 0 for stats in by_policy.values())
@@ -392,4 +476,77 @@ def test_index_pause_and_overflow_on_one_fixed_script():
     machine.teardown()
     assert by_policy["degrade"]["summaries_sent"] == 0  # a snapshot: before
     assert subs[8].handle.stats()["summaries_sent"] == 1
-    assert machine.gw.stats()["outbox_abandoned"] == 2
+    assert machine.gw.stats()["outbox_abandoned"] == 2 + 2
+
+
+@pytest.mark.parametrize("path", ["close", "reap", "crash", "unregister"])
+def test_every_teardown_freezes_the_handle_as_it_read_just_before(path):
+    """What the deleted ``_final_stats`` copy used to guarantee: four
+    throttled subscriptions, one per overflow policy, each shedding
+    with a full outbox, and a paused indexed one, torn down by each of
+    the four callers of the one teardown path.  ``_watch_teardowns``
+    compares the reads around the teardown itself; ``_check`` compares
+    every later read with them while the sensor keeps sending.
+
+    Mutations of the ``filtered`` identity tried against this file:
+    leaving ``queued`` out of it fails ``_check``'s ``filtered == until
+    - opened_at - routed`` as soon as a throttled subscription holds a
+    frame (random runs, fixed script, these four); freezing the
+    sensor's ``events_in`` at open instead of at teardown fails
+    ``_watch_teardowns``' before/after comparison (``filtered`` jumps
+    at the teardown; everywhere); skipping the freeze when the teardown
+    is a reap fails the same comparison (``queued`` drops to 0 with the
+    outbox), and its narrower form — a reaped handle keeps reading the
+    sensor's live ``events_in`` — fails ``_check``'s ``stats ==
+    sub.final`` on the first event after the teardown (random runs and
+    the reap and crash cases here)."""
+    machine = FanoutMachine()
+    machine.build(seed=11)
+    for policy in POLICIES:
+        machine.open(REMOTE, ("all",), "ulm", SLOW, 2, policy)          # 2..5
+    machine.open(REMOTE, ("names", frozenset({"NET_IO"})), "xml", FAST, 4,
+                 "drop_oldest")                                         # 6
+    subs = machine.subs[2:]
+    beat = [(REMOTE, "NET_IO", "7"), (REMOTE, "CPU_USAGE", "3")]
+    machine.emit(beat)
+    machine.pause(6)
+    machine.throttle(5.0)
+    for _ in range(3):
+        machine.emit(beat)
+    machine.subscriptions_match_the_model()
+    for sub in subs[:4]:
+        stats = sub.handle.stats()
+        assert stats["dropped"] > 0 and stats["queued"] > 0, stats
+    assert subs[4].handle.stats()["filtered"] > 0
+
+    if path == "close":
+        for index in range(2, 7):
+            machine.close(index)
+    elif path == "reap":
+        # the consumer dies; three undeliverable pump sends per stream
+        machine.world.hosts[SLOW].crash()
+        for _ in range(8):
+            machine.emit(beat)
+            machine.drain()
+        assert machine.gw.subs_reaped == 4
+        assert not subs[4].handle.closed    # a paused stream sends nothing
+        machine.close(6)
+    elif path == "crash":
+        machine.crash()
+    else:
+        machine.retire(REMOTE)
+    assert [sub.handle.reaped for sub in subs] == \
+        [path != "close"] * 4 + [path in ("crash", "unregister")]
+    assert all(sub.final["closed"] and sub.handle.closed for sub in subs)
+    assert subs[4].final["paused"]
+    assert sum(sub.final["queued"] for sub in subs) == \
+        machine.gw.outbox_abandoned > 0
+
+    machine._reopen_taps()
+    for _ in range(3):
+        machine.emit(beat)
+    machine.subscriptions_match_the_model()
+    assert machine.ingested[REMOTE] > max(sub.closed_at for sub in subs)
+    if path == "reap":
+        machine.world.hosts[SLOW].restart()
+    machine.teardown()

@@ -217,3 +217,45 @@ class TestHandleRacingReap:
         gw.host.crash()
         with pytest.raises(GatewayError):
             open_remote(gw, consumer_host)
+
+
+class TestSensorRetired:
+    def test_unregister_sensor_tears_its_subscribers_down(self):
+        """``unregister_sensor`` used to pop the sensor's subscriptions
+        out of the gateway's table and nothing else: a live handle read
+        ``closed=False`` with every counter back at zero, its pump kept
+        its timer, the queued frames were never accounted and the
+        sanitizer reported a leaked handle.  It is one more caller of
+        the one teardown path."""
+        from repro.core import JAMMDeployment
+
+        world = GridWorld(seed=5, sanitize=True)
+        a, gw_host, c = (world.add_host(name) for name in ("a", "gw", "c"))
+        world.lan([a, gw_host, c], switch="sw")
+        jamm = JAMMDeployment(world)
+        gw = jamm.add_gateway("gw0", host=gw_host)
+        config = jamm.standard_config(cpu=True, vmstat=False, netstat=False,
+                                      tcpdump=False)
+        manager = jamm.add_manager(a, config=config, gateway=gw)
+        world.run(until=0.2)
+        session = jamm.client(host=c).session()
+        handle = session.subscribe("cpu@a")
+        assert gw.throttle_consumer("c", 0.5) == 1
+        world.run(until=5.2)
+        before = handle.stats()
+        assert before["delivered"] > 0 and before["queued"] > 0
+        assert not before["closed"]
+        sensor = manager.sensors["cpu"]
+
+        gw.unregister_sensor(sensor.name)
+
+        assert handle.closed and handle.reaped
+        assert handle.stats() == {**before, "closed": True}
+        assert gw.outbox_abandoned == before["queued"]
+        assert sensor.sink is None          # forwarding off
+        assert gw.stats()["subscriptions"] == 0
+        assert handle.close() is False
+        assert world.sanitize_check() == []
+        world.run(until=9.0)                # the pump's timer is gone too
+        assert handle.stats() == {**before, "closed": True}
+        session.close()

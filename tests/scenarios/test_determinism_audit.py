@@ -93,3 +93,23 @@ def test_random_scenario_matches_pinned_digest(knobs, digest):
     result = run_scenario(Scenario(**knobs))
     result.check()
     assert result.digest() == digest
+
+
+def test_the_rerun_line_rebuilds_the_scenario_it_came_from():
+    """``repro_line()`` printed six fields, so the "rerun:" line of a
+    storm / flaky / retention / backpressure failure rebuilt a
+    different (quieter) scenario."""
+    from repro.scenarios.runner import ScenarioResult
+    scenario = Scenario(
+        name="rerun", seed=15, plan=FaultPlan(), n_sensor_hosts=2,
+        horizon=30.0, storms=True, flaky=True, resilience=True,
+        outbox_limit=8, overflow_policy="block", sanitize=False,
+        archive_retention_age=30.0, archive_retention_bytes=1 << 20,
+        archive_downsample_after=15.0, compaction_interval=None)
+    line = ScenarioResult(scenario=scenario, plan=scenario.plan).repro_line()
+    printed = line[line.index("run_scenario(") + len("run_scenario("):-2]
+    rebuilt = eval(printed, {"Scenario": Scenario})
+    scenario.plan = None        # check() prints the plan beside the line
+    assert rebuilt == scenario
+    # and nothing that still has its default value is spelled out
+    assert "drain" not in printed and "sensor_period" not in printed
