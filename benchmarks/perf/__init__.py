@@ -1,12 +1,10 @@
-"""Event-path microbenchmarks (``scripts/bench.py``).
+"""Microbenchmarks for the layers the end-to-end benchmark cannot see
+(``scripts/bench.py``).
 
-Unlike the paper-reproduction benchmarks in ``benchmarks/``, these are
-true microbenchmarks: they time the innermost loops of the event path
-(ULM codec, gateway fan-out, summary ingest) against seed-equivalent
-baselines (:mod:`benchmarks.perf.baseline`) so every PR leaves a
-comparable throughput record in ``BENCH_<name>.json``.
+Unlike the paper-reproduction benchmarks in ``benchmarks/`` and the
+end-to-end workloads in ``benchmarks/e2e/`` (the perf contract), these
+time one inner loop each — ULM text codec, summary ingest, directory
+search, kernel dispatch — against parity-asserted seed-equivalent
+references (:mod:`benchmarks.perf.baseline`), because no
+``BENCHMARK.json`` workload drives those layers at rate.
 """
-
-from . import baseline, codec_bench, fanout_bench, summary_bench  # noqa: F401
-
-__all__ = ["baseline", "codec_bench", "fanout_bench", "summary_bench"]

@@ -1,10 +1,10 @@
 """Seed-equivalent reference implementations for the perf harness.
 
 These reproduce the *algorithms* the seed tree shipped — per-character
-ULM tokenizing, strftime/strptime per event, render-per-subscription
-fan-out, rescan-everything window extrema — so ``scripts/bench.py``
-can report speedups against a fixed reference instead of against
-whatever the previous commit happened to contain.  They are correct
+ULM tokenizing, strftime/strptime per event, rescan-everything window
+extrema, scan-every-entry directory search, one-heap kernel dispatch —
+so ``scripts/bench.py`` can report speedups against a fixed reference
+instead of against whatever the previous commit happened to contain.  They are correct
 (the benchmarks assert output parity) but deliberately unoptimized; do
 not "fix" their performance.
 """
@@ -19,14 +19,14 @@ from dataclasses import field as _dc_field
 from typing import Any, Callable, Generator, Optional
 
 from repro.simgrid.kernel import Interrupt, Timeout
-from repro.ulm import EPOCH, ULMMessage, encode, serialize, to_xml
+from repro.ulm import EPOCH, ULMMessage
 from repro.ulm.fields import DATE, HOST, LVL, PROG, is_valid_field_name
 from repro.ulm.parse import ParseError
 
 __all__ = ["seed_serialize", "seed_parse", "seed_parse_stream",
-           "seed_serialize_stream", "seed_fanout", "SeedSummaryWindow",
-           "seed_directory_search", "SeedEventArchive", "SeedSimulator",
-           "SeedEventFlag", "SeedProcess", "SeedScheduledCall"]
+           "seed_serialize_stream", "SeedSummaryWindow",
+           "seed_directory_search", "SeedSimulator", "SeedEventFlag",
+           "SeedProcess", "SeedScheduledCall"]
 
 
 # -- seed ULM codec: per-character tokenizer, per-event strftime/strptime ----
@@ -121,25 +121,6 @@ def seed_parse_stream(text: str) -> list:
             continue
         out.append(seed_parse(line))
     return out
-
-
-# -- seed gateway fan-out: filter + render per subscription ------------------
-
-_SEED_RENDER = {"ulm": serialize, "xml": to_xml, "binary": encode}
-
-
-def seed_fanout(subscriptions, msg: ULMMessage, send) -> int:
-    """The seed ingest loop: every subscription runs its filter and
-    renders its own copy of the event, even when formats repeat."""
-    delivered = 0
-    for sub in subscriptions:
-        if sub.mode != "stream":
-            continue
-        if not sub.event_filter.accept(msg):
-            continue
-        send(sub, _SEED_RENDER[sub.fmt](msg))
-        delivered += 1
-    return delivered
 
 
 # -- seed summary window: O(n) extrema over never-expired samples ------------
@@ -390,42 +371,3 @@ class SeedSimulator:
     @property
     def pending_events(self) -> int:
         return sum(1 for c in self._queue if not c.cancelled)
-
-
-# -- seed event archive: arrival-order storage, per-message predicates -------
-
-class SeedEventArchive:
-    """The seed :class:`EventArchive` query engine: messages in arrival
-    order, positional host/event indexes, and a time window that runs
-    the full predicate against every candidate message."""
-
-    def __init__(self):
-        self.messages: list = []
-        self._by_host: dict = {}
-        self._by_event: dict = {}
-
-    def append(self, msg) -> None:
-        idx = len(self.messages)
-        self.messages.append(msg)
-        self._by_host.setdefault(msg.host, []).append(idx)
-        if msg.event:
-            self._by_event.setdefault(msg.event, []).append(idx)
-
-    def extend(self, messages) -> None:
-        for msg in messages:
-            self.append(msg)
-
-    def query(self, q) -> list:
-        if q.event is not None and q.event in self._by_event:
-            candidates = (self.messages[i] for i in self._by_event[q.event])
-        elif q.host is not None and q.host in self._by_host:
-            candidates = (self.messages[i] for i in self._by_host[q.host])
-        else:
-            candidates = self.messages
-        return [m for m in candidates if q.matches(m)]
-
-    def time_span(self):
-        if not self.messages:
-            return (0.0, 0.0)
-        dates = [m.date for m in self.messages]
-        return (min(dates), max(dates))

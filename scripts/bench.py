@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Event-, query-, and simulation-path performance harness.
+"""Microbenchmark harness for the layers ``BENCHMARK.json`` cannot see.
 
-Runs the microbenchmarks in ``benchmarks/perf`` (ULM codec, gateway
-fan-out, summary ingest, directory search, archive query, sim kernel
-dispatch, end-to-end scenario throughput) and writes the results to a
+The repository's perf contract is the end-to-end benchmark
+(``BENCHMARK.json`` + ``benchmarks/e2e/``).  This harness keeps only the
+microbenchmarks in ``benchmarks/perf`` whose layer no end-to-end
+workload drives at rate — ULM text codec, gateway summary ingest,
+directory search, sim kernel dispatch — and writes the results to a
 ``BENCH_*.json`` file so successive PRs leave a comparable perf
-trajectory.
+trajectory.  Gateway fan-out, archive queries and whole-scenario
+throughput are measured end to end, not here; PERFORMANCE.md says
+which number answers which question.
 
 Usage::
 
@@ -15,17 +19,15 @@ Usage::
     PYTHONPATH=src python scripts/bench.py --out path/to/file.json
 
 ``--only <section>`` (repeatable, or comma-separated) re-measures just
-the named sections; results for the other sections are carried forward
-unchanged from the existing output file, so the document stays complete
-and comparable.
+the named sections; the other sections are carried forward unchanged
+from the existing output file, so the document stays complete.  Every
+section carries its own ``measured_unix``, so a carried-forward one
+keeps the stamp of the run that measured it.
 
-The JSON schema (``repro-bench/4``) adds the ``archive_segmented``
-section (segmented windowed queries plus month-vs-minute rollup
-summaries) to ``repro-bench/3``, which added ``sim_kernel`` and
-``scenario_throughput`` to ``repro-bench/2``; see PERFORMANCE.md for
-the full field list.  Rates are items (events,
-samples, queries) per second, best of N repeats; ``seed_*`` rates time
-the seed-equivalent reference implementations in
+The JSON schema is ``repro-bench/5`` — exactly the four sections above;
+see PERFORMANCE.md for the field list.  Rates are items (messages,
+samples, searches, events) per second, best of N repeats; ``seed_*``
+rates time the seed-equivalent reference implementations in
 ``benchmarks/perf/baseline.py`` and ``speedup_*`` is current/seed.
 ``--quick`` shrinks workloads to smoke-test the harness itself — its
 timings are not comparable measurements.
@@ -46,18 +48,14 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-SCHEMA = "repro-bench/4"
+SCHEMA = "repro-bench/5"
 
 #: section name -> benchmarks.perf module name, in run order
 SECTIONS = {
     "ulm_codec": "codec_bench",
-    "gateway_fanout": "fanout_bench",
     "summary_ingest": "summary_bench",
     "directory_search": "directory_bench",
-    "archive_query": "archive_bench",
-    "archive_segmented": "archive_segmented_bench",
     "sim_kernel": "kernel_bench",
-    "scenario_throughput": "scenario_bench",
 }
 
 
@@ -65,33 +63,17 @@ def _headline(doc: dict) -> dict:
     """The compact per-run record kept in the history list."""
     benches = doc.get("benchmarks", {})
     codec = benches.get("ulm_codec", {})
-    fanout = benches.get("gateway_fanout", {}).get("all_events", {})
     summary = benches.get("summary_ingest", {})
     directory = benches.get("directory_search", {}).get("indexed_eq", {})
-    archive = benches.get("archive_query", {}).get("narrow_window", {})
-    segmented = benches.get("archive_segmented", {})
-    seg_rows = {k: v for k, v in segmented.items()
-                if k.startswith("events_")}
     kernel = benches.get("sim_kernel", {}).get("immediate_dispatch", {})
-    scenario = benches.get("scenario_throughput", {})
     return {
         "generated_unix": doc.get("generated_unix"),
         "quick": doc.get("quick"),
         "parse_msgs_per_s": codec.get("parse_msgs_per_s"),
         "serialize_msgs_per_s": codec.get("serialize_msgs_per_s"),
-        "fanout_events_per_s": {n: row.get("events_per_s")
-                                for n, row in fanout.items()},
         "summary_samples_per_s": summary.get("samples_per_s"),
         "directory_searches_per_s": directory.get("searches_per_s"),
-        "archive_queries_per_s": archive.get("queries_per_s"),
-        "segmented_month_over_minute": {
-            name: row.get("month_over_minute")
-            for name, row in seg_rows.items()},
-        "segmented_month_summaries_per_s": {
-            name: row.get("summarize_month", {}).get("summaries_per_s")
-            for name, row in seg_rows.items()},
         "kernel_dispatch_events_per_s": kernel.get("events_per_s"),
-        "scenario_events_per_s": scenario.get("events_per_s"),
     }
 
 
@@ -112,11 +94,6 @@ def _report(results: dict) -> None:
               f"({codec['speedup_parse']:.1f}x seed), serialize "
               f"{codec['serialize_msgs_per_s']:,.0f}/s "
               f"({codec['speedup_serialize']:.1f}x seed)")
-    if "gateway_fanout" in results:
-        fanout = results["gateway_fanout"]["all_events"]
-        for n_subs, row in sorted(fanout.items(), key=lambda kv: int(kv[0])):
-            print(f"[bench] fan-out x{n_subs}: {row['events_per_s']:,.0f} "
-                  f"ev/s ({row['speedup']:.1f}x seed)")
     if "summary_ingest" in results:
         summary = results["summary_ingest"]
         print(f"[bench] summary ingest: {summary['samples_per_s']:,.0f} "
@@ -127,31 +104,12 @@ def _report(results: dict) -> None:
             print(f"[bench] directory {key}: "
                   f"{row['searches_per_s']:,.0f} searches/s "
                   f"({row['speedup']:.1f}x seed)")
-    if "archive_query" in results:
-        for key in ("narrow_window", "window_host_event"):
-            row = results["archive_query"][key]
-            print(f"[bench] archive {key}: {row['queries_per_s']:,.0f} "
-                  f"queries/s ({row['speedup']:.1f}x seed)")
-    if "archive_segmented" in results:
-        for name, row in sorted(results["archive_segmented"].items()):
-            if not name.startswith("events_"):
-                continue
-            wq = row["windowed_query"]
-            month = row["summarize_month"]
-            print(f"[bench] segmented {name}: window "
-                  f"{wq['queries_per_s']:,.0f} q/s "
-                  f"({wq['speedup']:.1f}x seed), month summary "
-                  f"{month['summaries_per_s']:,.0f}/s "
-                  f"({month['speedup']:.1f}x seed raw scan), "
-                  f"month/minute cost {row['month_over_minute']:.2f}x")
     if "sim_kernel" in results:
-        for key, row in results["sim_kernel"].items():
+        for key in ("immediate_dispatch", "flag_wakeups", "timer_churn",
+                    "cancel_churn"):
+            row = results["sim_kernel"][key]
             print(f"[bench] kernel {key}: {row['events_per_s']:,.0f} "
                   f"ev/s ({row['speedup']:.1f}x seed)")
-    if "scenario_throughput" in results:
-        row = results["scenario_throughput"]
-        print(f"[bench] scenario throughput: {row['events_per_s']:,.0f} "
-              f"ev/s ({row['events']:,} events, {row['wall_s']:.2f}s wall)")
 
 
 def main(argv=None) -> int:
@@ -214,7 +172,10 @@ def main(argv=None) -> int:
         module = importlib.import_module(f"benchmarks.perf.{SECTIONS[name]}")
         print(f"[bench] {name} ({'quick' if args.quick else 'full'}) ...",
               flush=True)
-        results[name] = module.run(quick=args.quick)
+        # stamped per section: a later --only run carries this one
+        # forward with the day it was measured, not the day it was copied
+        results[name] = {**module.run(quick=args.quick),
+                         "measured_unix": int(time.time())}
 
     doc = {
         "schema": SCHEMA,

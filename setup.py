@@ -1,12 +1,18 @@
-"""Legacy setup shim.
+"""Packaging for the JAMM / NetLogger reproduction (``repro``).
 
-This repo is installed with ``pip install -e .`` in an offline
-environment without the ``wheel`` package, so the PEP 517 editable
-build is unavailable; pip uses this file's ``setup.py develop`` path
-instead.  All metadata lives in pyproject.toml's ``[project]`` table —
-setuptools >= 61 reads it from there.
+Self-contained on purpose: the offline environment has no ``wheel``, so
+the PEP 517 editable build is unavailable and ``pip install -e .`` takes
+this file's ``setup.py develop`` path — all metadata lives here.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",  # repro.__version__
+    description="JAMM monitoring sensor management and NetLogger, "
+                "reproduced on a simulated Grid",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+)

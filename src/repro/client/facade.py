@@ -526,15 +526,7 @@ class ClientSession:
             return False
         host = self.client.host
         gw_host = getattr(gateway, "host", None)
-        if host is None or gw_host is None:
-            return True
-        if not host.up or not gw_host.up:
-            return False
-        try:
-            host.network.route(host.node, gw_host.node)
-        except Exception:
-            return False
-        return True
+        return host is None or gw_host is None or host.can_reach(gw_host)
 
     def _resubscribe(self, dead: SubscriptionHandle) -> bool:
         """Replace one reaped handle: directory re-lookup (with replica

@@ -46,6 +46,7 @@ from heapq import merge as _heap_merge
 from typing import Iterable, Iterator, Optional
 
 from ..ulm import ULMMessage
+from .resilience import ResilienceConfig, ResiliencePolicy
 
 __all__ = ["EventArchive", "SamplingPolicy", "ArchiveQuery",
            "RetentionPolicy", "ArchiveCompactor"]
@@ -57,6 +58,8 @@ ABNORMAL_LEVELS = frozenset({"Emergency", "Alert", "Error", "Warning",
 _DEFAULT_SEGMENT_EVENTS = 4096
 #: children per rollup-tree node (multi-resolution summaries)
 _TREE_ARITY = 8
+#: the compactor watchdog's restart-backoff gate on its resilience policy
+_EDGE_RESTART = "compactor.restart"
 
 
 @dataclass
@@ -1206,8 +1209,8 @@ class ArchiveCompactor:
 
     Mirrors the :class:`~repro.core.manager.SensorManager` idiom: the
     worker loop stamps ``last_beat`` each pass; a watchdog restarts it
-    when the process died or the beat went stale (exponential backoff
-    between attempts, reset on health).  A wedged archive
+    when the process died or the beat went stale (one ``ResiliencePolicy``
+    gate: 1 s → ×2 → 30 s between attempts, cleared on health).  A wedged archive
     (``compaction_stall``) keeps the loop alive but beat-less, so the
     watchdog restarts it visibly — and keeps doing so until the stall is
     cleared, at which point the next pass catches up and heals any
@@ -1218,9 +1221,7 @@ class ArchiveCompactor:
 
     def __init__(self, sim, archive: EventArchive, *,
                  interval: float = 2.0,
-                 supervision_interval: Optional[float] = None,
-                 restart_backoff: float = 1.0,
-                 restart_backoff_max: float = 30.0):
+                 supervision_interval: Optional[float] = None):
         if interval <= 0:
             raise ValueError("compaction interval must be positive")
         self.sim = sim
@@ -1229,8 +1230,6 @@ class ArchiveCompactor:
         self.supervision_interval = float(
             supervision_interval if supervision_interval is not None
             else 2.0 * interval)
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_max = restart_backoff_max
         #: watchdog restarts performed (crash-loop visibility)
         self.restarts = 0
         #: completed compaction passes
@@ -1240,8 +1239,9 @@ class ArchiveCompactor:
         self._worker = None
         self._watchdog = None
         self._gen = 0
-        self._backoff_cur = restart_backoff
-        self._retry_at = float("-inf")
+        #: restart backoff gate: 1 s → ×2 → 30 s, no jitter (no RNG draw)
+        self._resilience = ResiliencePolicy(
+            sim, ResilienceConfig(backoff_base=1.0, backoff_max=30.0))
 
     def start(self) -> "ArchiveCompactor":
         if self.running:
@@ -1302,18 +1302,15 @@ class ArchiveCompactor:
             yield Timeout(self.supervision_interval)
             if not self.running:
                 return
+            policy = self._resilience
             if not self._worker_unhealthy():
-                self._backoff_cur = self.restart_backoff
-                self._retry_at = float("-inf")
+                policy.clear_gate(_EDGE_RESTART, None)
                 continue
-            now = self.sim.now
-            if now < self._retry_at:
+            if not policy.retry_ready(_EDGE_RESTART, None):
                 continue  # backing off after a recent failed restart
             self._spawn_worker()
             self.restarts += 1
-            self._retry_at = now + self._backoff_cur
-            self._backoff_cur = min(self.restart_backoff_max,
-                                    self._backoff_cur * 2.0)
+            policy.gate_failure(_EDGE_RESTART, None)
 
     def stats(self) -> dict:
         return {"passes": self.passes, "restarts": self.restarts,

@@ -74,15 +74,7 @@ class DirectoryReplicator:
         traffic is lost — the partition model."""
         m_host = self.master.host
         r_host = replica.host
-        if m_host is None or r_host is None:
-            return True
-        if not m_host.up or not r_host.up:
-            return False
-        try:
-            m_host.network.route(m_host.node, r_host.node)
-        except Exception:
-            return False
-        return True
+        return m_host is None or r_host is None or m_host.can_reach(r_host)
 
     # -- master side -------------------------------------------------------
 

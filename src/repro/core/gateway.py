@@ -579,12 +579,15 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                         delivery=Delivery.remote(msg.src_host, req["port"]))
                 handle = self.open(spec)
                 transport.reply(msg, {"ok": True, "sub_id": handle.sub_id})
-            elif op == "unsubscribe":
-                transport.reply(msg, {"ok": self.unsubscribe(req["sub_id"])})
-            elif op == "pause":
-                transport.reply(msg, {"ok": self.pause(req["sub_id"])})
-            elif op == "resume":
-                transport.reply(msg, {"ok": self.resume(req["sub_id"])})
+            elif op in ("unsubscribe", "pause", "resume"):
+                # §7.1: a stream is its consumer's to control — the host
+                # it delivers to — not any host that can guess an integer
+                sub = self._subs.get(req["sub_id"])
+                if sub is not None and (sub.remote is None
+                                        or sub.remote[0] is not msg.src_host):
+                    raise GatewayError(f"subscription {sub.sub_id} is not "
+                                       f"delivered to {msg.src_host.name}")
+                transport.reply(msg, {"ok": getattr(self, op)(req["sub_id"])})
             elif op == "query":
                 event = self.query(req["sensor"],
                                    principal=req.get("principal"))

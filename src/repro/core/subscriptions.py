@@ -158,8 +158,8 @@ class SubscriptionSpec:
             raise SpecError("event_filter must be an EventFilter")
         if self.buffer_limit < 0:
             raise SpecError("buffer_limit must be >= 0")
-        if self.outbox_limit < 1:
-            raise SpecError("outbox_limit must be >= 1")
+        if not isinstance(self.outbox_limit, int) or self.outbox_limit < 1:
+            raise SpecError("outbox_limit must be an int >= 1")
         if self.overflow not in OVERFLOW_POLICIES:
             raise SpecError(f"unknown overflow policy {self.overflow!r}")
 
@@ -190,7 +190,9 @@ class SubscriptionSpec:
     def to_request(self) -> dict:
         """The networked-subscribe payload (gateway ``op=subscribe``)."""
         req: dict = {"op": "subscribe", "sensor": self.sensor,
-                     "mode": self.mode.value, "fmt": self.fmt.value}
+                     "mode": self.mode.value, "fmt": self.fmt.value,
+                     "outbox_limit": self.outbox_limit,
+                     "overflow": self.overflow}
         if self.event_filter is not None:
             req["filter"] = self.event_filter.to_dict()
         if self.principal is not None:
@@ -204,7 +206,9 @@ class SubscriptionSpec:
         flt = filter_from_dict(req["filter"]) if req.get("filter") else None
         return cls(sensor=req["sensor"], mode=req.get("mode", "stream"),
                    fmt=req.get("fmt", "ulm"), event_filter=flt,
-                   principal=req.get("principal"))
+                   principal=req.get("principal"),
+                   outbox_limit=req.get("outbox_limit", DEFAULT_OUTBOX_LIMIT),
+                   overflow=req.get("overflow", "drop_oldest"))
 
 
 class SubscriptionHandle:

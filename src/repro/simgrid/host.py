@@ -14,7 +14,7 @@ from typing import Any, Callable, Optional
 
 from .clocks import HostClock
 from .kernel import Simulator
-from .network import NetNode, Network
+from .network import NetNode, Network, NoRouteError
 from .processes import ProcessTable
 from .resources import CPUModel, MemoryModel
 
@@ -230,6 +230,17 @@ class Host:
 
     def service(self, name: str) -> Any:
         return self.services.get(name)
+
+    def can_reach(self, other: "Host") -> bool:
+        """Can this host reach ``other`` right now: both ends up and a
+        route over live links between them (the partition model)."""
+        if not self.up or not other.up:
+            return False
+        try:
+            self.network.route(self.node, other.node)
+        except NoRouteError:
+            return False
+        return True
 
     # -- fault lifecycle ------------------------------------------------------
 

@@ -51,6 +51,22 @@ class TestGridWorld:
         # end-to-end RTT: 2 * (0.1ms + 10ms + 10ms + 10ms + 0.1ms)
         assert path.rtt_s == pytest.approx(2 * (30e-3 + 2 * 0.1e-3))
 
+    def test_can_reach_is_both_ends_up_and_a_live_route(self):
+        world = GridWorld(seed=1)
+        a = world.add_host("a")
+        b = world.add_host("b")
+        world.lan([a], switch="s1")
+        world.lan([b], switch="s2")
+        (link,) = world.wan_path("s1", "s2", routers=[])
+        assert a.can_reach(b) and b.can_reach(a) and a.can_reach(a)
+        link.set_up(False)              # partition: no route either way
+        assert not a.can_reach(b) and not b.can_reach(a)
+        link.set_up(True)
+        b.crash()                       # a down end is unreachable and
+        assert not a.can_reach(b) and not b.can_reach(a)  # reaches nothing
+        b.restart()
+        assert a.can_reach(b)
+
     def test_wan_routers_get_snmp_agents(self):
         world = GridWorld(seed=1)
         world.lan([world.add_host("a")], switch="s1")

@@ -7,6 +7,8 @@ inline ``# repro: noqa[RULE]`` with a justification.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline
@@ -45,3 +47,13 @@ def test_suppressions_are_justified():
             unjustified.append(f"{finding.path}:{finding.line}")
     assert not unjustified, (
         "noqa without justification: " + ", ".join(unjustified))
+
+
+def test_setup_py_is_self_contained():
+    """``pip install -e .`` takes the ``setup.py develop`` path here, so
+    the metadata must live in setup.py itself (there is no
+    pyproject.toml): an unnamed distribution installs nothing."""
+    proc = subprocess.run([sys.executable, "setup.py", "--name"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["repro"]
