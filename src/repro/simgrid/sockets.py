@@ -11,6 +11,12 @@ at one instant (a gateway's fan-out of one event): exactly k sends, for
 less host time.  A stream owns one source port: long-lived senders mint
 it once (:meth:`MessageTransport.ephemeral_port`), not per message.
 
+A datagram to a port bound to :func:`discard` (the sink background
+traffic aims at) ends at the send: every hop is charged, both port
+tables and all counters updated, the loss and flaky draws made, and no
+arrival is scheduled — neither ``on_delivered`` nor an arrival-time
+``on_fail`` can fire for it.
+
 Bulk data transfers (DPSS reads, iperf) do NOT use this module — they
 use the congestion-controlled :mod:`repro.simgrid.tcp` model.
 """
@@ -27,7 +33,8 @@ from .host import Host
 from .kernel import EventFlag, Simulator
 from .network import NoRouteError
 
-__all__ = ["Message", "MessageTransport", "DeliveryError", "ignore_failure"]
+__all__ = ["Message", "MessageTransport", "DeliveryError", "ignore_failure",
+           "discard"]
 
 
 class DeliveryError(RuntimeError):
@@ -38,6 +45,12 @@ def ignore_failure(exc: Exception) -> None:
     """The ``on_fail`` of a fire-and-forget send: an undeliverable
     message is dropped rather than raised.  One shared function, so such
     senders allocate no closure per message."""
+
+
+def discard(msg: "Message", transport: "MessageTransport") -> None:
+    """The discard service's listener.  :meth:`MessageTransport.send`
+    knows it by identity and schedules no arrival for a datagram bound
+    to it: bind *this*, not a look-alike."""
 
 
 @dataclass(slots=True)
@@ -187,9 +200,9 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         size = size_bytes + self.HEADER_BYTES
         if src_port is None:
             src_port = next(self._ephemeral)
-        msg = Message(src_host=src, dst_host=dst, src_port=src_port,
-                      dst_port=dst_port, payload=payload, size_bytes=size,
-                      msg_id=next(self._msg_ids), sent_at=self.sim.now)
+        now = self.sim.now
+        msg = Message(src, dst, src_port, dst_port, payload, size,
+                      next(self._msg_ids), now)
         if not src.up or not dst.up:
             down = src.name if not src.up else dst.name
             self.messages_dropped += 1
@@ -213,7 +226,10 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self.per_host_bytes[src.name] = self.per_host_bytes.get(src.name, 0) + size
         self.class_bytes[traffic_class] = \
             self.class_bytes.get(traffic_class, 0) + size
-        src.ports.record(src_port, bytes_out=size, packets_out=npackets)
+        act = src.ports._activity.get(src_port) or src.ports.activity(src_port)
+        act.bytes_out += size
+        act.packets_out += npackets
+        act.last_activity = now
         plan = path.plan    # () between a host and itself
         loss = path.loss_rate
         if loss > 0.0:
@@ -242,12 +258,15 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                 return msg
         # shared-link queues + delivered-traffic accounting: charged at
         # send time, hop by hop, from the route's plan
-        qdelay = path.charge(size, npackets, self.sim.now, traffic_class)
+        qdelay = path.charge(size, npackets, now, traffic_class)
         if qdelay is None:
             self.messages_lost_congestion += 1
             return msg
         self.queue_delay_s += qdelay
-        dst.ports.record(dst_port, bytes_in=size, packets_in=npackets)
+        act = dst.ports._activity.get(dst_port) or dst.ports.activity(dst_port)
+        act.bytes_in += size
+        act.packets_in += npackets
+        act.last_activity = now
         delay = (path.latency_s + (size * 8.0) / path.bottleneck_bps + qdelay) \
             if plan else 1e-6
         if self._flaky_hosts:
@@ -266,12 +285,14 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                     # nobody to tell, and it degrades to a gray drop.
                     self.messages_flaky_failed += 1
                     if on_fail is not None:
-                        self.sim.call_at(
-                            self.sim.now + delay, on_fail,
-                            DeliveryError(
-                                f"transient rpc failure at {dst.name}"))
+                        self.sim.call_at(now + delay, on_fail, DeliveryError(
+                            f"transient rpc failure at {dst.name}"))
                     return msg
-        when = self.sim.now + delay
+        if dst.ports._listeners.get(dst_port) is discard:
+            # the wire and both hosts have seen all of it; the rest only
+            # a handler could observe, and this one observes nothing
+            return msg
+        when = now + delay
         if not oneshot:
             # one-shot flows carry exactly one message ever: there is
             # nothing to order, so they never touch the watermark dict
@@ -309,8 +330,9 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         — with the up check, route and port table resolved once per
         destination host.  A delivery off the clean path (an end down,
         no route, a lossy or zero-hop path, any flaky host, no source
-        port) goes through :meth:`send`; that may run ``on_fail`` —
-        anything — so hosts are resolved afresh after it."""
+        port, a :func:`discard`-bound port) goes through :meth:`send`;
+        that may run ``on_fail`` — anything — so hosts are resolved
+        afresh after it."""
         sim, now = self.sim, self.sim.now
         header, mtu = self.HEADER_BYTES, self.MTU
         msg_ids, arrivals, flow_clock = \
@@ -333,7 +355,8 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                     except NoRouteError:
                         pass
                 routes[dst] = route
-            if not route or src_port is None:
+            if not route or src_port is None \
+                    or dst.ports._listeners.get(dst_port) is discard:
                 self.send(src, dst, dst_port, payload, size_bytes=size_bytes,
                           src_port=src_port, traffic_class=traffic_class,
                           on_fail=on_fail, on_delivered=on_delivered)

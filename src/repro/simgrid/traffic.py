@@ -8,6 +8,12 @@ background sources — a constant-rate stream and an on/off burst source
 the ``"background"`` traffic class, so link queues, utilization
 windows, and drop counters move exactly as they would under real load.
 
+Background traffic is link load, not mail: a source aims at its
+destination's discard service (:func:`repro.simgrid.sockets.discard` on
+:data:`TRAFFIC_PORT`), so a packet is one timer tick and one ``send``
+that charges every hop and both port tables and schedules no arrival.
+Aimed at a port with a real listener, the same packets are delivered.
+
 Specs are plain data (:class:`TrafficSpec` round-trips through JSON,
 like fault plans), and every generator draws jitter from a named world
 RNG stream, so a storm replays bit-identically from its seed.
@@ -19,15 +25,15 @@ import json
 from dataclasses import dataclass, asdict
 from typing import Any, Optional
 
-from .kernel import Timeout
+from .kernel import ScheduledCall
 from .network import TRAFFIC_CLASSES
-from .sockets import ignore_failure
+from .sockets import discard, ignore_failure
 
 __all__ = ["TrafficSpec", "TrafficGenerator", "TRAFFIC_PORT",
            "TRAFFIC_KINDS"]
 
-#: well-known sink port (the "discard" service): generators bind a
-#: no-op listener here so their datagrams terminate cleanly
+#: well-known sink port (the "discard" service): the first generator
+#: toward a host binds :func:`~repro.simgrid.sockets.discard` here, for good
 TRAFFIC_PORT = 9
 
 #: generator shapes
@@ -96,8 +102,9 @@ class TrafficGenerator:
     The generator sends fire-and-forget datagrams on the transport (a
     failed send — src host down, no route — is counted and tolerated:
     background traffic does not crash when the world degrades, it
-    resumes when the path does).  :meth:`stop` is idempotent and
-    detaches the kernel process.
+    resumes when the path does).  It is a timer, not a process: each
+    tick sends one packet and re-arms itself.  :meth:`stop` is
+    idempotent and cancels the pending tick.
     """
 
     def __init__(self, world: Any, spec: TrafficSpec):
@@ -109,8 +116,9 @@ class TrafficGenerator:
         self.bytes_sent = 0
         self.send_failures = 0
         self.running = False
-        self._proc = None
-        self._bound_sink = False
+        self._timer: Optional[ScheduledCall] = None
+        #: end of the run / of the on-period (None: the next tick opens one)
+        self._t_end = self._burst_end = float("inf")
         #: the stream's one source port; what else every packet needs —
         #: ``(transport, src, dst, payload bytes)`` — :meth:`start` resolves
         self.src_port = world.transport.ephemeral_port()
@@ -126,23 +134,17 @@ class TrafficGenerator:
         dst = self.world.hosts[self.spec.dst]
         self._flow = (transport, self.world.hosts[self.spec.src], dst, max(
             1, self.spec.packet_bytes - transport.HEADER_BYTES))
+        # the discard service is the host's: bound by whoever needs it
+        # first, unbound by nobody (a neighbour storm may still be sending)
         if dst.ports.listener(self.spec.port) is None:
-            dst.ports.bind(self.spec.port, lambda msg, tr: None)
-            self._bound_sink = True
-        self._proc = self.world.sim.spawn(
-            self._run(), name=f"traffic:{self.spec.src}->{self.spec.dst}")
+            dst.ports.bind(self.spec.port, discard)
+        self._timer = self.world.sim.call_soon(self._open)
         return self
 
     def stop(self) -> None:
-        if not self.running:
-            return
-        self.running = False
-        if self._proc is not None and self._proc.alive:
-            self._proc.kill()
-        self._proc = None
-        if self._bound_sink:
-            self.world.hosts[self.spec.dst].ports.unbind(self.spec.port)
-            self._bound_sink = False
+        if self.running:
+            self.running = False
+            self._timer.cancel()
 
     # -- engine -------------------------------------------------------------
 
@@ -165,26 +167,31 @@ class TrafficGenerator:
             self.packets_sent += 1
             self.bytes_sent += spec.packet_bytes
 
-    def _run(self):
-        spec = self.spec
-        sim = self.world.sim
-        if spec.start > sim.now:
-            yield Timeout(spec.start - sim.now)
-        t_end = (sim.now + spec.duration
-                 if spec.duration is not None else None)
-        while self.running and (t_end is None or sim.now < t_end):
-            if spec.kind == "onoff":
-                burst_end = sim.now + spec.on_s
-                while self.running and sim.now < burst_end and \
-                        (t_end is None or sim.now < t_end):
-                    self._send_one()
-                    yield Timeout(self._interval())
-                if spec.off_s > 0:
-                    yield Timeout(spec.off_s)
-            else:
-                self._send_one()
-                yield Timeout(self._interval())
-        self.running = False
+    def _open(self, waited: bool = False) -> None:
+        spec, sim = self.spec, self.world.sim
+        if not waited and spec.start > sim.now:
+            self._timer = sim.call_in(spec.start - sim.now, self._open, True)
+            return
+        if spec.duration is not None:
+            self._t_end = sim.now + spec.duration
+        self._burst_end = None if spec.kind == "onoff" else float("inf")
+        self._tick()
+
+    def _tick(self) -> None:
+        spec, sim = self.spec, self.world.sim
+        now = sim.now
+        if now >= self._t_end:
+            self.running = False
+            return
+        if self._burst_end is None or now >= self._burst_end:
+            if self._burst_end is not None and spec.off_s > 0:
+                # on-period over: rest; the tick after it opens the next
+                self._burst_end = None
+                self._timer = sim.call_in(spec.off_s, self._tick)
+                return
+            self._burst_end = now + spec.on_s
+        self._send_one()
+        self._timer = sim.call_in(self._interval(), self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TrafficGenerator {self.spec.src}->{self.spec.dst} "

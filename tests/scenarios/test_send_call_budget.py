@@ -16,7 +16,11 @@ gateway's fan-out of one event — with every hop's queue backlogged, the
 state a fan-out puts them in: three calls per message (``Message()``,
 the same ``Path.charge``, and ``Simulator.call_at`` because each lands
 at its own instant) plus a handful per burst, at any hop count.  As
-single sends the same messages cost the nine of an idle send each.
+single sends the same messages cost the five of an idle send each.
+
+The third gate counts a storm packet — background traffic toward a
+host's discard service — from timer tick to timer tick: one kernel
+event and nine calls, with no arrival left behind to deliver.
 """
 
 from __future__ import annotations
@@ -26,14 +30,20 @@ import sys
 
 from repro.simgrid import GridWorld
 
-#: send itself, Message(), Network.route, Path.charge, two
-#: PortTable.record -> .activity pairs, Simulator.call_at: nine
-MAX_CALLS_PER_IDLE_SEND = 10
+#: send itself, Message(), Network.route, Path.charge,
+#: Simulator.call_at: five (both port records are inline); one of slack
+MAX_CALLS_PER_IDLE_SEND = 6
 #: send_burst itself, Network.route once per destination host (3 here);
 #: a little slack
 MAX_CALLS_PER_BURST = 6
 #: Message(), Path.charge, Simulator.call_at
 MAX_CALLS_PER_BURST_MESSAGE = 3
+#: TrafficGenerator._tick, ._interval, ._send_one, send itself,
+#: Message(), Network.route, Path.charge, and call_in -> call_at for the
+#: next tick; nothing for the arrival, there is none
+MAX_CALLS_PER_STORM_PACKET = 9
+#: Simulator.run and what it calls once a run, whatever the window
+MAX_CALLS_PER_RUN = 4
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -120,3 +130,27 @@ def test_backlogged_burst_costs_three_calls_per_message_on_any_route():
     assert world.transport.messages_sent == 4 * k
     assert world.transport.messages_lost_congestion == 0
     assert len(a.ports._activity) == k
+
+
+def test_storm_packet_is_one_kernel_event_and_nine_calls():
+    world = GridWorld(seed=5)
+    a, c = world.add_host("a"), world.add_host("c")
+    world.lan([a], switch="swA")
+    world.lan([c], switch="swB")
+    world.wan_path("swA", "swB", routers=["r1"])
+    assert world.network.route(a.node, c.node).hops == 4
+    # 1 Mbit/s in 1000-byte packets: 8 ms apart, every queue idle between
+    gen = world.start_traffic({"src": "a", "dst": "c", "rate_bps": 1e6,
+                               "packet_bytes": 1000, "jitter": 0.2})
+    world.run(until=1.0)        # route resolved, port records made
+    tr, sim = world.transport, world.sim
+    packets, events = gen.packets_sent, sim.events_executed
+    calls = count_calls(world.run, until=2.0)
+    n = gen.packets_sent - packets
+    assert n > 100
+    assert sim.events_executed - events == n
+    assert calls <= MAX_CALLS_PER_STORM_PACKET * n + MAX_CALLS_PER_RUN, \
+        (calls, n)
+    assert tr.messages_sent == gen.packets_sent and tr.queue_delay_s == 0.0
+    assert not tr._arrivals and not tr._flow_clock
+    assert tr.delivery_wakeups == 0

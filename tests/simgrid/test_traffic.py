@@ -1,11 +1,13 @@
 """Background-traffic generators and congestion-storm faults."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.simgrid import FaultPlan, GridWorld
 from repro.simgrid.faults import FaultError
+from repro.simgrid.sockets import discard
 from repro.simgrid.traffic import (TRAFFIC_KINDS, TRAFFIC_PORT,
                                    TrafficGenerator, TrafficSpec)
 
@@ -101,6 +103,115 @@ class TestTrafficGenerator:
         world.run(until=1.5)
         assert gen.send_failures > 0 or gen.packets_sent > 0
         world.stop_traffic()
+
+
+class TestDiscardSink:
+    def three_hosts(self):
+        world = GridWorld(seed=5)
+        a, b, c = (world.add_host(name) for name in "abc")
+        world.lan([a, b, c], switch="sw")
+        return world, a, b, c
+
+    def test_stopping_one_storm_leaves_its_neighbours_sink_bound(self):
+        """The discard service belongs to the host: the first storm to
+        stop used to unbind it, turning the second storm's packets into
+        ``messages_dropped`` while it reported no failures."""
+        world, a, b, c = self.three_hosts()
+        first = world.start_traffic({"src": "a", "dst": "c", "rate_bps": 1e6})
+        second = world.start_traffic({"src": "b", "dst": "c", "rate_bps": 1e6})
+        world.run(until=1.0)
+        first.stop()
+        sent = second.packets_sent
+        world.run(until=2.0)
+        assert second.packets_sent > sent and second.send_failures == 0
+        assert world.transport.messages_dropped == 0
+        assert c.ports.listener(TRAFFIC_PORT) is discard
+        second.stop()
+        assert c.ports.listener(TRAFFIC_PORT) is discard
+
+    def test_a_real_listener_is_left_alone_and_still_hears_the_storm(self):
+        world, a, b, c = self.three_hosts()
+        heard = []
+
+        def listener(msg, transport):
+            heard.append(msg.msg_id)
+        c.ports.bind(TRAFFIC_PORT, listener)
+        gen = world.start_traffic({"src": "a", "dst": "c", "rate_bps": 1e6})
+        world.run(until=1.0)
+        gen.stop()
+        world.run(until=2.0)
+        assert c.ports.listener(TRAFFIC_PORT) is listener
+        assert len(heard) == gen.packets_sent > 0
+
+    def test_a_discarded_packet_is_charged_but_never_arrives(self):
+        world, a, b, c = self.three_hosts()
+        gen = world.start_traffic({"src": "a", "dst": "c", "rate_bps": 1e6,
+                                   "packet_bytes": 1000})
+        world.run(until=1.0)
+        tr = world.transport
+        assert tr.messages_sent == gen.packets_sent > 0
+        assert tr.delivery_wakeups == 0
+        # one kernel event a packet (the first is the one start() queued)
+        assert world.sim.events_executed == gen.packets_sent
+        sink = c.ports.activity(TRAFFIC_PORT)
+        assert sink.bytes_in == gen.bytes_sent == 1000 * gen.packets_sent
+        assert a.ports.activity(gen.src_port).bytes_out == gen.bytes_sent
+        assert tr.class_bytes == {"background": gen.bytes_sent}
+        world.stop_traffic()
+        assert world.sim.pending_events == 0
+
+
+#: name -> (spec fields, run until, (stop at, start again at) or None,
+#: packets, SHA-256 of ``repr`` of their ``sent_at`` list).  Recorded at
+#: the commit before the generator became a timer, where it was a kernel
+#: process; the port has a real listener, so every packet is delivered.
+GOLDEN_SCHEDULES = {
+    "constant_jitter": (
+        dict(jitter=0.4, seed=3), 2.0, None, 191,
+        "ca11ad96be9350752c894b51cc646c53f079e7c41192fffe2ff16024f96167c0"),
+    "onoff_jitter": (
+        dict(kind="onoff", on_s=0.25, off_s=0.35, jitter=0.3, seed=11),
+        3.0, None, 128,
+        "ef3b38bdb46fa7c698bb29221a070ae099bb98c0a300f932437422d2b00d39fa"),
+    "onoff_no_rest": (
+        dict(kind="onoff", on_s=0.3, off_s=0.0, jitter=0.2, seed=2),
+        2.0, None, 190,
+        "f55aac9ec1f76068bccb3ed72363a1ad7c490d214344a68eb3d69ebd9a020a9f"),
+    "late_start_ends_mid_burst": (
+        dict(kind="onoff", on_s=0.4, off_s=0.2, start=0.7, duration=0.9,
+             jitter=0.1, seed=7), 4.0, None, 71,
+        "64217579a9fcb75fb921708a6125c8ff72e20cd937e61ba0ecd56b8b62f96b01"),
+    "stop_start_mid_run": (
+        dict(kind="onoff", on_s=0.3, off_s=0.1, duration=1.0, jitter=0.5,
+             seed=4), 4.0, (0.45, 0.8), 110,
+        "1a6c824d35c62a217f156aabb08d0c25024854abcc5d7c29b99afb452c43513d"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SCHEDULES)
+def test_golden_send_schedule(name):
+    """Every packet leaves at the instant it always did."""
+    fields, until, restart, packets, digest = GOLDEN_SCHEDULES[name]
+    world, a, b = two_sites()
+    sent = []
+    b.ports.bind(7000, lambda msg, tr: sent.append(msg.sent_at))
+    world.run(until=0.1)
+    gen = TrafficGenerator(world, TrafficSpec(
+        src=a.name, dst=b.name, rate_bps=8e6, packet_bytes=10_000,
+        port=7000, **fields)).start()
+    if restart is not None:
+        world.run(until=restart[0])
+        gen.stop()
+        world.run(until=restart[1])
+        gen.start()
+    world.run(until=until)
+    # a run with a duration has ended by itself; the others are stopped
+    assert gen.running == ("duration" not in fields)
+    gen.stop()
+    world.run(until=until + 1.0)
+    assert len(sent) == gen.packets_sent == packets
+    assert gen.send_failures == 0 and world.sim.pending_events == 0
+    assert hashlib.sha256(repr(sent).encode()).hexdigest() == digest
 
 
 class TestCongestionStormFault:

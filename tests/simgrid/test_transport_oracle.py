@@ -30,6 +30,17 @@ whose ``on_fail`` changed the network.  The random runs find about
 half of them, run to run — never the late sweep, the exact fill or the
 stale hosts, which need a constructed case.  All three tests pass at
 the parent commit, where a burst is a loop of ``send`` calls.
+
+The model also states the discard rule — a datagram whose destination
+port is bound to :func:`repro.simgrid.sockets.discard` schedules no
+arrival — and the sink-twin tests at the bottom check that the rule
+hides nothing: two worlds on the *real* transport, alike but for what
+the discard port is bound to (``discard`` or a plain no-op lambda, which
+takes the full delivery path), must agree on everything but the two
+counters that count arrivals.  Checked against two mutations of
+``send``, each of which fails the fixed sink script: taking the early
+return above the flaky-host block, and above the destination port
+record.
 """
 
 from __future__ import annotations
@@ -42,7 +53,9 @@ from hypothesis import strategies as st
 
 from repro.simgrid import DeliveryError, GridWorld
 from repro.simgrid.network import TRAFFIC_CLASSES
-from repro.simgrid.sockets import Message, MessageTransport
+from repro.simgrid.sockets import (Message, MessageTransport, discard,
+                                   ignore_failure)
+from repro.simgrid.traffic import TRAFFIC_PORT
 
 PORTS = (5000, 5001)
 UNBOUND = 5002      # nobody listens: fails on arrival, not at the send
@@ -148,6 +161,10 @@ class ModelTransport(MessageTransport):
                         self.sim.now + delay, on_fail, DeliveryError(
                             f"transient rpc failure at {dst.name}"))
                 return msg
+        # a datagram whose destination port is bound to the discard
+        # handler schedules no arrival
+        if dst.ports.listener(dst_port) is discard:
+            return msg
         when = self.sim.now + delay
         if not oneshot:
             flow = (src.name, dst.name, dst_port)
@@ -179,7 +196,7 @@ class Twin:
     (one router) and a longer detour (two routers), so downing a trunk
     reroutes and downing both partitions."""
 
-    def __init__(self, seed: int, *, model: bool):
+    def __init__(self, seed: int, *, model: bool, sink=None):
         world = self.world = GridWorld(seed=seed)
         if model:
             salt = world.transport._loss_salt
@@ -203,6 +220,9 @@ class Twin:
         for host in hosts:
             for port in PORTS:
                 host.ports.bind(port, self._arrived)
+            if sink is not None:
+                # a storm's generator leaves a port that is bound alone
+                host.ports.bind(TRAFFIC_PORT, sink)
 
     def _arrived(self, msg, _transport) -> None:
         self.arrivals.append((msg.payload, msg.sent_at, self.world.now,
@@ -216,20 +236,28 @@ class Twin:
     def _delivered(self, msg) -> None:
         self.callbacks.append(("ok", self.world.now, msg.msg_id))
 
+    def _callbacks(self, port: int) -> tuple:
+        """``(on_fail, on_delivered)`` of a delivery: the discard port's
+        are blind, as a storm's are — what they would hear of an arrival
+        is the one thing the sink twins are allowed to differ in."""
+        if port == TRAFFIC_PORT:
+            return ignore_failure, None
+        return self._failed, self._delivered
+
     def apply(self, op: tuple) -> None:
         world, kind = self.world, op[0]
         if kind == "send":
             _, src, dst, port, size, cls, oneshot, tag = op
+            on_fail, on_delivered = self._callbacks(port)
             world.transport.send(
                 world.hosts[src], world.hosts[dst], port, tag,
                 size_bytes=size, traffic_class=cls, oneshot=oneshot,
-                src_port=4000, on_fail=self._failed,
-                on_delivered=self._delivered)
+                src_port=4000, on_fail=on_fail, on_delivered=on_delivered)
         elif kind == "burst":
             _, src, cls, items = op
             world.transport.send_burst(world.hosts[src], [
-                (world.hosts[dst], port, tag, size, src_port, self._failed,
-                 self._delivered)
+                (world.hosts[dst], port, tag, size, src_port,
+                 *self._callbacks(port))
                 for dst, port, size, src_port, tag in items],
                 traffic_class=cls)
         elif kind == "arm":
@@ -347,14 +375,17 @@ ops = st.one_of(sends, sends, sends, bursts, bursts, bursts, waits, waits,
                 mutations)
 
 
-def run_twins(seed: int, script: list) -> tuple[Twin, Twin]:
-    real, model = Twin(seed, model=False), Twin(seed, model=True)
-    for twin in (real, model):
+def run_pair(first: Twin, second: Twin, script: list) -> tuple[Twin, Twin]:
+    for twin in (first, second):
         for op in script:
             twin.apply(op)
         twin.world.run(until=twin.world.now + 5.0)
         twin.world.stop_traffic()
-    return real, model
+    return first, second
+
+
+def run_twins(seed: int, script: list) -> tuple[Twin, Twin]:
+    return run_pair(Twin(seed, model=False), Twin(seed, model=True), script)
 
 
 @settings(max_examples=60, deadline=None,
@@ -465,3 +496,96 @@ def test_burst_is_k_sends_through_overflow_and_every_fallback():
     assert [text.split()[0] for text in fails[:2]] == ["no", "host"]
     assert sum(text.startswith("transient") for text in fails) \
         == tr.messages_flaky_failed
+
+
+# -- sink twins: the discard rule hides nothing ------------------------------
+
+#: what an arrival at a no-op listener still moves: its wakeup, and the
+#: drop if the host died under it; the watermark and the sweep it
+#: skipped order and free nothing anybody can see
+ARRIVAL_ONLY = ("delivery_wakeups", "messages_dropped", "_flow_clock",
+                "_prune_at")
+
+# the ops of the model twins, plus sends and bursts aimed at the discard
+# port itself, and storms as often as everything else that mutates
+to_sink = st.tuples(
+    st.just("send"), st.sampled_from(HOSTS), st.sampled_from(HOSTS),
+    st.just(TRAFFIC_PORT), sizes, st.sampled_from(TRAFFIC_CLASSES),
+    st.booleans(), tags)
+sink_bursts = st.tuples(
+    st.just("burst"), st.sampled_from(HOSTS), st.sampled_from(TRAFFIC_CLASSES),
+    st.lists(st.tuples(st.sampled_from(HOSTS),
+                       st.sampled_from(PORTS + (TRAFFIC_PORT,)), sizes,
+                       st.sampled_from([4000, 4001, None]), tags),
+             min_size=1, max_size=12))
+sink_ops = st.one_of(sends, sends, to_sink, bursts, sink_bursts, waits, waits,
+                     mutations, mutations)
+
+
+def run_sink_twins(seed: int, script: list) -> tuple[Twin, Twin]:
+    """One script through two real-transport worlds: the discard port
+    bound to ``discard`` in one and to a look-alike in the other."""
+    return run_pair(
+        Twin(seed, model=False, sink=discard),
+        Twin(seed, model=False, sink=lambda msg, transport: None), script)
+
+
+def assert_sink_twins_agree(fast: Twin, full: Twin) -> None:
+    got, want = fast.observables(), full.observables()
+    for name in ARRIVAL_ONLY:
+        del got["transport"][name], want["transport"][name]
+    # "arrivals" is every non-storm message's (msg_id, delivered_at)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), script=st.lists(sink_ops, max_size=60))
+def test_discard_sink_changes_nothing_but_arrival_counters(seed, script):
+    assert_sink_twins_agree(*run_sink_twins(seed, script))
+
+
+def test_sink_twins_through_a_flaky_crashing_congested_destination():
+    """The sink twins on one fixed script: storms toward a host that is
+    flaky, then slow, then crashes with packets in flight, across a
+    trunk they overflow, a blackhole and a partition, with monitoring
+    sends and bursts (some to the discard port itself) in between — and
+    checks the script really reached those states."""
+    def send(tag, port=5000, size=200, src="a1", dst="b1"):
+        return ("send", src, dst, port, size, "monitoring", False, tag)
+
+    def storm(src, rate=6 * WAN_BPS, duration=1.5, seed=0):
+        return ("storm", src, "b1", rate, 8192, duration, seed)
+    mixed = ("burst", "a1", "monitoring", [
+        ("b1", 5000, 200, 4000, 20), ("b1", TRAFFIC_PORT, 9000, 4001, 21),
+        ("a2", TRAFFIC_PORT, 200, None, 22), ("b1", 5001, 1436, 4001, 23),
+        ("a1", TRAFFIC_PORT, 1, 4000, 24)])
+    script = [
+        send(1), send(2, TRAFFIC_PORT), mixed, ("wait", 0.3),
+        ("flaky", "b1", 0.5, 0.05), storm("a2"), ("wait", 0.01),
+        send(3), send(4), mixed, ("wait", 0.5), send(5), send(6),
+        ("flaky", "b1", None, 0.0), ("wait", 2.5),
+        storm("a1", 2 * WAN_BPS, seed=1), storm("a2", seed=2), ("wait", 0.2),
+        send(7), ("host", "b1", False), send(8), ("wait", 0.2),
+        ("host", "b1", True), send(9), mixed, ("wait", 2.5),
+        storm("a2", duration=0.2, seed=3),
+        ("loss", "swA--r1", 1.0, 2), ("wait", 0.05), send(10),
+        ("loss", "swA--r1", 0.0, 0), send(11),
+        ("updown", "r1--swB", False), send(12), mixed,
+        ("updown", "r2--r3", False), send(13, TRAFFIC_PORT), ("wait", 1.0),
+    ]
+    fast, full = run_sink_twins(11, script)
+    assert_sink_twins_agree(fast, full)
+    tr, slow = fast.world.transport, full.world.transport
+    sent = sum(g.packets_sent for g in fast.storms)
+    assert sent > 1000 and tr.messages_lost_congestion > 0
+    assert 0 < tr.messages_flaky_failed and tr.flaky_delay_s > 0.0
+    assert tr.messages_lost > 0                     # blackholed storm packets
+    # a storm packet or discard-port datagram that got through was one
+    # more wakeup in the full world, and a drop if b1 died under it
+    assert slow.delivery_wakeups - tr.delivery_wakeups > 300
+    assert slow.messages_dropped - tr.messages_dropped > 5
+    assert sum(g.send_failures for g in fast.storms) > 100     # b1 was down
+    assert {a[0] for a in fast.arrivals} >= {1, 7, 9, 11, 12, 20, 23}
+    assert not tr._arrivals and not slow._arrivals
