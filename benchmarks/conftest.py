@@ -1,13 +1,12 @@
 """Shared benchmark infrastructure.
 
 Every benchmark regenerates one of the paper's figures or headline
-results (see DESIGN.md §4 for the experiment index).  These are
-scientific reproductions, not micro-benchmarks: one deterministic run
-is the measurement, so the :func:`once` fixture is a plain call and the
-suite needs nothing beyond pytest.
+results; its module docstring quotes the claim and names the section.
+These are scientific reproductions, not micro-benchmarks: one
+deterministic run is the measurement, so the :func:`once` fixture is a
+plain call and the suite needs nothing beyond pytest.
 
-Each benchmark prints a paper-vs-measured table via :func:`report`; the
-same numbers are recorded in EXPERIMENTS.md.
+Each benchmark prints a paper-vs-measured table via :func:`report`.
 """
 
 from __future__ import annotations

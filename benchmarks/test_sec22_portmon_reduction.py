@@ -6,8 +6,7 @@ must be collected and managed."
 
 Workload: FTP sessions with a duty cycle (active bursts separated by
 idle periods).  We compare the events collected with always-on sensors
-against port-monitor-triggered sensors, sweeping the duty cycle (the
-ablation DESIGN.md calls out).
+against port-monitor-triggered sensors, sweeping the duty cycle.
 """
 
 from repro.apps import FTPServer, ftp_transfer

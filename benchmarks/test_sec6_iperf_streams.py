@@ -5,7 +5,7 @@ compared to 140 Mbits/sec for a single stream. ... Interestingly, this
 behavior is only observed with wide-area transfers; LAN throughput for
 both one and four data streams are 200 Mbits/second."
 
-Also regenerates the ablation DESIGN.md calls out: with the receiver's
+Also runs an ablation: with the receiver's
 multi-socket loss mechanism disabled, the WAN anomaly disappears —
 evidence the model attributes the effect to the same cause the authors
 suspected (gigabit NIC/driver load on the receiving host).

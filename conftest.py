@@ -12,7 +12,8 @@ import pytest
 from hypothesis import settings
 
 # the nightly job's budget for tests that pin none of their own
-# (tests/core/test_archive_oracle.py): --hypothesis-profile=nightly
+# (tests/core/test_archive_oracle.py, the two random scripts of
+# tests/simgrid/test_transport_oracle.py): --hypothesis-profile=nightly
 settings.register_profile("nightly", max_examples=2000,
                           stateful_step_count=120, deadline=None)
 

@@ -12,9 +12,10 @@ plane keeps itself down).
 
 This module concentrates the policy in one object:
 
-* **Deadlines** — an absolute time budget per operation, propagated
-  through nested calls (a retry never outlives the deadline of the
-  operation it serves, and per-attempt timeouts shrink to fit).
+* **Deadlines** — an absolute time budget per operation, passed
+  explicitly to :meth:`ResiliencePolicy.drive` (a retry never outlives
+  the deadline of the operation it serves, and per-attempt timeouts
+  shrink to fit).
 * **Bounded retries with seeded jitter** — exponential backoff
   (``base · factor^(n-1)``, capped), optionally spread by full jitter
   drawn from a world-seeded RNG so retry waves decorrelate without
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -86,12 +86,7 @@ class BudgetExhausted(ResilienceError):
 
 @dataclass(frozen=True, slots=True)
 class Deadline:
-    """An absolute point in simulated time an operation must finish by.
-
-    Deadlines compose downward: a nested call tightens (never loosens)
-    the deadline it inherits, so retries deep in a call tree cannot
-    outlive the operation they serve.
-    """
+    """An absolute point in simulated time an operation must finish by."""
 
     at: float
 
@@ -104,12 +99,6 @@ class Deadline:
 
     def expired(self, now: float) -> bool:
         return now >= self.at
-
-    def tightened(self, now: float, timeout: Optional[float]) -> "Deadline":
-        """The deadline for a nested call given its own ``timeout``."""
-        if timeout is None:
-            return self
-        return Deadline(at=min(self.at, now + timeout))
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,7 +367,6 @@ class ResiliencePolicy:
         self._health: dict[Any, HealthScore] = {}
         self._edges: dict[str, dict[str, int]] = {}
         self._gates: dict[tuple, _RetryGate] = {}
-        self._deadlines: list[Deadline] = []
 
     # -- plumbing -----------------------------------------------------------
 
@@ -412,51 +400,9 @@ class ResiliencePolicy:
 
     # -- deadlines ----------------------------------------------------------
 
-    def current_deadline(self) -> Optional[Deadline]:
-        return self._deadlines[-1] if self._deadlines else None
-
-    @contextmanager
-    def deadline_scope(self, timeout: Optional[float] = None, *,
-                       deadline: Optional[Deadline] = None,
-                       now: Optional[float] = None):
-        """Push an operation deadline for the dynamic extent of a call.
-
-        Nested scopes tighten: the effective deadline is the minimum of
-        the enclosing scope's and this one's.  Only for synchronous
-        nesting — processes that interleave must pass deadlines
-        explicitly (see :meth:`drive`).
-        """
-        now = self._now(now)
-        outer = self.current_deadline()
-        if deadline is None:
-            if timeout is None:
-                timeout = self.config.deadline
-            deadline = (Deadline.after(now, timeout) if timeout is not None
-                        else outer)
-        if outer is not None and deadline is not None:
-            deadline = Deadline(at=min(outer.at, deadline.at))
-        pushed = deadline is not None
-        if pushed:
-            self._deadlines.append(deadline)
-        try:
-            yield deadline
-        finally:
-            if pushed:
-                self._deadlines.pop()
-
-    def remaining(self, default: Optional[float] = None, *,
-                  now: Optional[float] = None) -> Optional[float]:
-        """Per-attempt timeout honoring the ambient deadline."""
-        dl = self.current_deadline()
-        if dl is None:
-            return default
-        rem = dl.remaining(self._now(now))
-        return rem if default is None else min(default, rem)
-
     def deadline_expired(self, *, now: Optional[float] = None,
                          deadline: Optional[Deadline] = None) -> bool:
-        dl = deadline if deadline is not None else self.current_deadline()
-        return dl is not None and dl.expired(self._now(now))
+        return deadline is not None and deadline.expired(self._now(now))
 
     # -- backoff ------------------------------------------------------------
 
@@ -605,10 +551,10 @@ class ResiliencePolicy:
         instance on timeout/failure (the ``transport.request``
         convention).  Returns ``(ok, value, key, attempts)``.
 
-        The deadline is explicit (not ambient): interleaved processes
-        must not share a deadline stack.  When ``deadline`` is None and
-        the config sets one, the operation gets ``config.deadline``
-        seconds from now.
+        The deadline is explicit, never ambient state on the policy,
+        which processes that interleave share.  When ``deadline`` is
+        None and the config sets one, the operation gets
+        ``config.deadline`` seconds from now.
         """
         sim = self.sim
         cfg = self.config

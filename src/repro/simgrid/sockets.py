@@ -6,10 +6,12 @@ reliable datagrams: a message from host A to host B on port P arrives
 after path propagation latency plus serialization at the bottleneck
 link, updating per-port traffic counters on both ends (feeding the port
 monitor) and SNMP interface counters on every transited node.
-:meth:`MessageTransport.send_burst` is the k datagrams one host emits
-at one instant (a gateway's fan-out of one event): exactly k sends, for
-less host time.  A stream owns one source port: long-lived senders mint
-it once (:meth:`MessageTransport.ephemeral_port`), not per message.
+
+There is one send routine, :meth:`MessageTransport.send_burst`: the
+datagrams one host emits at one instant (a gateway's fan-out of one
+event), in order; :meth:`MessageTransport.send` is a burst of one.  A
+stream owns one source port: long-lived senders mint it once
+(:meth:`MessageTransport.ephemeral_port`), not per message.
 
 A datagram to a port bound to :func:`discard` (the sink background
 traffic aims at) ends at the send: every hop is charged, both port
@@ -48,7 +50,7 @@ def ignore_failure(exc: Exception) -> None:
 
 
 def discard(msg: "Message", transport: "MessageTransport") -> None:
-    """The discard service's listener.  :meth:`MessageTransport.send`
+    """The discard service's listener.  :meth:`MessageTransport.send_burst`
     knows it by identity and schedules no arrival for a datagram bound
     to it: bind *this*, not a look-alike."""
 
@@ -185,133 +187,10 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
              on_fail: Optional[Callable[[Exception], None]] = None,
              on_delivered: Optional[Callable[["Message"], None]] = None,
              oneshot: bool = False) -> Optional[Message]:
-        """Send a message; returns it (delivery is scheduled) or None if
-        undeliverable and ``on_fail`` was given.  ``on_delivered`` fires
-        when the message reaches a live listener — the success signal
-        failure detectors (e.g. the gateway's dead-consumer reaper) pair
-        with ``on_fail`` to count *consecutive* failures.
-
-        ``traffic_class`` tags the bytes for per-class link accounting
-        (see :data:`repro.simgrid.network.TRAFFIC_CLASSES`); control
-        traffic defaults to ``"monitoring"``.  ``oneshot`` marks a flow
-        that carries exactly one message ever (RPC reply ports): such
-        flows skip the per-flow ordering watermark and share a per-host-
-        pair loss stream instead of minting permanent per-port state."""
-        size = size_bytes + self.HEADER_BYTES
-        if src_port is None:
-            src_port = next(self._ephemeral)
-        now = self.sim.now
-        msg = Message(src, dst, src_port, dst_port, payload, size,
-                      next(self._msg_ids), now)
-        if not src.up or not dst.up:
-            down = src.name if not src.up else dst.name
-            self.messages_dropped += 1
-            exc = DeliveryError(f"host {down} is down")
-            if on_fail is not None:
-                on_fail(exc)
-                return None
-            raise exc
-        try:
-            path = self.network.route(src.node, dst.node)
-        except NoRouteError as exc:
-            self.messages_dropped += 1
-            if on_fail is not None:
-                on_fail(DeliveryError(str(exc)))
-                return None
-            raise DeliveryError(str(exc)) from exc
-        npackets = max(1, (size + self.MTU - 1) // self.MTU)
-        self.messages_sent += 1
-        self.bytes_sent += size
-        self.per_host_sent[src.name] = self.per_host_sent.get(src.name, 0) + 1
-        self.per_host_bytes[src.name] = self.per_host_bytes.get(src.name, 0) + size
-        self.class_bytes[traffic_class] = \
-            self.class_bytes.get(traffic_class, 0) + size
-        act = src.ports._activity.get(src_port) or src.ports.activity(src_port)
-        act.bytes_out += size
-        act.packets_out += npackets
-        act.last_activity = now
-        plan = path.plan    # () between a host and itself
-        loss = path.loss_rate
-        if loss > 0.0:
-            flow = (src.name, dst.name, -1 if oneshot else dst_port)
-            rng = self._loss_rngs.get(flow)
-            if rng is None:
-                digest = hashlib.sha256(
-                    f"{self._loss_salt}:{flow}".encode()).digest()
-                rng = self._loss_rngs[flow] = random.Random(
-                    int.from_bytes(digest[:8], "big"))
-            if rng.random() < loss:
-                # the message dies in flight on the first lossy hop.
-                # The sender saw a successful send, so NEITHER callback
-                # fires — failure detectors counting consecutive
-                # on_fail events stay quiet (the asymmetric-partition
-                # gray case); only interface discard counters notice.
-                for link, d, _rate, out, inn in plan:
-                    out.out_octets += size
-                    out.out_packets += npackets
-                    inn.in_octets += size
-                    inn.in_packets += npackets
-                    if link._loss[d] > 0.0:
-                        inn.discards += npackets
-                        break
-                self.messages_lost += 1
-                return msg
-        # shared-link queues + delivered-traffic accounting: charged at
-        # send time, hop by hop, from the route's plan
-        qdelay = path.charge(size, npackets, now, traffic_class)
-        if qdelay is None:
-            self.messages_lost_congestion += 1
-            return msg
-        self.queue_delay_s += qdelay
-        act = dst.ports._activity.get(dst_port) or dst.ports.activity(dst_port)
-        act.bytes_in += size
-        act.packets_in += npackets
-        act.last_activity = now
-        delay = (path.latency_s + (size * 8.0) / path.bottleneck_bps + qdelay) \
-            if plan else 1e-6
-        if self._flaky_hosts:
-            flaky = self._flaky_hosts.get(dst.name)
-            if flaky is not None:
-                if flaky["latency_s"] > 0.0:
-                    # endpoint-side slowness (GC pause, overloaded
-                    # service thread): the message still arrives, late
-                    delay += flaky["latency_s"]
-                    self.flaky_delay_s += flaky["latency_s"]
-                if flaky["rate"] > 0.0 and flaky["rng"].random() < flaky["rate"]:
-                    # transient endpoint failure: bytes already crossed
-                    # (and congested) every hop, but the service errors
-                    # out.  Sender-visible after the one-way delay so
-                    # callers can retry — with on_fail=None there is
-                    # nobody to tell, and it degrades to a gray drop.
-                    self.messages_flaky_failed += 1
-                    if on_fail is not None:
-                        self.sim.call_at(now + delay, on_fail, DeliveryError(
-                            f"transient rpc failure at {dst.name}"))
-                    return msg
-        if dst.ports._listeners.get(dst_port) is discard:
-            # the wire and both hosts have seen all of it; the rest only
-            # a handler could observe, and this one observes nothing
-            return msg
-        when = now + delay
-        if not oneshot:
-            # one-shot flows carry exactly one message ever: there is
-            # nothing to order, so they never touch the watermark dict
-            # (each reply port would otherwise leak one entry)
-            flow = (src.name, dst.name, dst_port)
-            prev = self._flow_clock.get(flow)
-            if prev is not None and when < prev:
-                when = prev
-            self._flow_clock[flow] = when
-        if self.messages_sent >= self._prune_at:
-            self._prune_flow_state()
-        batch = self._arrivals.get(when)
-        if batch is None:
-            # first message due at this instant: schedule the one wakeup
-            self._arrivals[when] = batch = []
-            self.delivery_wakeups += 1
-            self.sim.call_at(when, self._deliver_batch, when)
-        batch.append((msg, on_fail, on_delivered))
-        return msg
+        """Send one message: a :meth:`send_burst` of one delivery."""
+        return self.send_burst(src, ((dst, dst_port, payload, size_bytes,
+                                      src_port, on_fail, on_delivered),),
+                               traffic_class=traffic_class, oneshot=oneshot)
 
     def ephemeral_port(self) -> int:
         """A fresh source port (from the counter :meth:`request` draws
@@ -321,52 +200,70 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         return next(self._ephemeral)
 
     def send_burst(self, src: Host, deliveries, *,
-                   traffic_class: str = "monitoring") -> None:
-        """The messages one host emits at one instant (a gateway's
-        fan-out of one event), each ``(dst, dst_port, payload,
-        size_bytes, src_port, on_fail, on_delivered)``: exactly one
-        :meth:`send` per delivery, in order — the same message ids,
-        float additions, watermarks, arrival instants and overflow drops
-        — with the up check, route and port table resolved once per
-        destination host.  A delivery off the clean path (an end down,
-        no route, a lossy or zero-hop path, any flaky host, no source
-        port, a :func:`discard`-bound port) goes through :meth:`send`;
-        that may run ``on_fail`` — anything — so hosts are resolved
-        afresh after it."""
+                   traffic_class: str = "monitoring",
+                   oneshot: bool = False) -> Optional[Message]:
+        """Send the messages one host emits at one instant, in order,
+        each ``(dst, dst_port, payload, size_bytes, src_port, on_fail,
+        on_delivered)``; a ``src_port`` of None mints one.  Returns the
+        last delivery's :class:`Message`, or None if that one failed
+        visibly (an end down, no route) and went to its ``on_fail``;
+        with ``on_fail=None`` such a delivery raises
+        :class:`DeliveryError` and ends the burst.  ``on_delivered``
+        fires when a message reaches a live listener.
+
+        ``traffic_class`` tags the bytes for per-class link accounting
+        (see :data:`repro.simgrid.network.TRAFFIC_CLASSES`).  ``oneshot``
+        marks flows that carry exactly one message ever (RPC reply
+        ports): they skip the per-flow ordering watermark and share a
+        per-host-pair loss stream instead of minting permanent per-port
+        state.
+
+        The up check and route are resolved once per destination host;
+        a synchronous ``on_fail`` may change anything, so they are
+        resolved afresh after one."""
         sim, now = self.sim, self.sim.now
         header, mtu = self.HEADER_BYTES, self.MTU
         msg_ids, arrivals, flow_clock = \
             self._msg_ids, self._arrivals, self._flow_clock
+        flaky_hosts = self._flaky_hosts
         src_name, src_ports = src.name, src.ports
-        routes: dict = {}       # dst host -> what send derives from it
+        routes: dict = {}       # dst host -> what its route gives a send
         per_host_sent, per_host_bytes, class_bytes = \
             self.per_host_sent, self.per_host_bytes, self.class_bytes
+        msg = None
         for dst, dst_port, payload, size_bytes, src_port, on_fail, \
                 on_delivered in deliveries:
-            route = routes.get(dst)
-            if route is None:
-                route = False
-                if src.up and dst.up and not self._flaky_hosts:
-                    try:
-                        path = self.network.route(src.node, dst.node)
-                        if path.plan and path.loss_rate == 0.0:
-                            route = (path.charge, path.latency_s,
-                                     path.bottleneck_bps, dst.name, dst.ports)
-                    except NoRouteError:
-                        pass
-                routes[dst] = route
-            if not route or src_port is None \
-                    or dst.ports._listeners.get(dst_port) is discard:
-                self.send(src, dst, dst_port, payload, size_bytes=size_bytes,
-                          src_port=src_port, traffic_class=traffic_class,
-                          on_fail=on_fail, on_delivered=on_delivered)
-                routes.clear()
-                continue
-            charge, latency_s, bottleneck_bps, dst_name, dst_ports = route
             size = size_bytes + header
-            npackets = max(1, (size + mtu - 1) // mtu)
+            if src_port is None:
+                src_port = next(self._ephemeral)
             msg = Message(src, dst, src_port, dst_port, payload, size,
                           next(msg_ids), now)
+            route = routes.get(dst)
+            if route is None:
+                cause = None
+                if src.up and dst.up:
+                    try:
+                        path = self.network.route(src.node, dst.node)
+                    except NoRouteError as exc:
+                        cause = exc
+                    else:
+                        route = routes[dst] = (
+                            path.charge, path.latency_s, path.bottleneck_bps,
+                            dst.name, dst.ports, path.plan, path.loss_rate)
+                if route is None:
+                    self.messages_dropped += 1
+                    down = dst.name if src.up else src.name
+                    exc = DeliveryError(f"host {down} is down" if cause is None
+                                        else str(cause))
+                    if on_fail is None:
+                        raise exc from cause
+                    on_fail(exc)
+                    routes.clear()
+                    msg = None
+                    continue
+            charge, latency_s, bottleneck_bps, dst_name, dst_ports, plan, \
+                loss = route
+            npackets = max(1, (size + mtu - 1) // mtu)
             self.messages_sent += 1
             self.bytes_sent += size
             per_host_sent[src_name] = per_host_sent.get(src_name, 0) + 1
@@ -377,6 +274,29 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
             act.bytes_out += size
             act.packets_out += npackets
             act.last_activity = now
+            if loss > 0.0:
+                flow = (src_name, dst_name, -1 if oneshot else dst_port)
+                rng = self._loss_rngs.get(flow)
+                if rng is None:
+                    digest = hashlib.sha256(
+                        f"{self._loss_salt}:{flow}".encode()).digest()
+                    rng = self._loss_rngs[flow] = random.Random(
+                        int.from_bytes(digest[:8], "big"))
+                if rng.random() < loss:
+                    # dies in flight on the first lossy hop.  The sender
+                    # saw a successful send, so NEITHER callback fires
+                    # (the gray case); only interface discards notice.
+                    for link, d, _rate, out, inn in plan:
+                        out.out_octets += size
+                        out.out_packets += npackets
+                        inn.in_octets += size
+                        inn.in_packets += npackets
+                        if link._loss[d] > 0.0:
+                            inn.discards += npackets
+                            break
+                    self.messages_lost += 1
+                    continue
+            # every hop's queue and counters, in one pass over the plan
             qdelay = charge(size, npackets, now, traffic_class)
             if qdelay is None:
                 self.messages_lost_congestion += 1
@@ -387,20 +307,49 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
             act.bytes_in += size
             act.packets_in += npackets
             act.last_activity = now
-            when = now + (latency_s + (size * 8.0) / bottleneck_bps + qdelay)
-            flow = (src_name, dst_name, dst_port)
-            prev = flow_clock.get(flow)
-            if prev is not None and when < prev:
-                when = prev
-            flow_clock[flow] = when
+            delay = (latency_s + (size * 8.0) / bottleneck_bps + qdelay) \
+                if plan else 1e-6       # no plan: a host to itself
+            if flaky_hosts:
+                flaky = flaky_hosts.get(dst_name)
+                if flaky is not None:
+                    if flaky["latency_s"] > 0.0:
+                        # endpoint-side slowness: it still arrives, late
+                        delay += flaky["latency_s"]
+                        self.flaky_delay_s += flaky["latency_s"]
+                    if flaky["rate"] > 0.0 \
+                            and flaky["rng"].random() < flaky["rate"]:
+                        # the bytes crossed every hop, but the service
+                        # errors out: sender-visible after the one-way
+                        # delay, a gray drop with on_fail=None
+                        self.messages_flaky_failed += 1
+                        if on_fail is not None:
+                            sim.call_at(now + delay, on_fail, DeliveryError(
+                                f"transient rpc failure at {dst_name}"))
+                        continue
+            if dst_ports._listeners.get(dst_port) is discard:
+                # the wire and both hosts have seen all of it; the rest
+                # only a handler could observe, and this one observes
+                # nothing
+                continue
+            when = now + delay
+            if not oneshot:
+                # a one-shot flow has nothing to order, and each reply
+                # port would leak one watermark entry
+                flow = (src_name, dst_name, dst_port)
+                prev = flow_clock.get(flow)
+                if prev is not None and when < prev:
+                    when = prev
+                flow_clock[flow] = when
             if self.messages_sent >= self._prune_at:
                 self._prune_flow_state()
             batch = arrivals.get(when)
             if batch is None:
+                # first message due at this instant: the one wakeup
                 arrivals[when] = batch = []
                 self.delivery_wakeups += 1
                 sim.call_at(when, self._deliver_batch, when)
             batch.append((msg, on_fail, on_delivered))
+        return msg
 
     def _prune_flow_state(self) -> None:
         """Drop ordering watermarks that have passed: once a flow's
@@ -418,30 +367,28 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self._prune_at = self.messages_sent + max(256, 4 * len(self._flow_clock))
 
     def _deliver_batch(self, when: float) -> None:
+        now = self.sim.now
         # pop before delivering: a handler may send a message that lands
         # at this exact instant, which must start a fresh batch
         for msg, on_fail, on_delivered in self._arrivals.pop(when):
-            self._deliver(msg, on_fail, on_delivered)
-
-    def _deliver(self, msg: Message, on_fail: Optional[Callable],
-                 on_delivered: Optional[Callable] = None) -> None:
-        msg.delivered_at = self.sim.now
-        if not msg.dst_host.up:
-            # the destination crashed while the message was in flight
-            self.messages_dropped += 1
-            if on_fail is not None:
-                on_fail(DeliveryError(f"host {msg.dst_host.name} is down"))
-            return
-        handler = msg.dst_host.ports.listener(msg.dst_port)
-        if handler is None:
-            self.messages_dropped += 1
-            if on_fail is not None:
-                on_fail(DeliveryError(
-                    f"no listener on {msg.dst_host.name}:{msg.dst_port}"))
-            return
-        if on_delivered is not None:
-            on_delivered(msg)
-        handler(msg, self)
+            msg.delivered_at = now
+            dst = msg.dst_host
+            if not dst.up:
+                # the destination crashed while the message was in flight
+                self.messages_dropped += 1
+                if on_fail is not None:
+                    on_fail(DeliveryError(f"host {dst.name} is down"))
+                continue
+            handler = dst.ports._listeners.get(msg.dst_port)
+            if handler is None:
+                self.messages_dropped += 1
+                if on_fail is not None:
+                    on_fail(DeliveryError(
+                        f"no listener on {dst.name}:{msg.dst_port}"))
+                continue
+            if on_delivered is not None:
+                on_delivered(msg)
+            handler(msg, self)
 
     # -- RPC helper ---------------------------------------------------------
 

@@ -10,8 +10,9 @@ windows, and drop counters move exactly as they would under real load.
 
 Background traffic is link load, not mail: a source aims at its
 destination's discard service (:func:`repro.simgrid.sockets.discard` on
-:data:`TRAFFIC_PORT`), so a packet is one timer tick and one ``send``
-that charges every hop and both port tables and schedules no arrival.
+:data:`TRAFFIC_PORT`), so a packet is one timer tick and a one-delivery
+``send_burst`` that charges every hop and both port tables and
+schedules no arrival.
 Aimed at a port with a real listener, the same packets are delivered.
 
 Specs are plain data (:class:`TrafficSpec` round-trips through JSON,
@@ -119,8 +120,9 @@ class TrafficGenerator:
         self._timer: Optional[ScheduledCall] = None
         #: end of the run / of the on-period (None: the next tick opens one)
         self._t_end = self._burst_end = float("inf")
-        #: the stream's one source port; what else every packet needs —
-        #: ``(transport, src, dst, payload bytes)`` — :meth:`start` resolves
+        #: the stream's one source port; every packet is the same
+        #: one-delivery burst — ``(transport, src, (delivery,))`` —
+        #: which :meth:`start` builds
         self.src_port = world.transport.ephemeral_port()
         self._flow: Optional[tuple] = None
 
@@ -132,8 +134,10 @@ class TrafficGenerator:
         self.running = True
         transport = self.world.transport
         dst = self.world.hosts[self.spec.dst]
-        self._flow = (transport, self.world.hosts[self.spec.src], dst, max(
-            1, self.spec.packet_bytes - transport.HEADER_BYTES))
+        packet = (dst, self.spec.port, None,
+                  max(1, self.spec.packet_bytes - transport.HEADER_BYTES),
+                  self.src_port, ignore_failure, None)
+        self._flow = (transport, self.world.hosts[self.spec.src], (packet,))
         # the discard service is the host's: bound by whoever needs it
         # first, unbound by nobody (a neighbour storm may still be sending)
         if dst.ports.listener(self.spec.port) is None:
@@ -155,17 +159,13 @@ class TrafficGenerator:
         return gap
 
     def _send_one(self) -> None:
-        spec = self.spec
-        transport, src, dst, payload_bytes = self._flow
-        msg = transport.send(
-            src, dst, spec.port, None, size_bytes=payload_bytes,
-            src_port=self.src_port, traffic_class=spec.traffic_class,
-            on_fail=ignore_failure)
-        if msg is None:
+        transport, src, packet = self._flow
+        if transport.send_burst(src, packet,
+                                traffic_class=self.spec.traffic_class) is None:
             self.send_failures += 1
         else:
             self.packets_sent += 1
-            self.bytes_sent += spec.packet_bytes
+            self.bytes_sent += self.spec.packet_bytes
 
     def _open(self, waited: bool = False) -> None:
         spec, sim = self.spec, self.world.sim
@@ -191,7 +191,7 @@ class TrafficGenerator:
                 return
             self._burst_end = now + spec.on_s
         self._send_one()
-        self._timer = sim.call_in(self._interval(), self._tick)
+        self._timer = sim.call_at(now + self._interval(), self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TrafficGenerator {self.spec.src}->{self.spec.dst} "

@@ -122,32 +122,6 @@ class TestDeadlines:
         assert dl.remaining(12.0) == 3.0
         assert not dl.expired(14.999)
         assert dl.expired(15.0)
-        assert dl.tightened(12.0, 1.0).at == 13.0   # nested call shrinks
-        assert dl.tightened(12.0, 99.0).at == 15.0  # ...but never grows
-        assert dl.tightened(12.0, None) is dl
-
-    def test_nested_scopes_tighten(self):
-        """An inner scope can only shrink the ambient deadline — the
-        propagation rule for nested calls."""
-        policy = ResiliencePolicy(None, ResilienceConfig())
-        with policy.deadline_scope(timeout=10.0, now=0.0) as outer:
-            assert outer.at == 10.0
-            with policy.deadline_scope(timeout=3.0, now=1.0) as inner:
-                assert inner.at == 4.0
-                assert policy.current_deadline().at == 4.0
-                # a looser inner scope is clamped to the outer one
-                with policy.deadline_scope(timeout=100.0, now=1.0) as in2:
-                    assert in2.at == 4.0
-            assert policy.current_deadline().at == 10.0
-        assert policy.current_deadline() is None
-
-    def test_remaining_honors_ambient_scope(self):
-        policy = ResiliencePolicy(None, ResilienceConfig(op_timeout=5.0))
-        assert policy.remaining(5.0, now=0.0) == 5.0  # no scope: default
-        with policy.deadline_scope(timeout=2.0, now=0.0):
-            assert policy.remaining(5.0, now=0.0) == 2.0
-            assert policy.remaining(1.0, now=0.0) == 1.0
-            assert policy.deadline_expired(now=2.5)
 
     def test_expired_deadline_blocks_attempts(self):
         policy = ResiliencePolicy(None, ResilienceConfig())

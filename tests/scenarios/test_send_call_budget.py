@@ -20,7 +20,11 @@ single sends the same messages cost the five of an idle send each.
 
 The third gate counts a storm packet — background traffic toward a
 host's discard service — from timer tick to timer tick: one kernel
-event and nine calls, with no arrival left behind to deliver.
+event and at most nine calls, with no arrival left behind to deliver.
+
+The fourth gate counts the receive side: k messages due at one instant
+are one kernel event, ``_deliver_batch``, which calls each handler (and
+``on_delivered``) directly — one call per arrival, at k = 1 as at 8.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ MAX_CALLS_PER_IDLE_SEND = 6
 MAX_CALLS_PER_BURST = 6
 #: Message(), Path.charge, Simulator.call_at
 MAX_CALLS_PER_BURST_MESSAGE = 3
-#: TrafficGenerator._tick, ._interval, ._send_one, send itself,
-#: Message(), Network.route, Path.charge, and call_in -> call_at for the
-#: next tick; nothing for the arrival, there is none
+#: TrafficGenerator._tick, ._interval, ._send_one, send_burst,
+#: Message(), Network.route, Path.charge, and call_at for the next
+#: tick; nothing for the arrival, there is none; one of slack
 MAX_CALLS_PER_STORM_PACKET = 9
 #: Simulator.run and what it calls once a run, whatever the window
 MAX_CALLS_PER_RUN = 4
+#: MessageTransport._deliver_batch, once per instant; beside it each
+#: arrival costs its handler (and its on_delivered) and nothing else
+CALLS_PER_ARRIVAL_BATCH = 1
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -154,3 +161,39 @@ def test_storm_packet_is_one_kernel_event_and_nine_calls():
     assert tr.messages_sent == gen.packets_sent and tr.queue_delay_s == 0.0
     assert not tr._arrivals and not tr._flow_clock
     assert tr.delivery_wakeups == 0
+
+
+def calls_per_arrival_batch(world, src, dst, *, k: int,
+                            on_delivered=None) -> int:
+    """Calls made delivering k same-size messages that land at one
+    instant: the first crosses a slowed link, and the flow's ordering
+    watermark holds the k - 1 sent after it to its arrival."""
+    tr = world.transport
+    world.run(until=world.now + 1.0)
+    link = world.network.route(src.node, dst.node).links[0]
+    latency = link.latency_s
+    for i in range(k):
+        link.latency_s = latency + (0.01 if i == 0 else 0.0)
+        tr.send(src, dst, 5000, None, size_bytes=200, src_port=4000,
+                on_delivered=on_delivered)
+    (when, batch), = tr._arrivals.items()
+    assert len(batch) == k
+    idle = count_calls(world.run, until=world.now)     # the run itself
+    return count_calls(world.run, until=when) - idle
+
+
+def test_an_arrival_costs_its_handler_call_and_nothing_else():
+    world = GridWorld(seed=5)
+    a, b = world.add_host("a"), world.add_host("b")
+    world.lan([a, b], switch="swA")
+    arrived = []
+    b.ports.bind(5000, lambda msg, transport: arrived.append(msg))
+    for k in (1, 8):
+        assert calls_per_arrival_batch(world, a, b, k=k) \
+            == CALLS_PER_ARRIVAL_BATCH + k, k
+    assert calls_per_arrival_batch(
+        world, a, b, k=8, on_delivered=lambda msg: None) \
+        == CALLS_PER_ARRIVAL_BATCH + 2 * 8
+    assert len(arrived) == 1 + 8 + 8
+    assert len({msg.delivered_at for msg in arrived[1:9]}) == 1
+    assert world.transport.delivery_wakeups == 3

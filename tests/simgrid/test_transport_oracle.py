@@ -1,35 +1,35 @@
-"""Reference-model oracle for the route plan (ROADMAP aim 3).
+"""Reference-model oracle for the transport's one send routine (ROADMAP
+aim 3).
 
-``MessageTransport.send`` charges every hop of a route in one pass over
-the stored per-route plan (``Path.charge``) and reads the path's latency
-/ bottleneck / loss as stored values.  The trivially-correct version —
-resolve the route from scratch, re-derive every aggregate from the
-links as they are *now*, and walk ``queue_offer`` -> ``record_transit``
-one hop at a time — is kept here as :class:`ModelTransport`.  Hypothesis
-drives it and the real transport, on twin worlds built from one seed,
-through one random interleaving of sends and link mutations, and every
-observable must come out equal with exact float equality.
+``MessageTransport.send_burst`` — ``send`` is a burst of one — charges
+every hop of a route in one pass over the stored per-route plan
+(``Path.charge``), reads the path's latency / bottleneck / loss as
+stored values, and keeps them per destination host for the rest of the
+burst.  The trivially-correct version — one message at a time, resolve
+the route from scratch, re-derive every aggregate from the links as
+they are *now*, and walk ``queue_offer`` -> ``record_transit`` one hop
+at a time — is kept here as :class:`ModelTransport`, whose burst is k
+of its sends.  Hypothesis drives it and the real transport, on twin
+worlds built from one seed, through one random interleaving of sends,
+bursts (some one-shot, some with deliveries nobody hears of, which
+raise) and link mutations, a crashed host, an unbound port and a flaky
+endpoint, and every observable — what each call returned or raised
+included — must come out equal with exact float equality.
 
-``MessageTransport.send_burst`` is held to the same model: the k
-deliveries one host emits at one instant are one ``send_burst`` on the
-real transport and k ``send`` calls on the model, interleaved with the
-same link mutations plus a crashed host, an unbound port and a flaky
-endpoint, and with bursts large enough to overflow the trunk queue
-half-way through.
-
-Checked against eight mutations, each of which fails the fixed burst
-script at the bottom of this file.  Of ``Path.charge``: adding a hop's
-``queue_delay_total_s`` after the loop instead of inside it, leaving
-``queue_peak_s`` alone on an overflowing offer, refusing a datagram
-that fills the queue exactly.  Of ``send_burst``: adding
-``queue_delay_s`` once per burst, testing for the watermark sweep once
-per burst (so it runs late), dropping the parentheses from
-``now + (latency + serialization + queued)``, skipping the destination
-port record, and keeping the resolved hosts across a fallback ``send``
-whose ``on_fail`` changed the network.  The random runs find about
-half of them, run to run — never the late sweep, the exact fill or the
-stale hosts, which need a constructed case.  All three tests pass at
-the parent commit, where a burst is a loop of ``send`` calls.
+Checked against these mutations of ``send_burst``, each of which fails
+the fixed burst script at the bottom of this file: skipping the flow
+watermark for bursts of more than one, keeping the per-destination
+route across a synchronous ``on_fail`` (which slowed the trunk),
+skipping a deaf delivery instead of raising there, returning a
+visibly failed delivery's message, keying a one-shot flow's loss draws
+by its port, never running the watermark sweep, summing the delay in
+another order, skipping the destination port record, and a zero-hop
+delay other than 1e-6.  One run of the random tests (100 examples)
+found all but the stale route, which needs an ``on_fail`` that changes
+the network — only the fixed script's ``arm`` op makes one.  And of
+``Path.charge``: adding a hop's ``queue_delay_total_s`` after the loop,
+leaving ``queue_peak_s`` alone on an overflowing offer, refusing a
+datagram that fills the queue exactly.
 
 The model also states the discard rule — a datagram whose destination
 port is bound to :func:`repro.simgrid.sockets.discard` schedules no
@@ -37,10 +37,8 @@ arrival — and the sink-twin tests at the bottom check that the rule
 hides nothing: two worlds on the *real* transport, alike but for what
 the discard port is bound to (``discard`` or a plain no-op lambda, which
 takes the full delivery path), must agree on everything but the two
-counters that count arrivals.  Checked against two mutations of
-``send``, each of which fails the fixed sink script: taking the early
-return above the flaky-host block, and above the destination port
-record.
+counters that count arrivals.  Checked against taking the early return
+above the flaky-host block, which fails the fixed sink script.
 """
 
 from __future__ import annotations
@@ -59,6 +57,9 @@ from repro.simgrid.traffic import TRAFFIC_PORT
 
 PORTS = (5000, 5001)
 UNBOUND = 5002      # nobody listens: fails on arrival, not at the send
+#: a burst item ``(dst, port, size, src_port, tag, DEAF)`` has no
+#: callbacks: undeliverable at the send, it raises and ends the burst
+DEAF = "deaf"
 HOSTS = ("a1", "a2", "b1")
 #: every link of the twin topology, by name (order = index in an op)
 LINKS = ("a1--swA", "a2--swA", "b1--swB", "swA--r1", "r1--swB",
@@ -182,13 +183,18 @@ class ModelTransport(MessageTransport):
         batch.append((msg, on_fail, on_delivered))
         return msg
 
-    def send_burst(self, src, deliveries, *, traffic_class="monitoring"):
-        """What a burst is defined to be: k sends, in order."""
+    def send_burst(self, src, deliveries, *, traffic_class="monitoring",
+                   oneshot=False):
+        """What a burst is defined to be: k sends, in order; the last
+        one's result is the burst's."""
+        msg = None
         for dst, dst_port, payload, size_bytes, src_port, on_fail, \
                 on_delivered in deliveries:
-            self.send(src, dst, dst_port, payload, size_bytes=size_bytes,
-                      src_port=src_port, traffic_class=traffic_class,
-                      on_fail=on_fail, on_delivered=on_delivered)
+            msg = self.send(src, dst, dst_port, payload,
+                            size_bytes=size_bytes, src_port=src_port,
+                            traffic_class=traffic_class, on_fail=on_fail,
+                            on_delivered=on_delivered, oneshot=oneshot)
+        return msg
 
 
 class Twin:
@@ -212,8 +218,11 @@ class Twin:
         self.links = {l.name: l for l in world.network.links()}
         assert tuple(self.links) == LINKS
         self.arrivals: list = []
-        #: every ``on_fail`` / ``on_delivered`` call, in the order made
+        #: every ``on_fail`` / ``on_delivered`` call and every raised
+        #: ``DeliveryError``, in the order made
         self.callbacks: list = []
+        #: what each send / burst returned: a message id, or None
+        self.returns: list = []
         #: ops the next ``on_fail`` applies from inside the send ("arm")
         self.armed: list = []
         self.storms: list = []
@@ -244,22 +253,28 @@ class Twin:
             return ignore_failure, None
         return self._failed, self._delivered
 
+    def _returned(self, msg) -> None:
+        self.returns.append(None if msg is None else msg.msg_id)
+
     def apply(self, op: tuple) -> None:
         world, kind = self.world, op[0]
         if kind == "send":
             _, src, dst, port, size, cls, oneshot, tag = op
             on_fail, on_delivered = self._callbacks(port)
-            world.transport.send(
+            self._returned(world.transport.send(
                 world.hosts[src], world.hosts[dst], port, tag,
                 size_bytes=size, traffic_class=cls, oneshot=oneshot,
-                src_port=4000, on_fail=on_fail, on_delivered=on_delivered)
+                src_port=4000, on_fail=on_fail, on_delivered=on_delivered))
         elif kind == "burst":
-            _, src, cls, items = op
-            world.transport.send_burst(world.hosts[src], [
-                (world.hosts[dst], port, tag, size, src_port,
-                 *self._callbacks(port))
-                for dst, port, size, src_port, tag in items],
-                traffic_class=cls)
+            _, src, cls, oneshot, items = op
+            try:
+                self._returned(world.transport.send_burst(world.hosts[src], [
+                    (world.hosts[dst], port, tag, size, src_port,
+                     *((None, None) if deaf else self._callbacks(port)))
+                    for dst, port, size, src_port, tag, *deaf in items],
+                    traffic_class=cls, oneshot=oneshot))
+            except DeliveryError as exc:
+                self.callbacks.append(("raise", world.now, str(exc)))
         elif kind == "arm":
             self.armed.append(op[1])
         elif kind == "host":
@@ -301,6 +316,7 @@ class Twin:
         out = {
             "arrivals": self.arrivals,
             "callbacks": self.callbacks,
+            "returns": self.returns,
             "transport": {name: getattr(tr, name) for name in (
                 "messages_sent", "bytes_sent", "messages_lost",
                 "messages_lost_congestion", "messages_dropped",
@@ -337,16 +353,23 @@ sends = st.tuples(
     st.just("send"), st.sampled_from(HOSTS), st.sampled_from(HOSTS),
     st.sampled_from(PORTS), sizes, st.sampled_from(TRAFFIC_CLASSES),
     st.booleans(), tags)
+
+def burst_ops(items):
+    """Bursts of 1..12 ``items``, one in four of them deaf."""
+    item = st.one_of(items, items, items, items.map(lambda i: i + (DEAF,)))
+    return st.tuples(
+        st.just("burst"), st.sampled_from(HOSTS),
+        st.sampled_from(TRAFFIC_CLASSES), st.booleans(),
+        st.lists(item, min_size=1, max_size=12))
+
+
 # one host's deliveries of one instant: up to a dozen, to any host
 # (itself included) and port, on a stream's own source port or a minted
 # one; twelve jumbo ones overflow the trunk queue half-way through
-bursts = st.tuples(
-    st.just("burst"), st.sampled_from(HOSTS), st.sampled_from(TRAFFIC_CLASSES),
-    st.lists(st.tuples(st.sampled_from(HOSTS),
-                       st.sampled_from(PORTS + (UNBOUND,)),
-                       st.one_of(sizes, st.integers(1, 60_000)),
-                       st.sampled_from([4000, 4001, None]), tags),
-             min_size=1, max_size=12))
+bursts = burst_ops(st.tuples(
+    st.sampled_from(HOSTS), st.sampled_from(PORTS + (UNBOUND,)),
+    st.one_of(sizes, st.integers(1, 60_000)),
+    st.sampled_from([4000, 4001, None]), tags))
 waits = st.tuples(st.just("wait"),
                   st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.0, 2.5]))
 mutations = st.one_of(
@@ -388,8 +411,7 @@ def run_twins(seed: int, script: list) -> tuple[Twin, Twin]:
     return run_pair(Twin(seed, model=False), Twin(seed, model=True), script)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), script=st.lists(ops, max_size=60))
 def test_planned_send_matches_per_hop_model(seed, script):
     real, model = run_twins(seed, script)
@@ -439,12 +461,13 @@ def test_burst_is_k_sends_through_overflow_and_every_fallback():
     """The burst oracle on one fixed script: a mixed burst (two hosts,
     the sender itself, an unbound port, a minted source port), a dozen
     jumbo messages that overflow the trunk queue half-way through, a
-    crashed destination, a flaky one, a blackholed and then a
-    partitioned trunk between two items' hosts, and enough small bursts
-    for the watermark sweep to fall inside one — and checks the script
-    really reached those states."""
-    def burst(src, items, cls="monitoring"):
-        return ("burst", src, cls, items)
+    crashed destination (heard of, then deaf: the burst raises there),
+    a flaky one, a blackholed and then a partitioned trunk between two
+    items' hosts, one-shot flows, and enough small bursts for the
+    watermark sweep to fall inside one — and checks the script really
+    reached those states."""
+    def burst(src, items, cls="monitoring", oneshot=False):
+        return ("burst", src, cls, oneshot, items)
     mixed = [("b1", 5000, 200, 4000, 1), ("a2", 5001, 1436, 4001, 2),
              ("a1", 5000, 1, None, 3), ("b1", UNBOUND, 200, 4000, 4),
              ("b1", 5000, 9000, None, 5)]
@@ -457,8 +480,15 @@ def test_burst_is_k_sends_through_overflow_and_every_fallback():
         # the crashed host's on_fail slows the trunk: the rest of the
         # burst is on the network as it is now
         ("host", "a2", False), ("arm", ("latency", "r1--swB", 0.2)),
-        burst("a1", pair), ("host", "a2", True),
+        burst("a1", pair),
+        # nobody to tell: the burst raises at its second item, after
+        # charging the first and before minting the third
+        burst("a1", [("b1", 5000, 200, 4000, 40),
+                     ("a2", 5000, 200, 4000, 41, DEAF),
+                     ("b1", 5000, 200, 4000, 42)]),
+        ("host", "a2", True),
         ("latency", "r1--swB", 5e-3), ("wait", 1.0),
+        burst("a1", mixed, oneshot=True), ("wait", 1.0),
         # 125 kB behind 125 kB on an idle 250 kB queue: exactly full
         burst("a2", [("b1", 5000, 125_000 - 64, 4000, 60 + i)
                      for i in range(2)]),
@@ -466,6 +496,11 @@ def test_burst_is_k_sends_through_overflow_and_every_fallback():
         ("flaky", "b1", 0.5, 0.05),
         burst("a2", [("b1", 5000, 200, 4000, 30 + i) for i in range(8)]),
         ("flaky", "b1", None, 0.0),
+        # one flow's loss draws, split over two streams by oneshot
+        ("loss", "swA--r1", 0.5, 0),
+        burst("a1", [("b1", 5000, 200, 4000, 70 + i) for i in range(6)],
+              oneshot=True),
+        burst("a1", [("b1", 5000, 200, 4000, 76 + i) for i in range(6)]),
         ("loss", "swA--r1", 1.0, 2), burst("a1", pair),
         ("loss", "swA--r1", 0.0, 0),
         ("updown", "r1--swB", False), burst("a1", pair),
@@ -481,21 +516,34 @@ def test_burst_is_k_sends_through_overflow_and_every_fallback():
     assert got == model.observables()
     tr = real.world.transport
     arrived = {a[0] for a in got["arrivals"]}
-    assert {1, 2, 3, 5, 60, 61} <= arrived and 4 not in arrived
+    assert {1, 2, 3, 5, 40, 60, 61} <= arrived
+    assert not arrived & {4, 41, 42}
     took = [a[2] - a[1] for a in got["arrivals"] if a[0] == 0]
     assert took[1] > 0.2 > took[0]      # 3rd of the pair: slowed mid-burst
     assert 0 < len(arrived & set(range(100, 112))) < 12     # overflowed
     assert tr.messages_lost_congestion == 12 - len(arrived & set(range(100, 112)))
-    assert tr.messages_lost == 2                # the blackholed pair to b1
-    assert tr.messages_dropped == 1 + 1 + 2     # unbound, crashed, no route
+    halved = arrived & set(range(70, 82))
+    assert 0 < len(halved) < 12
+    # the blackholed pair to b1, and half a lossy trunk's dozen
+    assert tr.messages_lost == 2 + 12 - len(halved)
+    # unbound twice, crashed twice (heard of, deaf), no route
+    assert tr.messages_dropped == 2 + 2 + 2
     assert 0 < tr.messages_flaky_failed < 8
     assert tr.flaky_delay_s > 0.0
-    assert tr._prune_at == 512      # swept at send 256: 4th of a burst
+    assert tr._prune_at == 512      # swept at send 256: 10th of a burst
+    assert ("raise", 1.0, "host a2 is down") in got["callbacks"]
+    # 42 was never minted: 41's id is the only one between 40's and the
+    # next burst's first (tag 1 again)
+    ids = {a[0]: a[3] for a in got["arrivals"] if a[0] != 1}
+    assert ids[40] + 2 in {a[3] for a in got["arrivals"] if a[0] == 1}
     fails = [text for kind, _, text in got["callbacks"] if kind == "fail"]
     # the unbound port fails on arrival, the crashed host inside the burst
     assert [text.split()[0] for text in fails[:2]] == ["no", "host"]
     assert sum(text.startswith("transient") for text in fails) \
         == tr.messages_flaky_failed
+    # the partitioned pair returns None: its last item failed visibly
+    assert None in got["returns"] and len(got["returns"]) == len(
+        [op for op in script if op[0] == "burst"]) - 1
 
 
 # -- sink twins: the discard rule hides nothing ------------------------------
@@ -512,12 +560,9 @@ to_sink = st.tuples(
     st.just("send"), st.sampled_from(HOSTS), st.sampled_from(HOSTS),
     st.just(TRAFFIC_PORT), sizes, st.sampled_from(TRAFFIC_CLASSES),
     st.booleans(), tags)
-sink_bursts = st.tuples(
-    st.just("burst"), st.sampled_from(HOSTS), st.sampled_from(TRAFFIC_CLASSES),
-    st.lists(st.tuples(st.sampled_from(HOSTS),
-                       st.sampled_from(PORTS + (TRAFFIC_PORT,)), sizes,
-                       st.sampled_from([4000, 4001, None]), tags),
-             min_size=1, max_size=12))
+sink_bursts = burst_ops(st.tuples(
+    st.sampled_from(HOSTS), st.sampled_from(PORTS + (TRAFFIC_PORT,)), sizes,
+    st.sampled_from([4000, 4001, None]), tags))
 sink_ops = st.one_of(sends, sends, to_sink, bursts, sink_bursts, waits, waits,
                      mutations, mutations)
 
@@ -539,8 +584,7 @@ def assert_sink_twins_agree(fast: Twin, full: Twin) -> None:
         assert got[key] == want[key], key
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), script=st.lists(sink_ops, max_size=60))
 def test_discard_sink_changes_nothing_but_arrival_counters(seed, script):
     assert_sink_twins_agree(*run_sink_twins(seed, script))
@@ -557,7 +601,7 @@ def test_sink_twins_through_a_flaky_crashing_congested_destination():
 
     def storm(src, rate=6 * WAN_BPS, duration=1.5, seed=0):
         return ("storm", src, "b1", rate, 8192, duration, seed)
-    mixed = ("burst", "a1", "monitoring", [
+    mixed = ("burst", "a1", "monitoring", False, [
         ("b1", 5000, 200, 4000, 20), ("b1", TRAFFIC_PORT, 9000, 4001, 21),
         ("a2", TRAFFIC_PORT, 200, None, 22), ("b1", 5001, 1436, 4001, 23),
         ("a1", TRAFFIC_PORT, 1, 4000, 24)])
