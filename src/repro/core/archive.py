@@ -11,13 +11,17 @@ configurable sampling fraction.  The archive itself is "just another
 consumer" — see :class:`repro.core.consumers.archiver.ArchiverAgent`.
 
 Storage is log-structured with one shape, parallel arrays in ``(date,
-arrival id)`` order: the active **write head** is just those arrays (a
-late arrival is a binary search plus an insert), and every
+arrival id)`` order.  The active **write head** is just those arrays —
+among them each event's rollup key and VALUE, read once at admission —
+and a running rollup of the whole head: a late arrival is a binary
+search plus an insert, and a summary that covers the head merges that
+rollup, so only a head the window clips is scanned.  Every
 ``segment_events`` admissions it is sealed into an immutable
-**segment** — the same arrays plus a time span, per-host / per-event
-posting indexes, byte-accounted footprint, and pre-aggregated
-**rollups** (count/sum/min/max per event name, plus per-event prefix
-sums for exact partial-window reads); one routine reads both.  A
+**segment** — its message, date and id arrays plus a time span,
+per-host / per-event posting indexes, byte-accounted footprint, and
+pre-aggregated **rollups** (count/sum/min/max per event name, plus
+per-event prefix sums for exact partial-window reads); one routine
+reads both.  A
 **catalog** ordered by segment start time resolves a window query to
 just the overlapping segments; non-overlapping segments chain,
 overlapping ones merge by ``(date, arrival id)`` — bit-identical to a
@@ -82,12 +86,12 @@ class SamplingPolicy:
             raise ValueError("normal_fraction must be in [0, 1]")
 
     def admits(self, msg: ULMMessage) -> bool:
+        if self.normal_fraction >= 1.0:
+            return True     # keeps everything: LVL and globs cannot matter
         if msg.lvl in self.abnormal_levels:
             return True
         name = msg.event or ""
         if any(fnmatch.fnmatchcase(name, pat) for pat in self.always_keep):
-            return True
-        if self.normal_fraction >= 1.0:
             return True
         if self.normal_fraction <= 0.0:
             return False
@@ -182,34 +186,20 @@ def _msg_value(msg: ULMMessage) -> Optional[float]:
         return None
 
 
-def _intersect_sorted(a: list, b: list) -> list:
-    """Two-pointer intersection of ascending id lists."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def _iter_rows(messages: Optional[list], dates: list, ids: list,
                by_host: Optional[dict], by_event: Optional[dict],
                q: ArchiveQuery, end_exclusive: bool):
     """Yield the rows of one ``(date, arrival id)``-ordered run that
     match ``q`` (half-open ``[t0, t1)`` if ``end_exclusive``), in that
     order, as ``(date, arrival_id, msg)`` — the archive's one read
-    routine.  A sealed segment passes its positional posting lists and
-    the planner picks the most selective access path; the write head
-    passes ``None`` for both and walks its window slice, which the seal
-    threshold bounds.
+    routine.  The window is two binary searches on the dates; a sealed
+    segment also bisects each named posting list to the window and walks
+    the shortest of those slices, checking the other constraints per
+    row, so a read costs the rows of its window and never a posting
+    list's length.  The write head passes ``None`` for both posting
+    maps and walks its window slice, which the seal threshold bounds;
+    summaries never read the head through here — they take its running
+    rollup, or walk its key/value columns when the window clips it.
     """
     if messages is None:
         return  # rollup-only segment: no raw events to serve
@@ -219,30 +209,17 @@ def _iter_rows(messages: Optional[list], dates: list, ids: list,
     if lo >= hi:
         return
     host, event, lvl = q.host, q.event, q.lvl
-    pos_lists = []
+    rows = None
     for postings, key in ((by_event, event), (by_host, host)):
         if postings is not None and key is not None:
             positions = postings.get(key)
             if positions is None:
                 return
-            pos_lists.append(positions)
-    pos_lists.sort(key=len)
-    if pos_lists and hi - lo > len(pos_lists[0]):
-        # the equality indexes lead: they compose via sorted-position
-        # intersection, and the window reduces to a range of the result
-        candidate = pos_lists[0]
-        for other in pos_lists[1:]:
-            candidate = _intersect_sorted(candidate, other)
-        a = bisect_left(candidate, lo)
-        b = bisect_left(candidate, hi)
-        for pos in candidate[a:b]:
-            msg = messages[pos]
-            if lvl is None or msg.lvl == lvl:
-                yield dates[pos], ids[pos], msg
-        return
-    # the window is the most selective access path: walk the slice and
-    # check the equality constraints per message
-    for pos in range(lo, hi):
+            a = bisect_left(positions, lo)
+            b = bisect_left(positions, hi)
+            if rows is None or b - a < len(rows):
+                rows = positions[a:b]
+    for pos in range(lo, hi) if rows is None else rows:
         msg = messages[pos]
         if host is not None and msg.host != host:
             continue
@@ -363,8 +340,15 @@ class _Segment:
         return out
 
 
-def _build_segment(seq: int, messages: list, dates: list,
-                   ids: list) -> _Segment:
+def _columns(messages: list) -> tuple[list, list]:
+    """The rollup key and VALUE of each message: the two columns the
+    write head takes at admission."""
+    return ([msg.event or "?" for msg in messages],
+            [_msg_value(msg) for msg in messages])
+
+
+def _build_segment(seq: int, messages: list, dates: list, ids: list,
+                   keys: list, values: list) -> _Segment:
     """Seal (date, id)-ordered parallel arrays into a segment."""
     seg = _Segment()
     seg.seq = seq
@@ -383,13 +367,11 @@ def _build_segment(seq: int, messages: list, dates: list,
     host_rollups: dict = {}
     sumidx: dict = {}
     nbytes = 0
-    for pos, msg in enumerate(messages):
+    for pos, (msg, key, value) in enumerate(zip(messages, keys, values)):
         nbytes += _msg_bytes(msg)
         by_host.setdefault(msg.host, []).append(pos)
         if msg.event:
             by_event.setdefault(msg.event, []).append(pos)
-        key = msg.event or "?"
-        value = _msg_value(msg)
         _roll_add(rollups, key, value)
         _roll_add(host_rollups.setdefault(msg.host, {}), key, value)
         entry = sumidx.get(key)
@@ -412,10 +394,14 @@ def _build_segment(seq: int, messages: list, dates: list,
 class EventArchive:
     """Append-only archived event store: write head + sealed segments.
 
-    The head is three parallel arrays in ``(date, arrival id)`` order —
-    the shape a segment is built from, with no indexes of its own: an
-    in-order append is O(1), a late arrival is a binary search plus an
-    insert, and a head read walks its window slice.  Every
+    The head is five parallel arrays in ``(date, arrival id)`` order —
+    message, date, arrival id, and the rollup key and VALUE read once at
+    admission: the columns a segment is built from, with no indexes of
+    its own — plus a running rollup of everything in it.  An in-order
+    append is O(1), a late arrival is a binary search plus an insert, a
+    head read walks its window slice, and a summary that covers the
+    whole head merges the running rollup instead of scanning it — so a
+    message must not be mutated after ``append``.  Every
     ``segment_events`` admissions (a positive ``int``; that threshold
     is what bounds both the insert and the walk) the head is sealed
     into an immutable :class:`_Segment` and entered into the catalog
@@ -496,6 +482,9 @@ class EventArchive:
         self._messages: list[ULMMessage] = []
         self._dates: list[float] = []
         self._ids: list[int] = []
+        self._keys: list[str] = []                  # msg.event or "?"
+        self._values: list[Optional[float]] = []    # _msg_value(msg)
+        self._head_roll: dict = {}          # rollup of the whole head
         self._next_id = 0
         self._head_id_lo = 0               # first arrival id in this head
         self._segments: list[_Segment] = []     # catalog, sorted by t_min
@@ -542,11 +531,15 @@ class EventArchive:
         self._next_id += 1
         self.admitted += 1
         date = msg.date
+        key = msg.event or "?"
+        value = _msg_value(msg)
         if not self._dates or date >= self._dates[-1]:
             # the common (monotonic) case: O(1) append
             self._messages.append(msg)
             self._dates.append(date)
             self._ids.append(arrival_id)
+            self._keys.append(key)
+            self._values.append(value)
         else:
             # late: after everything dated <= date, which on equal
             # dates is arrival order (ids only grow)
@@ -555,6 +548,9 @@ class EventArchive:
             self._messages.insert(pos, msg)
             self._dates.insert(pos, date)
             self._ids.insert(pos, arrival_id)
+            self._keys.insert(pos, key)
+            self._values.insert(pos, value)
+        _roll_add(self._head_roll, key, value)
         if self._t_min is None or date < self._t_min:
             self._t_min = date
         if self._t_max is None or date > self._t_max:
@@ -590,7 +586,7 @@ class EventArchive:
         if not self._messages:
             return None
         seg = _build_segment(self._next_seq, self._messages, self._dates,
-                             self._ids)
+                             self._ids, self._keys, self._values)
         self._next_seq += 1
         self.sealed_segments += 1
         self._sealed_raw_count += seg.count
@@ -599,6 +595,9 @@ class EventArchive:
         self._messages = []
         self._dates = []
         self._ids = []
+        self._keys = []
+        self._values = []
+        self._head_roll = {}
         self._head_id_lo = self._next_id
         self._catalog_insert(seg)
         return seg
@@ -807,6 +806,11 @@ class EventArchive:
         self._messages = messages[cut:]
         self._dates = dates[cut:]
         self._ids = ids[cut:]
+        self._keys = keys = self._keys[cut:]
+        self._values = values = self._values[cut:]
+        self._head_roll = roll = {}
+        for key, value in zip(keys, values):
+            _roll_add(roll, key, value)
 
     # -- retention & compaction --------------------------------------------------
 
@@ -918,7 +922,8 @@ class EventArchive:
             messages.append(msg)
             dates.append(date)
             ids.append(aid)
-        merged = _build_segment(min(a.seq, b.seq), messages, dates, ids)
+        merged = _build_segment(min(a.seq, b.seq), messages, dates, ids,
+                                *_columns(messages))
         self._seg_bytes += merged.bytes - a.bytes - b.bytes
         # catalog order is by t_min: merged.t_min == a.t_min, so the
         # merged segment takes a's slot and b's slot vanishes
@@ -1093,10 +1098,13 @@ class EventArchive:
 
         Served from the multi-resolution rollup tree: fully-covered
         segment runs cost one pre-merged node each, boundary segments
-        resolve through per-event prefix sums, and only the unsealed
-        head is scanned raw — a month-scale summary costs about the same
-        as a minute-scale one.  ``host=`` filters via per-segment
-        host rollups (full segments) and raw scans (boundaries).
+        resolve through per-event prefix sums, and the unsealed head
+        merges its running rollup when [t0, t1) covers all of it — a
+        month-scale summary costs about the same as a minute-scale one,
+        whatever the head holds.  Only a clipped head (or one read with
+        ``host=``) is scanned, over the key/value columns taken at
+        admission.  ``host=`` filters via per-segment host rollups (full
+        segments) and raw scans (boundaries).
         """
         if t1 <= t0:
             raise ValueError("need t1 > t0")
@@ -1116,9 +1124,20 @@ class EventArchive:
         else:
             for seg in cands:
                 self._summarize_segment(seg, t0, t1, host, out)
-        self._summarize_rows(
-            _iter_rows(self._messages, self._dates, self._ids, None, None,
-                       ArchiveQuery(t0=t0, t1=t1, host=host), True), out)
+        dates = self._dates
+        if host is None and dates and t0 <= dates[0] and dates[-1] < t1:
+            _roll_merge(out, self._head_roll)
+            self.summary_rollup_hits += 1
+        else:
+            # a clipped head, or one host's share: walk the window's
+            # slice of the columns
+            keys, values, messages = self._keys, self._values, self._messages
+            scanned = 0
+            for pos in range(bisect_left(dates, t0), bisect_left(dates, t1)):
+                if host is None or messages[pos].host == host:
+                    _roll_add(out, keys[pos], values[pos])
+                    scanned += 1
+            self.summary_raw_scanned += scanned
         return {event: tuple(row) for event, row in out.items()}
 
     # -- catalog counters -------------------------------------------------------

@@ -275,14 +275,7 @@ class Link:
         rejects the entire offer, otherwise the head that fits is
         accepted and the tail is the caller's loss to model.
         """
-        return self.queue_offer_dir(self._dir_index(self.other(src)), nbytes,
-                                    now, traffic_class, atomic)
-
-    def queue_offer_dir(self, d: int, nbytes: int, now: float,
-                        traffic_class: Optional[str],
-                        atomic: bool) -> tuple[int, float]:
-        """:meth:`queue_offer` for a caller that already holds the
-        direction index (a :attr:`Path.plan` hop)."""
+        d = self._dir_index(self.other(src))
         rate = self._bandwidth_bps / 8.0    # bytes/s drain rate
         busy = self._q_busy_until[d]
         if busy <= now:
@@ -426,7 +419,7 @@ class Path:
         whole — a congestion drop at that hop, silent like link loss:
         the sender saw a successful send, only the discard counters
         (which the monitoring path polls) notice.  One pass, no call per
-        hop; the arithmetic is :meth:`Link.queue_offer_dir`'s with
+        hop; the arithmetic is :meth:`Link.queue_offer`'s with
         ``atomic=True``, addition for addition."""
         qdelay = 0.0
         window_s = Link.UTIL_WINDOW_S

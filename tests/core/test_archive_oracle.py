@@ -351,7 +351,11 @@ def test_every_operation_on_one_fixed_script():
     random walk might not: a late insert into the head, an equal date, an
     arrival older than every sealed segment, retirement of raw and of
     rollup-only segments, a quarantine across a compaction, disk-full
-    shedding of segments and of the head's front, and recovery."""
+    shedding of segments and of the head's front, and recovery; then, on
+    a longer head, a late arrival with its own VALUE under summaries that
+    clip the head or end on its newest row, a host+event read ending
+    exactly on a posting, and a full-span summary right after a front
+    shed of the head."""
     twin = Twin(3, RetentionPolicy(max_age=20.0, downsample_after=8.0))
 
     def feed(*kinds, step=GRID):
@@ -399,4 +403,42 @@ def test_every_operation_on_one_fixed_script():
     twin.set_budget(None)
     feed("in_order", "equal", "ancient", "in_order")
     assert not twin.archive.degraded
+    read_everything()
+
+    # the head's columns and running rollup, in a head long enough to
+    # clip, with hosts and events that do not travel together
+    twin = Twin(16, None)
+
+    def add(kind, host, event, value):
+        twin.append(kind, GRID, 0, host, event, "Usage", value)
+
+    add("in_order", "h0", "CPU_USAGE", "3")         # 0.5
+    add("in_order", "h1", "CPU_USAGE", "7")         # 1.0
+    add("in_order", "h0", "NET_IO", "12")           # 1.5
+    add("in_order", "h0", "CPU_USAGE", "0")         # 2.0
+    add("late", "h1", "NET_IO", "42")               # 1.0, a distinct VALUE
+    assert twin.archive.reordered == 1
+    twin.check_summaries(1.0, GRID)         # clips the head around it
+    twin.check_summaries(0.0, 2.0)          # ends exactly on the newest
+    read_everything()
+    # a host+event read whose window ends exactly on a posting, over a
+    # sealed segment whose host and event postings differ
+    add("in_order", "h0", "CPU_USAGE", "3")         # 2.5
+    add("in_order", "h2", "CPU_USAGE", "7")         # 3.0
+    add("in_order", "h0", "NET_IO", None)           # 3.5
+    add("in_order", "h0", "CPU_USAGE", "n/a")       # 4.0
+    add("in_order", "h0", "CPU_USAGE", "12")        # 4.5
+    twin.checkpoint()
+    twin.check_reads(2.5, 1.5)
+    read_everything()
+    # a full-span summary right after a disk-full front shed of the head
+    for n in range(6):
+        add("in_order", HOSTS[n % 3], EVENTS[n % 2], VALUES[n])
+    twin.check_summaries(0.0, 50.0)
+    twin.set_budget(150)                # the segment, then the head's front
+    assert twin.archive.degraded and twin.archive.stats()["segments"] == 0
+    assert 0 < len(twin.archive) < 6
+    twin.check_summaries(0.0, 50.0)
+    read_everything()
+    twin.set_budget(None)
     read_everything()

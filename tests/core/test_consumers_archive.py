@@ -39,6 +39,35 @@ class TestSamplingPolicy:
         policy = SamplingPolicy(normal_fraction=1.0)
         assert all(policy.admits(msg("CPU_USAGE")) for _ in range(10))
 
+    #: (event, LVL) pairs: plain, glob-matching and abnormal-LVL events
+    SCRIPT = [("CPU_USAGE", "Usage"), ("PROC_EXIT", "Usage"),
+              ("NET_IO", "Usage"), ("CPU_USAGE", "Error"),
+              ("DISK_ERROR_RATE", "Usage"), ("CPU_USAGE", "Usage"),
+              ("TCPD_RETRANSMITS", "Usage"), ("MEM_FREE", "Warning"),
+              ("CPU_USAGE", "Usage"), ("NET_IO", "Usage"),
+              (None, "Usage"), ("HOST_CRASH", "Usage"),
+              ("CPU_USAGE", "Usage"), ("NET_IO", "Security"),
+              ("CPU_USAGE", "Usage"), ("MEM_FREE", "Usage"),
+              ("PROC_EXIT", "Alert"), ("CPU_USAGE", "Usage"),
+              ("NET_IO", "Usage"), ("CPU_USAGE", "Usage")]
+
+    def admit_sequence(self, policy) -> str:
+        return "".join("1" if policy.admits(msg(event, lvl=lvl)) else "0"
+                       for event, lvl in self.SCRIPT)
+
+    def test_keep_everything_admits_every_kind_without_sampling(self):
+        policy = SamplingPolicy(normal_fraction=1.0)
+        assert self.admit_sequence(policy) == "1" * len(self.SCRIPT)
+        assert policy._counter == 0
+
+    @pytest.mark.parametrize("fraction, expected", [
+        (0.25, "01011011100101101001"),
+        (0.0, "01011011000101001000"),
+    ])
+    def test_sampled_admit_sequence_is_pinned(self, fraction, expected):
+        assert self.admit_sequence(
+            SamplingPolicy(normal_fraction=fraction)) == expected
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             SamplingPolicy(normal_fraction=1.5)

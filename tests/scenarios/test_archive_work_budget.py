@@ -2,20 +2,29 @@
 
 Like ``test_send_call_budget.py`` this gate cannot flake: it counts the
 Python frames entered (``'call'`` events) and the source lines executed
-(``'line'`` events) inside one ``append`` or one ``query``.  The write
-head is the bare ``(date, arrival id)``-ordered arrays a segment is built
-from, so a late arrival is a binary search and three ``list.insert``
-calls — all C, no extra frames — and a windowed read right after it
-walks its rows and nothing else: neither count may depend on how long
-the head is.  When late arrivals waited in a buffer that the next read
-folded in, that read ran one merge pass over the whole head and rebuilt
-an index: the same frames, but lines in proportion to the head, which is
-why lines are counted too.
+(``'line'`` events) inside one ``append``, ``query`` or
+``summarize_window``.  The write head is the ``(date, arrival id)``-ordered
+columns a segment is built from — message, date, arrival id, rollup key
+and VALUE — so a late arrival is a binary search and five ``list.insert``
+calls, all C, no extra frames, and a windowed read right after it walks
+its rows and nothing else: neither count may depend on how long the head
+is.  When late arrivals waited in a buffer that the next read folded in,
+that read ran one merge pass over the whole head and rebuilt an index:
+the same frames, but lines in proportion to the head, which is why lines
+are counted too.
+
+The same holds for the two reads the archive serves beside ingest: a
+summary over the whole head merges the head's running rollup instead of
+scanning its rows, and a host+event read over a sealed segment walks the
+shorter of the two posting lists' window slices, never either list whole.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+
+import pytest
 
 from repro.core import EventArchive, SamplingPolicy
 from repro.ulm import ULMMessage
@@ -24,13 +33,15 @@ from repro.ulm import ULMMessage
 MAX_EXTRA_CALLS_LATE_APPEND = 2
 
 
-def msg(t: float) -> ULMMessage:
-    return ULMMessage(date=t, host="h0", prog="p", lvl="Usage",
-                      event="CPU_USAGE", fields={"VALUE": "1"})
+def msg(t: float, host: str = "h0", event: str = "CPU_USAGE") -> ULMMessage:
+    return ULMMessage(date=t, host=host, prog="p", lvl="Usage",
+                      event=event, fields={"VALUE": "1"})
 
 
 def count_work(fn, *args, **kwargs) -> tuple[int, int]:
-    """(frames entered, lines executed) by one call of ``fn``."""
+    """(frames entered, lines executed) by one call of ``fn``.  The
+    collector is off meanwhile: a finalizer of some earlier test's
+    garbage, run by an allocation in here, is work too."""
     calls = lines = 0
 
     def trace(_frame, event, _arg):
@@ -42,21 +53,29 @@ def count_work(fn, *args, **kwargs) -> tuple[int, int]:
         return trace
 
     previous = sys.gettrace()
+    gc.disable()
     sys.settrace(trace)
     try:
         fn(*args, **kwargs)
     finally:
         sys.settrace(previous)
+        gc.enable()
     return calls, lines
 
 
-def work_at_head_size(n: int) -> tuple:
-    """Work of (in-order append, late append, 1-row query after it) with
-    ``n`` events in a head that is nowhere near sealing."""
+def head_of(n: int) -> EventArchive:
+    """``n`` in-order events in a head that is nowhere near sealing."""
     archive = EventArchive(policy=SamplingPolicy(normal_fraction=1.0),
                            segment_events=3 * n)
     for i in range(n):
         archive.append(msg(float(i)))
+    return archive
+
+
+def work_at_head_size(n: int) -> tuple:
+    """Work of (in-order append, late append, 1-row query after it) with
+    ``n`` events in the head."""
+    archive = head_of(n)
     in_order = count_work(archive.append, msg(float(n)))
     late = count_work(archive.append, msg(n / 2 + 0.25))
     assert archive.reordered == 1 and archive.sealed_segments == 0
@@ -73,3 +92,57 @@ def test_late_append_and_the_read_after_it_do_not_pay_for_the_head():
     assert small == large, (small, large)
     (in_order_calls, _), (late_calls, _), _ = small
     assert late_calls - in_order_calls <= MAX_EXTRA_CALLS_LATE_APPEND, small
+
+
+def summary_work_at_head_size(n: int) -> tuple[int, int]:
+    """Work of one summary over the whole head, a late arrival in it."""
+    archive = head_of(n)
+    archive.append(msg(n / 2 + 0.25))
+    summary = {}
+    work = count_work(lambda: summary.update(
+        archive.summarize_window(0.0, n + 1.0)))
+    assert summary["CPU_USAGE"][:3] == (n + 1, n + 1.0, n + 1)
+    assert archive.stats()["raw_scanned"] == 0
+    return work
+
+
+def test_a_full_span_summary_does_not_pay_for_the_head():
+    small = summary_work_at_head_size(64)
+    large = summary_work_at_head_size(4096)
+    assert small == large, (small, large)
+
+
+def host_event_read_work(host_only: int, event_only: int,
+                         outside: int) -> tuple[int, int]:
+    """Work of one ``host="h0", event="CPU_USAGE"`` read whose window
+    holds its two matching rows, ``host_only`` rows of h0's other event
+    and ``event_only`` rows of CPU_USAGE from another host, over one
+    sealed segment with ``outside`` matching rows on each side of it."""
+    match = ("h0", "CPU_USAGE")
+    window = [match] + [("h0", "NET_IO")] * host_only + \
+        [("h1", "CPU_USAGE")] * event_only + [match]
+    script = [match] * outside + window + [match] * outside
+    archive = EventArchive(policy=SamplingPolicy(normal_fraction=1.0),
+                           segment_events=len(script))
+    for t, (host, event) in enumerate(script):
+        archive.append(msg(float(t), host, event))
+    assert archive.sealed_segments == 1
+    t0, t1 = float(outside), float(outside + len(window) - 1)
+    rows = []
+    work = count_work(lambda: rows.extend(
+        archive.query(t0=t0, t1=t1, host="h0", event="CPU_USAGE")))
+    assert [m.date for m in rows] == [t0, t1]
+    return work
+
+
+@pytest.mark.parametrize("shorter", ["host", "event"])
+def test_a_host_event_read_does_not_pay_for_its_posting_lists(shorter):
+    """Whichever posting list's window slice is shorter leads; the
+    other's length, inside the window or out, costs nothing."""
+    works = set()
+    for longer, outside in ((1, 10), (40, 10), (40, 3000), (400, 3000)):
+        if shorter == "host":
+            works.add(host_event_read_work(0, longer, outside))
+        else:
+            works.add(host_event_read_work(longer, 0, outside))
+    assert len(works) == 1, works
