@@ -29,8 +29,11 @@ same way every consumer does and opens subscriptions through
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.consumers.base import Consumer, TeardownError
@@ -48,6 +51,8 @@ class ClientError(RuntimeError):
 
 #: resilience edge names (per-edge counters in ``resilience_stats()``)
 _EDGE_RESUBSCRIBE = "session.resubscribe"
+
+_date = attrgetter("date")
 
 
 #: keyword -> directory attribute translation for fluent discovery
@@ -500,6 +505,7 @@ class ClientSession:
         # every pass also replays the archive window since the last one
         # — duplicate suppression makes over-delivery free
         if self._heal_archive is not None:
+            due = []
             for handle in list(self.handles):
                 if handle.closed:
                     continue
@@ -514,7 +520,8 @@ class ClientSession:
                     tracker.fast_forward = True
                     continue
                 if self._gateway_reachable(handle.gateway):
-                    self._replay(handle)
+                    due.append(handle)
+            self._replay(due)
         return healed
 
     def _gateway_reachable(self, gateway: Any) -> bool:
@@ -592,69 +599,106 @@ class ClientSession:
             self._consumer.handles.remove(dead)
         self._consumer._wire_handles.pop(dead.wire_key, None)
         self.resubscribes += 1
-        self._replay(replacement)
+        self._replay([replacement])
         return True
 
-    def _replay(self, handle: SubscriptionHandle) -> None:
-        """Deliver committed-but-missed events from the archive into the
-        replacement handle.  The stream tracker suppresses everything
-        already seen, so over-replaying (the slack window) is safe."""
-        if self._heal_archive is None or handle.paused:
+    def _replay(self, handles: list) -> None:
+        """Deliver committed-but-missed events from the archive into
+        each of ``handles``, in order.  The stream tracker suppresses
+        everything already seen, so over-replaying (the slack window)
+        is safe.
+
+        One archive scan serves them all: it starts at the lowest
+        handle's floor minus the slack, and each handle walks its own
+        stream's rows from its own floor — exactly what a scan of its
+        own would return.  Each handle is re-checked before its turn (a
+        callback may have closed or paused it); a callback that appends
+        to the archive makes the rows stale, so the handles still to go
+        get a fresh scan.  Every handle here is tracked: the archive and
+        tracking are both switched on by :meth:`enable_auto_heal`."""
+        archive = self._heal_archive
+        if archive is None:
             return
-        key = handle.spec.sensor
+        pending = [handle for handle in handles if not handle.paused]
+        pending.reverse()       # popped from the end, so first goes first
+        self.in_replay = True
+        try:
+            while pending:
+                streams = {handle.spec.sensor for handle in pending}
+                admitted = archive.admitted
+                rows: dict = {}
+                for msg in archive.iter_query(t0=min(
+                        map(self._replay_start, pending))):
+                    if msg.prog in streams:
+                        rows.setdefault(msg.prog, []).append(msg)
+                while pending:
+                    handle = pending.pop()
+                    if handle.closed:
+                        continue
+                    if handle.paused:
+                        handle._heal_tracker.fast_forward = True
+                        continue
+                    self._replay_stream(handle,
+                                        rows.get(handle.spec.sensor, ()))
+                    if archive.admitted != admitted:
+                        break
+        finally:
+            self.in_replay = False
+
+    def _replay_start(self, handle: SubscriptionHandle) -> float:
+        """Where ``handle``'s catch-up scan starts: its floor minus the
+        clock-skew slack."""
+        return max(0.0, handle._heal_tracker.replay_floor
+                   - self._replay_slack)
+
+    def _replay_stream(self, handle: SubscriptionHandle, rows) -> None:
+        """Replay one handle's stream from its (date-ordered) archive
+        rows dated at or after its scan start, then advance its floor."""
         tracker = handle._heal_tracker
-        floor = tracker.replay_floor if tracker is not None else 0.0
-        t0 = max(0.0, floor - self._replay_slack)
+        floor = tracker.replay_floor
+        t0 = self._replay_start(handle)
         max_seen = floor
         # replay must honor the subscription's filter like the live
         # path does; stateful filters (change/threshold) are evaluated
         # on a fresh clone so the gateway's live instance isn't skewed
         flt = handle.spec.event_filter
         replay_filter = flt.clone() if flt is not None else None
-        fast_forward = tracker is not None and tracker.fast_forward
-        self.in_replay = True
-        try:
-            for msg in self._heal_archive.iter_query(t0=t0):
-                if msg.prog != key:
-                    continue
-                # the floor is per-STREAM: hosts' clocks are skewed
-                # relative to each other, so a cross-stream max date
-                # would prune identities (and skip scan windows) for
-                # streams whose clocks run behind
-                if msg.date > max_seen:
-                    max_seen = msg.date
-                if fast_forward:
-                    continue  # swallowing a paused-over window
-                if replay_filter is not None and \
-                        not replay_filter.accept(msg):
-                    continue
-                before = tracker.duplicates if tracker is not None else 0
-                handle._dispatch(msg)
-                if tracker is None or tracker.duplicates == before:
-                    self.replayed += 1
-        finally:
-            self.in_replay = False
+        fast_forward = tracker.fast_forward
+        for msg in islice(rows, bisect_left(rows, t0, key=_date), None):
+            # the floor is per-STREAM: hosts' clocks are skewed
+            # relative to each other, so a cross-stream max date
+            # would prune identities (and skip scan windows) for
+            # streams whose clocks run behind
+            if msg.date > max_seen:
+                max_seen = msg.date
+            if fast_forward:
+                continue  # swallowing a paused-over window
+            if replay_filter is not None and \
+                    not replay_filter.accept(msg):
+                continue
+            before = tracker.duplicates
+            handle._dispatch(msg)
+            if tracker.duplicates == before:
+                self.replayed += 1
         # quarantined (torn) segments are holes in the archive: events
         # inside them were committed but not served by the scan above.
         # Don't advance the floor past the earliest hole in the window,
         # or those events are lost to replay even after the segment is
         # mended; the floor still never rewinds (pruned dedupe
         # identities would re-deliver already-seen events)
-        spans_fn = getattr(self._heal_archive, "quarantined_spans", None)
-        if spans_fn is not None:
-            holes = [a for a, b in spans_fn() if b >= t0]
-            if holes:
-                max_seen = min(max_seen, max(floor, min(holes)))
-        if tracker is not None:
-            tracker.fast_forward = False
-            tracker.replay_floor = max_seen
-            # 2x slack: a live copy can arrive a little behind the
-            # archive commit it duplicates; keep its identity around.
-            # Under backpressure "a little behind" is unbounded — the
-            # copy may still be sitting in the gateway outbox — so the
-            # prune floor also never passes the live watermark
-            tracker.prune(min(max_seen, tracker.live_date)
-                          - 2.0 * self._replay_slack)
+        holes = [a for a, b in self._heal_archive.quarantined_spans()
+                 if b >= t0]
+        if holes:
+            max_seen = min(max_seen, max(floor, min(holes)))
+        tracker.fast_forward = False
+        tracker.replay_floor = max_seen
+        # 2x slack: a live copy can arrive a little behind the archive
+        # commit it duplicates; keep its identity around.  Under
+        # backpressure "a little behind" is unbounded — the copy may
+        # still be sitting in the gateway outbox — so the prune floor
+        # also never passes the live watermark
+        tracker.prune(min(max_seen, tracker.live_date)
+                      - 2.0 * self._replay_slack)
 
     # -- introspection -----------------------------------------------------------------
 

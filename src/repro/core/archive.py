@@ -16,12 +16,15 @@ among them each event's rollup key and VALUE, read once at admission —
 and a running rollup of the whole head: a late arrival is a binary
 search plus an insert, and a summary that covers the head merges that
 rollup, so only a head the window clips is scanned.  Every
-``segment_events`` admissions it is sealed into an immutable
-**segment** — its message, date and id arrays plus a time span,
-per-host / per-event posting indexes, byte-accounted footprint, and
-pre-aggregated **rollups** (count/sum/min/max per event name, plus
-per-event prefix sums for exact partial-window reads); one routine
-reads both.  A
+``segment_events`` admissions the head is sealed into an immutable
+**segment**, and sealing is a hand-over: the segment keeps the head's
+arrays and takes its running rollup as its pre-aggregated **rollups**
+(count/sum/min/max per event name); what it builds is a time span,
+per-host / per-event posting indexes and a byte-accounted footprint.
+The indexes only a summary reads — per-host rollups and per-event
+prefix sums for exact partial-window reads — are built from the key and
+VALUE columns by the first summary that needs them, and cached; one
+routine reads both head and segments.  A
 **catalog** ordered by segment start time resolves a window query to
 just the overlapping segments; non-overlapping segments chain,
 overlapping ones merge by ``(date, arrival id)`` — bit-identical to a
@@ -47,6 +50,8 @@ import fnmatch
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from ..ulm import ULMMessage
@@ -260,26 +265,77 @@ def _roll_merge(dst: dict, src: dict) -> None:
                 row[4] = s[4]
 
 
+def _rollup(keys: Iterable, values: Iterable) -> dict:
+    """The rollup of a run of key/value columns, added in their order."""
+    table: dict = {}
+    for key, value in zip(keys, values):
+        _roll_add(table, key, value)
+    return table
+
+
+def _postings(column: Iterable) -> dict:
+    """The ascending positions of each distinct value in ``column``."""
+    out: dict = {}
+    for pos, value in enumerate(column):
+        out.setdefault(value, []).append(pos)
+    return out
+
+
 class _Segment:
     """One sealed, immutable slab of the log.
 
     Messages are stored in ``(date, arrival id)`` order with parallel
-    date/id arrays, positional posting lists per host / event name, a
-    rollup table, per-host rollup tables, and per-event prefix sums
-    (``sumidx``) so an arbitrary sub-window summarizes in O(events ×
-    log n) without touching raw messages.  ``checksum`` models on-disk
-    integrity: :meth:`verify` fails after :meth:`tear` until
-    :meth:`mend` recomputes it; ``trusted`` is the verified-once
-    watermark (cleared by tear, restored by mend or a passing verify)
-    that keeps repeat catalog scans from re-hashing every segment.  Segment handles never leave the owning
-    archive (analysis rule RES002) — external code sees
+    date / id / rollup-key / VALUE arrays, positional posting lists per
+    host / event name, and the rollup table the write head handed over.
+    Two indexes only summaries read are built from the key and VALUE
+    columns on first read and cached: per-host rollup tables
+    (:attr:`host_rollups`, for ``host=`` summaries and downsampling) and
+    per-event prefix sums (:attr:`sumidx`) so a sub-window that clips the
+    segment summarizes in O(events × log n) without touching raw
+    messages.  ``checksum`` models on-disk integrity: :meth:`verify`
+    fails after :meth:`tear` until :meth:`mend` recomputes it;
+    ``trusted`` is the verified-once watermark (cleared by tear,
+    restored by mend or a passing verify) that keeps repeat catalog
+    scans from re-hashing every segment.  Segment handles never leave
+    the owning archive (analysis rule RES002) — external code sees
     :meth:`EventArchive.catalog` descriptor dicts.
     """
 
-    __slots__ = ("seq", "messages", "dates", "ids", "by_host", "by_event",
-                 "t_min", "t_max", "id_lo", "id_hi", "bytes", "count",
-                 "rollups", "host_rollups", "sumidx", "checksum",
-                 "downsampled", "trusted")
+    __slots__ = ("seq", "messages", "dates", "ids", "keys", "values",
+                 "by_host", "by_event", "t_min", "t_max", "id_lo", "id_hi",
+                 "bytes", "count", "rollups", "_host_rollups", "_sumidx",
+                 "checksum", "downsampled", "trusted")
+
+    @property
+    def host_rollups(self) -> dict:
+        """``{host: rollup table}``, built on first read and cached."""
+        if self._host_rollups is None:
+            keys, values = self.keys, self.values
+            self._host_rollups = {
+                host: _rollup(map(keys.__getitem__, rows),
+                              map(values.__getitem__, rows))
+                for host, rows in self.by_host.items()}
+        return self._host_rollups
+
+    @property
+    def sumidx(self) -> dict:
+        """``{key: (positions, value prefix sums, value-count prefix
+        sums, values)}`` in position order, built on first read and
+        cached."""
+        if self._sumidx is None:
+            values = self.values
+            index = {}
+            for key, rows in _postings(self.keys).items():
+                vals = list(map(values.__getitem__, rows))
+                index[key] = (
+                    rows,
+                    list(accumulate([0.0 if v is None else v for v in vals],
+                                    initial=0.0)),
+                    list(accumulate([v is not None for v in vals],
+                                    initial=0)),
+                    vals)
+            self._sumidx = index
+        return self._sumidx
 
     def _fingerprint(self) -> int:
         return hash((self.seq, self.count, self.id_lo, self.id_hi,
@@ -298,27 +354,31 @@ class _Segment:
         self.trusted = True
 
     def downsample(self) -> None:
-        """Drop raw storage; keep spans, counts, and rollups."""
+        """Drop raw storage; keep spans, counts, and rollups — the
+        per-host ones built first, while their columns still exist."""
+        host_rollups = self.host_rollups
         self.messages = None
         self.dates = None
         self.ids = None
+        self.keys = None
+        self.values = None
         self.by_host = None
         self.by_event = None
-        self.sumidx = None
+        self._sumidx = None
         self.downsampled = True
         # rollup-only footprint: a header plus one row per (host,) event
         rows = len(self.rollups) + sum(len(t) for t in
-                                       self.host_rollups.values())
+                                       host_rollups.values())
         self.bytes = 64 + 48 * rows
         self.mend()
 
     def window_rollup(self, t0: float, t1: float) -> dict:
         """Exact count/sum rollup of the half-open sub-window [t0, t1).
 
-        Served from the per-event prefix sums — O(#events × log) for
-        counts and sums, plus a slice scan of the bare value array for
-        min/max — so a summary that clips this segment never touches
-        raw messages.
+        Served from the per-event prefix sums (built by the first call
+        that clips the segment) — O(#events × log) for counts and sums,
+        plus a slice scan of the bare value array for min/max — so a
+        summary that clips this segment never touches raw messages.
         """
         lo = bisect_left(self.dates, t0)
         hi = bisect_left(self.dates, t1)
@@ -340,53 +400,43 @@ class _Segment:
         return out
 
 
-def _columns(messages: list) -> tuple[list, list]:
-    """The rollup key and VALUE of each message: the two columns the
-    write head takes at admission."""
-    return ([msg.event or "?" for msg in messages],
-            [_msg_value(msg) for msg in messages])
-
-
 def _build_segment(seq: int, messages: list, dates: list, ids: list,
-                   keys: list, values: list) -> _Segment:
-    """Seal (date, id)-ordered parallel arrays into a segment."""
+                   keys: list, values: list, rollups: dict) -> _Segment:
+    """Seal (date, id)-ordered parallel arrays, and the rollup of their
+    key/VALUE columns, into a segment.
+
+    The segment adopts all of them.  It builds only its byte count (one
+    :func:`_msg_bytes` per row) and its host / event posting lists
+    (from the host attribute and the key column, with no frame per
+    row); the summary-only indexes wait for their first read.
+    """
     seg = _Segment()
     seg.seq = seq
     seg.messages = messages
     seg.dates = dates
     seg.ids = ids
+    seg.keys = keys
+    seg.values = values
     seg.count = len(messages)
     seg.t_min = dates[0]
     seg.t_max = dates[-1]
     seg.id_lo = min(ids)
     seg.id_hi = max(ids)
     seg.downsampled = False
-    by_host: dict = {}
-    by_event: dict = {}
-    rollups: dict = {}
-    host_rollups: dict = {}
-    sumidx: dict = {}
-    nbytes = 0
-    for pos, (msg, key, value) in enumerate(zip(messages, keys, values)):
-        nbytes += _msg_bytes(msg)
-        by_host.setdefault(msg.host, []).append(pos)
-        if msg.event:
-            by_event.setdefault(msg.event, []).append(pos)
-        _roll_add(rollups, key, value)
-        _roll_add(host_rollups.setdefault(msg.host, {}), key, value)
-        entry = sumidx.get(key)
-        if entry is None:
-            entry = sumidx[key] = ([], [0.0], [0], [])
-        entry[0].append(pos)
-        entry[1].append(entry[1][-1] + (value if value is not None else 0.0))
-        entry[2].append(entry[2][-1] + (1 if value is not None else 0))
-        entry[3].append(value)
-    seg.by_host = by_host
+    seg.by_host = _postings(map(attrgetter("host"), messages))
+    by_event = _postings(keys)
+    # key "?" also stands for a missing (or empty) NL.EVNT, which no
+    # event query names: the posting keeps only a literal "?"
+    unnamed = by_event.pop("?", None)
+    if unnamed is not None:
+        literal = [pos for pos in unnamed if messages[pos].event == "?"]
+        if literal:
+            by_event["?"] = literal
     seg.by_event = by_event
     seg.rollups = rollups
-    seg.host_rollups = host_rollups
-    seg.sumidx = sumidx
-    seg.bytes = nbytes
+    seg._host_rollups = None
+    seg._sumidx = None
+    seg.bytes = sum(map(_msg_bytes, messages))
     seg.mend()
     return seg
 
@@ -586,7 +636,8 @@ class EventArchive:
         if not self._messages:
             return None
         seg = _build_segment(self._next_seq, self._messages, self._dates,
-                             self._ids, self._keys, self._values)
+                             self._ids, self._keys, self._values,
+                             self._head_roll)
         self._next_seq += 1
         self.sealed_segments += 1
         self._sealed_raw_count += seg.count
@@ -806,11 +857,9 @@ class EventArchive:
         self._messages = messages[cut:]
         self._dates = dates[cut:]
         self._ids = ids[cut:]
-        self._keys = keys = self._keys[cut:]
-        self._values = values = self._values[cut:]
-        self._head_roll = roll = {}
-        for key, value in zip(keys, values):
-            _roll_add(roll, key, value)
+        self._keys = self._keys[cut:]
+        self._values = self._values[cut:]
+        self._head_roll = _rollup(self._keys, self._values)
 
     # -- retention & compaction --------------------------------------------------
 
@@ -913,17 +962,13 @@ class EventArchive:
 
     def _merge_pair(self, i: int) -> None:
         a, b = self._segments[i], self._segments[i + 1]
-        messages: list = []
-        dates: list = []
-        ids: list = []
-        for date, aid, msg in _heap_merge(
-                zip(a.dates, a.ids, a.messages),
-                zip(b.dates, b.ids, b.messages)):
-            messages.append(msg)
-            dates.append(date)
-            ids.append(aid)
+        # (date, arrival id) never ties, so rows never compare past it
+        dates, ids, messages, keys, values = map(list, zip(*_heap_merge(
+            zip(a.dates, a.ids, a.messages, a.keys, a.values),
+            zip(b.dates, b.ids, b.messages, b.keys, b.values))))
+        # the one seal with no running rollup to hand over
         merged = _build_segment(min(a.seq, b.seq), messages, dates, ids,
-                                *_columns(messages))
+                                keys, values, _rollup(keys, values))
         self._seg_bytes += merged.bytes - a.bytes - b.bytes
         # catalog order is by t_min: merged.t_min == a.t_min, so the
         # merged segment takes a's slot and b's slot vanishes
@@ -1049,17 +1094,18 @@ class EventArchive:
         boundary — prefix sums, or a posting-led raw scan for one host."""
         if seg.t_max < t0 or seg.t_min >= t1:
             return
-        rolls = seg.rollups if host is None else seg.host_rollups.get(host)
-        if t0 <= seg.t_min and seg.t_max < t1:
+        covered = t0 <= seg.t_min and seg.t_max < t1
+        if covered or seg.downsampled:
+            # a clipped rollup-only segment: raw is gone, so approximate
+            # the clipped span with the whole segment's rollup, visibly
+            rolls = seg.rollups if host is None \
+                else seg.host_rollups.get(host)
             if rolls:
                 _roll_merge(out, rolls)
-                self.summary_rollup_hits += 1
-        elif seg.downsampled:
-            # raw is gone: approximate the clipped span with the whole
-            # segment's rollup, visibly
-            if rolls:
-                _roll_merge(out, rolls)
-                self.summary_rollup_clipped += 1
+                if covered:
+                    self.summary_rollup_hits += 1
+                else:
+                    self.summary_rollup_clipped += 1
         elif host is None:
             partial = seg.window_rollup(t0, t1)
             if partial:
@@ -1104,7 +1150,12 @@ class EventArchive:
         whatever the head holds.  Only a clipped head (or one read with
         ``host=``) is scanned, over the key/value columns taken at
         admission.  ``host=`` filters via per-segment host rollups (full
-        segments) and raw scans (boundaries).
+        segments) and raw scans (boundaries).  A segment's prefix sums
+        and host rollups are built by the first summary that clips it or
+        names a host, so a full-span summary builds neither.  Sums add
+        in admission order (a late row joins its head's rollup last),
+        so a float ``value_sum`` may differ in its last bits from a
+        position-ordered re-add of the same rows.
         """
         if t1 <= t0:
             raise ValueError("need t1 > t0")

@@ -246,7 +246,8 @@ class Twin:
         archive, visible = self.archive, self.visible()
         t1 = t0 + width
         for host, event, lvl in itertools.product(
-                (None, "h0", "h2", "ghost"), (None,) + EVENTS[:2] + ("ghost",),
+                (None, "h0", "h2", "ghost"),
+                (None,) + EVENTS[:2] + ("?", "ghost"),
                 (None,) + LEVELS):
             q = ArchiveQuery(t0=t0, t1=t1, host=host, event=event, lvl=lvl)
             inclusive = [id(m) for m in visible if q.matches(m)]
@@ -355,7 +356,11 @@ def test_every_operation_on_one_fixed_script():
     a longer head, a late arrival with its own VALUE under summaries that
     clip the head or end on its newest row, a host+event read ending
     exactly on a posting, and a full-span summary right after a front
-    shed of the head."""
+    shed of the head; then the first touch of each summary-only index a
+    segment builds on demand — a clip, a host summary, a downsample and
+    a merge of segments nobody had read — a late row whose sealed rollup
+    adds in arrival order, and a literal ``"?"`` event name beside events
+    that have none."""
     twin = Twin(3, RetentionPolicy(max_age=20.0, downsample_after=8.0))
 
     def feed(*kinds, step=GRID):
@@ -441,4 +446,66 @@ def test_every_operation_on_one_fixed_script():
     twin.check_summaries(0.0, 50.0)
     read_everything()
     twin.set_budget(None)
+    read_everything()
+
+    # first touches: a clipped summary and a host summary over sealed
+    # segments whose summary-only indexes nothing has built yet
+    twin = Twin(4, None)
+    for n in range(12):
+        add("in_order", HOSTS[n % 3], EVENTS[n % 3], VALUES[n % 6])
+    assert twin.archive.stats()["segments"] == 3
+    twin.check_summaries(1.25, 3.0)
+    read_everything()
+
+    # a downsample of a never-read segment: its host rollups outlive
+    # the columns they are built from (h2 lives only in that segment)
+    twin = Twin(4, RetentionPolicy(max_age=100.0, downsample_after=2.0))
+    for n in range(12):
+        add("in_order", ("h2", "h1")[n % 2] if n < 4 else HOSTS[n % 2],
+            EVENTS[n % 3], VALUES[n % 6])
+    everything = [msg for _, _, msg in twin.rows]
+    twin.compact()
+    assert twin.archive.stats()["segments_downsampled"] == 1
+    for host in HOSTS:
+        assert twin.archive.summarize_window(0.0, 50.0, host=host) == \
+            summarize([m for m in everything if m.host == host]), host
+    assert twin.archive.hosts() == list(HOSTS)
+    assert [d["hosts"] for d in twin.archive.catalog()
+            if d["downsampled"]] == [2]
+    read_everything()
+
+    # a merge of two never-read runts, one late row interleaving them,
+    # then a summary that clips the merged segment
+    twin = Twin(8, None)
+    for kind in ("in_order", "in_order", "in_order", "checkpoint",
+                 "in_order", "late", "in_order", "checkpoint"):
+        if kind == "checkpoint":
+            twin.checkpoint()
+        else:
+            n = len(twin.rows)
+            add(kind, HOSTS[n % 3], EVENTS[n % 3], VALUES[n % 6])
+    twin.compact()
+    assert twin.archive.stats()["segments_merged"] == 1
+    twin.check_summaries(0.75, 1.5)
+    read_everything()
+
+    # a late row inside a head that then seals: the segment keeps the
+    # head's rollup, added in arrival order, while a re-add in date order
+    # rounds differently — so the sum agrees to rounding, the rest exactly
+    twin = Twin(3, None)
+    add("in_order", "h0", "CPU_USAGE", "0.1")       # 0.5
+    add("in_order", "h0", "CPU_USAGE", "0.2")       # 1.0
+    add("late", "h1", "CPU_USAGE", "0.6")           # 0.0, and seals
+    assert twin.archive.stats()["segments"] == 1
+    (got,) = twin.archive.summarize_window(0.0, 50.0).values()
+    (want,) = summarize(twin.visible()).values()
+    assert got[0] == want[0] and got[2:] == want[2:]
+    assert math.isclose(got[1], want[1], rel_tol=1e-12)
+
+    # a literal "?" event name beside events with no name at all, sealed
+    # and in the head: "?" is the rollup key of both, the name of one
+    twin = Twin(4, None)
+    for n, event in enumerate(("?", None, "?", None, "?", None)):
+        add("in_order", HOSTS[n % 3], event, VALUES[n % 6])
+    assert twin.archive.event_names() == ["?"]
     read_everything()

@@ -17,12 +17,19 @@ The same holds for the two reads the archive serves beside ingest: a
 summary over the whole head merges the head's running rollup instead of
 scanning its rows, and a host+event read over a sealed segment walks the
 shorter of the two posting lists' window slices, never either list whole.
+
+Sealing is a hand-over: the segment takes the head's running rollup and
+columns, so the append that seals pays one byte estimate per row and a
+constant, never a rollup add per row, and builds neither of the indexes
+only summaries read (per-host rollups, per-event prefix sums) — those
+are built by the first summary that clips a segment or names a host.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+from collections import Counter
 
 import pytest
 
@@ -38,16 +45,17 @@ def msg(t: float, host: str = "h0", event: str = "CPU_USAGE") -> ULMMessage:
                       event=event, fields={"VALUE": "1"})
 
 
-def count_work(fn, *args, **kwargs) -> tuple[int, int]:
-    """(frames entered, lines executed) by one call of ``fn``.  The
-    collector is off meanwhile: a finalizer of some earlier test's
-    garbage, run by an allocation in here, is work too."""
-    calls = lines = 0
+def trace_work(fn, *args, **kwargs) -> tuple[Counter, int]:
+    """(frames entered, by function name; lines executed) by one call
+    of ``fn``.  The collector is off meanwhile: a finalizer of some
+    earlier test's garbage, run by an allocation in here, is work too."""
+    calls: Counter = Counter()
+    lines = 0
 
-    def trace(_frame, event, _arg):
-        nonlocal calls, lines
+    def trace(frame, event, _arg):
+        nonlocal lines
         if event == "call":
-            calls += 1
+            calls[frame.f_code.co_name] += 1
         elif event == "line":
             lines += 1
         return trace
@@ -61,6 +69,12 @@ def count_work(fn, *args, **kwargs) -> tuple[int, int]:
         sys.settrace(previous)
         gc.enable()
     return calls, lines
+
+
+def count_work(fn, *args, **kwargs) -> tuple[int, int]:
+    """(frames entered, lines executed) by one call of ``fn``."""
+    calls, lines = trace_work(fn, *args, **kwargs)
+    return sum(calls.values()), lines
 
 
 def head_of(n: int) -> EventArchive:
@@ -146,3 +160,51 @@ def test_a_host_event_read_does_not_pay_for_its_posting_lists(shorter):
         else:
             works.add(host_event_read_work(longer, 0, outside))
     assert len(works) == 1, works
+
+
+#: what builds or reads a segment's summary-only indexes
+LAZY_INDEXES = {"host_rollups", "sumidx", "_rollup"}
+
+
+def seal_frames(n: int) -> Counter:
+    """Frames the append that seals an ``n``-row head enters."""
+    archive = EventArchive(policy=SamplingPolicy(normal_fraction=1.0),
+                           segment_events=n)
+    for i in range(n - 1):
+        archive.append(msg(float(i), f"h{i % 3}", ("A", "B")[i % 2]))
+    frames, _ = trace_work(archive.append, msg(float(n)))
+    assert archive.sealed_segments == 1
+    return frames
+
+
+def test_the_sealing_append_pays_one_byte_estimate_per_row():
+    small, large = seal_frames(64), seal_frames(4096)
+    for n, frames in ((64, small), (4096, large)):
+        assert frames["_msg_bytes"] == n
+        assert frames["_roll_add"] == 1     # the sealing row's admission
+        assert not frames.keys() & LAZY_INDEXES, frames
+    assert sum(small.values()) - 64 == sum(large.values()) - 4096, \
+        (small, large)
+
+
+def test_summary_only_indexes_wait_for_the_summary_that_reads_them():
+    archive = EventArchive(policy=SamplingPolicy(normal_fraction=1.0),
+                           segment_events=64)
+    for i in range(3 * 64 + 10):
+        archive.append(msg(float(i), f"h{i % 3}"))
+    assert archive.sealed_segments == 3
+
+    def summary(t0, host=None):
+        frames, _ = trace_work(archive.summarize_window, t0, 1e6, host=host)
+        return frames
+
+    full = summary(0.0)
+    assert not full.keys() & LAZY_INDEXES, full
+    assert archive.stats()["raw_scanned"] == 0
+    # the first summary to clip a segment builds its prefix sums once
+    assert summary(10.0)["_postings"] == 1
+    assert summary(10.0)["_postings"] == 0
+    # the first host summary builds every full segment's host rollups
+    # (one table per host it holds); the next reads them
+    assert summary(0.0, "h1")["_rollup"] == 3 * 3
+    assert summary(0.0, "h1")["_rollup"] == 0
