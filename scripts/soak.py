@@ -1,23 +1,28 @@
 #!/usr/bin/env python
 """Soak the fault-scenario invariants over many random seeds.
 
-Runs N random fault scenarios (200-step plans by default) and dumps
-every invariant-violating plan to ``tests/scenarios/corpus/`` as JSON,
-where ``tests/scenarios/test_corpus.py`` replays it forever after.
+Runs one scenario document over N sequential seeds and dumps every
+invariant-violating run to ``tests/scenarios/corpus/`` as JSON, where
+``tests/scenarios/test_corpus.py`` replays it forever after.
+
+A scenario document is ``Scenario.to_dict()`` from ``repro.scenarios``:
+a JSON object of the fields off their defaults.  The soak file holds
+one without ``name`` and ``seed``; each run is named ``soak-<seed>``
+and seeded with its seed.  Without ``--scenario`` the document is
+``{"random_steps": 200}``: 200-step random plans in the default world.
+The nightly rows are the documents in ``scripts/soak/`` (storage
+pressure, congestion storms, retry storms).
 
 Usage::
 
     python scripts/soak.py --runs 100
-    python scripts/soak.py --runs 50 --steps 300 --start-seed 1000
-    python scripts/soak.py --runs 20 --horizon 90 --keep-passing-digests
-    python scripts/soak.py --runs 100 --retention-bytes 64000 \\
-        --segment-events 32 --compaction-interval 1.0
+    python scripts/soak.py --runs 100 --start-seed 2000 \\
+        --scenario scripts/soak/storage-budget.json
+    python scripts/soak.py --runs 20 --keep-passing-digests \\
+        --scenario scripts/soak/retry-storms.json
 
-The storage knobs shape the commit log under test: random plans draw
-the storage fault kinds (compaction_stall / torn_segment / slow_disk /
-disk_full) against it, and tight retention budgets plus small segments
-put the compactor on the critical path, so the retention-scoped loss,
-accounting, and rollup-consistency invariants soak under pressure.
+A failing seed writes ``plan_seed<seed>.json``:
+``{"scenario": <its document, drawn plan included>, "violations": [...]}``.
 
 Exit status is the number of failing seeds (0 = clean soak).
 """
@@ -36,57 +41,34 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.scenarios import Scenario, run_scenario  # noqa: E402
 
 CORPUS = ROOT / "tests" / "scenarios" / "corpus"
+#: the document a soak runs without ``--scenario``
+DEFAULT_DOCUMENT = {"random_steps": 200}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def seeded(doc: dict, seed: int) -> Scenario:
+    """The scenario the soak runs for one seed of a document."""
+    return Scenario.from_dict({**doc, "name": f"soak-{seed}", "seed": seed})
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--scenario", type=pathlib.Path,
+                        help="scenario document (JSON, without name and "
+                             "seed; default: random_steps 200)")
     parser.add_argument("--runs", type=int, default=25,
                         help="number of seeds to soak (default 25)")
     parser.add_argument("--start-seed", type=int, default=0,
                         help="first seed (seeds are sequential from here)")
-    parser.add_argument("--steps", type=int, default=200,
-                        help="fault-plan length per scenario")
-    parser.add_argument("--horizon", type=float, default=60.0)
-    parser.add_argument("--drain", type=float, default=20.0)
-    parser.add_argument("--hosts", type=int, default=3,
-                        help="sensor hosts in the scenario world")
     parser.add_argument("--keep-passing-digests", action="store_true",
                         help="print each passing run's digest (for "
                              "cross-machine determinism spot checks)")
-    parser.add_argument("--storms", action="store_true",
-                        help="let random plans raise congestion storms "
-                             "(background traffic contending for the "
-                             "shared links)")
-    parser.add_argument("--flaky", action="store_true",
-                        help="let random plans draw flaky_rpc events "
-                             "(transient sender-visible RPC failures "
-                             "against the directory and gateway — the "
-                             "retry-storm ingredient)")
-    storage = parser.add_argument_group(
-        "storage", "commit-log shape: segments, retention, compaction")
-    storage.add_argument("--segment-events", type=_positive_int, default=64,
-                         help="seal a segment every N admissions "
-                              "(default 64; must be >= 1)")
-    storage.add_argument("--retention-bytes", type=int, default=None,
-                         help="byte budget for the commit log (retention "
-                              "pressure + disk_full degradation)")
-    storage.add_argument("--retention-age", type=float, default=None,
-                         help="retire sealed segments older than this "
-                              "many sim-seconds")
-    storage.add_argument("--downsample-after", type=float, default=None,
-                         help="drop raw events (keep rollups) for "
-                              "segments older than this many sim-seconds")
-    storage.add_argument("--compaction-interval", type=float, default=2.0,
-                         help="compactor pass cadence in sim-seconds "
-                              "(default 2.0)")
     args = parser.parse_args(argv)
+    doc = json.loads(args.scenario.read_text()) if args.scenario \
+        else DEFAULT_DOCUMENT
+    if {"name", "seed"} & doc.keys():
+        parser.error(f"{args.scenario}: the soak names and seeds each run")
 
     failures = 0
     total_events = 0
@@ -96,16 +78,7 @@ def main(argv=None) -> int:
     san_totals: dict[str, int] = {}
     t_start = time.time()
     for seed in range(args.start_seed, args.start_seed + args.runs):
-        scenario = Scenario(name=f"soak-{seed}", seed=seed,
-                            horizon=args.horizon, drain=args.drain,
-                            n_sensor_hosts=args.hosts,
-                            random_steps=args.steps,
-                            archive_segment_events=args.segment_events,
-                            archive_retention_bytes=args.retention_bytes,
-                            archive_retention_age=args.retention_age,
-                            archive_downsample_after=args.downsample_after,
-                            compaction_interval=args.compaction_interval,
-                            storms=args.storms, flaky=args.flaky)
+        scenario = seeded(doc, seed)
         result = run_scenario(scenario)
         perf = result.stats.get("perf") or {}
         total_events += perf.get("events", 0)
@@ -121,23 +94,15 @@ def main(argv=None) -> int:
                   f"({perf.get('events_per_s', 0.0):>9,.0f} ev/s){extra}")
             continue
         failures += 1
+        # pin the drawn plan, so the corpus replays exactly what ran
+        scenario.plan = result.plan
         CORPUS.mkdir(parents=True, exist_ok=True)
         dump = CORPUS / f"plan_seed{seed}.json"
         dump.write_text(json.dumps({
-            "scenario": {"seed": seed, "horizon": args.horizon,
-                         "drain": args.drain,
-                         "n_sensor_hosts": args.hosts,
-                         "random_steps": args.steps,
-                         "archive_segment_events": args.segment_events,
-                         "archive_retention_bytes": args.retention_bytes,
-                         "archive_retention_age": args.retention_age,
-                         "archive_downsample_after": args.downsample_after,
-                         "compaction_interval": args.compaction_interval,
-                         "storms": args.storms, "flaky": args.flaky},
-            "plan": result.plan.to_dict(),
+            "scenario": scenario.to_dict(),
             "violations": result.violations,
         }, indent=2, sort_keys=True) + "\n")
-        print(f"seed {seed:>6}: FAIL -> {dump.relative_to(ROOT)}")
+        print(f"seed {seed:>6}: FAIL -> {dump}")
         for violation in result.violations:
             print(f"    {violation}")
 
@@ -150,7 +115,7 @@ def main(argv=None) -> int:
         print("sanitizer: " + "  ".join(
             f"{key}={san_totals[key]}" for key in sorted(san_totals)))
     if failures:
-        print("failing plans dumped to tests/scenarios/corpus/ — "
+        print("failing scenarios dumped to tests/scenarios/corpus/ — "
               "replayed by tests/scenarios/test_corpus.py")
     return failures
 

@@ -25,9 +25,12 @@ The loss invariant is *retention-scoped*: events at or below the
 archive's ``loss_floor`` (retired, downsampled, or shed by policy) are
 exempt — deliberate, accounted expiry is not loss.
 
-See ``docs/FAULTS.md`` for the fault model and how to write a scenario
-test; ``scripts/soak.py`` runs random plans in bulk and dumps failing
-schedules to ``tests/scenarios/corpus/``.
+A scenario's one serialized form is :meth:`Scenario.to_dict` (JSON via
+:meth:`Scenario.to_json`): ``scripts/soak.py`` runs such a document over
+many seeds, dumps each failing run's document (plan included) to
+``tests/scenarios/corpus/``, and a failed :meth:`ScenarioResult.check`
+prints it as the rerun line.  See ``docs/FAULTS.md`` for the fault model
+and how to write a scenario test.
 """
 
 from .netaware import NetAwareResult, run_netaware_scenario

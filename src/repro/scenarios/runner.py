@@ -28,15 +28,16 @@ records, directory trees) so a determinism audit is one string compare.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from ..core import JAMMDeployment
 from ..core.archive import (ArchiveQuery, EventArchive, RetentionPolicy,
                             SamplingPolicy)
-from ..core.resilience import merge_edge_counters
+from ..core.resilience import ResilienceConfig, merge_edge_counters
 from ..core.config import JAMMConfig
 from ..core.sensors.base import Sensor
 from ..core.sensors.registry import _REGISTRY, register_sensor
@@ -126,6 +127,39 @@ class Scenario:
     #: supervised compactor cadence (None -> no compactor process)
     compaction_interval: Optional[float] = 2.0
 
+    # -- the scenario document -----------------------------------------------
+
+    def to_dict(self) -> dict:
+        """The scenario as a JSON document: every field off its default,
+        the plan and a resilience config as their own documents."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is MISSING or value != f.default:
+                doc[f.name] = value.to_dict() \
+                    if hasattr(value, "to_dict") else value
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Scenario":
+        """Rebuild from :meth:`to_dict`; an unknown key is an error."""
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        doc = dict(doc)
+        for key, kind in (("plan", FaultPlan),
+                          ("resilience", ResilienceConfig)):
+            if isinstance(doc.get(key), dict):
+                doc[key] = kind.from_dict(doc[key])
+        return cls(**doc)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Scenario":
+        return cls.from_dict(json.loads(text))
+
 
 @dataclass
 class ScenarioResult:
@@ -165,12 +199,8 @@ class ScenarioResult:
 
     def repro_line(self) -> str:
         sc = self.scenario
-        # every field off its default; check() appends the plan itself
-        args = ", ".join(
-            f"{f.name}={getattr(sc, f.name)!r}" for f in fields(sc)
-            if f.name != "plan" and getattr(sc, f.name) != f.default)
-        return (f"scenario={sc.name!r} seed={sc.seed} "
-                f"(rerun: run_scenario(Scenario({args})))")
+        return (f"scenario={sc.name!r} seed={sc.seed} (rerun: "
+                f"run_scenario(Scenario.from_json({sc.to_json()!r})))")
 
     def check(self) -> "ScenarioResult":
         """Raise AssertionError (with seed + full plan) on any violation."""

@@ -97,7 +97,6 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self.sim = sim
         self.network = network
         self.messages_sent = 0
-        self.bytes_sent = 0
         self.messages_dropped = 0
         #: messages silently lost in flight to link loss.  Unlike
         #: ``messages_dropped`` (sender-visible failures that fire
@@ -128,10 +127,9 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         #: must not reshuffle which messages a lossy link eats)
         self._loss_salt = rng.getrandbits(64) if rng is not None else 1905
         self._loss_rngs: dict[tuple[str, str, int], random.Random] = {}
-        #: per-source-host message/byte counters — used to measure the
+        #: per-source-host message counters — used to measure the
         #: monitoring load a host bears (paper §2.3 scalability claims)
         self.per_host_sent: dict[str, int] = {}
-        self.per_host_bytes: dict[str, int] = {}
         self._ephemeral = itertools.count(32768)
         self._msg_ids = itertools.count(1)
         #: arrival-time -> [(msg, on_fail, on_delivered)] — messages due
@@ -228,8 +226,7 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         flaky_hosts = self._flaky_hosts
         src_name, src_ports = src.name, src.ports
         routes: dict = {}       # dst host -> what its route gives a send
-        per_host_sent, per_host_bytes, class_bytes = \
-            self.per_host_sent, self.per_host_bytes, self.class_bytes
+        per_host_sent, class_bytes = self.per_host_sent, self.class_bytes
         msg = None
         for dst, dst_port, payload, size_bytes, src_port, on_fail, \
                 on_delivered in deliveries:
@@ -265,9 +262,7 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                 loss = route
             npackets = max(1, (size + mtu - 1) // mtu)
             self.messages_sent += 1
-            self.bytes_sent += size
             per_host_sent[src_name] = per_host_sent.get(src_name, 0) + 1
-            per_host_bytes[src_name] = per_host_bytes.get(src_name, 0) + size
             class_bytes[traffic_class] = class_bytes.get(traffic_class, 0) + size
             act = src_ports._activity.get(src_port) \
                 or src_ports.activity(src_port)

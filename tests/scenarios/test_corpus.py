@@ -1,8 +1,9 @@
-"""Replay every fault plan in the corpus as a regression test.
+"""Replay every scenario in the fault corpus as a regression test.
 
-``scripts/soak.py`` dumps any invariant-violating plan here; replaying
-the corpus keeps those counterexamples fixed.  An empty corpus (the
-happy steady state) collects zero parametrized cases and one sanity
+``scripts/soak.py`` dumps any invariant-violating run here as
+``{"scenario": <Scenario.to_dict() with its plan>, "violations": [...]}``;
+replaying the corpus keeps those counterexamples fixed.  An empty corpus
+(the happy steady state) collects zero parametrized cases and one sanity
 check that the loader works.
 """
 
@@ -14,35 +15,12 @@ import pathlib
 import pytest
 
 from repro.scenarios import Scenario, run_scenario
-from repro.simgrid import FaultPlan
 
 CORPUS = sorted(pathlib.Path(__file__).parent.glob("corpus/*.json"))
 
 
-def _opt(params: dict, key: str, cast):
-    value = params.get(key)
-    return cast(value) if value is not None else None
-
-
 def _load(path: pathlib.Path) -> Scenario:
-    doc = json.loads(path.read_text())
-    params = doc.get("scenario", {})
-    return Scenario(name=f"corpus:{path.stem}",
-                    seed=int(params.get("seed", 0)),
-                    plan=FaultPlan.from_dict(doc["plan"]),
-                    horizon=float(params.get("horizon", 60.0)),
-                    drain=float(params.get("drain", 20.0)),
-                    n_sensor_hosts=int(params.get("n_sensor_hosts", 3)),
-                    archive_segment_events=int(
-                        params.get("archive_segment_events", 64)),
-                    archive_retention_bytes=_opt(
-                        params, "archive_retention_bytes", int),
-                    archive_retention_age=_opt(
-                        params, "archive_retention_age", float),
-                    archive_downsample_after=_opt(
-                        params, "archive_downsample_after", float),
-                    compaction_interval=float(
-                        params.get("compaction_interval", 2.0)))
+    return Scenario.from_dict(json.loads(path.read_text())["scenario"])
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

@@ -9,6 +9,8 @@ ordering included.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scenarios import Scenario, run_scenario
@@ -98,18 +100,21 @@ def test_random_scenario_matches_pinned_digest(knobs, digest):
 def test_the_rerun_line_rebuilds_the_scenario_it_came_from():
     """``repro_line()`` printed six fields, so the "rerun:" line of a
     storm / flaky / retention / backpressure failure rebuilt a
-    different (quieter) scenario."""
+    different (quieter) scenario.  It now prints the scenario document,
+    explicit plan included."""
     from repro.scenarios.runner import ScenarioResult
+    plan = FaultPlan(seed=15).crash_host(4.0, "gw.siteA").heal(9.0)
     scenario = Scenario(
-        name="rerun", seed=15, plan=FaultPlan(), n_sensor_hosts=2,
+        name="rerun", seed=15, plan=plan, n_sensor_hosts=2,
         horizon=30.0, storms=True, flaky=True, resilience=True,
         outbox_limit=8, overflow_policy="block", sanitize=False,
         archive_retention_age=30.0, archive_retention_bytes=1 << 20,
         archive_downsample_after=15.0, compaction_interval=None)
-    line = ScenarioResult(scenario=scenario, plan=scenario.plan).repro_line()
-    printed = line[line.index("run_scenario(") + len("run_scenario("):-2]
-    rebuilt = eval(printed, {"Scenario": Scenario})
-    scenario.plan = None        # check() prints the plan beside the line
-    assert rebuilt == scenario
+    line = ScenarioResult(scenario=scenario, plan=plan).repro_line()
+    opener = "run_scenario(Scenario.from_json('"
+    printed = line[line.index(opener) + len(opener):line.rindex("')))")]
+    rebuilt = Scenario.from_json(printed)
+    assert rebuilt.plan.to_dict() == plan.to_dict()
+    assert replace(rebuilt, plan=None) == replace(scenario, plan=None)
     # and nothing that still has its default value is spelled out
     assert "drain" not in printed and "sensor_period" not in printed

@@ -100,10 +100,7 @@ class ModelTransport(MessageTransport):
         hops = list(zip(path.nodes[:-1], path.links))
         npackets = max(1, (size + self.MTU - 1) // self.MTU)
         self.messages_sent += 1
-        self.bytes_sent += size
         self.per_host_sent[src.name] = self.per_host_sent.get(src.name, 0) + 1
-        self.per_host_bytes[src.name] = \
-            self.per_host_bytes.get(src.name, 0) + size
         self.class_bytes[traffic_class] = \
             self.class_bytes.get(traffic_class, 0) + size
         src.ports.record(src_port, bytes_out=size, packets_out=npackets)
@@ -318,11 +315,11 @@ class Twin:
             "callbacks": self.callbacks,
             "returns": self.returns,
             "transport": {name: getattr(tr, name) for name in (
-                "messages_sent", "bytes_sent", "messages_lost",
+                "messages_sent", "messages_lost",
                 "messages_lost_congestion", "messages_dropped",
                 "messages_flaky_failed", "flaky_delay_s",
                 "queue_delay_s", "delivery_wakeups", "class_bytes",
-                "per_host_sent", "per_host_bytes", "_flow_clock",
+                "per_host_sent", "_flow_clock",
                 "_prune_at")},
             "storms": [(g.packets_sent, g.send_failures)
                        for g in self.storms],
