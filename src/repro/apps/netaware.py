@@ -120,7 +120,7 @@ class PathMonitor:
             far = path.nodes[hop + 1]
             util = bottleneck.utilization(far, now)
             backlog = bottleneck.queue_backlog_s(far, now)
-            drops = bottleneck.queue_drops[bottleneck._dir_index(far)]
+            drops = bottleneck.toward(far).drops
         capacity = path.bottleneck_bps
         available = max(capacity * (1.0 - util),
                         capacity * self.floor_fraction)

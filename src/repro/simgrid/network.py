@@ -4,10 +4,12 @@ The Matisse testbed (paper Fig. 5) is a handful of hosts, two site LANs
 (1000BT), and a WAN path (OC-12 into the OC-48 DARPA Supernet).  We
 model the topology as an undirected graph of :class:`NetNode`\\ s joined
 by :class:`Link`\\ s with bandwidth, propagation latency, and an
-optional random-loss rate.  Routing is shortest-path by hop count;
-the resolved :class:`Path` stores its aggregates and a per-hop charging
-plan, and the whole cache is dropped by any topology change or link
-mutation (one epoch — see :meth:`Network._invalidate`).
+optional random-loss rate.  Each direction of a link is one
+:class:`LinkDirection`: its loss rate and its output queue.  Routing is
+shortest-path by hop count; the resolved :class:`Path` stores its
+aggregates and a per-hop charging plan, and the whole cache is dropped
+by any topology change or link mutation (one epoch — see
+:meth:`Network._invalidate`).
 
 Routers and switches keep SNMP-visible interface counters (octets,
 unicast packets, errors, CRC errors, discards) — the statistics the
@@ -22,8 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["NetNode", "RouterNode", "SwitchNode", "Link", "Network",
-           "NoRouteError", "InterfaceCounters", "Path", "TRAFFIC_CLASSES"]
+__all__ = ["NetNode", "RouterNode", "SwitchNode", "Link", "LinkDirection",
+           "Network", "NoRouteError", "InterfaceCounters", "Path",
+           "TRAFFIC_CLASSES"]
 
 #: traffic classes every transport send is tagged with (rotorsim-style
 #: flow tagging): control-plane/monitoring messages, bulk data, and
@@ -103,9 +106,41 @@ class SwitchNode(NetNode):
     kind = "switch"
 
 
+@dataclass(slots=True, eq=False)
+class LinkDirection:
+    """One direction of a :class:`Link`: its random-loss rate and its
+    output FIFO.
+
+    The queue is virtual: only the time the transmitter is busy until
+    is kept, so the idle fast path is a compare and an add.  Beside it
+    are the queue's observables and a sliding window of carried bytes,
+    the utilization observable.  The depth is the link's
+    ``queue_bytes``, read where it is needed, never copied here."""
+
+    #: random-loss rate.  1.0 is a true blackhole — packets die but the
+    #: link stays "up", so routing still uses it (the gray-failure case,
+    #: as opposed to ``Link.set_up(False)``, which reroutes around the
+    #: link).  Set it through the link's loss mutators, which drop
+    #: cached routes.
+    loss: float
+    busy_until: float = 0.0
+    #: overflow events (an enqueue that lost bytes)
+    drops: int = 0
+    #: bytes lost to queue overflow
+    dropped_bytes: int = 0
+    #: worst backlog ever seen at enqueue time, seconds
+    peak_s: float = 0.0
+    #: cumulative queuing delay charged to accepted traffic, seconds
+    delay_total_s: float = 0.0
+    win_start: float = 0.0
+    win_bytes: int = 0
+    win_rate_bps: float = 0.0
+
+
 class Link:
-    """A bidirectional link with bandwidth, latency, loss rate, and a
-    per-direction FIFO output queue.
+    """A bidirectional link with bandwidth and latency, and in each
+    direction (one :class:`LinkDirection` apiece) a loss rate and a FIFO
+    output queue.
 
     The queue makes the link a genuinely *shared* resource: every
     transport (control-plane messages, TCP rounds, background traffic)
@@ -137,32 +172,14 @@ class Link:
             raise ValueError("queue depth must be positive")
         self.a = a
         self.b = b
-        #: per-direction random-loss rates: [toward b, toward a].  1.0 is
-        #: a true blackhole — packets die but the link stays "up", so
-        #: routing still uses it (the gray-failure case, as opposed to
-        #: ``set_up(False)`` which reroutes around the link).
-        self._loss = [float(loss_rate), float(loss_rate)]
+        #: the two directions, (toward b, toward a): loss and queue
+        self.directions = (LinkDirection(float(loss_rate)),
+                           LinkDirection(float(loss_rate)))
         self.name = name or f"{a.name}--{b.name}"
         self._up = True
         #: queue depth in bytes (per direction)
         self.queue_bytes = (float(queue_bytes) if queue_bytes is not None
                             else self.QUEUE_SECONDS * self.bandwidth_bps / 8.0)
-        # -- per-direction queue state, [toward b, toward a] like _loss.
-        # The queue is virtual: we track only the time the transmitter
-        # is busy until, so the idle fast path is a compare + add.
-        self._q_busy_until = [0.0, 0.0]
-        #: overflow events (an enqueue that lost bytes) per direction
-        self.queue_drops = [0, 0]
-        #: bytes lost to queue overflow per direction
-        self.queue_dropped_bytes = [0, 0]
-        #: worst backlog ever seen at enqueue time, seconds, per direction
-        self.queue_peak_s = [0.0, 0.0]
-        #: cumulative queuing delay charged to accepted traffic, seconds
-        self.queue_delay_total_s = [0.0, 0.0]
-        # sliding-window byte-rate accounting (utilization observable)
-        self._win_start = [0.0, 0.0]
-        self._win_bytes = [0, 0]
-        self._win_rate_bps = [0.0, 0.0]
         #: carried bytes per traffic class (both directions combined)
         self.class_bytes: dict[str, int] = {}
         a.links.append(self)
@@ -217,22 +234,24 @@ class Link:
     @property
     def loss_rate(self) -> float:
         """Worst-direction loss rate (the only rate, for symmetric links)."""
-        return max(self._loss)
+        fwd, back = self.directions
+        return max(fwd.loss, back.loss)
 
     @loss_rate.setter
     def loss_rate(self, rate: float) -> None:
         self.set_loss(rate)
 
-    def _dir_index(self, toward: NetNode) -> int:
-        if toward is self.b:
-            return 0
-        if toward is self.a:
-            return 1
-        raise ValueError(f"{toward!r} not an endpoint of {self!r}")
+    def toward(self, node: NetNode) -> LinkDirection:
+        """The direction carrying traffic toward endpoint ``node``."""
+        if node is self.b:
+            return self.directions[0]
+        if node is self.a:
+            return self.directions[1]
+        raise ValueError(f"{node!r} not an endpoint of {self!r}")
 
     def loss_toward(self, dst: NetNode) -> float:
         """Loss rate for traffic flowing toward endpoint ``dst``."""
-        return self._loss[self._dir_index(dst)]
+        return self.toward(dst).loss
 
     def set_loss(self, rate: float, *, toward: Optional[NetNode] = None) -> None:
         """Set the loss rate — both directions, or only ``toward`` one
@@ -241,17 +260,20 @@ class Link:
         if not (0.0 <= rate <= 1.0):
             raise ValueError("loss rate must be in [0, 1]")
         if toward is None:
-            self._loss[0] = self._loss[1] = rate
+            for direction in self.directions:
+                direction.loss = rate
         else:
-            self._loss[self._dir_index(toward)] = rate
+            self.toward(toward).loss = rate
         self._changed()
 
     def loss_state(self) -> tuple:
         """Opaque snapshot of both directions (pair with :meth:`restore_loss`)."""
-        return (self._loss[0], self._loss[1])
+        fwd, back = self.directions
+        return (fwd.loss, back.loss)
 
     def restore_loss(self, state: tuple) -> None:
-        self._loss = [float(state[0]), float(state[1])]
+        fwd, back = self.directions
+        fwd.loss, back.loss = float(state[0]), float(state[1])
         self._changed()
 
     # -- shared FIFO queue ---------------------------------------------------
@@ -259,7 +281,7 @@ class Link:
     def queue_backlog_s(self, toward: NetNode, now: float) -> float:
         """Seconds of traffic queued ahead of a new arrival heading
         ``toward`` the given endpoint at time ``now``."""
-        busy = self._q_busy_until[self._dir_index(toward)]
+        busy = self.toward(toward).busy_until
         return busy - now if busy > now else 0.0
 
     def queue_offer(self, src: NetNode, nbytes: int, now: float,
@@ -275,14 +297,14 @@ class Link:
         rejects the entire offer, otherwise the head that fits is
         accepted and the tail is the caller's loss to model.
         """
-        d = self._dir_index(self.other(src))
+        q = self.toward(self.other(src))
         rate = self._bandwidth_bps / 8.0    # bytes/s drain rate
-        busy = self._q_busy_until[d]
+        busy = q.busy_until
         if busy <= now:
             # idle fast path: empty queue, nothing can overflow
             delay = 0.0
             accepted = nbytes
-            self._q_busy_until[d] = now + nbytes / rate
+            q.busy_until = now + nbytes / rate
         else:
             delay = busy - now
             free = self.queue_bytes - delay * rate
@@ -294,22 +316,22 @@ class Link:
                 accepted = int(free) if free > 0 else 0
             dropped = nbytes - accepted
             if dropped:
-                self.queue_drops[d] += 1
-                self.queue_dropped_bytes[d] += dropped
+                q.drops += 1
+                q.dropped_bytes += dropped
             if accepted:
-                self._q_busy_until[d] = busy + accepted / rate
-                self.queue_delay_total_s[d] += delay
-            if delay > self.queue_peak_s[d]:
-                self.queue_peak_s[d] = delay
+                q.busy_until = busy + accepted / rate
+                q.delay_total_s += delay
+            if delay > q.peak_s:
+                q.peak_s = delay
         if accepted:
             # sliding-window utilization accounting (carried bytes only)
-            if now - self._win_start[d] >= self.UTIL_WINDOW_S:
-                elapsed = now - self._win_start[d]
-                self._win_rate_bps[d] = self._win_bytes[d] * 8.0 / elapsed
-                self._win_start[d] = now
-                self._win_bytes[d] = accepted
+            if now - q.win_start >= self.UTIL_WINDOW_S:
+                elapsed = now - q.win_start
+                q.win_rate_bps = q.win_bytes * 8.0 / elapsed
+                q.win_start = now
+                q.win_bytes = accepted
             else:
-                self._win_bytes[d] += accepted
+                q.win_bytes += accepted
             if traffic_class is not None:
                 self.class_bytes[traffic_class] = \
                     self.class_bytes.get(traffic_class, 0) + accepted
@@ -319,27 +341,28 @@ class Link:
         """Fraction of line rate carried toward ``toward`` over the
         current sliding window (what an SNMP poller would compute from
         octet deltas)."""
-        d = self._dir_index(toward)
-        elapsed = now - self._win_start[d]
+        q = self.toward(toward)
+        elapsed = now - q.win_start
         if elapsed >= self.UTIL_WINDOW_S:
-            rate = self._win_bytes[d] * 8.0 / elapsed
+            rate = q.win_bytes * 8.0 / elapsed
         else:
             # partial window: never *under*-report a hot link just
             # because the window recently rolled — blend with the last
             # completed window's rate
-            rate = max(self._win_rate_bps[d],
-                       self._win_bytes[d] * 8.0 / self.UTIL_WINDOW_S)
+            rate = max(q.win_rate_bps, q.win_bytes * 8.0 / self.UTIL_WINDOW_S)
         util = rate / self.bandwidth_bps
         return util if util < 1.0 else 1.0
 
     def queue_stats(self) -> dict:
-        """Snapshot of the queue observables (both directions)."""
+        """Snapshot of the queue observables, each a ``(toward b,
+        toward a)`` pair but ``queue_bytes`` and ``class_bytes``."""
+        fwd, back = self.directions
         return {
             "queue_bytes": self.queue_bytes,
-            "drops": tuple(self.queue_drops),
-            "dropped_bytes": tuple(self.queue_dropped_bytes),
-            "peak_backlog_s": tuple(self.queue_peak_s),
-            "delay_total_s": tuple(self.queue_delay_total_s),
+            "drops": (fwd.drops, back.drops),
+            "dropped_bytes": (fwd.dropped_bytes, back.dropped_bytes),
+            "peak_backlog_s": (fwd.peak_s, back.peak_s),
+            "delay_total_s": (fwd.delay_total_s, back.delay_total_s),
             "class_bytes": dict(self.class_bytes),
         }
 
@@ -374,9 +397,11 @@ class Path:
       zero-hop path;
     * ``loss_rate`` — combined *directional* loss: an asymmetric fault
       on a link only affects paths crossing it the lossy way;
-    * ``plan`` — per hop ``(link, direction index, drain rate in
+    * ``plan`` — per hop ``(link, the direction crossed, drain rate in
       bytes/s, the sending node's interface counters, the receiving
       node's)``: what :meth:`charge` walks for ``MessageTransport``.
+      The queue depth is not in it: :meth:`charge` reads the link's
+      ``queue_bytes``, which no epoch guards.
 
     :class:`Network` drops every cached ``Path`` when any link changes
     (see ``Network._epoch``), so what ``route()`` returns is always
@@ -400,10 +425,10 @@ class Path:
         keep = 1.0
         for i, link in enumerate(links):
             node, far = nodes[i], nodes[i + 1]
-            d = link._dir_index(far)
-            plan.append((link, d, link.bandwidth_bps / 8.0,
+            q = link.toward(far)
+            plan.append((link, q, link.bandwidth_bps / 8.0,
                          node.interface(link), far.interface(link)))
-            keep *= 1.0 - link._loss[d]
+            keep *= 1.0 - q.loss
             if link.bandwidth_bps < self.bottleneck_bps:
                 self.bottleneck_hop, self.bottleneck_bps = i, link.bandwidth_bps
         self.plan = tuple(plan)
@@ -423,30 +448,29 @@ class Path:
         ``atomic=True``, addition for addition."""
         qdelay = 0.0
         window_s = Link.UTIL_WINDOW_S
-        for link, d, rate, out, inn in self.plan:
-            busy = link._q_busy_until
-            ahead = busy[d]
+        for link, q, rate, out, inn in self.plan:
+            ahead = q.busy_until
             if ahead <= now:    # transmitter free: nothing can overflow
-                busy[d] = now + size / rate
+                q.busy_until = now + size / rate
             else:
                 waited = ahead - now
-                if waited > link.queue_peak_s[d]:
-                    link.queue_peak_s[d] = waited
+                if waited > q.peak_s:
+                    q.peak_s = waited
                 if size > link.queue_bytes - waited * rate:
-                    link.queue_drops[d] += 1
-                    link.queue_dropped_bytes[d] += size
+                    q.drops += 1
+                    q.dropped_bytes += size
                     inn.discards += npackets
                     return None
-                busy[d] = ahead + size / rate
-                link.queue_delay_total_s[d] += waited
+                q.busy_until = ahead + size / rate
+                q.delay_total_s += waited
                 qdelay += waited
-            if now - link._win_start[d] >= window_s:
-                elapsed = now - link._win_start[d]
-                link._win_rate_bps[d] = link._win_bytes[d] * 8.0 / elapsed
-                link._win_start[d] = now
-                link._win_bytes[d] = size
+            if now - q.win_start >= window_s:
+                elapsed = now - q.win_start
+                q.win_rate_bps = q.win_bytes * 8.0 / elapsed
+                q.win_start = now
+                q.win_bytes = size
             else:
-                link._win_bytes[d] += size
+                q.win_bytes += size
             carried = link.class_bytes
             carried[traffic_class] = carried.get(traffic_class, 0) + size
             out.out_octets += size

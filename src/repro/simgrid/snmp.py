@@ -99,7 +99,7 @@ class SNMPAgent:
         now = self.sim.now
         out["ifSpeed"] = link.bandwidth_bps
         out["ifOutQBacklogS"] = link.queue_backlog_s(far, now)
-        out["ifOutQDrops"] = link.queue_drops[link._dir_index(far)]
+        out["ifOutQDrops"] = link.toward(far).drops
         out["ifOutUtilization"] = link.utilization(far, now)
         return out
 

@@ -11,7 +11,12 @@ There is one send routine, :meth:`MessageTransport.send_burst`: the
 datagrams one host emits at one instant (a gateway's fan-out of one
 event), in order; :meth:`MessageTransport.send` is a burst of one.  A
 stream owns one source port: long-lived senders mint it once
-(:meth:`MessageTransport.ephemeral_port`), not per message.
+(:meth:`MessageTransport.ephemeral_port`), not per message.  The work a
+delivery does is its own: a message id, the up check of both ends, the
+charge to every hop.  What a route gives a send is kept per host pair
+for as long as the network's epoch stands (``Network._epoch``), and a
+:class:`Message` object exists only for a datagram that will arrive —
+a send returns its message id.
 
 A datagram to a port bound to :func:`discard` (the sink background
 traffic aims at) ends at the send: every hop is charged, both port
@@ -156,6 +161,11 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self._prune_at = 256
         #: delivery wakeups scheduled (vs messages_sent: batching ratio)
         self.delivery_wakeups = 0
+        #: src host -> dst host -> what the route gives a send (see
+        #: :meth:`send_burst`), valid while ``network._epoch`` equals
+        #: ``_routes_epoch``
+        self._routes: dict[Host, dict] = {}
+        self._routes_epoch = -1
 
     # -- transient-RPC faults (flaky_rpc) -----------------------------------
 
@@ -184,7 +194,7 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
              traffic_class: str = "monitoring",
              on_fail: Optional[Callable[[Exception], None]] = None,
              on_delivered: Optional[Callable[["Message"], None]] = None,
-             oneshot: bool = False) -> Optional[Message]:
+             oneshot: bool = False) -> Optional[int]:
         """Send one message: a :meth:`send_burst` of one delivery."""
         return self.send_burst(src, ((dst, dst_port, payload, size_bytes,
                                       src_port, on_fail, on_delivered),),
@@ -199,15 +209,15 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
 
     def send_burst(self, src: Host, deliveries, *,
                    traffic_class: str = "monitoring",
-                   oneshot: bool = False) -> Optional[Message]:
+                   oneshot: bool = False) -> Optional[int]:
         """Send the messages one host emits at one instant, in order,
         each ``(dst, dst_port, payload, size_bytes, src_port, on_fail,
         on_delivered)``; a ``src_port`` of None mints one.  Returns the
-        last delivery's :class:`Message`, or None if that one failed
-        visibly (an end down, no route) and went to its ``on_fail``;
-        with ``on_fail=None`` such a delivery raises
-        :class:`DeliveryError` and ends the burst.  ``on_delivered``
-        fires when a message reaches a live listener.
+        last delivery's message id, or None if that one failed visibly
+        (an end down, no route) and went to its ``on_fail``; with
+        ``on_fail=None`` such a delivery raises :class:`DeliveryError`
+        and ends the burst.  ``on_delivered`` fires when a message
+        reaches a live listener.
 
         ``traffic_class`` tags the bytes for per-class link accounting
         (see :data:`repro.simgrid.network.TRAFFIC_CLASSES`).  ``oneshot``
@@ -216,48 +226,58 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         per-host-pair loss stream instead of minting permanent per-port
         state.
 
-        The up check and route are resolved once per destination host;
-        a synchronous ``on_fail`` may change anything, so they are
-        resolved afresh after one."""
+        Every delivery draws its message id and checks that both ends
+        are up; what its route gives a send is kept per host pair until
+        the network's epoch moves, which a synchronous ``on_fail`` may
+        make it do.  A :class:`Message` is built only for an arrival,
+        and a visible failure whose ``on_fail`` is
+        :func:`ignore_failure` builds no :class:`DeliveryError`."""
         sim, now = self.sim, self.sim.now
         header, mtu = self.HEADER_BYTES, self.MTU
         msg_ids, arrivals, flow_clock = \
             self._msg_ids, self._arrivals, self._flow_clock
-        flaky_hosts = self._flaky_hosts
+        flaky_hosts, network = self._flaky_hosts, self.network
         src_name, src_ports = src.name, src.ports
-        routes: dict = {}       # dst host -> what its route gives a send
+        epoch = network._epoch
+        routes = self._routes.get(src) if self._routes_epoch == epoch \
+            else None
+        if routes is None:
+            routes = self._routes_from(src)
         per_host_sent, class_bytes = self.per_host_sent, self.class_bytes
-        msg = None
+        msg_id = None
         for dst, dst_port, payload, size_bytes, src_port, on_fail, \
                 on_delivered in deliveries:
             size = size_bytes + header
             if src_port is None:
                 src_port = next(self._ephemeral)
-            msg = Message(src, dst, src_port, dst_port, payload, size,
-                          next(msg_ids), now)
-            route = routes.get(dst)
-            if route is None:
-                cause = None
-                if src.up and dst.up:
+            msg_id = next(msg_ids)
+            route = cause = None
+            if src.up and dst.up:
+                route = routes.get(dst)
+                if route is None:
                     try:
-                        path = self.network.route(src.node, dst.node)
+                        path = network.route(src.node, dst.node)
                     except NoRouteError as exc:
                         cause = exc
                     else:
                         route = routes[dst] = (
                             path.charge, path.latency_s, path.bottleneck_bps,
                             dst.name, dst.ports, path.plan, path.loss_rate)
-                if route is None:
-                    self.messages_dropped += 1
-                    down = dst.name if src.up else src.name
-                    exc = DeliveryError(f"host {down} is down" if cause is None
-                                        else str(cause))
-                    if on_fail is None:
-                        raise exc from cause
-                    on_fail(exc)
-                    routes.clear()
-                    msg = None
+            if route is None:
+                self.messages_dropped += 1
+                msg_id = None
+                if on_fail is ignore_failure:
                     continue
+                down = dst.name if src.up else src.name
+                exc = DeliveryError(f"host {down} is down" if cause is None
+                                    else str(cause))
+                if on_fail is None:
+                    raise exc from cause
+                on_fail(exc)
+                if network._epoch != epoch:
+                    epoch = network._epoch
+                    routes = self._routes_from(src)
+                continue
             charge, latency_s, bottleneck_bps, dst_name, dst_ports, plan, \
                 loss = route
             npackets = max(1, (size + mtu - 1) // mtu)
@@ -281,12 +301,12 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                     # dies in flight on the first lossy hop.  The sender
                     # saw a successful send, so NEITHER callback fires
                     # (the gray case); only interface discards notice.
-                    for link, d, _rate, out, inn in plan:
+                    for _link, direction, _rate, out, inn in plan:
                         out.out_octets += size
                         out.out_packets += npackets
                         inn.in_octets += size
                         inn.in_packets += npackets
-                        if link._loss[d] > 0.0:
+                        if direction.loss > 0.0:
                             inn.discards += npackets
                             break
                     self.messages_lost += 1
@@ -343,8 +363,22 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                 arrivals[when] = batch = []
                 self.delivery_wakeups += 1
                 sim.call_at(when, self._deliver_batch, when)
-            batch.append((msg, on_fail, on_delivered))
-        return msg
+            batch.append((Message(src, dst, src_port, dst_port, payload, size,
+                                  msg_id, now), on_fail, on_delivered))
+        return msg_id
+
+    def _routes_from(self, src: Host) -> dict:
+        """What each destination's route gives a send from ``src``, kept
+        for the network's current epoch: a move of it drops every
+        host's."""
+        epoch = self.network._epoch
+        if self._routes_epoch != epoch:
+            self._routes_epoch = epoch
+            self._routes = {}
+        routes = self._routes.get(src)
+        if routes is None:
+            routes = self._routes[src] = {}
+        return routes
 
     def _prune_flow_state(self) -> None:
         """Drop ordering watermarks that have passed: once a flow's

@@ -11,8 +11,9 @@ windows, and drop counters move exactly as they would under real load.
 Background traffic is link load, not mail: a source aims at its
 destination's discard service (:func:`repro.simgrid.sockets.discard` on
 :data:`TRAFFIC_PORT`), so a packet is one timer tick and a one-delivery
-``send_burst`` that charges every hop and both port tables and
-schedules no arrival.
+``send_burst`` that charges every hop and both port tables, on a route
+the transport already holds, and builds no message and schedules no
+arrival.
 Aimed at a port with a real listener, the same packets are delivered.
 
 Specs are plain data (:class:`TrafficSpec` round-trips through JSON,
@@ -114,7 +115,6 @@ class TrafficGenerator:
         self.rng = world.rng.stream(
             f"traffic:{spec.src}->{spec.dst}:{spec.seed}")
         self.packets_sent = 0
-        self.bytes_sent = 0
         self.send_failures = 0
         self.running = False
         self._timer: Optional[ScheduledCall] = None
@@ -125,6 +125,19 @@ class TrafficGenerator:
         #: which :meth:`start` builds
         self.src_port = world.transport.ephemeral_port()
         self._flow: Optional[tuple] = None
+        #: a packet's payload: the spec's size less the header the
+        #: transport adds back, never under one byte
+        self._payload_bytes = max(
+            1, spec.packet_bytes - world.transport.HEADER_BYTES)
+        #: the mean inter-packet gap, seconds (jitter spreads each one)
+        self._gap = spec.packet_bytes * 8.0 / spec.rate_bps
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes the sent packets put on the wire, headers included —
+        what the transport's ``class_bytes`` and the port records count."""
+        return self.packets_sent * (self._payload_bytes
+                                    + self.world.transport.HEADER_BYTES)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -134,8 +147,7 @@ class TrafficGenerator:
         self.running = True
         transport = self.world.transport
         dst = self.world.hosts[self.spec.dst]
-        packet = (dst, self.spec.port, None,
-                  max(1, self.spec.packet_bytes - transport.HEADER_BYTES),
+        packet = (dst, self.spec.port, None, self._payload_bytes,
                   self.src_port, ignore_failure, None)
         self._flow = (transport, self.world.hosts[self.spec.src], (packet,))
         # the discard service is the host's: bound by whoever needs it
@@ -152,12 +164,6 @@ class TrafficGenerator:
 
     # -- engine -------------------------------------------------------------
 
-    def _interval(self) -> float:
-        gap = self.spec.packet_bytes * 8.0 / self.spec.rate_bps
-        if self.spec.jitter > 0.0:
-            gap *= 1.0 + self.spec.jitter * (self.rng.random() - 0.5)
-        return gap
-
     def _send_one(self) -> None:
         transport, src, packet = self._flow
         if transport.send_burst(src, packet,
@@ -165,7 +171,6 @@ class TrafficGenerator:
             self.send_failures += 1
         else:
             self.packets_sent += 1
-            self.bytes_sent += self.spec.packet_bytes
 
     def _open(self, waited: bool = False) -> None:
         spec, sim = self.spec, self.world.sim
@@ -191,7 +196,10 @@ class TrafficGenerator:
                 return
             self._burst_end = now + spec.on_s
         self._send_one()
-        self._timer = sim.call_at(now + self._interval(), self._tick)
+        gap = self._gap
+        if spec.jitter > 0.0:
+            gap *= 1.0 + spec.jitter * (self.rng.random() - 0.5)
+        self._timer = sim.call_at(now + gap, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TrafficGenerator {self.spec.src}->{self.spec.dst} "

@@ -15,12 +15,15 @@ The second gate counts one ``MessageTransport.send_burst`` — a
 gateway's fan-out of one event — with every hop's queue backlogged, the
 state a fan-out puts them in: three calls per message (``Message()``,
 the same ``Path.charge``, and ``Simulator.call_at`` because each lands
-at its own instant) plus a handful per burst, at any hop count.  As
-single sends the same messages cost the five of an idle send each.
+at its own instant) plus the burst's own, at any hop count: the routes
+are already held, so nothing is resolved per burst.  As single sends
+the same messages cost the five of an idle send each.
 
 The third gate counts a storm packet — background traffic toward a
 host's discard service — from timer tick to timer tick: one kernel
-event and at most nine calls, with no arrival left behind to deliver.
+event and five calls, with no message built and no arrival left behind
+to deliver.  Toward a crashed host a tick is four calls, and the
+failure it shrugs off (``ignore_failure``) builds no ``DeliveryError``.
 
 The fourth gate counts the receive side: k messages due at one instant
 are one kernel event, ``_deliver_batch``, which calls each handler (and
@@ -32,20 +35,22 @@ from __future__ import annotations
 import gc
 import sys
 
-from repro.simgrid import GridWorld
+from repro.simgrid import GridWorld, sockets
 
-#: send itself, Message(), Network.route, Path.charge,
-#: Simulator.call_at: five (both port records are inline); one of slack
-MAX_CALLS_PER_IDLE_SEND = 6
-#: send_burst itself, Network.route once per destination host (3 here);
-#: a little slack
-MAX_CALLS_PER_BURST = 6
+#: send itself, send_burst, Message(), Path.charge, Simulator.call_at:
+#: five (the route is held, both port records are inline)
+MAX_CALLS_PER_IDLE_SEND = 5
+#: send_burst itself; one of slack
+MAX_CALLS_PER_BURST = 2
 #: Message(), Path.charge, Simulator.call_at
 MAX_CALLS_PER_BURST_MESSAGE = 3
-#: TrafficGenerator._tick, ._interval, ._send_one, send_burst,
-#: Message(), Network.route, Path.charge, and call_at for the next
-#: tick; nothing for the arrival, there is none; one of slack
-MAX_CALLS_PER_STORM_PACKET = 9
+#: TrafficGenerator._tick, ._send_one, send_burst, Path.charge, and
+#: call_at for the next tick; no Message(), no route lookup, nothing
+#: for the arrival — there is none
+MAX_CALLS_PER_STORM_PACKET = 5
+#: the same, less Path.charge: the destination is down, and the
+#: ``ignore_failure`` it would go to is not called
+MAX_CALLS_PER_STORM_TICK_TO_A_DOWN_HOST = 4
 #: Simulator.run and what it calls once a run, whatever the window
 MAX_CALLS_PER_RUN = 4
 #: MessageTransport._deliver_batch, once per instant; beside it each
@@ -139,7 +144,9 @@ def test_backlogged_burst_costs_three_calls_per_message_on_any_route():
     assert len(a.ports._activity) == k
 
 
-def test_storm_packet_is_one_kernel_event_and_nine_calls():
+def storm_world():
+    """A storm from ``a`` to ``c`` across a 4-hop path, run for a
+    second: its route resolved, its port records made."""
     world = GridWorld(seed=5)
     a, c = world.add_host("a"), world.add_host("c")
     world.lan([a], switch="swA")
@@ -149,7 +156,12 @@ def test_storm_packet_is_one_kernel_event_and_nine_calls():
     # 1 Mbit/s in 1000-byte packets: 8 ms apart, every queue idle between
     gen = world.start_traffic({"src": "a", "dst": "c", "rate_bps": 1e6,
                                "packet_bytes": 1000, "jitter": 0.2})
-    world.run(until=1.0)        # route resolved, port records made
+    world.run(until=1.0)
+    return world, a, c, gen
+
+
+def test_storm_packet_is_one_kernel_event_and_five_calls():
+    world, _a, _c, gen = storm_world()
     tr, sim = world.transport, world.sim
     packets, events = gen.packets_sent, sim.events_executed
     calls = count_calls(world.run, until=2.0)
@@ -161,6 +173,36 @@ def test_storm_packet_is_one_kernel_event_and_nine_calls():
     assert tr.messages_sent == gen.packets_sent and tr.queue_delay_s == 0.0
     assert not tr._arrivals and not tr._flow_clock
     assert tr.delivery_wakeups == 0
+
+
+def test_storm_tick_to_a_crashed_host_is_four_calls_and_no_error(
+        monkeypatch):
+    world, a, c, gen = storm_world()
+    c.crash()
+    made = []
+
+    class CountedDeliveryError(sockets.DeliveryError):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sockets, "DeliveryError", CountedDeliveryError)
+    tr, sim = world.transport, world.sim
+    failures, events = gen.send_failures, sim.events_executed
+    sent, dropped = tr.messages_sent, tr.messages_dropped
+    calls = count_calls(world.run, until=2.0)
+    n = gen.send_failures - failures
+    assert n > 100
+    assert sim.events_executed - events == n
+    assert calls <= MAX_CALLS_PER_STORM_TICK_TO_A_DOWN_HOST * n \
+        + MAX_CALLS_PER_RUN, (calls, n)
+    assert not made
+    assert tr.messages_sent == sent and tr.messages_dropped == dropped + n
+    # the counting subclass is live: a failure with an on_fail that is
+    # not ignore_failure still builds its error
+    heard = []
+    tr.send(a, c, 5000, None, on_fail=heard.append)
+    assert made and isinstance(heard[0], CountedDeliveryError)
 
 
 def calls_per_arrival_batch(world, src, dst, *, k: int,

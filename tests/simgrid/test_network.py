@@ -141,11 +141,14 @@ class TestStoredAggregatesStayLive:
 
     def test_plan_tracks_drain_rate_and_direction(self):
         net, (a, _b, c), (_ab, _bc, ac) = triangle()
-        (link, d, rate, out, inn), = net.route(c, a).plan
-        assert (link, d, rate) == (ac, ac._dir_index(a), 1e7 / 8.0)
+        (link, direction, rate, out, inn), = net.route(c, a).plan
+        assert (link, rate) == (ac, 1e7 / 8.0)
+        assert direction is ac.toward(a) is not ac.toward(c)
         assert out is c.interface(ac) and inn is a.interface(ac)
         ac.bandwidth_bps = 8e6
-        assert net.route(c, a).plan[0][2] == 1e6
+        (_link, again, rate, _out, _inn), = net.route(c, a).plan
+        # a new plan, the same queue: its backlog outlives the epoch
+        assert rate == 1e6 and again is direction
 
     def test_bottleneck_hop_is_first_narrowest(self):
         net = Network()
@@ -258,9 +261,9 @@ class TestLinkQueue:
         link.queue_offer(a, 1_000_000, 0.0)        # 1 s backlog >> 0.25 s cap
         accepted, _delay = link.queue_offer(a, 1_000, 0.0, atomic=True)
         assert accepted == 0
-        toward = link._dir_index(b)
-        assert link.queue_drops[toward] == 1
-        assert link.queue_dropped_bytes[toward] == 1_000
+        toward = link.toward(b)
+        assert (toward.drops, toward.dropped_bytes) == (1, 1_000)
+        assert link.toward(a).drops == 0
 
     def test_byte_granular_offer_accepts_what_fits(self):
         _net, (a, _b), link = queue_link()

@@ -160,6 +160,21 @@ class TestDiscardSink:
         world.stop_traffic()
         assert world.sim.pending_events == 0
 
+    def test_bytes_sent_counts_what_the_wire_carries(self):
+        # a packet smaller than the header still carries a byte of
+        # payload: 1 + 64 on the wire, and bytes_sent says so
+        world, a, _b, c = self.three_hosts()
+        gen = world.start_traffic({"src": "a", "dst": "c", "rate_bps": 1e5,
+                                   "packet_bytes": 10})
+        world.run(until=0.1)
+        tr = world.transport
+        assert gen.packets_sent > 0
+        assert gen.bytes_sent == 65 * gen.packets_sent
+        assert tr.class_bytes == {"background": gen.bytes_sent}
+        assert c.ports.activity(TRAFFIC_PORT).bytes_in == gen.bytes_sent
+        assert a.ports.activity(gen.src_port).bytes_out == gen.bytes_sent
+        world.stop_traffic()
+
 
 #: name -> (spec fields, run until, (stop at, start again at) or None,
 #: packets, SHA-256 of ``repr`` of their ``sent_at`` list).  Recorded at
@@ -275,6 +290,50 @@ class TestCongestionStormFault:
             assert any(c.target == storm.target and c.at > storm.at
                        for c in calms)
 
+    def test_queue_stats_of_a_congested_script_are_pinned(self):
+        """Every link's ``queue_stats()`` after two storms (one
+        overflowing the WAN queue toward b, one backlogging it toward a)
+        and a byte-granular offer in the middle of them — the values the
+        per-direction list layout gave, to the last bit."""
+        world, a, b = two_sites()
+        world.start_traffic(TrafficSpec(src=a.name, dst=b.name,
+                                        rate_bps=1.2e9, packet_bytes=8192,
+                                        jitter=0.2, seed=2, duration=0.6))
+        world.start_traffic(TrafficSpec(src=b.name, dst=a.name,
+                                        rate_bps=700e6, kind="onoff",
+                                        on_s=0.1, off_s=0.2,
+                                        packet_bytes=1500, seed=1))
+        wan = min(world.network.links(), key=lambda l: l.bandwidth_bps)
+        world.sim.call_at(
+            0.3, lambda: wan.queue_offer(wan.a, 400_000, 0.3, "bulk"))
+        world.run(until=1.0)
+        world.stop_traffic()
+
+        def stats(queue_bytes, drops, dropped, peak, delay, class_bytes):
+            return {"queue_bytes": queue_bytes, "drops": drops,
+                    "dropped_bytes": dropped, "peak_backlog_s": peak,
+                    "delay_total_s": delay, "class_bytes": class_bytes}
+        lan, trunk = 31250000.0, 19437500.0
+        assert {l.name: l.queue_stats()
+                for l in world.network.links()} == {
+            "a.siteA--swA": stats(
+                lan, (0, 0), (0, 0), (0.11989910049671881, 0.0),
+                (659.0974591352618, 0.0), {"background": 124990120}),
+            "b.siteB--swB": stats(
+                lan, (0, 0), (0, 0), (0.0, 0.05377134961540825),
+                (0.0, 169.00421149842435), {"background": 101069480}),
+            "swA--r1": stats(
+                trunk, (2921, 0), (24312188, 0),
+                (0.24995283023012638, 0.012539476343838452),
+                (1400.617104790432, 146.28553317528758),
+                {"background": 101069480, "bulk": 8452}),
+            "r1--swB": stats(
+                trunk, (0, 0), (0, 0),
+                (0.24989450921430567, 0.012539476343838452),
+                (1400.0578322502388, 146.28553317528758),
+                {"background": 101069480}),
+        }
+
     def test_storm_congests_shared_link(self):
         world, a, b = two_sites()
         world.start_traffic(TrafficSpec(src=a.name, dst=b.name,
@@ -282,8 +341,8 @@ class TestCongestionStormFault:
                                         seed=2))
         world.run(until=1.0)
         wan = min(world.network.links(), key=lambda l: l.bandwidth_bps)
-        drops = sum(wan.queue_drops)
-        delay = sum(wan.queue_delay_total_s)
+        drops = sum(q.drops for q in wan.directions)
+        delay = sum(q.delay_total_s for q in wan.directions)
         assert drops > 0 or delay > 0.0
         assert world.transport.class_bytes.get("background", 0) > 0
         world.stop_traffic()

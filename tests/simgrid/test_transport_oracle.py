@@ -4,8 +4,11 @@ aim 3).
 ``MessageTransport.send_burst`` — ``send`` is a burst of one — charges
 every hop of a route in one pass over the stored per-route plan
 (``Path.charge``), reads the path's latency / bottleneck / loss as
-stored values, and keeps them per destination host for the rest of the
-burst.  The trivially-correct version — one message at a time, resolve
+stored values, and keeps them per host pair across bursts for as long
+as the network's epoch stands; it builds a ``Message`` only for an
+arrival and returns message ids.  The trivially-correct version — one
+message at a time, up check and route resolved afresh, ``Message``
+built for every send, resolve
 the route from scratch, re-derive every aggregate from the links as
 they are *now*, and walk ``queue_offer`` -> ``record_transit`` one hop
 at a time — is kept here as :class:`ModelTransport`, whose burst is k
@@ -14,7 +17,8 @@ worlds built from one seed, through one random interleaving of sends,
 bursts (some one-shot, some with deliveries nobody hears of, which
 raise) and link mutations, a crashed host, an unbound port and a flaky
 endpoint, and every observable — what each call returned or raised
-included — must come out equal with exact float equality.
+included, compared as message ids — must come out equal with exact
+float equality.
 
 Checked against these mutations of ``send_burst``, each of which fails
 the fixed burst script at the bottom of this file: skipping the flow
@@ -26,9 +30,15 @@ by its port, never running the watermark sweep, summing the delay in
 another order, skipping the destination port record, and a zero-hop
 delay other than 1e-6.  One run of the random tests (100 examples)
 found all but the stale route, which needs an ``on_fail`` that changes
-the network — only the fixed script's ``arm`` op makes one.  And of
-``Path.charge``: adding a hop's ``queue_delay_total_s`` after the loop,
-leaving ``queue_peak_s`` alone on an overflowing offer, refusing a
+the network — only the fixed script's ``arm`` op makes one.  Of the
+routes kept across bursts, each killed by the kept-routes script
+below: the kept routes not dropped when the epoch moves, the up check
+of the destination made only where a route is resolved (hoisted out of
+the per-delivery path), the message id drawn after the up check and
+route instead of before, and the ``ignore_failure`` shortcut taken for
+any ``on_fail``.  And of
+``Path.charge``: adding a hop's ``delay_total_s`` after the loop,
+leaving its ``peak_s`` alone on an overflowing offer, refusing a
 datagram that fills the queue exactly.
 
 The model also states the discard rule — a datagram whose destination
@@ -124,7 +134,7 @@ class ModelTransport(MessageTransport):
                         receiver.interface(link).discards += npackets
                         break
                 self.messages_lost += 1
-                return msg
+                return msg.msg_id
         qdelay = 0.0
         now = self.sim.now
         for node, link in hops:
@@ -133,7 +143,7 @@ class ModelTransport(MessageTransport):
             if not accepted:
                 link.other(node).interface(link).discards += npackets
                 self.messages_lost_congestion += 1
-                return msg
+                return msg.msg_id
             qdelay += delay
             link.record_transit(node, size, npackets)
         if hops:
@@ -158,11 +168,11 @@ class ModelTransport(MessageTransport):
                     self.sim.call_at(
                         self.sim.now + delay, on_fail, DeliveryError(
                             f"transient rpc failure at {dst.name}"))
-                return msg
+                return msg.msg_id
         # a datagram whose destination port is bound to the discard
         # handler schedules no arrival
         if dst.ports.listener(dst_port) is discard:
-            return msg
+            return msg.msg_id
         when = self.sim.now + delay
         if not oneshot:
             flow = (src.name, dst.name, dst_port)
@@ -178,20 +188,20 @@ class ModelTransport(MessageTransport):
             self.delivery_wakeups += 1
             self.sim.call_at(when, self._deliver_batch, when)
         batch.append((msg, on_fail, on_delivered))
-        return msg
+        return msg.msg_id
 
     def send_burst(self, src, deliveries, *, traffic_class="monitoring",
                    oneshot=False):
         """What a burst is defined to be: k sends, in order; the last
         one's result is the burst's."""
-        msg = None
+        msg_id = None
         for dst, dst_port, payload, size_bytes, src_port, on_fail, \
                 on_delivered in deliveries:
-            msg = self.send(src, dst, dst_port, payload,
+            msg_id = self.send(src, dst, dst_port, payload,
                             size_bytes=size_bytes, src_port=src_port,
                             traffic_class=traffic_class, on_fail=on_fail,
                             on_delivered=on_delivered, oneshot=oneshot)
-        return msg
+        return msg_id
 
 
 class Twin:
@@ -250,25 +260,23 @@ class Twin:
             return ignore_failure, None
         return self._failed, self._delivered
 
-    def _returned(self, msg) -> None:
-        self.returns.append(None if msg is None else msg.msg_id)
-
     def apply(self, op: tuple) -> None:
         world, kind = self.world, op[0]
         if kind == "send":
             _, src, dst, port, size, cls, oneshot, tag = op
             on_fail, on_delivered = self._callbacks(port)
-            self._returned(world.transport.send(
+            self.returns.append(world.transport.send(
                 world.hosts[src], world.hosts[dst], port, tag,
                 size_bytes=size, traffic_class=cls, oneshot=oneshot,
                 src_port=4000, on_fail=on_fail, on_delivered=on_delivered))
         elif kind == "burst":
             _, src, cls, oneshot, items = op
             try:
-                self._returned(world.transport.send_burst(world.hosts[src], [
-                    (world.hosts[dst], port, tag, size, src_port,
-                     *((None, None) if deaf else self._callbacks(port)))
-                    for dst, port, size, src_port, tag, *deaf in items],
+                self.returns.append(world.transport.send_burst(
+                    world.hosts[src], [
+                        (world.hosts[dst], port, tag, size, src_port,
+                         *((None, None) if deaf else self._callbacks(port)))
+                        for dst, port, size, src_port, tag, *deaf in items],
                     traffic_class=cls, oneshot=oneshot))
             except DeliveryError as exc:
                 self.callbacks.append(("raise", world.now, str(exc)))
@@ -541,6 +549,47 @@ def test_burst_is_k_sends_through_overflow_and_every_fallback():
     # the partitioned pair returns None: its last item failed visibly
     assert None in got["returns"] and len(got["returns"]) == len(
         [op for op in script if op[0] == "burst"]) - 1
+
+
+def test_kept_routes_across_bursts_epochs_and_a_crash_mid_burst():
+    """The oracle on one fixed script for the routes the transport keeps
+    from one burst to the next: one host pair's bursts on both sides of
+    a link mutation, a destination crashed by a synchronous ``on_fail``
+    in the middle of a burst (no link moved, so its route is still
+    kept), and a pair whose kept route a later burst's ``on_fail``
+    dropped by downing a trunk — and checks the script really reached
+    those states."""
+    def burst(src, *items):
+        return ("burst", src, "monitoring", False,
+                [(dst, 5000, 200, 4000, tag) for dst, tag in items])
+    script = [
+        burst("a1", ("b1", 1), ("b1", 2)), ("wait", 1.0),
+        ("latency", "r1--swB", 0.2),
+        burst("a1", ("b1", 3), ("b1", 4)), ("wait", 1.0),
+        ("latency", "r1--swB", 5e-3),
+        ("host", "a2", False), ("arm", ("host", "b1", False)),
+        burst("a1", ("b1", 5), ("a2", 6), ("b1", 7)),
+        ("host", "b1", True), ("wait", 1.0),
+        burst("a1", ("b1", 8)), ("wait", 1.0),
+        ("arm", ("updown", "r1--swB", False)),
+        burst("b1", ("a2", 9)),
+        burst("a1", ("b1", 10)),
+        ("host", "a2", True), ("wait", 1.0),
+    ]
+    real, model = run_twins(11, script)
+    got = real.observables()
+    assert got == model.observables()
+    took = {a[0]: a[2] - a[1] for a in got["arrivals"]}
+    assert set(took) == {1, 2, 3, 4, 5, 8, 10}
+    assert took[1] < took[2] < 0.02 < 0.2 < took[3] < took[4]
+    assert took[10] - took[8] > 4e-3                # the detour
+    fails = [text for kind, _, text in got["callbacks"] if kind == "fail"]
+    assert fails == ["host a2 is down", "host b1 is down",
+                     "host a2 is down"]
+    # a message id for every delivery, failed or not: 7 is 5's plus two
+    ids = {a[0]: a[3] for a in got["arrivals"]}
+    assert ids[8] == ids[5] + 3
+    assert got["returns"] == [ids[2], ids[4], None, ids[8], None, ids[10]]
 
 
 # -- sink twins: the discard rule hides nothing ------------------------------
