@@ -86,6 +86,3 @@ class OverviewMonitor(Consumer):
         self.state[event.host] = event
         for rule in self.rules:
             rule.evaluate(self.state)
-
-    def hosts_seen(self) -> list[str]:
-        return sorted(self.state)

@@ -206,10 +206,6 @@ class ReplicatedDirectory:
     def fail_master(self) -> None:
         self.master.fail()
 
-    def recover_master(self) -> None:
-        self.master.recover()
-        self.resync()
-
     def resync(self) -> None:
         """Full snapshot of every up replica from the master's tree (the
         out-of-band catch-up real slapd replication performs)."""
@@ -232,11 +228,6 @@ class ReplicatedDirectory:
         self._healer = self.master.sim.spawn(
             self._heal_loop(check_interval, master_grace),
             name="directory-self-heal")
-
-    def stop_self_healing(self) -> None:
-        if self._healer is not None and self._healer.alive:
-            self._healer.kill()
-        self._healer = None
 
     def _master_dead(self) -> bool:
         master = self.master

@@ -107,10 +107,6 @@ class Forecaster:
         return Forecast(value=self._predictors[name](history),
                         predictor=name, mae=self.mae(name))
 
-    @property
-    def n_observations(self) -> int:
-        return len(self._history)
-
 
 def forecast_archive_series(archive, *, event: str, field: str = "VALUE",
                             host: Optional[str] = None) -> Optional[Forecast]:

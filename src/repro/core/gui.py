@@ -157,9 +157,6 @@ class PortMonitorGUI:
     def add_port(self, port: int, sensor_names: list) -> None:
         self.port_monitor.add_rule(port, sensor_names)
 
-    def remove_port(self, port: int) -> None:
-        self.port_monitor.remove_rule(port)
-
     def set_monitoring(self, port: int, sensor_names: list) -> None:
         """Replace the sensor set triggered by ``port``."""
         self.port_monitor.remove_rule(port)

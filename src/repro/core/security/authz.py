@@ -63,9 +63,6 @@ class AuthorizationService:
     def grant(self, who: str, resource: str, actions: Sequence[str]) -> None:
         self._acls.setdefault(resource, {}).setdefault(who, set()).update(actions)
 
-    def revoke(self, who: str, resource: str) -> None:
-        self._acls.get(resource, {}).pop(who, None)
-
     # -- the single interface -----------------------------------------------------
 
     def authenticate(self, credential: Any) -> Optional[str]:

@@ -152,9 +152,6 @@ class TrustStore:
     def add_authority(self, ca: CertificateAuthority) -> None:
         self._cas[ca.name] = ca
 
-    def trusted_authorities(self) -> list[str]:
-        return sorted(self._cas)
-
     def verify(self, cert: Certificate, *, when: float) -> str:
         """Verify the chain; returns the effective identity.
 

@@ -155,9 +155,6 @@ class SummaryService:
         summary = self._series.get(key)
         return summary.snapshot(now) if summary else None
 
-    def all_series(self) -> list[tuple]:
-        return sorted(self._series)
-
     def publish(self, *, host_name: str = "gateway",
                 now: Optional[float] = None) -> int:
         """Upsert one directory entry per series under ou=summaries."""

@@ -12,7 +12,7 @@ Entry point for most users: :class:`repro.simgrid.world.GridWorld`.
 from .clocks import HostClock, NTPDaemon, NTPServer
 from .faults import (FAULT_KINDS, FaultError, FaultEvent, FaultInjector,
                      FaultPlan)
-from .host import Host, NICModel, PortActivity, PortTable
+from .host import Host, NICModel, PortActivity, PortTable, TokenBucket
 from .httpd import HTTPClient, HTTPError, HTTPServer
 from .kernel import (AllOf, AnyOf, EventFlag, Interrupt, Process,
                      ScheduledCall, SimulationError, Simulator, Timeout,
@@ -26,7 +26,7 @@ from .rmi import (RMI_PORT, ActivationSpec, RemoteRef, RMIDaemon, RMIError,
                   exported_methods)
 from .snmp import OID, SNMPAgent, SNMPManager
 from .sockets import DeliveryError, Message, MessageTransport
-from .tcp import TCPFlow, TCPStats, TokenBucket, poisson_draw
+from .tcp import TCPFlow, TCPStats, poisson_draw
 from .world import GridWorld
 
 __all__ = [

@@ -81,9 +81,6 @@ class NTPServer:
         self.sim = sim
         self.name = name
 
-    def true_time(self) -> float:
-        return self.sim.now
-
 
 class NTPDaemon:
     """xntpd-like clock-discipline loop for one host.

@@ -18,7 +18,7 @@ from .network import NetNode, Network, NoRouteError
 from .processes import ProcessTable
 from .resources import CPUModel, MemoryModel
 
-__all__ = ["Host", "PortTable", "PortActivity", "NICModel"]
+__all__ = ["Host", "PortTable", "PortActivity", "NICModel", "TokenBucket"]
 
 
 @dataclass(slots=True)
@@ -77,15 +77,6 @@ class PortTable:
             self._activity[port] = act
         return act
 
-    def record(self, port: int, *, bytes_in: int = 0, bytes_out: int = 0,
-               packets_in: int = 0, packets_out: int = 0) -> None:
-        act = self.activity(port)
-        act.bytes_in += bytes_in
-        act.bytes_out += bytes_out
-        act.packets_in += packets_in
-        act.packets_out += packets_out
-        act.last_activity = self.sim.now
-
     def connection_opened(self, port: int) -> None:
         self.activity(port).active_connections += 1
         self.activity(port).last_activity = self.sim.now
@@ -106,14 +97,41 @@ class PortTable:
         return sorted(p for p, a in self._activity.items() if a.total_bytes > 0)
 
 
+class TokenBucket:
+    """A byte-rate limiter shared by the flows crossing a resource."""
+
+    def __init__(self, sim: Simulator, rate_bps: float, *, burst_s: float = 0.1):
+        self.sim = sim
+        self.rate_bps = rate_bps
+        self.capacity = rate_bps * burst_s / 8.0  # bytes
+        self._tokens = self.capacity
+        self._last = sim.now
+
+    def _refill(self) -> None:
+        now = self.sim.now
+        dt = now - self._last
+        if dt > 0:
+            self._tokens = min(self.capacity, self._tokens + dt * self.rate_bps / 8.0)
+            self._last = now
+
+    def grant(self, nbytes: float) -> float:
+        """Take up to ``nbytes`` of tokens; returns the amount granted."""
+        self._refill()
+        granted = min(nbytes, self._tokens)
+        self._tokens -= granted
+        return granted
+
+
 class NICModel:
     """Receive-side NIC / driver model for one host.
 
     Two properties drive the paper's §6 anomaly:
 
-    * ``rx_bandwidth_bps`` — the end-host's sustainable receive rate
-      (memory-copy / stack bound; ~200 Mbit/s on the paper's hosts —
-      both LAN measurements hit this ceiling).
+    * ``rx_bucket`` — a :class:`TokenBucket` at the end-host's
+      sustainable receive rate (``rx_bandwidth_bps``: memory-copy /
+      stack bound; ~200 Mbit/s on the paper's hosts — both LAN
+      measurements hit this ceiling).  Every TCP round draws its bytes
+      from it; its ``rate_bps`` is the one record of that rate.
     * ``multi_socket_loss`` — per-packet drop probability added per
       *additional* concurrently-receiving socket, modelling the gigabit
       card/driver load the authors blame ("we believe it has something
@@ -135,16 +153,15 @@ class NICModel:
                  per_socket_cpu_factor: float = 2.0,
                  pps_budget: float = 60000.0):
         self.host = host
-        self.rx_bandwidth_bps = rx_bandwidth_bps
+        self.rx_bucket = TokenBucket(host.sim, rx_bandwidth_bps)
         self.multi_socket_loss = multi_socket_loss
         self.per_socket_cpu_factor = per_socket_cpu_factor
         self.pps_budget = pps_budget
-        # insertion-ordered dict-as-set: the TCP model iterates this to
-        # sum flow rates (floats), and set order would make the sums —
-        # and thus packet timings — depend on object addresses
+        # insertion-ordered dict-as-set: refresh_rx_rate sums the flows'
+        # rates (floats), and set order would make the sums — and thus
+        # packet timings — depend on object addresses
         self._active_rx_flows: dict[Any, None] = {}
         self._cpu_token: Optional[int] = None
-        self._current_pps = 0.0
 
     # -- flow registry ------------------------------------------------------
 
@@ -169,10 +186,14 @@ class NICModel:
 
     # -- CPU coupling -------------------------------------------------------
 
+    def refresh_rx_rate(self) -> None:
+        """Re-sum the receiving flows' packet rates (each flow's
+        ``nic_rate``) into :meth:`set_rx_rate`."""
+        self.set_rx_rate(sum(f.nic_rate for f in self._active_rx_flows))
+
     def set_rx_rate(self, pps: float) -> None:
         """Report the current aggregate receive packet rate; converts it
         into a *system* CPU demand on the host."""
-        self._current_pps = pps
         n = max(1, self.active_rx_sockets)
         per_packet_cost = (1.0 + self.per_socket_cpu_factor * (n - 1)) / self.pps_budget
         sys_demand = min(float(self.host.cpu.ncpus), pps * per_packet_cost)
@@ -181,10 +202,6 @@ class NICModel:
                 self._cpu_token = self.host.cpu.add_load(0.0, sys_demand)
         else:
             self.host.cpu.update_load(self._cpu_token, 0.0, sys_demand)
-
-    @property
-    def rx_pps(self) -> float:
-        return self._current_pps
 
 
 class Host:

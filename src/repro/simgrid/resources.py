@@ -8,7 +8,7 @@ The models are *contribution-based*: simulated activities (an
 application computing, the TCP stack processing packets, a monitoring
 sensor itself) register a fractional demand while they are active.  The
 instantaneous utilization is the sum of contributions, clipped to the
-number of CPUs; a time-weighted accumulator supports windowed averages.
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class CPUModel:
         # per-model token sequence: process-global counters would leak
         # across worlds sharing the interpreter
         self._next_token = 0
-        # time-weighted integrals for windowed averages
-        self._last_update = sim.now
-        self._user_integral = 0.0
-        self._sys_integral = 0.0
 
     # -- contributions ------------------------------------------------------
 
@@ -70,7 +66,6 @@ class CPUModel:
         """Register a demand contribution; returns a token for removal."""
         if user < 0 or system < 0:
             raise ValueError("negative CPU demand")
-        self._accumulate()
         self._next_token += 1
         token = self._next_token
         self._contribs[token] = (user, system)
@@ -79,11 +74,9 @@ class CPUModel:
     def update_load(self, token: int, user: float = 0.0, system: float = 0.0) -> None:
         if token not in self._contribs:
             raise KeyError(token)
-        self._accumulate()
         self._contribs[token] = (user, system)
 
     def remove_load(self, token: int) -> None:
-        self._accumulate()
         self._contribs.pop(token, None)
 
     # -- sampling -----------------------------------------------------------
@@ -92,14 +85,6 @@ class CPUModel:
         user = sum(u for u, _ in self._contribs.values())
         system = sum(s for _, s in self._contribs.values())
         return user, system
-
-    def _accumulate(self) -> None:
-        dt = self.sim.now - self._last_update
-        if dt > 0:
-            user_pct, sys_pct = self._instant_percent()
-            self._user_integral += user_pct * dt
-            self._sys_integral += sys_pct * dt
-        self._last_update = self.sim.now
 
     def _instant_percent(self) -> tuple[float, float]:
         user, system = self._raw_demand()
@@ -119,23 +104,6 @@ class CPUModel:
         idle = max(0.0, 100.0 - user_pct - sys_pct)
         user, system = self._raw_demand()
         return CPUSample(user=user_pct, system=sys_pct, idle=idle, load=user + system)
-
-    def averaged(self, since: float) -> CPUSample:
-        """Time-weighted average utilization since virtual time ``since``."""
-        self._accumulate()
-        span = self.sim.now - since
-        if span <= 0:
-            return self.sample()
-        # integrals are running since t=0; caller tracks its own window by
-        # differencing — we expose the simple "from since to now" form by
-        # assuming the window starts at the last reset.  For exactness the
-        # summary layer (repro.core.summaries) keeps its own samples; this
-        # is a convenience for sensors.
-        user = self._user_integral / max(self.sim.now, 1e-12)
-        system = self._sys_integral / max(self.sim.now, 1e-12)
-        return CPUSample(user=user, system=system,
-                         idle=max(0.0, 100.0 - user - system),
-                         load=(user + system) * self.ncpus / 100.0)
 
 
 class MemoryModel:

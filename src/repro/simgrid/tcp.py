@@ -13,9 +13,12 @@ Loss sources, in order of application each round:
 2. **Receiver multi-socket loss** — per-packet drop probability from
    :class:`repro.simgrid.host.NICModel` when several sockets receive
    concurrently (the paper's gigabit-driver bottleneck).
-3. **Congestion** — token buckets on the path's bottleneck link and on
-   the receiver NIC's sustainable receive rate; demand beyond the
-   granted tokens is treated as queue-overflow loss.
+3. **Congestion** — the receiver NIC's token bucket
+   (:attr:`repro.simgrid.host.NICModel.rx_bucket`, its sustainable
+   receive rate) paces the round, and what it grants queues in the
+   bottleneck link's per-direction FIFO; demand beyond the granted
+   tokens, and what overflows the FIFO, is treated as queue-overflow
+   loss.
 
 Why this reproduces §6: the multi-socket drop *rate* is independent of
 round-trip time, but AIMD throughput under a loss rate ``p`` scales as
@@ -34,8 +37,7 @@ from typing import Callable, Optional
 from .host import Host
 from .kernel import EventFlag, Simulator, Timeout, WaitEvent
 
-__all__ = ["TCPFlow", "TokenBucket", "poisson_draw", "TCPStats",
-           "RequestFailed"]
+__all__ = ["TCPFlow", "poisson_draw", "TCPStats", "RequestFailed"]
 
 
 class RequestFailed:
@@ -76,70 +78,6 @@ def poisson_draw(rng, lam: float) -> int:
             k += 1
     # normal approximation for large lam
     return max(0, int(round(rng.gauss(lam, math.sqrt(lam)))))
-
-
-class TokenBucket:
-    """A byte-rate limiter shared by the flows crossing a resource."""
-
-    def __init__(self, sim: Simulator, rate_bps: float, *, burst_s: float = 0.1):
-        self.sim = sim
-        self.rate_bps = rate_bps
-        self.burst_s = burst_s
-        self.capacity = rate_bps * burst_s / 8.0  # bytes
-        self._tokens = self.capacity
-        self._last = sim.now
-
-    def set_rate(self, rate_bps: float) -> None:
-        """Rescale to a new rate, carrying the current fill *fraction*.
-
-        A rate change must not manufacture tokens: rebuilding a full
-        bucket at the instant of a fault-injected degradation used to
-        hand every flow a free line-rate burst exactly when the link
-        got slower."""
-        self._refill()
-        frac = self._tokens / self.capacity if self.capacity > 0 else 0.0
-        self.rate_bps = rate_bps
-        self.capacity = rate_bps * self.burst_s / 8.0
-        self._tokens = self.capacity * frac
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        dt = now - self._last
-        if dt > 0:
-            self._tokens = min(self.capacity, self._tokens + dt * self.rate_bps / 8.0)
-            self._last = now
-
-    def grant(self, nbytes: float) -> float:
-        """Take up to ``nbytes`` of tokens; returns the amount granted."""
-        self._refill()
-        granted = min(nbytes, self._tokens)
-        self._tokens -= granted
-        return granted
-
-
-def _link_bucket(sim: Simulator, link) -> TokenBucket:
-    bucket = getattr(link, "_bucket", None)
-    if bucket is None:
-        bucket = TokenBucket(sim, link.bandwidth_bps)
-        link._bucket = bucket
-    elif bucket.rate_bps != link.bandwidth_bps:
-        # rescale in place (fault-injected degradation): the fill
-        # fraction carries over, so no free burst at the fault instant
-        bucket.set_rate(link.bandwidth_bps)
-    return bucket
-
-
-def _nic_bucket(sim: Simulator, host: Host) -> TokenBucket:
-    bucket = getattr(host.nic, "_bucket", None)
-    # rescale on a rate change (fault-injected NIC degradation), exactly
-    # like _link_bucket — a stale bucket would keep granting at the old
-    # rx_bandwidth_bps forever
-    if bucket is None:
-        bucket = TokenBucket(sim, host.nic.rx_bandwidth_bps)
-        host.nic._bucket = bucket
-    elif bucket.rate_bps != host.nic.rx_bandwidth_bps:
-        bucket.set_rate(host.nic.rx_bandwidth_bps)
-    return bucket
 
 
 class TCPStats:
@@ -401,14 +339,8 @@ class TCPFlow:
                 send_bytes = send_pkts * self.mss
                 stats.rounds += 1
 
-                # --- congestion: bottleneck link + receiver NIC buckets ----
-                granted = float(send_bytes)
-                bottleneck = None
-                hop = path.bottleneck_hop
-                if hop is not None:
-                    bottleneck = path.links[hop]
-                    granted = _link_bucket(self.sim, bottleneck).grant(granted)
-                granted = _nic_bucket(self.sim, self.dst).grant(granted)
+                # --- congestion: receiver NIC ceiling ----------------------
+                granted = self.dst.nic.rx_bucket.grant(float(send_bytes))
                 granted_pkts = int(granted // self.mss)
                 # Un-granted packets are ack-paced (never put on the wire);
                 # a small number of queue-overflow drops signal congestion.
@@ -419,7 +351,9 @@ class TCPFlow:
                 # behind cross traffic.  Backlog shows up as extra RTT;
                 # what overflows the queue is loss AIMD will react to.
                 qdelay = 0.0
-                if bottleneck is not None and granted_pkts > 0:
+                hop = path.bottleneck_hop
+                if hop is not None and granted_pkts > 0:
+                    bottleneck = path.links[hop]
                     accepted, qdelay = bottleneck.queue_offer(
                         path.nodes[hop], granted_pkts * self.mss,
                         self.sim.now, self.traffic_class)
@@ -476,18 +410,21 @@ class TCPFlow:
                 # --- traffic accounting (port tables + SNMP counters) ------
                 acct_bytes = delivered_bytes
                 if acct_bytes:
-                    self.src.ports.record(self.src_port, bytes_out=acct_bytes,
-                                          packets_out=delivered)
-                    self.dst.ports.record(self.dst_port, bytes_in=acct_bytes,
-                                          packets_in=delivered)
+                    now = self.sim.now
+                    act = self.src.ports.activity(self.src_port)
+                    act.bytes_out += acct_bytes
+                    act.packets_out += delivered
+                    act.last_activity = now
+                    act = self.dst.ports.activity(self.dst_port)
+                    act.bytes_in += acct_bytes
+                    act.packets_in += delivered
+                    act.last_activity = now
                     for node, link in zip(path.nodes[:-1], path.links):
                         link.record_transit(node, acct_bytes, delivered)
 
                 # --- receiver CPU coupling ---------------------------------
                 self.nic_rate = delivered / rtt if rtt > 0 else 0.0
-                total_pps = sum(getattr(f, "nic_rate", 0.0)
-                                for f in self.dst.nic._active_rx_flows)
-                self.dst.nic.set_rx_rate(total_pps)
+                self.dst.nic.refresh_rx_rate()
 
                 # --- congestion control update ------------------------------
                 if delivered == 0 and send_pkts > 0:
@@ -532,24 +469,11 @@ class TCPFlow:
             if not flag.triggered:
                 flag.trigger(RequestFailed(self, nbytes, 0))
         self.dst.nic.unregister_rx_flow(self)
-        total_pps = sum(getattr(f, "nic_rate", 0.0)
-                        for f in self.dst.nic._active_rx_flows)
-        self.dst.nic.set_rx_rate(total_pps)
+        self.dst.nic.refresh_rx_rate()
         self.src.ports.connection_closed(self.src_port)
         self.dst.ports.connection_closed(self.dst_port)
         if not self.done.triggered:
             self.done.trigger(self.stats)
-
-    # -- convenience -----------------------------------------------------------
-
-    def mean_throughput_bps(self) -> float:
-        if not self.stats.progress:
-            return 0.0
-        t0 = self.stats.progress[0][0]
-        t1 = self.stats.progress[-1][0]
-        if t1 <= t0:
-            return 0.0
-        return self.stats.bytes_acked * 8.0 / (t1 - t0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TCPFlow {self.name} cwnd={self.cwnd} acked={self.stats.bytes_acked}>"

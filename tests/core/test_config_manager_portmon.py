@@ -32,6 +32,13 @@ idle-timeout = 5.0
 """
 
 
+def port_traffic(host, port, nbytes):
+    """Count ``nbytes`` received on ``port`` now, as a delivery does."""
+    act = host.ports.activity(port)
+    act.bytes_in += nbytes
+    act.last_activity = host.sim.now
+
+
 class TestConfigFormat:
     def test_parse_sample(self):
         config = JAMMConfig.from_text(SAMPLE)
@@ -246,7 +253,7 @@ class TestPortMonitor:
         manager.start()
         world.run(until=1.0)
         assert not manager.sensors["netmon"].running
-        host.ports.record(7000, bytes_in=5000)
+        port_traffic(host, 7000, 5000)
         world.run(until=2.0)
         assert manager.sensors["netmon"].running
         assert manager.port_monitor.triggers == 1
@@ -254,7 +261,7 @@ class TestPortMonitor:
     def test_sensor_stopped_after_idle_timeout(self):
         world, host, _gw, _d, manager = manager_setup(self.on_demand_config())
         manager.start()
-        host.ports.record(7000, bytes_in=5000)
+        port_traffic(host, 7000, 5000)
         world.run(until=1.0)
         assert manager.sensors["netmon"].running
         world.run(until=10.0)  # idle > 3 s
@@ -264,7 +271,7 @@ class TestPortMonitor:
     def test_active_connection_keeps_sensor_alive(self):
         world, host, _gw, _d, manager = manager_setup(self.on_demand_config())
         manager.start()
-        host.ports.record(7000, bytes_in=100)
+        port_traffic(host, 7000, 100)
         host.ports.connection_opened(7000)
         world.run(until=10.0)
         assert manager.sensors["netmon"].running  # connection still open
@@ -281,11 +288,11 @@ class TestPortMonitor:
     def test_retrigger_after_idle_stop(self):
         world, host, _gw, _d, manager = manager_setup(self.on_demand_config())
         manager.start()
-        host.ports.record(7000, bytes_in=100)
+        port_traffic(host, 7000, 100)
         world.run(until=1.0)
         world.run(until=10.0)
         assert not manager.sensors["netmon"].running
-        host.ports.record(7000, bytes_in=100)
+        port_traffic(host, 7000, 100)
         world.run(until=11.0)
         assert manager.sensors["netmon"].running
         assert manager.port_monitor.triggers == 2
@@ -296,7 +303,7 @@ class TestPortMonitor:
         pm = manager.port_monitor
         pm.add_rule(21, ["netmon"])
         assert pm.watched_ports() == [21, 7000]
-        host.ports.record(21, bytes_in=10)
+        port_traffic(host, 21, 10)
         world.run(until=1.0)
         assert manager.sensors["netmon"].running
         pm.remove_rule(21)

@@ -94,7 +94,9 @@ class TestPortMonitorGUI:
         gui.add_port(2049, ["netmon"])                # add a new port
         gui.set_monitoring(21, ["netmon", "vm"])      # reconfigure type
         assert gui.watched() == {21: ["netmon", "vm"], 2049: ["netmon"]}
-        host.ports.record(21, bytes_in=100)
+        act = host.ports.activity(21)               # traffic on port 21
+        act.bytes_in += 100
+        act.last_activity = world.now
         world.run(until=1.5)
         assert manager.sensors["vm"].running          # new rule applied
         assert "21" in gui.render()

@@ -116,7 +116,9 @@ class TestPortTable:
     def test_idle_for_tracks_last_activity(self):
         world, a, _b = pair()
         assert a.ports.idle_for(1234) == float("inf")
-        a.ports.record(1234, bytes_in=10)
+        act = a.ports.activity(1234)
+        act.bytes_in += 10
+        act.last_activity = world.now
         world.sim.call_in(5.0, lambda: None)
         world.run()
         assert a.ports.idle_for(1234) == pytest.approx(5.0)
@@ -133,8 +135,8 @@ class TestPortTable:
 
     def test_ports_with_traffic(self):
         world, a, _b = pair()
-        a.ports.record(21, bytes_in=5)
-        a.ports.record(8080, bytes_out=5)
+        a.ports.activity(21).bytes_in += 5
+        a.ports.activity(8080).bytes_out += 5
         a.ports.activity(99)  # touched but no traffic
         assert a.ports.ports_with_traffic() == [21, 8080]
 

@@ -63,7 +63,49 @@ class TestTransfer:
         flow.run_for(10.0)
         world.run(until=12.0)
         mbps = flow.stats.throughput_bps(2.0, 10.0) / 1e6
-        assert 170 <= mbps <= 210  # dst.nic.rx_bandwidth_bps = 200e6
+        assert 170 <= mbps <= 210  # dst.nic.rx_bucket.rate_bps = 200e6
+
+
+def trunk_goodputs(*, both_ways, rwnd_bytes, n=4, seconds=10.0):
+    """``n`` flows each way between two sites joined by one OC-12 trunk
+    (30 ms, no routers), host i to host i, so no receiver NIC sees more
+    than one socket.  Returns the (a->b, b->a) goodput in Mbit/s."""
+    world = GridWorld(seed=1)
+    a = [world.add_host(f"a{i}") for i in range(n)]
+    b = [world.add_host(f"b{i}") for i in range(n)]
+    world.lan(a, switch="sw-a")
+    world.lan(b, switch="sw-b")
+    world.wan_path("sw-a", "sw-b", routers=[], latency_s=30e-3)
+    pairs = list(zip(a, b)) + (list(zip(b, a)) if both_ways else [])
+    flows = [world.tcp_flow(src, dst, dst_port=5001, rwnd_bytes=rwnd_bytes)
+             for src, dst in pairs]
+    for flow in flows:
+        flow.run_for(seconds)
+    world.run(until=seconds + 1.0)
+
+    def mbps(fs):
+        return sum(f.stats.throughput_bps(2.0, seconds) for f in fs) / 1e6
+    return mbps(flows[:n]), mbps(flows[n:])
+
+
+class TestFullDuplexTrunk:
+    """A trunk's two directions are separate queues: traffic one way
+    takes nothing from the other."""
+
+    @pytest.mark.parametrize("rwnd_bytes", [1 << 20, 2 << 20],
+                             ids=["window-limited", "trunk-limited"])
+    def test_opposite_directions_each_get_the_one_way_rate(self, rwnd_bytes):
+        alone, _ = trunk_goodputs(both_ways=False, rwnd_bytes=rwnd_bytes)
+        forward, reverse = trunk_goodputs(both_ways=True,
+                                          rwnd_bytes=rwnd_bytes)
+        assert forward == pytest.approx(reverse, rel=0.03)
+        assert forward == pytest.approx(alone, rel=0.03)
+        assert reverse == pytest.approx(alone, rel=0.03)
+
+    def test_saturated_trunk_carries_its_rate_each_way(self):
+        forward, reverse = trunk_goodputs(both_ways=True, rwnd_bytes=2 << 20)
+        for mbps in (forward, reverse):
+            assert 0.95 * 622 <= mbps <= 1.01 * 622  # OC-12
 
 
 class TestLossBehaviour:
@@ -246,35 +288,6 @@ class TestPoisson:
             mean = sum(draws) / len(draws)
             assert abs(mean - lam) < 0.15 * lam + 0.1
             assert all(d >= 0 for d in draws)
-
-
-class TestTokenBucketRateChange:
-    def test_set_rate_carries_fill_fraction(self):
-        from repro.simgrid.kernel import Simulator
-        from repro.simgrid.tcp import TokenBucket
-        sim = Simulator()
-        bucket = TokenBucket(sim, 8e6, burst_s=1.0)    # 1e6-byte capacity
-        bucket.grant(bucket.capacity / 2)              # half full
-        bucket.set_rate(4e6)
-        # half of the NEW capacity, not a free refill to full
-        assert bucket._tokens == pytest.approx(4e6 * 1.0 / 8.0 / 2)
-
-    def test_rate_drop_mid_flow_gives_no_burst(self):
-        """A link_rate fault must not hand in-flight flows a full
-        fresh burst at the fault instant — cwnd-limited flows would
-        see a spurious throughput spike."""
-        from repro.simgrid.kernel import Simulator
-        from repro.simgrid.tcp import TokenBucket
-        sim = Simulator()
-        bucket = TokenBucket(sim, 100e6, burst_s=0.25)
-        bucket.grant(bucket.capacity)                  # drained
-        bucket.set_rate(10e6)
-        assert bucket._tokens == 0.0
-        # tokens then accrue at the NEW rate (capped at new capacity)
-        sim.call_at(0.1, lambda: None)
-        sim.run()
-        assert bucket.grant(1e12) == pytest.approx(10e6 * 0.1 / 8.0,
-                                                   rel=0.01)
 
 
 class TestRequestFailure:

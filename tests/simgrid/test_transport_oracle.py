@@ -113,7 +113,10 @@ class ModelTransport(MessageTransport):
         self.per_host_sent[src.name] = self.per_host_sent.get(src.name, 0) + 1
         self.class_bytes[traffic_class] = \
             self.class_bytes.get(traffic_class, 0) + size
-        src.ports.record(src_port, bytes_out=size, packets_out=npackets)
+        act = src.ports.activity(src_port)
+        act.bytes_out += size
+        act.packets_out += npackets
+        act.last_activity = self.sim.now
         keep = 1.0
         for node, link in hops:
             keep *= 1.0 - link.loss_toward(link.other(node))
@@ -148,7 +151,10 @@ class ModelTransport(MessageTransport):
             link.record_transit(node, size, npackets)
         if hops:
             self.queue_delay_s += qdelay
-        dst.ports.record(dst_port, bytes_in=size, packets_in=npackets)
+        act = dst.ports.activity(dst_port)
+        act.bytes_in += size
+        act.packets_in += npackets
+        act.last_activity = self.sim.now
         if hops:
             delay = sum(l.latency_s for l in path.links) \
                 + (size * 8.0) / min(l.bandwidth_bps for l in path.links) \
