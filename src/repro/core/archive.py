@@ -21,10 +21,11 @@ rollup, so only a head the window clips is scanned.  Every
 arrays and takes its running rollup as its pre-aggregated **rollups**
 (count/sum/min/max per event name); what it builds is a time span,
 per-host / per-event posting indexes and a byte-accounted footprint.
-The indexes only a summary reads — per-host rollups and per-event
-prefix sums for exact partial-window reads — are built from the key and
-VALUE columns by the first summary that needs them, and cached; one
-routine reads both head and segments.  A
+Per-host rollups, which only ``host=`` summaries and downsampling read,
+are built from the key and VALUE columns on first read and cached.  A
+summary the rollups do not cover — a window that clips a segment or the
+head — walks the window's rows of those columns, in one routine for
+head and segments alike.  A
 **catalog** ordered by segment start time resolves a window query to
 just the overlapping segments; non-overlapping segments chain,
 overlapping ones merge by ``(date, arrival id)`` — bit-identical to a
@@ -32,9 +33,10 @@ flat time-ordered list.
 
 :class:`RetentionPolicy` bounds the store by age and/or bytes; a
 :class:`ArchiveCompactor` (kernel-scheduled, supervised like sensors)
-retires, downsamples, and merges cold segments and maintains a
-multi-resolution rollup tree so ``summarize_window`` over a month costs
-about the same as over a minute.  Storage is also a fault surface:
+retires and downsamples cold segments.  A multi-resolution rollup tree
+over the catalog, rebuilt by the first summary after the catalog
+changes, makes ``summarize_window`` over a month cost about the same as
+over a minute.  Storage is also a fault surface:
 segments can be *torn* (checksum fails; queries detect, quarantine, and
 keep serving the rest), compaction can *stall* (ingest continues until
 retention pressure forces degraded mode), and the (simulated) disk can
@@ -50,7 +52,6 @@ import fnmatch
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
-from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
@@ -202,9 +203,9 @@ def _iter_rows(messages: Optional[list], dates: list, ids: list,
     the shortest of those slices, checking the other constraints per
     row, so a read costs the rows of its window and never a posting
     list's length.  The write head passes ``None`` for both posting
-    maps and walks its window slice, which the seal threshold bounds;
-    summaries never read the head through here — they take its running
-    rollup, or walk its key/value columns when the window clips it.
+    maps and walks its window slice, which the seal threshold bounds.
+    Summaries never read through here: they merge rollups, or walk the
+    key/VALUE columns (:meth:`EventArchive._summarize_columns`).
     """
     if messages is None:
         return  # rollup-only segment: no raw events to serve
@@ -287,23 +288,22 @@ class _Segment:
     Messages are stored in ``(date, arrival id)`` order with parallel
     date / id / rollup-key / VALUE arrays, positional posting lists per
     host / event name, and the rollup table the write head handed over.
-    Two indexes only summaries read are built from the key and VALUE
-    columns on first read and cached: per-host rollup tables
-    (:attr:`host_rollups`, for ``host=`` summaries and downsampling) and
-    per-event prefix sums (:attr:`sumidx`) so a sub-window that clips the
-    segment summarizes in O(events × log n) without touching raw
-    messages.  ``checksum`` models on-disk integrity: :meth:`verify`
-    fails after :meth:`tear` until :meth:`mend` recomputes it;
-    ``trusted`` is the verified-once watermark (cleared by tear,
-    restored by mend or a passing verify) that keeps repeat catalog
-    scans from re-hashing every segment.  Segment handles never leave
-    the owning archive (analysis rule RES002) — external code sees
-    :meth:`EventArchive.catalog` descriptor dicts.
+    Per-host rollup tables (:attr:`host_rollups`, for ``host=``
+    summaries and downsampling) are built from the key and VALUE columns
+    on first read and cached; a summary that clips the segment walks
+    those columns over its window instead.  ``checksum`` models on-disk
+    integrity: :meth:`verify` fails after :meth:`tear` until
+    :meth:`mend` recomputes it; ``trusted`` is the verified-once
+    watermark (cleared by tear, restored by mend or a passing verify)
+    that keeps repeat catalog scans from re-hashing every segment.
+    Segment handles never leave the owning archive (analysis rule
+    RES002) — external code sees :meth:`EventArchive.catalog`
+    descriptor dicts.
     """
 
     __slots__ = ("seq", "messages", "dates", "ids", "keys", "values",
                  "by_host", "by_event", "t_min", "t_max", "id_lo", "id_hi",
-                 "bytes", "count", "rollups", "_host_rollups", "_sumidx",
+                 "bytes", "count", "rollups", "_host_rollups",
                  "checksum", "downsampled", "trusted")
 
     @property
@@ -316,26 +316,6 @@ class _Segment:
                               map(values.__getitem__, rows))
                 for host, rows in self.by_host.items()}
         return self._host_rollups
-
-    @property
-    def sumidx(self) -> dict:
-        """``{key: (positions, value prefix sums, value-count prefix
-        sums, values)}`` in position order, built on first read and
-        cached."""
-        if self._sumidx is None:
-            values = self.values
-            index = {}
-            for key, rows in _postings(self.keys).items():
-                vals = list(map(values.__getitem__, rows))
-                index[key] = (
-                    rows,
-                    list(accumulate([0.0 if v is None else v for v in vals],
-                                    initial=0.0)),
-                    list(accumulate([v is not None for v in vals],
-                                    initial=0)),
-                    vals)
-            self._sumidx = index
-        return self._sumidx
 
     def _fingerprint(self) -> int:
         return hash((self.seq, self.count, self.id_lo, self.id_hi,
@@ -364,40 +344,12 @@ class _Segment:
         self.values = None
         self.by_host = None
         self.by_event = None
-        self._sumidx = None
         self.downsampled = True
         # rollup-only footprint: a header plus one row per (host,) event
         rows = len(self.rollups) + sum(len(t) for t in
                                        host_rollups.values())
         self.bytes = 64 + 48 * rows
         self.mend()
-
-    def window_rollup(self, t0: float, t1: float) -> dict:
-        """Exact count/sum rollup of the half-open sub-window [t0, t1).
-
-        Served from the per-event prefix sums (built by the first call
-        that clips the segment) — O(#events × log) for counts and sums,
-        plus a slice scan of the bare value array for min/max — so a
-        summary that clips this segment never touches raw messages.
-        """
-        lo = bisect_left(self.dates, t0)
-        hi = bisect_left(self.dates, t1)
-        out: dict = {}
-        if lo >= hi:
-            return out
-        if lo == 0 and hi == self.count:
-            return self.rollups
-        inf = float("inf")
-        for key, (positions, psum, pcnt, vals) in self.sumidx.items():
-            i = bisect_left(positions, lo)
-            j = bisect_left(positions, hi)
-            if i == j:
-                continue
-            present = [v for v in vals[i:j] if v is not None]
-            out[key] = [j - i, psum[j] - psum[i], pcnt[j] - pcnt[i],
-                        min(present) if present else inf,
-                        max(present) if present else -inf]
-        return out
 
 
 def _build_segment(seq: int, messages: list, dates: list, ids: list,
@@ -408,7 +360,7 @@ def _build_segment(seq: int, messages: list, dates: list, ids: list,
     The segment adopts all of them.  It builds only its byte count (one
     :func:`_msg_bytes` per row) and its host / event posting lists
     (from the host attribute and the key column, with no frame per
-    row); the summary-only indexes wait for their first read.
+    row); the per-host rollups wait for their first read.
     """
     seg = _Segment()
     seg.seq = seq
@@ -435,7 +387,6 @@ def _build_segment(seq: int, messages: list, dates: list, ids: list,
     seg.by_event = by_event
     seg.rollups = rollups
     seg._host_rollups = None
-    seg._sumidx = None
     seg.bytes = sum(map(_msg_bytes, messages))
     seg.mend()
     return seg
@@ -506,7 +457,6 @@ class EventArchive:
         self.events_retired = 0
         self.segments_downsampled = 0
         self.events_downsampled = 0
-        self.segments_merged = 0
         self.segments_quarantined = 0
         self.segments_reinstated = 0
         self.segments_torn = 0
@@ -864,16 +814,18 @@ class EventArchive:
     # -- retention & compaction --------------------------------------------------
 
     def compact_once(self) -> dict:
-        """One compaction pass: enforce retention, merge runt segments,
-        refresh the rollup tree, heal backlog degradation.
+        """One compaction pass: enforce retention, heal backlog
+        degradation.
 
         Retention ages are measured against the newest *ingested* date
-        (deterministic; independent of host clock offsets).  Returns a
-        report — including the raw messages each loss path dropped, so
-        oracles/tests can mirror the archive's state exactly.
+        (deterministic; independent of host clock offsets).  A pass that
+        changes the catalog only marks the rollup tree stale; the next
+        summary rebuilds it.  Returns a report — including the raw
+        messages each loss path dropped, so oracles/tests can mirror the
+        archive's state exactly.
         """
         report = {"stalled": False, "retired": [], "downsampled": [],
-                  "retired_rollups": [], "merged": 0, "healed": False}
+                  "retired_rollups": [], "healed": False}
         if self._stall_mode is not None:
             report["stalled"] = True
             return report
@@ -907,9 +859,6 @@ class EventArchive:
                     else:
                         report["retired"].extend(seg.messages)
                     self._retire(seg)
-        report["merged"] = self._merge_small_segments()
-        if self._tree_dirty:
-            self._rebuild_tree()
         if self.degraded and self.degraded_reason == "compaction_backlog":
             if (ret is None or ret.max_bytes is None
                     or self._bytes_stored + self._seg_bytes <= ret.max_bytes):
@@ -938,46 +887,6 @@ class EventArchive:
             self.loss_floor = seg.t_max
         seg.downsample()
         self._seg_bytes += seg.bytes
-
-    def _merge_small_segments(self) -> int:
-        """Merge adjacent runt segments (small seals accumulate under
-        churny ingest) back up to the nominal segment size."""
-        limit = self.segment_events
-        small = max(1, limit // 2)
-        merged = 0
-        i = 0
-        while i + 1 < len(self._segments):
-            a, b = self._segments[i], self._segments[i + 1]
-            if (a.messages is None or b.messages is None
-                    or a.count + b.count > limit
-                    or (a.count >= small and b.count >= small)
-                    or not a.verify() or not b.verify()):
-                i += 1
-                continue
-            self._merge_pair(i)
-            merged += 1
-            # stay at i: the merged segment may absorb the next runt too
-        self.segments_merged += merged
-        return merged
-
-    def _merge_pair(self, i: int) -> None:
-        a, b = self._segments[i], self._segments[i + 1]
-        # (date, arrival id) never ties, so rows never compare past it
-        dates, ids, messages, keys, values = map(list, zip(*_heap_merge(
-            zip(a.dates, a.ids, a.messages, a.keys, a.values),
-            zip(b.dates, b.ids, b.messages, b.keys, b.values))))
-        # the one seal with no running rollup to hand over
-        merged = _build_segment(min(a.seq, b.seq), messages, dates, ids,
-                                keys, values, _rollup(keys, values))
-        self._seg_bytes += merged.bytes - a.bytes - b.bytes
-        # catalog order is by t_min: merged.t_min == a.t_min, so the
-        # merged segment takes a's slot and b's slot vanishes
-        self._segments[i] = merged
-        self._seg_tmins[i] = merged.t_min
-        del self._segments[i + 1]
-        del self._seg_tmins[i + 1]
-        self._rebuild_prefix()
-        self._tree_dirty = True
 
     # -- query ----------------------------------------------------------------
 
@@ -1081,17 +990,33 @@ class EventArchive:
         self._rollup_tree = levels
         self._tree_dirty = False
 
-    def _summarize_rows(self, rows, out: dict) -> None:
-        """Fold raw ``(date, id, msg)`` rows into ``out``, counted."""
-        for _, _, msg in rows:
-            _roll_add(out, msg.event or "?", _msg_value(msg))
-            self.summary_raw_scanned += 1
+    def _summarize_columns(self, dates: list, keys: list, values: list,
+                           t0: float, t1: float, out: dict,
+                           host: Optional[str], by_host: Optional[dict],
+                           messages: Optional[list]) -> None:
+        """Fold the key/VALUE columns of the rows in [t0, t1) into
+        ``out``, each counted in :attr:`summary_raw_scanned`: the one
+        walk of every summary the rollups do not cover.  ``host=`` walks
+        a sealed segment's posting list (``by_host``) sliced to the
+        window, or checks each window row's message (the head)."""
+        lo, hi = bisect_left(dates, t0), bisect_left(dates, t1)
+        if host is None:
+            rows = range(lo, hi)
+        elif by_host is not None:
+            rows = by_host.get(host, ())
+            rows = rows[bisect_left(rows, lo):bisect_left(rows, hi)]
+        else:
+            rows = [pos for pos in range(lo, hi)
+                    if messages[pos].host == host]
+        for pos in rows:
+            _roll_add(out, keys[pos], values[pos])
+        self.summary_raw_scanned += len(rows)
 
     def _summarize_segment(self, seg: _Segment, t0: float, t1: float,
                            host: Optional[str], out: dict) -> None:
         """One segment's share of a summary (the tree walk's leaf): its
-        pre-aggregated rollup when [t0, t1) covers it, else the exact
-        boundary — prefix sums, or a posting-led raw scan for one host."""
+        pre-aggregated rollup when [t0, t1) covers it, else a walk of
+        the window's rows."""
         if seg.t_max < t0 or seg.t_min >= t1:
             return
         covered = t0 <= seg.t_min and seg.t_max < t1
@@ -1106,21 +1031,14 @@ class EventArchive:
                     self.summary_rollup_hits += 1
                 else:
                     self.summary_rollup_clipped += 1
-        elif host is None:
-            partial = seg.window_rollup(t0, t1)
-            if partial:
-                _roll_merge(out, partial)
-                self.summary_rollup_hits += 1
         else:
-            self._summarize_rows(
-                _iter_rows(seg.messages, seg.dates, seg.ids, seg.by_host,
-                           seg.by_event, ArchiveQuery(t0=t0, t1=t1, host=host),
-                           True), out)
+            self._summarize_columns(seg.dates, seg.keys, seg.values, t0, t1,
+                                    out, host, seg.by_host, None)
 
     def _summarize_node(self, level: int, index: int, t0: float, t1: float,
                         out: dict) -> None:
         """Recursive rollup-tree walk: merge fully-covered nodes, recurse
-        into boundary nodes, resolve leaf boundaries via prefix sums."""
+        into boundary nodes, walk the window's rows of a clipped leaf."""
         if level < 0:
             self._summarize_segment(self._segments[index], t0, t1, None, out)
             return
@@ -1143,18 +1061,17 @@ class EventArchive:
         the half-open window [t0, t1).
 
         Served from the multi-resolution rollup tree: fully-covered
-        segment runs cost one pre-merged node each, boundary segments
-        resolve through per-event prefix sums, and the unsealed head
-        merges its running rollup when [t0, t1) covers all of it — a
-        month-scale summary costs about the same as a minute-scale one,
-        whatever the head holds.  Only a clipped head (or one read with
-        ``host=``) is scanned, over the key/value columns taken at
-        admission.  ``host=`` filters via per-segment host rollups (full
-        segments) and raw scans (boundaries).  A segment's prefix sums
-        and host rollups are built by the first summary that clips it or
-        names a host, so a full-span summary builds neither.  Sums add
-        in admission order (a late row joins its head's rollup last),
-        so a float ``value_sum`` may differ in its last bits from a
+        segment runs cost one pre-merged node each, and the unsealed
+        head merges its running rollup when [t0, t1) covers all of it —
+        a month-scale summary costs about the same as a minute-scale
+        one, whatever the head holds.  A segment or head the window
+        clips is walked over the window's rows of its key/VALUE columns,
+        each row counted in ``raw_scanned``.  ``host=`` merges a covered
+        segment's host rollups (built by the first summary that names a
+        host, so a full-span summary builds none) and walks a clipped
+        one's posting slice for that host.  Covered rollups add in
+        admission order (a late row joins its head's rollup last), so a
+        float ``value_sum`` may differ in its last bits from a
         position-ordered re-add of the same rows.
         """
         if t1 <= t0:
@@ -1180,15 +1097,8 @@ class EventArchive:
             _roll_merge(out, self._head_roll)
             self.summary_rollup_hits += 1
         else:
-            # a clipped head, or one host's share: walk the window's
-            # slice of the columns
-            keys, values, messages = self._keys, self._values, self._messages
-            scanned = 0
-            for pos in range(bisect_left(dates, t0), bisect_left(dates, t1)):
-                if host is None or messages[pos].host == host:
-                    _roll_add(out, keys[pos], values[pos])
-                    scanned += 1
-            self.summary_raw_scanned += scanned
+            self._summarize_columns(dates, self._keys, self._values, t0, t1,
+                                    out, host, None, self._messages)
         return {event: tuple(row) for event, row in out.items()}
 
     # -- catalog counters -------------------------------------------------------
@@ -1253,7 +1163,6 @@ class EventArchive:
                 "events_retired": self.events_retired,
                 "segments_downsampled": self.segments_downsampled,
                 "events_downsampled": self.events_downsampled,
-                "segments_merged": self.segments_merged,
                 "quarantined": len(self._quarantined),
                 "quarantined_events": quarantined_events,
                 "segments_reinstated": self.segments_reinstated,

@@ -56,7 +56,8 @@ def summarize_period(archive: EventArchive, t0: float, t1: float, *,
     The archive resolves this through its multi-resolution rollups
     (:meth:`EventArchive.summarize_window`): fully-covered segments
     cost one pre-merged rollup each, so a month-scale window costs
-    about the same as a minute-scale one.
+    about the same as a minute-scale one; only the rows of a segment
+    or head the window clips are walked.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")

@@ -169,9 +169,8 @@ class NICModel:
         self._active_rx_flows[flow] = None
 
     def unregister_rx_flow(self, flow: Any) -> None:
+        """Drop ``flow``; the caller re-sums with :meth:`refresh_rx_rate`."""
         self._active_rx_flows.pop(flow, None)
-        if not self._active_rx_flows:
-            self.set_rx_rate(0.0)
 
     @property
     def active_rx_sockets(self) -> int:

@@ -474,8 +474,8 @@ def test_every_operation_on_one_fixed_script():
             if d["downsampled"]] == [2]
     read_everything()
 
-    # a merge of two never-read runts, one late row interleaving them,
-    # then a summary that clips the merged segment
+    # two never-read checkpoint runts, one late row interleaving them,
+    # then a summary that clips both
     twin = Twin(8, None)
     for kind in ("in_order", "in_order", "in_order", "checkpoint",
                  "in_order", "late", "in_order", "checkpoint"):
@@ -485,7 +485,7 @@ def test_every_operation_on_one_fixed_script():
             n = len(twin.rows)
             add(kind, HOSTS[n % 3], EVENTS[n % 3], VALUES[n % 6])
     twin.compact()
-    assert twin.archive.stats()["segments_merged"] == 1
+    assert twin.archive.stats()["segments"] == 2
     twin.check_summaries(0.75, 1.5)
     read_everything()
 

@@ -295,22 +295,6 @@ class TestRetention:
         with pytest.raises(ValueError):
             RetentionPolicy(degrade_factor=0.5)
 
-    def test_merge_small_segments_preserves_content(self):
-        archive = EventArchive(policy=keep_all(), segment_events=16)
-        expect = []
-        for i in range(12):  # many runt seals (checkpoint every 3 events)
-            for j in range(3):
-                m = msg(i * 1.0 + j * 0.1, value=j)
-                archive.append(m)
-                expect.append(m)
-            archive.checkpoint()
-        before = archive.stats()["segments"]
-        archive.compact_once()
-        s = archive.stats()
-        assert s["segments_merged"] > 0
-        assert s["segments"] < before
-        assert [id(m) for m in archive.query()] == [id(m) for m in expect]
-
 
 class TestRollups:
     def build(self, n=600, seed=21, **kwargs):
@@ -356,6 +340,19 @@ class TestRollups:
                 assert got[1] == pytest.approx(row[1])
                 assert got[3] == pytest.approx(row[3])
                 assert got[4] == pytest.approx(row[4])
+
+    def test_clipped_sum_does_not_cancel_against_large_values(self):
+        """A sub-window of 1.0s after a run of 1e16s sums to 10.0, which
+        a difference of running sums over the segment would cancel to
+        0.0 (32 * 1e16 + 1.0 rounds back to 32 * 1e16)."""
+        archive = EventArchive(policy=keep_all(), segment_events=64)
+        for i in range(64):
+            archive.append(msg(i, value=1e16 if i < 32 else 1.0))
+        archive.append(msg(64, value=1.0))
+        assert archive.stats()["segments"] == 1
+        assert archive.summarize_window(40.0, 50.0)["CPU_USAGE"] == \
+            (10, 10.0, 10, 1.0, 1.0)
+        assert archive.stats()["raw_scanned"] == 10
 
     def test_wide_windows_served_from_rollups_not_raw(self):
         archive = self.build()

@@ -20,9 +20,12 @@ shorter of the two posting lists' window slices, never either list whole.
 
 Sealing is a hand-over: the segment takes the head's running rollup and
 columns, so the append that seals pays one byte estimate per row and a
-constant, never a rollup add per row, and builds neither of the indexes
-only summaries read (per-host rollups, per-event prefix sums) — those
-are built by the first summary that clips a segment or names a host.
+constant, never a rollup add per row, and does not build the index only
+summaries read (per-host rollups) — the first summary that names a host
+does.  A summary that clips a sealed segment walks the window's rows of
+its key/VALUE columns (with ``host=``, that host's posting slice of
+them): it counts exactly those rows in ``raw_scanned``, and what the
+segment holds outside the window costs it nothing.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def test_a_host_event_read_does_not_pay_for_its_posting_lists(shorter):
 
 
 #: what builds or reads a segment's summary-only indexes
-LAZY_INDEXES = {"host_rollups", "sumidx", "_rollup"}
+LAZY_INDEXES = {"host_rollups", "_rollup"}
 
 
 def seal_frames(n: int) -> Counter:
@@ -201,10 +204,42 @@ def test_summary_only_indexes_wait_for_the_summary_that_reads_them():
     full = summary(0.0)
     assert not full.keys() & LAZY_INDEXES, full
     assert archive.stats()["raw_scanned"] == 0
-    # the first summary to clip a segment builds its prefix sums once
-    assert summary(10.0)["_postings"] == 1
-    assert summary(10.0)["_postings"] == 0
+    clipped = summary(10.0)
+    assert not clipped.keys() & LAZY_INDEXES, clipped
     # the first host summary builds every full segment's host rollups
     # (one table per host it holds); the next reads them
     assert summary(0.0, "h1")["_rollup"] == 3 * 3
     assert summary(0.0, "h1")["_rollup"] == 0
+
+
+def clipped_summary_work(outside: int, others: int,
+                         host: str | None) -> tuple[int, int]:
+    """Work of one summary whose window clips one sealed segment: the
+    window holds four rows of h0 and ``others`` rows of h1, and
+    ``outside`` more rows of h0 lie on each side of it."""
+    window = ["h0", "h0"] + ["h1"] * others + ["h0", "h0"]
+    script = ["h0"] * outside + window + ["h0"] * outside
+    archive = EventArchive(policy=SamplingPolicy(normal_fraction=1.0),
+                           segment_events=len(script))
+    for t, name in enumerate(script):
+        archive.append(msg(float(t), name))
+    assert archive.sealed_segments == 1 and len(archive) == len(script)
+    summary = {}
+    work = count_work(lambda: summary.update(archive.summarize_window(
+        float(outside), float(outside + len(window)), host=host)))
+    rows = len(window) if host is None else window.count(host)
+    assert summary == {"CPU_USAGE": (rows, float(rows), rows, 1.0, 1.0)}
+    assert archive.stats()["raw_scanned"] == rows
+    return work
+
+
+@pytest.mark.parametrize("host, cases", [
+    (None, ((1, 3), (40, 3), (3000, 3))),
+    # the host's posting slice leads: other hosts' rows in the window
+    # cost nothing either
+    ("h0", ((1, 3), (40, 3), (3000, 3), (3000, 300))),
+])
+def test_a_clipped_summary_walks_only_its_window(host, cases):
+    works = {clipped_summary_work(outside, others, host)
+             for outside, others in cases}
+    assert len(works) == 1, works

@@ -243,6 +243,28 @@ class TestAccounting:
         world.run(until=30.0)
         assert dst.ports.activity(7000).active_connections == 0
 
+    def test_last_flow_teardown_updates_the_nic_rate_once(self):
+        world, src, dst = wan_pair()
+        flow = world.tcp_flow(src, dst, dst_port=7000)
+        flow.transfer(100_000)
+        rates = []
+        set_rx_rate = dst.nic.set_rx_rate
+        dst.nic.set_rx_rate = lambda pps: (rates.append(pps),
+                                           set_rx_rate(pps))
+        teardown = flow._teardown
+        per_teardown = []
+
+        def counted_teardown():
+            before = len(rates)
+            teardown()
+            per_teardown.append(rates[before:])
+
+        flow._teardown = counted_teardown
+        world.run(until=30.0)
+        assert flow.done.triggered
+        assert dst.nic.active_rx_sockets == 0
+        assert per_teardown == [[0]]
+
     def test_router_counters_see_the_bytes(self):
         world, src, dst = wan_pair()
         flow = world.tcp_flow(src, dst, dst_port=7000)
