@@ -529,6 +529,10 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
         self._crashes: list[tuple[Process, BaseException]] = []
         self._running = False
         self._stopped = False
+        #: exclusive bound on the time of the run's next dispatch but for
+        #: the queues: just past ``until`` (``inf`` without one), or None
+        #: outside :meth:`run` and in a run bounded by ``max_events``
+        self._horizon: Optional[float] = None
 
     def serial(self, kind: str) -> int:
         """Next id in a per-simulation numbered sequence (1-based).
@@ -640,6 +644,9 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
             raise SimulationError("run() re-entered")
         self._running = True
         self._stopped = False
+        if max_events is None:
+            self._horizon = math.inf if until is None \
+                else math.nextafter(until, math.inf)
         events = 0
         imm = self._immediate
         heap = self._heap
@@ -690,6 +697,7 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
                     self._maybe_raise_crash()
         finally:
             self._running = False
+            self._horizon = None
             self.events_executed += events
         if until is not None and not imm and not heap and self.now < until:
             # drained early: advance the clock to the requested horizon
@@ -699,6 +707,29 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
     def stop(self) -> None:
         """Stop :meth:`run` after the current event completes."""
         self._stopped = True
+
+    def run_ahead_limit(self) -> float:
+        """An exclusive time bound ``L``: a call scheduled now at any
+        ``t`` with ``now < t < L`` would be the very next dispatch.
+
+        So a timer whose work schedules nothing may do each of its ticks
+        below ``L`` inline and re-arm once, with the outcome of one
+        dispatch a tick (inline ticks are not in ``events_executed``);
+        its last tick, which does not re-arm, must be a dispatch, since
+        only a dispatch moves the clock.  ``L`` is the heap head's time
+        (a cancelled head only lowers it) or just past ``until``; it is
+        strict because at equal times the queued call, with the lower
+        seq, goes first — SimPy's FIFO rule, which this kernel keeps.
+        ``L`` is ``now`` outside :meth:`run`, in a ``max_events`` run,
+        after :meth:`stop`, and while a call waits in the immediate
+        queue."""
+        horizon = self._horizon
+        if horizon is None or self._immediate or self._stopped:
+            return self.now
+        heap = self._heap
+        if heap and heap[0][0] < horizon:
+            return heap[0][0]
+        return horizon
 
     # -- cancellation accounting -------------------------------------------
 

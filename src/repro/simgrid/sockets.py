@@ -22,7 +22,9 @@ A datagram to a port bound to :func:`discard` (the sink background
 traffic aims at) ends at the send: every hop is charged, both port
 tables and all counters updated, the loss and flaky draws made, and no
 arrival is scheduled — neither ``on_delivered`` nor an arrival-time
-``on_fail`` can fire for it.
+``on_fail`` can fire for it.  Since such a datagram schedules nothing,
+a storm sends all its packets due before the kernel's next dispatch at
+once, as a train (:meth:`MessageTransport.send_train`).
 
 Bulk data transfers (DPSS reads, iperf) do NOT use this module — they
 use the congestion-controlled :mod:`repro.simgrid.tcp` model.
@@ -58,6 +60,19 @@ def discard(msg: "Message", transport: "MessageTransport") -> None:
     """The discard service's listener.  :meth:`MessageTransport.send_burst`
     knows it by identity and schedules no arrival for a datagram bound
     to it: bind *this*, not a look-alike."""
+
+
+def _lose_in_flight(plan, size: int, npackets: int) -> None:
+    """A datagram dies in flight on ``plan``'s first lossy hop: the hops
+    up to it count it, only that hop's interface discards notice."""
+    for _link, direction, _rate, out, inn in plan:
+        out.out_octets += size
+        out.out_packets += npackets
+        inn.in_octets += size
+        inn.in_packets += npackets
+        if direction.loss > 0.0:
+            inn.discards += npackets
+            break
 
 
 @dataclass(slots=True)
@@ -256,13 +271,9 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                 route = routes.get(dst)
                 if route is None:
                     try:
-                        path = network.route(src.node, dst.node)
+                        route = self._resolve(routes, src, dst)
                     except NoRouteError as exc:
                         cause = exc
-                    else:
-                        route = routes[dst] = (
-                            path.charge, path.latency_s, path.bottleneck_bps,
-                            dst.name, dst.ports, path.plan, path.loss_rate)
             if route is None:
                 self.messages_dropped += 1
                 msg_id = None
@@ -289,28 +300,14 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
             act.bytes_out += size
             act.packets_out += npackets
             act.last_activity = now
-            if loss > 0.0:
-                flow = (src_name, dst_name, -1 if oneshot else dst_port)
-                rng = self._loss_rngs.get(flow)
-                if rng is None:
-                    digest = hashlib.sha256(
-                        f"{self._loss_salt}:{flow}".encode()).digest()
-                    rng = self._loss_rngs[flow] = random.Random(
-                        int.from_bytes(digest[:8], "big"))
-                if rng.random() < loss:
-                    # dies in flight on the first lossy hop.  The sender
-                    # saw a successful send, so NEITHER callback fires
-                    # (the gray case); only interface discards notice.
-                    for _link, direction, _rate, out, inn in plan:
-                        out.out_octets += size
-                        out.out_packets += npackets
-                        inn.in_octets += size
-                        inn.in_packets += npackets
-                        if direction.loss > 0.0:
-                            inn.discards += npackets
-                            break
-                    self.messages_lost += 1
-                    continue
+            if loss > 0.0 and self._loss_stream(
+                    (src_name, dst_name, -1 if oneshot else dst_port)
+            ).random() < loss:
+                # the gray case: the sender saw a successful send, so
+                # NEITHER callback fires
+                _lose_in_flight(plan, size, npackets)
+                self.messages_lost += 1
+                continue
             # every hop's queue and counters, in one pass over the plan
             qdelay = charge(size, npackets, now, traffic_class)
             if qdelay is None:
@@ -337,7 +334,8 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                         # errors out: sender-visible after the one-way
                         # delay, a gray drop with on_fail=None
                         self.messages_flaky_failed += 1
-                        if on_fail is not None:
+                        if on_fail is not None \
+                                and on_fail is not ignore_failure:
                             sim.call_at(now + delay, on_fail, DeliveryError(
                                 f"transient rpc failure at {dst_name}"))
                         continue
@@ -366,6 +364,103 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
             batch.append((Message(src, dst, src_port, dst_port, payload, size,
                                   msg_id, now), on_fail, on_delivered))
         return msg_id
+
+    def send_train(self, src: Host, dst: Host, dst_port: int,
+                   size_bytes: int, src_port: int, times, *,
+                   traffic_class: str) -> int:
+        """Send a fire-and-forget datagram from ``src_port`` to
+        ``dst_port`` (bound to :func:`discard`) at each of the ascending
+        ``times``, all before the kernel's next dispatch
+        (:meth:`Simulator.run_ahead_limit`); return how many went out.
+        The outcome is a one-delivery :meth:`send_burst` per time with
+        :func:`ignore_failure`: each packet's message id, loss and flaky
+        draws, charge and delay sums in time order; the route, the up
+        checks and the integer counters once a train."""
+        n = len(times)
+        msg_ids = self._msg_ids
+        route = None
+        if src.up and dst.up:
+            routes = self._routes_from(src)
+            route = routes.get(dst)
+            if route is None:
+                try:
+                    route = self._resolve(routes, src, dst)
+                except NoRouteError:
+                    pass
+        if route is None:
+            for _ in times:
+                next(msg_ids)
+            self.messages_dropped += n
+            return 0
+        charge, _latency, _bps, dst_name, dst_ports, plan, loss = route
+        size = size_bytes + self.HEADER_BYTES
+        npackets = max(1, (size + self.MTU - 1) // self.MTU)
+        lossy = self._loss_stream((src.name, dst_name, dst_port)).random \
+            if loss > 0.0 else None
+        flaky = self._flaky_hosts.get(dst_name)
+        qsum = self.queue_delay_s
+        lost = congested = failed = arrived = 0
+        last = None
+        for when in times:
+            next(msg_ids)
+            if lossy is not None and lossy() < loss:
+                _lose_in_flight(plan, size, npackets)
+                lost += 1
+                continue
+            qdelay = charge(size, npackets, when, traffic_class)
+            if qdelay is None:
+                congested += 1
+                continue
+            qsum += qdelay
+            arrived += 1
+            last = when
+            if flaky is not None:
+                if flaky["latency_s"] > 0.0:
+                    self.flaky_delay_s += flaky["latency_s"]
+                if flaky["rate"] > 0.0 \
+                        and flaky["rng"].random() < flaky["rate"]:
+                    failed += 1
+        self.queue_delay_s = qsum
+        self.messages_sent += n
+        self.messages_lost += lost
+        self.messages_lost_congestion += congested
+        self.messages_flaky_failed += failed
+        per_host_sent, class_bytes = self.per_host_sent, self.class_bytes
+        per_host_sent[src.name] = per_host_sent.get(src.name, 0) + n
+        class_bytes[traffic_class] = \
+            class_bytes.get(traffic_class, 0) + size * n
+        ports = src.ports
+        act = ports._activity.get(src_port) or ports.activity(src_port)
+        act.bytes_out += size * n
+        act.packets_out += npackets * n
+        act.last_activity = times[-1]
+        if arrived:
+            act = dst_ports._activity.get(dst_port) \
+                or dst_ports.activity(dst_port)
+            act.bytes_in += size * arrived
+            act.packets_in += npackets * arrived
+            act.last_activity = last
+        return n
+
+    def _resolve(self, routes: dict, src: Host, dst: Host) -> tuple:
+        """What the route to ``dst`` gives a send, resolved into ``src``'s
+        kept ``routes``; raises :class:`NoRouteError`."""
+        path = self.network.route(src.node, dst.node)
+        routes[dst] = route = (path.charge, path.latency_s,
+                               path.bottleneck_bps, dst.name, dst.ports,
+                               path.plan, path.loss_rate)
+        return route
+
+    def _loss_stream(self, flow: tuple) -> random.Random:
+        """The loss draws of one flow, ``(src, dst, dst port)`` (a
+        one-shot flow's port is -1), seeded from the salt."""
+        rng = self._loss_rngs.get(flow)
+        if rng is None:
+            digest = hashlib.sha256(
+                f"{self._loss_salt}:{flow}".encode()).digest()
+            rng = self._loss_rngs[flow] = random.Random(
+                int.from_bytes(digest[:8], "big"))
+        return rng
 
     def _routes_from(self, src: Host) -> dict:
         """What each destination's route gives a send from ``src``, kept

@@ -10,11 +10,12 @@ windows, and drop counters move exactly as they would under real load.
 
 Background traffic is link load, not mail: a source aims at its
 destination's discard service (:func:`repro.simgrid.sockets.discard` on
-:data:`TRAFFIC_PORT`), so a packet is one timer tick and a one-delivery
-``send_burst`` that charges every hop and both port tables, on a route
-the transport already holds, and builds no message and schedules no
-arrival.
-Aimed at a port with a real listener, the same packets are delivered.
+:data:`TRAFFIC_PORT`), where a packet charges every hop and both port
+tables and builds no message and schedules no arrival.  So a storm is
+a packet train: one timer tick sends every packet due before the
+kernel's next dispatch (``Simulator.run_ahead_limit``) in one
+``send_train``, with the outcome of one tick per packet.  Aimed at a
+port with a real listener, a tick is one packet, delivered.
 
 Specs are plain data (:class:`TrafficSpec` round-trips through JSON,
 like fault plans), and every generator draws jitter from a named world
@@ -105,8 +106,9 @@ class TrafficGenerator:
     failed send — src host down, no route — is counted and tolerated:
     background traffic does not crash when the world degrades, it
     resumes when the path does).  It is a timer, not a process: each
-    tick sends one packet and re-arms itself.  :meth:`stop` is
-    idempotent and cancels the pending tick.
+    tick sends a train of packets (one, toward a real listener) and
+    re-arms itself once.  :meth:`stop` is idempotent and cancels the
+    pending tick.
     """
 
     def __init__(self, world: Any, spec: TrafficSpec):
@@ -120,9 +122,9 @@ class TrafficGenerator:
         self._timer: Optional[ScheduledCall] = None
         #: end of the run / of the on-period (None: the next tick opens one)
         self._t_end = self._burst_end = float("inf")
-        #: the stream's one source port; every packet is the same
-        #: one-delivery burst — ``(transport, src, (delivery,))`` —
-        #: which :meth:`start` builds
+        #: the stream's one source port; :meth:`start` builds the flow,
+        #: ``(transport, src, dst, (delivery,))`` — a packet toward a
+        #: real listener is that one-delivery burst
         self.src_port = world.transport.ephemeral_port()
         self._flow: Optional[tuple] = None
         #: a packet's payload: the spec's size less the header the
@@ -149,7 +151,8 @@ class TrafficGenerator:
         dst = self.world.hosts[self.spec.dst]
         packet = (dst, self.spec.port, None, self._payload_bytes,
                   self.src_port, ignore_failure, None)
-        self._flow = (transport, self.world.hosts[self.spec.src], (packet,))
+        self._flow = (transport, self.world.hosts[self.spec.src], dst,
+                      (packet,))
         # the discard service is the host's: bound by whoever needs it
         # first, unbound by nobody (a neighbour storm may still be sending)
         if dst.ports.listener(self.spec.port) is None:
@@ -164,13 +167,20 @@ class TrafficGenerator:
 
     # -- engine -------------------------------------------------------------
 
-    def _send_one(self) -> None:
-        transport, src, packet = self._flow
-        if transport.send_burst(src, packet,
-                                traffic_class=self.spec.traffic_class) is None:
-            self.send_failures += 1
+    def _send_one(self, times: list, train: bool) -> None:
+        """Send the packets due at ``times``: a train of them into the
+        discard sink, else the one packet as a one-delivery burst."""
+        transport, src, dst, packet = self._flow
+        if train:
+            sent = transport.send_train(
+                src, dst, self.spec.port, self._payload_bytes, self.src_port,
+                times, traffic_class=self.spec.traffic_class)
         else:
-            self.packets_sent += 1
+            sent = transport.send_burst(
+                src, packet, traffic_class=self.spec.traffic_class) \
+                is not None
+        self.packets_sent += sent
+        self.send_failures += len(times) - sent
 
     def _open(self, waited: bool = False) -> None:
         spec, sim = self.spec, self.world.sim
@@ -183,23 +193,42 @@ class TrafficGenerator:
         self._tick()
 
     def _tick(self) -> None:
+        """Walk the timeline from now: each step a packet or the end of a
+        rest.  Into the discard sink a packet schedules nothing, so every
+        step before the kernel's next dispatch is taken here and its
+        packets go out as one train; elsewhere a tick is one step."""
         spec, sim = self.spec, self.world.sim
-        now = sim.now
-        if now >= self._t_end:
-            self.running = False
-            return
-        if self._burst_end is None or now >= self._burst_end:
-            if self._burst_end is not None and spec.off_s > 0:
-                # on-period over: rest; the tick after it opens the next
-                self._burst_end = None
-                self._timer = sim.call_in(spec.off_s, self._tick)
-                return
-            self._burst_end = now + spec.on_s
-        self._send_one()
-        gap = self._gap
-        if spec.jitter > 0.0:
-            gap *= 1.0 + spec.jitter * (self.rng.random() - 0.5)
-        self._timer = sim.call_at(now + gap, self._tick)
+        train = self._flow[2].ports._listeners.get(spec.port) is discard
+        t = now = sim.now
+        limit = sim.run_ahead_limit() if train else now
+        times = []
+        while True:
+            if t >= self._t_end:
+                # the end is a tick of its own: only a dispatch moves
+                # the clock to it
+                if t == now:
+                    self.running = False
+                break
+            if self._burst_end is None or t >= self._burst_end:
+                if self._burst_end is not None and spec.off_s > 0:
+                    # on-period over: rest; the step after it opens the next
+                    self._burst_end = None
+                    t += spec.off_s
+                    if t < limit:
+                        continue
+                    break
+                self._burst_end = t + spec.on_s
+            times.append(t)
+            gap = self._gap
+            if spec.jitter > 0.0:
+                gap *= 1.0 + spec.jitter * (self.rng.random() - 0.5)
+            t += gap
+            if not t < limit:
+                break
+        if times:
+            self._send_one(times, train)
+        if self.running:
+            self._timer = sim.call_at(t, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TrafficGenerator {self.spec.src}->{self.spec.dst} "

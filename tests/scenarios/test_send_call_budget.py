@@ -19,11 +19,14 @@ at its own instant) plus the burst's own, at any hop count: the routes
 are already held, so nothing is resolved per burst.  As single sends
 the same messages cost the five of an idle send each.
 
-The third gate counts a storm packet — background traffic toward a
-host's discard service — from timer tick to timer tick: one kernel
-event and five calls, with no message built and no arrival left behind
-to deliver.  Toward a crashed host a tick is four calls, and the
-failure it shrugs off (``ignore_failure``) builds no ``DeliveryError``.
+The third gate counts storm packets — background traffic toward a
+host's discard service.  Every packet due before the kernel's next
+dispatch goes out in one train: one kernel event and a constant few
+calls a train, one call (``Path.charge``) a packet, with no message
+built and no arrival left behind to deliver.  Toward a crashed host a
+packet costs no call, and the failure it shrugs off
+(``ignore_failure``) builds no ``DeliveryError``; nor does a flaky
+endpoint's, which schedules nothing either.
 
 The fourth gate counts the receive side: k messages due at one instant
 are one kernel event, ``_deliver_batch``, which calls each handler (and
@@ -44,13 +47,15 @@ MAX_CALLS_PER_IDLE_SEND = 5
 MAX_CALLS_PER_BURST = 2
 #: Message(), Path.charge, Simulator.call_at
 MAX_CALLS_PER_BURST_MESSAGE = 3
-#: TrafficGenerator._tick, ._send_one, send_burst, Path.charge, and
-#: call_at for the next tick; no Message(), no route lookup, nothing
-#: for the arrival — there is none
-MAX_CALLS_PER_STORM_PACKET = 5
-#: the same, less Path.charge: the destination is down, and the
-#: ``ignore_failure`` it would go to is not called
-MAX_CALLS_PER_STORM_TICK_TO_A_DOWN_HOST = 4
+#: TrafficGenerator._tick, Simulator.run_ahead_limit, ._send_one,
+#: send_train, its kept routes (_routes_from), and call_at for the next
+#: train; no Message(), nothing for an arrival — there is none
+MAX_CALLS_PER_STORM_TRAIN = 6
+#: Path.charge, and nothing else
+MAX_CALLS_PER_STORM_PACKET = 1
+#: none: the destination is down, and the ``ignore_failure`` it would
+#: go to is not called
+MAX_CALLS_PER_STORM_PACKET_TO_A_DOWN_HOST = 0
 #: Simulator.run and what it calls once a run, whatever the window
 MAX_CALLS_PER_RUN = 4
 #: MessageTransport._deliver_batch, once per instant; beside it each
@@ -160,25 +165,38 @@ def storm_world():
     return world, a, c, gen
 
 
-def test_storm_packet_is_one_kernel_event_and_five_calls():
-    world, _a, _c, gen = storm_world()
-    tr, sim = world.transport, world.sim
-    packets, events = gen.packets_sent, sim.events_executed
+#: unrelated timers in the counted second, each ending a train: ``int``
+#: is a builtin, so firing one is no Python call
+SPLITS = 9
+
+
+def count_storm_second(world) -> tuple[int, int]:
+    """Calls and trains of the second after ``storm_world``'s."""
+    sim = world.sim
+    for k in range(1, SPLITS + 1):
+        sim.call_at(1.0 + k / (SPLITS + 1), int)
+    events = sim.events_executed
     calls = count_calls(world.run, until=2.0)
+    return calls, sim.events_executed - events - SPLITS
+
+
+def test_storm_train_is_one_kernel_event_and_one_call_a_packet():
+    world, _a, _c, gen = storm_world()
+    tr = world.transport
+    packets = gen.packets_sent
+    calls, trains = count_storm_second(world)
     n = gen.packets_sent - packets
     assert n > 100
-    assert sim.events_executed - events == n
-    assert calls <= MAX_CALLS_PER_STORM_PACKET * n + MAX_CALLS_PER_RUN, \
-        (calls, n)
+    # the packets before each split, the rest up to the horizon
+    assert trains == SPLITS + 1
+    assert calls <= MAX_CALLS_PER_STORM_PACKET * n \
+        + MAX_CALLS_PER_STORM_TRAIN * trains + MAX_CALLS_PER_RUN, (calls, n)
     assert tr.messages_sent == gen.packets_sent and tr.queue_delay_s == 0.0
     assert not tr._arrivals and not tr._flow_clock
     assert tr.delivery_wakeups == 0
 
 
-def test_storm_tick_to_a_crashed_host_is_four_calls_and_no_error(
-        monkeypatch):
-    world, a, c, gen = storm_world()
-    c.crash()
+def counting_delivery_errors(monkeypatch) -> tuple[type, list]:
     made = []
 
     class CountedDeliveryError(sockets.DeliveryError):
@@ -187,22 +205,49 @@ def test_storm_tick_to_a_crashed_host_is_four_calls_and_no_error(
             super().__init__(*args)
 
     monkeypatch.setattr(sockets, "DeliveryError", CountedDeliveryError)
-    tr, sim = world.transport, world.sim
-    failures, events = gen.send_failures, sim.events_executed
+    return CountedDeliveryError, made
+
+
+def test_storm_train_to_a_crashed_host_costs_no_call_a_packet_and_no_error(
+        monkeypatch):
+    world, a, c, gen = storm_world()
+    c.crash()
+    counted, made = counting_delivery_errors(monkeypatch)
+    tr = world.transport
+    failures = gen.send_failures
     sent, dropped = tr.messages_sent, tr.messages_dropped
-    calls = count_calls(world.run, until=2.0)
+    calls, trains = count_storm_second(world)
     n = gen.send_failures - failures
-    assert n > 100
-    assert sim.events_executed - events == n
-    assert calls <= MAX_CALLS_PER_STORM_TICK_TO_A_DOWN_HOST * n \
-        + MAX_CALLS_PER_RUN, (calls, n)
+    assert n > 100 and trains == SPLITS + 1
+    assert calls <= MAX_CALLS_PER_STORM_PACKET_TO_A_DOWN_HOST * n \
+        + MAX_CALLS_PER_STORM_TRAIN * trains + MAX_CALLS_PER_RUN, (calls, n)
     assert not made
     assert tr.messages_sent == sent and tr.messages_dropped == dropped + n
     # the counting subclass is live: a failure with an on_fail that is
     # not ignore_failure still builds its error
     heard = []
     tr.send(a, c, 5000, None, on_fail=heard.append)
-    assert made and isinstance(heard[0], CountedDeliveryError)
+    assert made and isinstance(heard[0], counted)
+
+
+def test_a_storm_into_a_flaky_host_schedules_nothing_and_builds_no_error(
+        monkeypatch):
+    """Every packet fails at the endpoint, half a second after it is
+    sent; its ``on_fail`` is ``ignore_failure``, so the failure is
+    counted and nothing is queued to report it."""
+    world, _a, _c, gen = storm_world()
+    tr, sim = world.transport, world.sim
+    tr.set_flaky_host("c", rate=1.0, latency_s=0.5)
+    _counted, made = counting_delivery_errors(monkeypatch)
+    packets = gen.packets_sent
+    assert sim.pending_events == 1          # the storm's next train
+    world.run(until=2.0)
+    n = gen.packets_sent - packets
+    assert n > 100 and tr.messages_flaky_failed == n
+    assert tr.flaky_delay_s == 0.5 * n
+    assert sim.pending_events == 1 and not made
+    world.stop_traffic()
+    assert sim.pending_events == 0
 
 
 def calls_per_arrival_batch(world, src, dst, *, k: int,

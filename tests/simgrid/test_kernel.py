@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simgrid import (AllOf, AnyOf, EventFlag, Interrupt,
                            SimulationError, Simulator, Timeout, WaitEvent)
@@ -544,3 +548,153 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
+
+
+# -- running ahead: Simulator.run_ahead_limit ---------------------------------
+
+
+class TestRunAheadLimit:
+    def test_outside_run_it_is_now(self, sim):
+        sim.call_at(5.0, lambda: None)
+        assert sim.run_ahead_limit() == sim.now == 0.0
+
+    def test_the_heap_head_or_just_past_until(self, sim):
+        seen = []
+
+        def probe():
+            seen.append(sim.run_ahead_limit())
+        sim.call_at(1.0, probe)
+        sim.call_at(3.0, lambda: None)
+        sim.run(until=2.0)
+        sim.call_at(2.5, probe)
+        sim.run()
+        assert seen == [math.nextafter(2.0, math.inf), 3.0]
+
+    def test_a_cancelled_head_still_bounds_it(self, sim):
+        seen = []
+        sim.call_at(1.0, lambda: seen.append(sim.run_ahead_limit()))
+        sim.call_at(2.0, lambda: None).cancel()
+        sim.run()
+        assert seen == [2.0]
+
+    def test_it_is_now_with_a_call_due_now_a_stop_or_max_events(self, sim):
+        seen = []
+
+        def probe(then=None):
+            if then is not None:
+                then()
+            seen.append(sim.run_ahead_limit())
+        sim.call_at(1.0, probe, lambda: sim.call_soon(int))
+        sim.call_at(2.0, probe, sim.stop)
+        sim.run()
+        sim.call_at(3.0, probe)
+        sim.run(max_events=5)
+        assert seen == [1.0, 2.0, 3.0]
+
+
+#: every time in the oracle is a multiple of this, so float sums are
+#: exact and ticks land on other calls' times and on horizons
+STEP = 0.25
+#: a ticker stops after this many ticks, so a run without a horizon ends
+TICKS = 40
+
+
+class Ticking:
+    """A simulator with one ticker beside the calls a script makes.
+    The ticker's tick records itself and re-arms ``gaps`` later (cycled).
+    A stepping ticker re-arms after every tick; one that runs ahead
+    records every tick below :meth:`Simulator.run_ahead_limit` inline
+    and re-arms once — the two must be indistinguishable.  The last
+    tick, which does not re-arm, is always a dispatch of its own: the
+    clock moves only at dispatches."""
+
+    def __init__(self, ahead: bool, gaps: list):
+        self.sim = Simulator()
+        self.ahead, self.gaps = ahead, gaps
+        self.ticks = 0
+        self.trace: list = []
+        self.handles: list = []
+        self.ticker = None
+
+    def tick(self) -> None:
+        sim = self.sim
+        t = sim.now
+        limit = sim.run_ahead_limit() if self.ahead else t
+        while True:
+            self.trace.append(("tick", t))
+            self.ticks += 1
+            if self.ticks == TICKS:
+                return
+            t += self.gaps[self.ticks % len(self.gaps)] * STEP
+            if not t < limit or self.ticks + 1 == TICKS:
+                break
+        self.ticker = sim.call_at(t, self.tick)
+
+    def fire(self, label: int, actions: tuple) -> None:
+        self.trace.append((label, self.sim.now))
+        for action in actions:
+            self.apply(action)
+
+    def apply(self, op: tuple) -> None:
+        sim, kind = self.sim, op[0]
+        if kind == "at":
+            self.handles.append(sim.call_at(sim.now + op[1] * STEP, self.fire,
+                                            op[2], op[3]))
+        elif kind == "soon":
+            self.handles.append(sim.call_soon(self.fire, op[1], op[2]))
+        elif kind == "cancel":
+            if self.handles:
+                self.handles[op[1] % len(self.handles)].cancel()
+        elif kind == "stop":
+            sim.stop()
+        elif kind == "ticker":
+            if self.ticker is None:
+                self.ticker = sim.call_at(sim.now + op[1] * STEP, self.tick)
+        else:
+            assert kind == "run"
+            until = None if op[1] is None else sim.now + op[1] * STEP
+            sim.run(until=until, max_events=op[2])
+
+    def state(self) -> tuple:
+        return list(self.trace), self.sim.now, self.sim.pending_events
+
+
+labels = st.integers(0, 999)
+# what a fired call does: queue more, cancel, stop the run
+actions = st.lists(st.one_of(
+    st.tuples(st.just("at"), st.integers(0, 6), labels, st.just(())),
+    st.tuples(st.just("soon"), labels, st.just(())),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.just("stop"))), max_size=3).map(tuple)
+script_ops = st.one_of(
+    st.tuples(st.just("at"), st.integers(1, 12), labels, actions),
+    st.tuples(st.just("at"), st.integers(1, 12), labels, actions),
+    st.tuples(st.just("soon"), labels, actions),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.just("ticker"), st.integers(0, 4)),
+    st.tuples(st.just("run"), st.one_of(st.none(), st.integers(0, 12)),
+              st.one_of(st.none(), st.none(), st.integers(0, 8))),
+    st.tuples(st.just("run"), st.integers(0, 12), st.none()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       start=st.integers(0, 3), script=st.lists(script_ops, max_size=30))
+def test_running_ahead_is_stepping(gaps, start, script):
+    """The oracle for :meth:`Simulator.run_ahead_limit`: a ticker that
+    runs ahead leaves the same dispatch trace, clock and pending count
+    as one that steps, through calls queued at and between its ticks,
+    cancels (of the heap head too), ``call_soon`` from inside a call,
+    ``stop`` and ``run(until=, max_events=)`` windows.  Checked against
+    these mutations of the bound, each of which fails it: the heap head
+    allowed (``<=``), ``until`` ignored, the immediate queue ignored,
+    ``max_events`` ignored."""
+    twins = [Ticking(ahead, gaps) for ahead in (False, True)]
+    for twin in twins:
+        twin.apply(("ticker", start))
+    for op in script + [("run", None, None)]:
+        states = []
+        for twin in twins:
+            twin.apply(op)
+            states.append(twin.state())
+        assert states[0] == states[1], op

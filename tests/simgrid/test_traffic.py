@@ -7,6 +7,7 @@ import pytest
 
 from repro.simgrid import FaultPlan, GridWorld
 from repro.simgrid.faults import FaultError
+from repro.simgrid.kernel import Simulator
 from repro.simgrid.sockets import discard
 from repro.simgrid.traffic import (TRAFFIC_KINDS, TRAFFIC_PORT,
                                    TrafficGenerator, TrafficSpec)
@@ -151,14 +152,54 @@ class TestDiscardSink:
         tr = world.transport
         assert tr.messages_sent == gen.packets_sent > 0
         assert tr.delivery_wakeups == 0
-        # one kernel event a packet (the first is the one start() queued)
-        assert world.sim.events_executed == gen.packets_sent
+        # one kernel event a train, not a packet: with nothing else
+        # queued, the tick start() queued sends every packet up to the
+        # horizon
+        assert world.sim.events_executed == 1
         sink = c.ports.activity(TRAFFIC_PORT)
         assert sink.bytes_in == gen.bytes_sent == 1000 * gen.packets_sent
         assert a.ports.activity(gen.src_port).bytes_out == gen.bytes_sent
         assert tr.class_bytes == {"background": gen.bytes_sent}
         world.stop_traffic()
         assert world.sim.pending_events == 0
+
+    @pytest.mark.parametrize("fields, sources", [
+        (dict(duration=0.75), "a"),
+        (dict(kind="onoff", on_s=0.1, off_s=0.05, duration=0.6), "a"),
+        (dict(kind="onoff", on_s=0.1, off_s=0.05, duration=0.6), "ab"),
+        (dict(kind="onoff", on_s=0.1, off_s=0.0, start=0.2, duration=0.5),
+         "ab")])
+    def test_a_storm_in_trains_is_a_storm_in_ticks(self, fields, sources,
+                                                   monkeypatch):
+        """Storms into one sink, run to the end without a horizon: sent
+        in trains, and with the kernel's run-ahead bound pinned to
+        ``now`` (one tick per dispatch), every counter, link and clock
+        reading is the same — the run ends on the last tick either way."""
+        def storm_run():
+            world, a, b, c = self.three_hosts()
+            gens = [world.start_traffic(dict(
+                src=src, dst="c", rate_bps=rate, packet_bytes=1500,
+                jitter=0.3, seed=seed, **fields))
+                for src, rate, seed in (("a", 9e6, 1), ("b", 5e6, 2))
+                if src in sources]
+            world.run()
+            tr = world.transport
+            return (world.now, world.sim.pending_events,
+                    [(g.packets_sent, g.send_failures, g.running)
+                     for g in gens],
+                    tr.messages_sent, tr.queue_delay_s, tr.class_bytes,
+                    [link.queue_stats() for link in world.network.links()],
+                    [(act.bytes_in, act.bytes_out, act.last_activity)
+                     for host in (a, b, c)
+                     for act in host.ports._activity.values()]), \
+                world.sim.events_executed
+        trains, dispatches = storm_run()
+        monkeypatch.setattr(Simulator, "run_ahead_limit",
+                            lambda sim: sim.now)
+        ticks, stepped = storm_run()
+        assert trains == ticks
+        # two storms bound each other's trains: fewer dispatches, not one
+        assert dispatches <= (2 if sources == "a" else stepped - 1)
 
     def test_bytes_sent_counts_what_the_wire_carries(self):
         # a packet smaller than the header still carries a byte of

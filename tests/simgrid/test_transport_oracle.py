@@ -317,6 +317,11 @@ class Twin:
                 "src": src, "dst": dst, "rate_bps": rate_bps,
                 "packet_bytes": packet_bytes, "duration": duration,
                 "jitter": 0.2, "seed": seed}))
+        elif kind == "at":
+            # an op applied by a kernel call at an absolute instant
+            world.sim.call_at(op[1], self.apply, op[2])
+        elif kind == "run_to":
+            world.run(until=op[1])
         else:
             assert kind == "wait"
             world.run(until=world.now + op[1])
@@ -685,3 +690,63 @@ def test_sink_twins_through_a_flaky_crashing_congested_destination():
     assert sum(g.send_failures for g in fast.storms) > 100     # b1 was down
     assert {a[0] for a in fast.arrivals} >= {1, 7, 9, 11, 12, 20, 23}
     assert not tr._arrivals and not slow._arrivals
+
+
+def storm_packet_times(seed: int, storms: list) -> list:
+    """When the ``storms`` ops' packets leave, from a probe twin whose
+    discard port is a recording look-alike: a storm's timeline is its
+    own (the network never moves it), so a packet of it leaves at one of
+    these instants in any script that starts the same storms."""
+    times: list = []
+    probe = Twin(seed, model=False,
+                 sink=lambda msg, transport: times.append(msg.sent_at))
+    run_pair(probe, probe, storms)
+    return sorted(set(times))
+
+
+def test_storm_trains_are_storm_packets():
+    """The sink twins on one fixed script built to end trains in every
+    way: two overlapping storms from one host (one uplink, two
+    timelines that bound each other's trains) toward a trunk they
+    overflow, a monitoring send queued for the instant of a storm
+    packet, a run that ends on a packet's instant, and a destination
+    crash and a trunk going down (a route change) between trains.  In
+    the discard twin the storms go out in trains, in the look-alike
+    twin one packet a dispatch, and everything but arrivals agrees.
+
+    Checked against these mutations of ``send_train``, each of which
+    fails it: the destination port's ``last_activity`` taken from the
+    train's last packet sent rather than its last one that got through,
+    ``queue_delay_s`` summed after the train instead of per packet, and
+    the route kept across a move of the network's epoch."""
+    def send(tag, src="a2", dst="b1"):
+        return ("send", src, dst, 5000, 1436, "monitoring", False, tag)
+
+    def back(tag):      # against the storms: its queue is idle
+        return send(tag, "b1", "a2")
+    storms = [("storm", "a1", "b1", 2 * WAN_BPS, 8192, 1.5, 1),
+              ("storm", "a1", "b1", 6 * WAN_BPS, 1500, 1.5, 2)]
+    times = storm_packet_times(11, storms)
+    after = [next(t for t in times if t > at) for at in (0.25, 0.3, 0.6)]
+    script = storms + [
+        # the first: a storm's next tick, already queued; the second
+        # is queued ahead of its packet's tick
+        ("wait", 0.25), ("at", after[0], send(1)), ("at", after[1], send(2)),
+        ("run_to", after[2]), back(3),
+        ("host", "b1", False), ("wait", 0.1), ("host", "b1", True),
+        ("wait", 0.1), back(4),
+        ("updown", "swA--r1", False), ("wait", 0.2), back(5),
+        ("updown", "swA--r1", True), ("wait", 0.2), back(6),
+    ]
+    fast, full = run_sink_twins(11, script)
+    assert_sink_twins_agree(fast, full)
+    tr = fast.world.transport
+    arrivals = {a[0]: a for a in fast.arrivals}
+    assert set(arrivals) == {1, 2, 3, 4, 5, 6}
+    assert [arrivals[tag][1] for tag in (1, 2, 3)] == after
+    assert tr.messages_lost_congestion > 100 and tr.queue_delay_s > 0.0
+    assert sum(g.send_failures for g in fast.storms) > 10     # b1 was down
+    # the detour's links carried storm packets while the trunk was down
+    assert fast.links["r2--r3"].class_bytes.get("background", 0) > 0
+    assert fast.world.sim.events_executed \
+        < full.world.sim.events_executed / 2
