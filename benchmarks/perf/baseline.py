@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from dataclasses import field as _dc_field
 from typing import Any, Callable, Generator, Optional
 
-from repro.simgrid.kernel import Interrupt, Timeout
+from repro.simgrid.kernel import Timeout
 from repro.ulm import EPOCH, ULMMessage
 from repro.ulm.fields import DATE, HOST, LVL, PROG, is_valid_field_name
 from repro.ulm.parse import ParseError
@@ -178,12 +178,12 @@ def seed_directory_search(server, base, filter_text, scope: str = "sub"):
 #
 # The kernel the seed tree shipped: every scheduled call — including the
 # zero-delay wake-ups behind EventFlag.trigger, process steps, and bare
-# yields — is a heap push/pop of an order-comparable dataclass; `throw`
-# allocates a wrapper lambda per call; cancelled entries linger in the
-# heap until popped; pending_events is an O(n) scan.  The sim_kernel
-# benchmarks assert output parity against repro.simgrid.kernel and
-# report speedup = current/seed.  Wait conditions (Timeout) are shared
-# with the current kernel so only dispatch cost is compared.
+# yields — is a heap push/pop of an order-comparable dataclass;
+# cancelled entries linger in the heap until popped; pending_events is
+# an O(n) scan.  The sim_kernel benchmarks assert output parity against
+# repro.simgrid.kernel and report speedup = current/seed.  Wait
+# conditions (Timeout) are shared with the current kernel so only
+# dispatch cost is compared.
 
 
 @dataclass(order=True)
@@ -264,17 +264,13 @@ class SeedProcess:
     def _start(self) -> None:
         self.sim.call_in(0.0, self._step, None)
 
-    def _step(self, send_value: Any, *,
-              throw: Optional[BaseException] = None) -> None:
+    def _step(self, send_value: Any) -> None:
         if not self.alive:
             return
         self._pending_cancel = None
         try:
-            if throw is not None:
-                condition = self.gen.throw(throw)
-            else:
-                condition = self.gen.send(send_value)
-        except (StopIteration, Interrupt):
+            condition = self.gen.send(send_value)
+        except StopIteration:
             self._finish()
             return
         if isinstance(condition, Timeout):
@@ -292,14 +288,6 @@ class SeedProcess:
     def _finish(self) -> None:
         self.alive = False
         self.done.trigger(None)
-
-    def interrupt(self, cause: Any = None) -> None:
-        if not self.alive:
-            return
-        if self._pending_cancel is not None:
-            self._pending_cancel.cancel()
-            self._pending_cancel = None
-        self.sim.call_in(0.0, self._step, None, throw=Interrupt(cause))
 
     def kill(self) -> None:
         if not self.alive:
@@ -319,21 +307,16 @@ class SeedSimulator:
         self._queue: list = []
         self._seq = 0
 
-    def call_at(self, when: float, fn: Callable, *args: Any,
-                throw: Optional[BaseException] = None) -> SeedScheduledCall:
+    def call_at(self, when: float, fn: Callable, *args: Any) -> SeedScheduledCall:
         if when < self.now:
             raise RuntimeError("cannot schedule into the past")
         self._seq += 1
-        if throw is not None:
-            orig = fn
-            fn = lambda _v, _orig=orig, _t=throw: _orig(_v, throw=_t)  # noqa: E731
         call = SeedScheduledCall(when, self._seq, fn, args)
         heapq.heappush(self._queue, call)
         return call
 
-    def call_in(self, delay: float, fn: Callable, *args: Any,
-                throw: Optional[BaseException] = None) -> SeedScheduledCall:
-        return self.call_at(self.now + delay, fn, *args, throw=throw)
+    def call_in(self, delay: float, fn: Callable, *args: Any) -> SeedScheduledCall:
+        return self.call_at(self.now + delay, fn, *args)
 
     def spawn(self, gen: Generator, name: str = "") -> SeedProcess:
         proc = SeedProcess(self, gen, name=name)

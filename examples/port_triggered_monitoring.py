@@ -61,7 +61,7 @@ def main() -> None:
         for i in range(3):
             print(f"t={world.now:5.1f}  FTP transfer #{i + 1} starts")
             proc = ftp_transfer(world, client, server, nbytes=30_000_000)
-            yield proc
+            yield proc.done
             print(f"t={world.now:5.1f}  transfer #{i + 1} done; idle period")
             yield Timeout(25.0)
 

@@ -16,9 +16,9 @@ While enabled, the kernel:
   alive);
 * stamps flag-waiter callbacks with their process and wait token so
   teardown can *see* a stale registration;
-* rejects cross-world waits immediately (a process yielding a flag or
-  process of another simulator raises :class:`SanitizeError` at the
-  wait point, where the stack still names the culprit).
+* rejects cross-world waits immediately (a process yielding a flag of
+  another simulator raises :class:`SanitizeError` at the wait point,
+  where the stack still names the culprit).
 
 ``Simulator.sanitize_check()`` (or ``GridWorld.sanitize_check()``) then
 audits, raising :class:`SanitizeError` listing every violation:

@@ -14,10 +14,7 @@ session is active.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..simgrid.host import Host
-from ..simgrid.kernel import Timeout, WaitEvent
 from ..simgrid.world import GridWorld
 
 __all__ = ["FTPServer", "ftp_transfer", "FTP_CONTROL_PORT", "FTP_DATA_PORT"]
@@ -70,7 +67,7 @@ def ftp_transfer(world: GridWorld, client: Host, server: Host, *,
                               rng_name=f"ftp:{world.sim.serial('ftp-xfer')}",
                               rwnd_bytes=rwnd_bytes)
         flow.transfer(nbytes)
-        stats = yield WaitEvent(flow.done)
+        stats = yield flow.done
         # polite QUIT on the control channel
         yield world.transport.request(client, server, FTP_CONTROL_PORT,
                                       {"cmd": "QUIT"}, size_bytes=64)

@@ -13,7 +13,7 @@ harness behind experiment E3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..simgrid.host import Host
 from ..simgrid.world import GridWorld

@@ -24,7 +24,7 @@ from typing import Any, Optional
 
 from ..netlogger.api import NetLogger
 from ..simgrid.host import Host
-from ..simgrid.kernel import Timeout, WaitEvent
+from ..simgrid.kernel import Timeout
 from ..simgrid.world import GridWorld
 from .dpss import DPSSCluster, DPSSSession
 
@@ -96,7 +96,7 @@ class MatisseViewer:
             frame_id += 1
             requested_at = self.sim.now
             self._log("MPLAY_START_READ_FRAME", frame_id)
-            yield WaitEvent(self.session.read(self.frame_bytes))
+            yield self.session.read(self.frame_bytes)
             self._log("MPLAY_END_READ_FRAME", frame_id)
             # decode + display: a CPU burst on the viewer host
             self._log("MPLAY_START_PUT_IMAGE", frame_id)

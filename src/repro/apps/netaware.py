@@ -24,7 +24,7 @@ from typing import Any, Optional
 
 from ..core.directory import unwrap_directory
 from ..simgrid.host import Host
-from ..simgrid.kernel import Timeout, WaitEvent
+from ..simgrid.kernel import Timeout
 from ..simgrid.world import GridWorld
 
 __all__ = ["NetworkAwareClient", "PathMonitor", "publish_path_summary",
@@ -204,7 +204,7 @@ class NetworkAwareClient:
 
         def run():
             flow.transfer(nbytes)
-            stats = yield WaitEvent(flow.done)
+            stats = yield flow.done
             return stats
 
         return self.world.sim.spawn(run(), name=f"netaware[{self.host.name}]")

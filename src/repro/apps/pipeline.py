@@ -26,7 +26,7 @@ import itertools
 from typing import Any, Optional, Sequence
 
 from ..simgrid.host import Host
-from ..simgrid.kernel import Timeout, WaitEvent
+from ..simgrid.kernel import Timeout
 from ..simgrid.world import GridWorld
 from .dpss import DPSSCluster, DPSSSession
 from .matisse import FRAME_BYTES
@@ -131,7 +131,7 @@ class MatissePipeline:
             frame_id = next(self._next_frame)
             # 1. storage -> compute (WAN striped read)
             self._log("MPIPE_START_READ", frame_id, node)
-            yield WaitEvent(session.read(self.frame_bytes))
+            yield session.read(self.frame_bytes)
             self._log("MPIPE_END_READ", frame_id, node)
             # 2. analysis on the compute node
             self._log("MPIPE_START_ANALYZE", frame_id, node)
@@ -141,7 +141,7 @@ class MatissePipeline:
             self._log("MPIPE_END_ANALYZE", frame_id, node)
             # 3. compute -> viz (LAN result transfer)
             self._log("MPIPE_START_SEND", frame_id, node)
-            yield WaitEvent(result_flow.request(self.result_bytes))
+            yield result_flow.request(self.result_bytes)
             self._log("MPIPE_END_SEND", frame_id, self.viz)
             # 4. display
             self._log("MPIPE_START_DISPLAY", frame_id, self.viz)

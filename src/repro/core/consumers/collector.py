@@ -10,8 +10,6 @@ a file for use by programs such as nlv."
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from ...netlogger.collect import LogWindow, sort_log
 from ...ulm import ULMMessage
 from .base import Consumer

@@ -10,7 +10,7 @@ both the primary and backup servers are down."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ...ulm import ULMMessage
 from .base import Consumer

@@ -7,8 +7,8 @@ processes, send email to a system administrator, or call a pager."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ...ulm import ULMMessage
 from .base import Consumer

@@ -14,7 +14,7 @@ from typing import Any, Iterable, Optional
 
 from ...simgrid.kernel import EventFlag
 from ..resilience import ResiliencePolicy
-from .entry import DN, Entry
+from .entry import Entry
 from .server import (DirectoryError, DirectoryServer, LDAP_PORT, Referral,
                      SearchResult)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import fnmatch
 import re
 from functools import lru_cache
-from typing import Optional
 
 from .entry import Entry
 

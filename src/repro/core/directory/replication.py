@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence
 
 from .client import DirectoryClient
-from .server import Backend, DirectoryError, DirectoryServer, LDAPBackend
+from .server import DirectoryError, DirectoryServer, LDAPBackend
 
 __all__ = ["DirectoryReplicator", "ReplicatedDirectory",
            "deploy_replicated_directory"]

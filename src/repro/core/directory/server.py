@@ -461,7 +461,7 @@ class DirectoryServer:
                 continue
             snapshot = entry.copy()
             if ps.callback is not None:
-                self.sim.call_in(0.0, ps.callback, op, snapshot)
+                self.sim.call_soon(ps.callback, op, snapshot)
             if ps.remote is not None and self.transport is not None \
                     and self.host is not None:
                 dst_host, dst_port = ps.remote
@@ -481,10 +481,9 @@ class DirectoryServer:
         self._queue_flag.trigger()
 
     def _serve(self):
-        from ...simgrid.kernel import WaitEvent
         while True:
             while not self._queue:
-                yield WaitEvent(self._queue_flag)
+                yield self._queue_flag
             arrived, request, msg = self._queue.pop(0)
             op = request.get("op", "search")
             cost = (self.backend.read_cost if op == "search"

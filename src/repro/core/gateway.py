@@ -255,7 +255,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             # ``handle.events()`` and attached callbacks observe them
             sub.delivered += 1
             self.events_delivered += 1
-            self.sim.call_in(0.0, sub._dispatch, msg)
+            self.sim.call_soon(sub._dispatch, msg)
         elif self.transport is not None and self.host is not None:
             frame = rendered.get(sub.wire_fmt)
             if frame is None:

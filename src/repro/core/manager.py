@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..simgrid.kernel import Timeout, WaitEvent
+from ..simgrid.kernel import Timeout
 from ..simgrid.sockets import ignore_failure
 from ..ulm import Frame
 from .config import ConfigError, JAMMConfig
@@ -109,12 +109,7 @@ class SensorManager:
         if self.config_http is not None:
             self._fetch_config_now()
         self._apply_config(initial=True)
-        if self.config_http is not None:
-            self._refresher = self.sim.spawn(
-                self._refresh_loop(), name=f"mgr-refresh[{self.host.name}]")
-        if self.supervision_interval is not None:
-            self._supervisor = self.sim.spawn(
-                self._supervise_loop(), name=f"mgr-supervise[{self.host.name}]")
+        self._spawn_loops()
 
     def stop(self) -> None:
         self.running = False
@@ -123,6 +118,16 @@ class SensorManager:
             self.port_monitor.stop()
         for name in list(self.sensors):
             self.stop_sensor(name)
+
+    def _spawn_loops(self) -> None:
+        """The config refresh loop (when configured over HTTP), then the
+        supervisor (unless supervision is off)."""
+        if self.config_http is not None:
+            self._refresher = self.sim.spawn(
+                self._refresh_loop(), name=f"mgr-refresh[{self.host.name}]")
+        if self.supervision_interval is not None:
+            self._supervisor = self.sim.spawn(
+                self._supervise_loop(), name=f"mgr-supervise[{self.host.name}]")
 
     def _kill_loops(self) -> None:
         for proc in (self._refresher, self._supervisor):
@@ -134,8 +139,8 @@ class SensorManager:
     # -- configuration -------------------------------------------------------------
 
     def _fetch_config_now(self) -> bool:
-        """Synchronously load the HTTP config document (local-fetch
-        semantics; the periodic loop uses the networked path)."""
+        """Synchronously load the HTTP config document (a local fetch,
+        at start and at every refresh); True if a new version loaded."""
         server, path = self.config_http
         try:
             doc = server.get_local(path)
@@ -157,14 +162,9 @@ class SensorManager:
         return True
 
     def _refresh_loop(self):
-        server, path = self.config_http
         while self.running:
             yield Timeout(self.refresh_interval)
-            try:
-                doc = server.get_local(path)
-            except Exception:
-                continue
-            if self._ingest_config_doc(doc.body, f"v{doc.version}"):
+            if self._fetch_config_now():
                 self._apply_config()
 
     def _apply_config(self, *, initial: bool = False) -> None:
@@ -368,12 +368,7 @@ class SensorManager:
             self._directory_publish(name, self.sensors[name], status=status)
         if self.port_monitor is not None:
             self.port_monitor.start()
-        if self.config_http is not None:
-            self._refresher = self.sim.spawn(
-                self._refresh_loop(), name=f"mgr-refresh[{self.host.name}]")
-        if self.supervision_interval is not None:
-            self._supervisor = self.sim.spawn(
-                self._supervise_loop(), name=f"mgr-supervise[{self.host.name}]")
+        self._spawn_loops()
 
     # -- forwarding switches (called by the gateway) ------------------------------------
 

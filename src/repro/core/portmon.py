@@ -22,7 +22,7 @@ when a port is active, or add a new port of interest") maps to
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..simgrid.kernel import Timeout
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..apps.netaware import DEFAULT_BUFFER, NetworkAwareClient, PathMonitor
+from ..apps.netaware import NetworkAwareClient, PathMonitor
 from ..core import JAMMDeployment
 from ..core.config import JAMMConfig
 from ..simgrid import FaultPlan, GridWorld

@@ -32,7 +32,7 @@ import json
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..core import JAMMDeployment
 from ..core.archive import (ArchiveQuery, EventArchive, RetentionPolicy,

@@ -14,9 +14,8 @@ from .faults import (FAULT_KINDS, FaultError, FaultEvent, FaultInjector,
                      FaultPlan)
 from .host import Host, NICModel, PortActivity, PortTable, TokenBucket
 from .httpd import HTTPClient, HTTPError, HTTPServer
-from .kernel import (AllOf, AnyOf, EventFlag, Interrupt, Process,
-                     ScheduledCall, SimulationError, Simulator, Timeout,
-                     WaitEvent)
+from .kernel import (AllOf, EventFlag, Process, ScheduledCall,
+                     SimulationError, Simulator, Timeout)
 from .network import (InterfaceCounters, Link, NetNode, Network, NoRouteError,
                       Path, RouterNode, SwitchNode)
 from .processes import OSProcess, ProcessTable, ProcState
@@ -30,16 +29,16 @@ from .tcp import TCPFlow, TCPStats, poisson_draw
 from .world import GridWorld
 
 __all__ = [
-    "AllOf", "AnyOf", "ActivationSpec", "CPUModel", "CPUSample",
-    "DeliveryError", "EventFlag", "FAULT_KINDS", "FaultError", "FaultEvent",
-    "FaultInjector", "FaultPlan", "GridWorld", "Host", "HostClock",
-    "HTTPClient", "HTTPError", "HTTPServer", "InterfaceCounters",
-    "Interrupt", "Link", "Message", "MessageTransport", "MemoryModel",
-    "MemorySample", "NetNode", "Network", "NICModel", "NoRouteError",
-    "NTPDaemon", "NTPServer", "OID", "OSProcess", "Path", "PortActivity",
-    "PortTable", "Process", "ProcessTable", "ProcState", "RandomStreams",
-    "RemoteRef", "RMIDaemon", "RMIError", "RMI_PORT", "RouterNode",
-    "ScheduledCall", "SimulationError", "Simulator", "SNMPAgent",
-    "SNMPManager", "SwitchNode", "TCPFlow", "TCPStats", "Timeout",
-    "TokenBucket", "WaitEvent", "exported_methods", "poisson_draw",
+    "AllOf", "ActivationSpec", "CPUModel", "CPUSample", "DeliveryError",
+    "EventFlag", "FAULT_KINDS", "FaultError", "FaultEvent", "FaultInjector",
+    "FaultPlan", "GridWorld", "Host", "HostClock", "HTTPClient",
+    "HTTPError", "HTTPServer", "InterfaceCounters", "Link", "Message",
+    "MessageTransport", "MemoryModel", "MemorySample", "NetNode", "Network",
+    "NICModel", "NoRouteError", "NTPDaemon", "NTPServer", "OID",
+    "OSProcess", "Path", "PortActivity", "PortTable", "Process",
+    "ProcessTable", "ProcState", "RandomStreams", "RemoteRef", "RMIDaemon",
+    "RMIError", "RMI_PORT", "RouterNode", "ScheduledCall",
+    "SimulationError", "Simulator", "SNMPAgent", "SNMPManager",
+    "SwitchNode", "TCPFlow", "TCPStats", "Timeout", "TokenBucket",
+    "exported_methods", "poisson_draw",
 ]

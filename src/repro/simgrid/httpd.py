@@ -127,7 +127,7 @@ class HTTPClient:
                 else:
                     flag.trigger({"status": 200, "etag": doc.etag,
                                   "body": doc.body, "version": doc.version})
-            self.sim.call_in(0.0, local)
+            self.sim.call_soon(local)
             return flag
         rpc = self.transport.request(self.host, server.host,
                                      HTTPServer.HTTP_PORT,

@@ -5,9 +5,13 @@ discrete-event simulator.  The kernel provides:
 
 * :class:`Simulator` — a priority-queue event loop with virtual time.
 * :class:`Process` — generator-based cooperative processes.  A process
-  body is a Python generator that ``yield``\\ s *wait conditions*
-  (:class:`Timeout`, :class:`WaitEvent`, or another :class:`Process`),
-  in the style of SimPy, mpi4py-free and dependency-free.
+  body is a Python generator that ``yield``\\ s one of four waits: a
+  bare ``yield`` (a cooperative yield point), a :class:`Timeout`, an
+  :class:`EventFlag` (a process's end is its ``done`` flag) or an
+  :class:`AllOf`, in the style of SimPy, mpi4py-free and
+  dependency-free.  Processes are started and killed, never
+  interrupted; yielding anything else throws :class:`SimulationError`
+  into the process at its yield point.
 * :class:`EventFlag` — a one-shot or reusable synchronization point that
   processes can wait on and that callbacks can be attached to.
 
@@ -32,8 +36,8 @@ sorted sequences, so the executed order is *identical* to the single
 heap's ``(time, seq)`` order (the determinism audit in
 ``tests/scenarios/test_determinism_audit.py`` proves this bit-for-bit).
 Cancelled calls are discarded lazily on pop; when cancelled entries
-come to dominate the heap (interrupt/kill-heavy fault runs) it is
-compacted in place, and ``pending_events`` is a live O(1) counter.
+come to dominate the heap (kill-heavy fault runs) it is compacted in
+place, and ``pending_events`` is a live O(1) counter.
 """
 
 from __future__ import annotations
@@ -47,11 +51,8 @@ __all__ = [
     "Simulator",
     "Process",
     "Timeout",
-    "WaitEvent",
     "AllOf",
-    "AnyOf",
     "EventFlag",
-    "Interrupt",
     "SimulationError",
     "ScheduledCall",
 ]
@@ -59,18 +60,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling into the past)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +81,6 @@ class Timeout:
         return f"Timeout({self.delay!r})"
 
 
-class WaitEvent:
-    """Yielded by a process to block until ``flag`` is triggered.
-
-    The process resumes with the value the flag was triggered with.
-    """
-
-    __slots__ = ("flag",)
-
-    def __init__(self, flag: "EventFlag"):
-        self.flag = flag
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"WaitEvent({self.flag!r})"
-
-
 class AllOf:
     """Wait until *all* of the given flags have triggered.
 
@@ -120,21 +94,6 @@ class AllOf:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AllOf({self.flags!r})"
-
-
-class AnyOf:
-    """Wait until *any* of the given flags triggers.
-
-    Resumes with a ``(flag, value)`` tuple for the first one to fire.
-    """
-
-    __slots__ = ("flags",)
-
-    def __init__(self, flags: Iterable["EventFlag"]):
-        self.flags = tuple(flags)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AnyOf({self.flags!r})"
 
 
 class EventFlag:
@@ -221,25 +180,11 @@ class ScheduledCall:
 
     A plain slotted object: heap ordering lives in the ``(time, seq,
     call)`` tuples the simulator enqueues (``(time, seq)`` is unique,
-    so the call object itself is never compared), and the optional
-    ``throw`` is a field dispatched by the event loop rather than a
-    per-call closure.
+    so the call object itself is never compared).  Only the simulator
+    makes one, with ``__new__`` and slot stores.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "throw", "cancelled", "sim",
-                 "in_heap")
-
-    def __init__(self, sim: "Simulator", time: float, seq: int, fn: Callable,
-                 args: tuple = (), throw: Optional[BaseException] = None,
-                 in_heap: bool = True):
-        self.sim = sim
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.throw = throw
-        self.cancelled = False
-        self.in_heap = in_heap
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim", "in_heap")
 
     def cancel(self) -> None:
         """Prevent the call from firing (no-op if it already fired)."""
@@ -275,8 +220,8 @@ class Process:
         self.error: Optional[BaseException] = None
         self._pending_cancel: Optional[ScheduledCall] = None
         #: bumped at every step; flag-waiter resumes registered under an
-        #: older token are stale (the wait was abandoned by an interrupt)
-        #: and must not step the process
+        #: older token are stale (the process moved on without them) and
+        #: must not step it
         self._wait_token = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -287,14 +232,6 @@ class Process:
     def _step(self, send_value: Any, *, throw: Optional[BaseException] = None) -> None:
         if not self.alive:
             return
-        if throw is not None and self._pending_cancel is not None:
-            # a same-instant resume ran between interrupt() and this
-            # throw-step and parked the process on a fresh timer; cancel
-            # it instead of orphaning it (an orphaned timer would later
-            # spuriously step the process at an unrelated wait point).
-            # Ordinary resumes ARE the pending call (already fired, so
-            # cancel would be a no-op) — only the throw path pays this.
-            self._pending_cancel.cancel()
         self._pending_cancel = None
         self._wait_token += 1
         try:
@@ -305,18 +242,12 @@ class Process:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        except Interrupt as exc:
-            # an un-caught interrupt kills the process quietly
-            self._finish(None, error=exc, failed=False)
-            return
         except BaseException as exc:  # noqa: BLE001 - surfaced via .done/.error
             self._finish(None, error=exc, failed=True)
             return
-        # the hottest waits, inline: bare `yield` (cooperative yield
-        # point, rescheduled through the O(1) immediate queue), Timeout,
-        # and a directly yielded EventFlag.  Timer waits are cancelled
-        # outright by interrupt()/kill(); flag waits instead go stale
-        # via the wait token (flags keep no per-waiter handles).
+        # kill() cancels a timer wait outright; a flag wait stays
+        # registered (flags keep no per-waiter handles) and the dead
+        # process ignores its wake-up
         if condition is None:
             self._pending_cancel = self.sim.call_soon(self._step, None)
         elif type(condition) is Timeout:
@@ -326,8 +257,11 @@ class Process:
             if condition.sim is not self.sim:
                 self._guard_world(condition)
             condition._add_waiter(self._flag_resume())
+        elif type(condition) is AllOf:
+            self._wait_all(condition.flags)
         else:
-            self._wait_on(condition)
+            self._step(None, throw=SimulationError(
+                f"process {self.name!r} yielded unsupported condition {condition!r}"))
 
     def _guard_world(self, obj: Any) -> None:
         """A wait target belongs to a different simulator.
@@ -345,10 +279,12 @@ class Process:
     def _flag_resume(self) -> Callable[[Any], None]:
         """A waiter callback valid only for the current wait.
 
-        If the process moved on before the flag fired (an interrupt
-        threw it out of the wait, or it was killed), the token no
+        If the process moved on before the flag fired, the token no
         longer matches and the wake-up is dropped instead of stepping
-        the process at some unrelated wait point.
+        the process at some unrelated wait point.  No wait leaves its
+        process that way today (a killed process is simply dead), so
+        this is a guard, and the sanitizer's stale-waiter check its
+        audit.
         """
         token = self._wait_token
 
@@ -362,50 +298,22 @@ class Process:
             resume.__repro_token__ = token
         return resume
 
-    def _wait_on(self, condition: Any) -> None:
-        if isinstance(condition, Timeout):
-            self._pending_cancel = self.sim.call_in(condition.delay, self._step, None)
-        elif isinstance(condition, WaitEvent):
-            if condition.flag.sim is not self.sim:
-                self._guard_world(condition.flag)
-            condition.flag._add_waiter(self._flag_resume())
-        elif isinstance(condition, EventFlag):
-            if condition.sim is not self.sim:
-                self._guard_world(condition)
-            condition._add_waiter(self._flag_resume())
-        elif isinstance(condition, Process):
-            if condition.sim is not self.sim:
-                self._guard_world(condition)
-            condition.done._add_waiter(self._flag_resume())
-        elif isinstance(condition, AllOf):
-            self._wait_all(condition.flags)
-        elif isinstance(condition, AnyOf):
-            self._wait_any(condition.flags)
-        elif condition is None:
-            # bare `yield` — reschedule immediately (cooperative yield point)
-            self._pending_cancel = self.sim.call_soon(self._step, None)
-        else:
-            self._step(None, throw=SimulationError(
-                f"process {self.name!r} yielded unsupported condition {condition!r}"))
-
     def _wait_all(self, flags: tuple) -> None:
         remaining = len(flags)
         values: list[Any] = [None] * len(flags)
         if remaining == 0:
             self._pending_cancel = self.sim.call_soon(self._step, [])
             return
-        resumed = [False]
         token = self._wait_token
 
         def make_cb(i: int) -> Callable[[Any], None]:
             def cb(value: Any) -> None:
                 nonlocal remaining
                 if token != self._wait_token or not self.alive:
-                    return  # stale: the wait was interrupted away
+                    return  # stale: the process moved on
                 values[i] = value
                 remaining -= 1
-                if remaining == 0 and not resumed[0]:
-                    resumed[0] = True
+                if remaining == 0:
                     self._step(values)
             if self.sim._sanitize is not None:
                 cb.__repro_proc__ = self
@@ -416,28 +324,6 @@ class Process:
             if flag.sim is not self.sim:
                 self._guard_world(flag)
             flag._add_waiter(make_cb(i))
-
-    def _wait_any(self, flags: tuple) -> None:
-        if len(flags) == 0:
-            raise SimulationError("AnyOf of zero flags would wait forever")
-        resumed = [False]
-        token = self._wait_token
-
-        def make_cb(flag: EventFlag) -> Callable[[Any], None]:
-            def cb(value: Any) -> None:
-                if token != self._wait_token or resumed[0] or not self.alive:
-                    return
-                resumed[0] = True
-                self._step((flag, value))
-            if self.sim._sanitize is not None:
-                cb.__repro_proc__ = self
-                cb.__repro_token__ = token
-            return cb
-
-        for flag in flags:
-            if flag.sim is not self.sim:
-                self._guard_world(flag)
-            flag._add_waiter(make_cb(flag))
 
     def _finish(self, value: Any, *, error: Optional[BaseException] = None,
                 failed: bool = False) -> None:
@@ -450,15 +336,6 @@ class Process:
         self.done.trigger(value if error is None else error)
 
     # -- external control ---------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if not self.alive:
-            return
-        if self._pending_cancel is not None:
-            self._pending_cancel.cancel()
-            self._pending_cancel = None
-        self.sim.call_soon(self._step, None, throw=Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process without running any more of its body."""
@@ -491,8 +368,8 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
 
     #: heap compaction: rebuild once cancelled entries exceed this count
     #: AND at least half the heap (lazy deletion stays O(1) per cancel,
-    #: but interrupt/kill-heavy fault runs must not leak cancelled calls
-    #: until their pop time comes around)
+    #: but kill-heavy fault runs must not leak cancelled calls until
+    #: their pop time comes around)
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, *, strict: bool = True,
@@ -547,8 +424,7 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
 
     # -- scheduling ---------------------------------------------------------
 
-    def call_at(self, when: float, fn: Callable, *args: Any,
-                throw: Optional[BaseException] = None) -> ScheduledCall:
+    def call_at(self, when: float, fn: Callable, *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
         now = self.now
         if when < now:
@@ -563,7 +439,6 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
         call.seq = seq
         call.fn = fn
         call.args = args
-        call.throw = throw
         call.cancelled = False
         if when == now:
             call.in_heap = False
@@ -574,13 +449,11 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
         self._pending += 1
         return call
 
-    def call_in(self, delay: float, fn: Callable, *args: Any,
-                throw: Optional[BaseException] = None) -> ScheduledCall:
+    def call_in(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
-        return self.call_at(self.now + delay, fn, *args, throw=throw)
+        return self.call_at(self.now + delay, fn, *args)
 
-    def call_soon(self, fn: Callable, *args: Any,
-                  throw: Optional[BaseException] = None) -> ScheduledCall:
+    def call_soon(self, fn: Callable, *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` at the current instant — O(1), no heap.
 
         Equivalent to ``call_in(0.0, ...)`` (which also takes this
@@ -594,7 +467,6 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
         call.seq = seq
         call.fn = fn
         call.args = args
-        call.throw = throw
         call.cancelled = False
         call.in_heap = False
         self._immediate.append(call)
@@ -638,10 +510,15 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
     def run(self, until: Optional[float] = None, *, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        Returns the virtual time at which the run stopped.
+        Returns the virtual time at which the run stopped.  An
+        ``until`` before the current time is an error, as scheduling
+        into the past is: the clock never moves back.
         """
         if self._running:
             raise SimulationError("run() re-entered")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until the past ({until} < now={self.now})")
         self._running = True
         self._stopped = False
         if max_events is None:
@@ -689,10 +566,7 @@ class Simulator:  # repro: noqa[SLOT001] — one per world, not per event
                 self.now = call.time
                 self._pending -= 1
                 call.sim = None  # fired: cancel() is a no-op from here on
-                if call.throw is not None:
-                    call.fn(*call.args, throw=call.throw)
-                else:
-                    call.fn(*call.args)
+                call.fn(*call.args)
                 if self._crashes and self.strict:
                     self._maybe_raise_crash()
         finally:

@@ -35,7 +35,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .host import Host
-from .kernel import EventFlag, Simulator, Timeout, WaitEvent
+from .kernel import EventFlag, Simulator, Timeout
 
 __all__ = ["TCPFlow", "poisson_draw", "TCPStats", "RequestFailed"]
 
@@ -313,7 +313,7 @@ class TCPFlow:
                     if state is False:
                         break
                     if state is None:
-                        yield WaitEvent(self._request_flag)
+                        yield self._request_flag
                         continue
                 if self._finished():
                     break

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .clocks import NTPDaemon, NTPServer
 from .host import Host
 from .kernel import Simulator
-from .network import Link, NetNode, Network, RouterNode, SwitchNode
+from .network import Link, NetNode, Network, SwitchNode
 from .randomness import RandomStreams
 from .snmp import SNMPAgent, SNMPManager
 from .sockets import MessageTransport

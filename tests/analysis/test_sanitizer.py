@@ -7,7 +7,7 @@ from repro.client import Delivery, SubscriptionSpec
 from repro.core import EventGateway
 from repro.core.sensors import CPUSensor
 from repro.scenarios import Scenario, run_scenario
-from repro.simgrid import GridWorld, Interrupt, Simulator, Timeout
+from repro.simgrid import GridWorld, Simulator, Timeout
 
 
 def sanitized_gateway(seed=11):
@@ -119,23 +119,25 @@ def test_kill_leaves_no_orphans():
 
 
 def test_stale_flag_waiter_raises():
+    """No wait leaves its flag registration behind any more, so the
+    stale registration is fabricated: the process's wait token moves on
+    while it is parked on the flag."""
     sim = Simulator(sanitize=True)
     flag = sim.flag("gate")
+    trace = []
 
     def worker(sim, flag):
-        try:
-            yield flag
-        except Interrupt:
-            pass
-        yield Timeout(100.0)
+        trace.append((yield flag))
 
     proc = sim.spawn(worker(sim, flag), name="w")
     sim.run(until=1.0)          # parked on the flag
-    proc.interrupt()            # abandons the wait; flag keeps the waiter
-    sim.run(until=2.0)          # now parked on the timeout
+    proc._wait_token += 1       # the wait is abandoned; flag keeps the waiter
     assert proc.alive
     with pytest.raises(SanitizeError, match="stale waiter"):
         sim.sanitize_check()
+    flag.trigger("late")        # the stale resume is dropped, not run
+    sim.run(until=2.0)
+    assert trace == [] and proc.alive
 
 
 def test_dead_process_waiter_is_inert_not_violating():
@@ -179,7 +181,7 @@ def test_cross_world_process_wait_raises():
     foreign_proc = sim_b.spawn(idle(sim_b), name="foreign")
 
     def worker(sim):
-        yield foreign_proc
+        yield foreign_proc.done
 
     sim_a.spawn(worker(sim_a), name="bad")
     with pytest.raises(SanitizeError, match="cross-world"):

@@ -11,7 +11,7 @@ from repro.core.manager import SensorManager
 from repro.core.sensors import CPUSensor
 from repro.core.subscriptions import SubscriptionSpec
 from repro.netlogger import NetLogDaemon, NetLogger
-from repro.simgrid import GridWorld, RMIDaemon, WaitEvent
+from repro.simgrid import GridWorld, RMIDaemon
 from repro.ulm import parse as parse_ulm
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgrid import (AllOf, AnyOf, EventFlag, Interrupt,
-                           SimulationError, Simulator, Timeout, WaitEvent)
+from repro.simgrid import AllOf, EventFlag, SimulationError, Simulator, Timeout
 
 
 class TestScheduling:
@@ -99,20 +98,6 @@ class TestProcesses:
         assert p.done.value == 42
         assert not p.alive
 
-    def test_wait_event_resumes_with_value(self, sim):
-        flag = sim.flag("data")
-        got = []
-
-        def waiter():
-            value = yield WaitEvent(flag)
-            got.append(value)
-
-        sim.spawn(waiter())
-        sim.call_in(3.0, flag.trigger, "payload")
-        sim.run()
-        assert got == ["payload"]
-        assert sim.now == 3.0
-
     def test_yielding_flag_directly_works(self, sim):
         flag = sim.flag()
         got = []
@@ -124,6 +109,7 @@ class TestProcesses:
         sim.call_in(1.0, flag.trigger, 7)
         sim.run()
         assert got == [7]
+        assert sim.now == 1.0
 
     def test_wait_on_already_triggered_flag_resumes_immediately(self, sim):
         flag = sim.flag()
@@ -146,7 +132,7 @@ class TestProcesses:
 
         def boss():
             w = sim.spawn(worker())
-            value = yield w
+            value = yield w.done
             results.append((sim.now, value))
 
         sim.spawn(boss())
@@ -166,34 +152,6 @@ class TestProcesses:
             sim.call_in(float(i + 1), f.trigger, i * 10)
         sim.run()
         assert got == [(3.0, [0, 10, 20])]
-
-    def test_any_of_resumes_on_first(self, sim):
-        a, b = sim.flag("a"), sim.flag("b")
-        got = []
-
-        def waiter():
-            flag, value = yield AnyOf([a, b])
-            got.append((sim.now, flag.name, value))
-
-        sim.spawn(waiter())
-        sim.call_in(2.0, b.trigger, "second-flag-first")
-        sim.call_in(5.0, a.trigger, "late")
-        sim.run()
-        assert got == [(2.0, "b", "second-flag-first")]
-
-    def test_interrupt_raises_in_process(self, sim):
-        caught = []
-
-        def proc():
-            try:
-                yield Timeout(100.0)
-            except Interrupt as exc:
-                caught.append((sim.now, exc.cause))
-
-        p = sim.spawn(proc())
-        sim.call_in(1.0, p.interrupt, "wake-up")
-        sim.run()
-        assert caught == [(1.0, "wake-up")]
 
     def test_kill_terminates_without_running_body(self, sim):
         trace = []
@@ -242,6 +200,54 @@ class TestProcesses:
         sim.run()
         assert trace == ["a", "b"]
         assert sim.now == 0.0
+
+    @pytest.mark.parametrize("target", ["process", "object", "flag list"])
+    def test_unsupported_yield_kills_process_at_its_yield_point(self, target):
+        """Only a bare yield, Timeout, EventFlag and AllOf are waits; a
+        process (wait on its ``done`` flag instead) or any other object
+        throws SimulationError into the process where it yielded, so its
+        ``finally`` runs and it dies failed."""
+        sim = Simulator(strict=False)
+
+        def idle():
+            yield Timeout(5.0)
+
+        wait = {"process": sim.spawn(idle()), "object": object(),
+                "flag list": [sim.flag("a")]}[target]
+        trace = []
+
+        def proc():
+            try:
+                yield Timeout(1.0)
+                trace.append("waiting")
+                yield wait
+                trace.append("resumed")
+            finally:
+                trace.append(("finally", sim.now))
+
+        p = sim.spawn(proc())
+        sim.run()
+        assert trace == ["waiting", ("finally", 1.0)]
+        assert p.failed and not p.alive
+        assert isinstance(p.error, SimulationError)
+        assert "unsupported condition" in str(p.error)
+        assert sim.pending_events == 0
+
+    def test_unsupported_yield_can_be_caught_at_the_yield_point(self, sim):
+        caught = []
+
+        def proc():
+            try:
+                yield "not a wait"
+            except SimulationError as exc:
+                caught.append((sim.now, "unsupported" in str(exc)))
+            yield Timeout(2.0)
+            return "carried on"
+
+        p = sim.spawn(proc())
+        sim.run()
+        assert caught == [(0.0, True)]
+        assert p.done.value == "carried on" and not p.failed
 
     def test_live_processes_tracking(self, sim):
         def proc():
@@ -336,97 +342,67 @@ class TestImmediateQueue:
         sim.run(until=5.0)
         assert fired == ["late"]
 
-    def test_interrupt_races_zero_delay_resume(self, sim):
-        """A process parked on a bare `yield` (zero-delay resume already
-        queued) that is interrupted in the same instant sees exactly one
-        Interrupt — the cancelled resume must not also step it."""
+    def test_kill_races_zero_delay_resume(self, sim):
+        """A process parked on a bare `yield` (its resume already queued)
+        and killed in the same instant runs no more of its body: kill
+        cancels the queued resume, and only the ``finally`` runs."""
         trace = []
 
         def proc():
             try:
                 yield          # zero-delay resume goes on the immediate queue
                 trace.append("resumed")
-                yield Timeout(1.0)
-            except Interrupt as exc:
-                trace.append(("interrupted", exc.cause))
+            finally:
+                trace.append(("finally", sim.now))
 
         p = sim.spawn(proc())
-        sim.call_soon(p.interrupt, "now")  # same instant as the pending resume
+        sim.call_soon(p.kill)  # queued before the resume the step will queue
         sim.run()
-        assert trace == [("interrupted", "now")]
+        assert trace == [("finally", 0.0)]
+        assert not p.alive and sim.pending_events == 0
+        assert sim.events_executed == 2   # the first step and the kill
 
-    def test_interrupted_flag_wait_leaves_no_stale_waiter(self, sim):
-        """A process thrown out of a flag wait by interrupt() must not be
-        resumed by a later trigger of that flag (the stale registration
-        is invalidated, not left to fire at an unrelated wait point)."""
-        flag = sim.flag("never-mind")
-        trace = []
-
-        def proc():
-            try:
-                yield flag
-                trace.append("flag-resumed")
-            except Interrupt:
-                yield Timeout(10.0)
-                trace.append(("timeout-done", sim.now))
-
-        p = sim.spawn(proc())
-        sim.call_in(1.0, p.interrupt)
-        sim.call_in(2.0, flag.trigger, "late")   # stale for p
-        sim.run()
-        assert trace == [("timeout-done", 11.0)]
-
-    def test_same_instant_flag_resume_then_interrupt_cancels_new_timer(self, sim):
-        """If a flag resume and an interrupt land in the same instant
-        (resume first), the resumed step may park the process on a fresh
-        Timeout before the throw-step runs.  The throw-step must cancel
-        that timer, not orphan it — an orphaned timer would later
-        spuriously step the process at an unrelated wait point."""
+    def test_same_instant_flag_resume_then_kill_cancels_new_timer(self, sim):
+        """If a flag resume and a kill land in the same instant (resume
+        first), the resumed step parks the process on a fresh Timeout
+        before the kill runs.  The kill must cancel that timer, not
+        orphan it."""
         f = sim.flag("f")
-        g = sim.flag("g")
         trace = []
 
         def proc():
-            try:
-                v = yield f
-                trace.append(("f", v, sim.now))
-                yield Timeout(10.0)          # parked again, same instant
-                trace.append(("timeout", sim.now))
-            except Interrupt:
-                trace.append(("interrupted", sim.now))
-                got = yield g                # g never triggers
-                trace.append(("g", got, sim.now))
+            v = yield f
+            trace.append(("f", v, sim.now))
+            yield Timeout(10.0)          # parked again, same instant
+            trace.append(("timeout", sim.now))
 
         p = sim.spawn(proc())
 
         def fire():
-            f.trigger("v")    # resume queued first ...
-            p.interrupt()     # ... throw queued second, same instant
+            f.trigger("v")          # resume queued first ...
+            sim.call_soon(p.kill)   # ... kill queued second, same instant
 
         sim.call_in(5.0, fire)
-        sim.run(until=30.0)
-        # the interrupt wins; the orphan timer must NOT fire at t=15
-        assert trace == [("f", "v", 5.0), ("interrupted", 5.0)]
-        assert sim.pending_events == 0
+        sim.run(until=6.0)
+        assert trace == [("f", "v", 5.0)]
+        assert not p.alive and sim.pending_events == 0   # no timer at 15
 
-    def test_interrupted_anyof_wait_leaves_no_stale_waiters(self, sim):
+    def test_killed_all_of_wait_ignores_later_triggers(self, sim):
+        """A process killed while some of its AllOf flags are still
+        pending is not stepped when they fire."""
         a, b = sim.flag("a"), sim.flag("b")
         trace = []
 
         def proc():
-            try:
-                yield AnyOf([a, b])
-                trace.append("anyof-resumed")
-            except Interrupt:
-                yield Timeout(10.0)
-                trace.append(("timeout-done", sim.now))
+            trace.append((yield AllOf([a, b])))
 
         p = sim.spawn(proc())
-        sim.call_in(1.0, p.interrupt)
-        sim.call_in(2.0, a.trigger, "late")
-        sim.call_in(3.0, b.trigger, "later")
+        sim.call_in(1.0, a.trigger, 1)
+        sim.call_in(2.0, p.kill)
+        sim.call_in(3.0, b.trigger, 2)
         sim.run()
-        assert trace == [("timeout-done", 11.0)]
+        assert trace == []
+        assert not p.alive and not p.failed
 
     def test_reusable_flag_same_instant_trigger_ordering(self, sim):
         """Two same-instant triggers of a reusable flag keep FIFO order:
@@ -482,7 +458,7 @@ class TestAccounting:
         assert sim.events_executed == 5
 
     def test_heap_compaction_reclaims_cancelled_entries(self):
-        """Interrupt/kill-heavy runs cancel far-future timers en masse;
+        """Kill-heavy runs cancel far-future timers en masse;
         the heap must shrink without waiting for their pop time."""
         sim = Simulator()
         keep = []
@@ -529,6 +505,25 @@ class TestRunHorizon:
         assert sim.now == 3.0
         sim.run(until=5.0)
         assert fired == ["late"]
+
+    def test_run_until_the_past_is_an_error(self):
+        """Regression: ``run(until=)`` below ``now`` used to set the
+        clock back to ``until``, after which a call scheduled for that
+        earlier time fired after events already run later."""
+        sim = Simulator()
+        fired = []
+        sim.call_at(10.0, fired.append, 10)
+        sim.call_at(20.0, fired.append, 20)
+        sim.run(until=12.0)
+        with pytest.raises(SimulationError, match="past"):
+            sim.run(until=5.0)
+        assert sim.now == 12.0
+        with pytest.raises(SimulationError, match="past"):
+            sim.call_at(6.0, fired.append, 6)
+        sim.run(until=12.0)   # until == now is an empty window, not an error
+        assert sim.now == 12.0
+        sim.run()
+        assert fired == [10, 20]
 
 
 class TestDeterminism:

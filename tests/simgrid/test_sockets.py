@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simgrid import DeliveryError, GridWorld
-from repro.simgrid.kernel import WaitEvent
 
 
 def pair():
@@ -244,7 +243,7 @@ class TestFlowStateBounds:
         def churn():
             for _ in range(10_000):
                 flag = world.transport.request(a, b, 5000, "ping")
-                yield WaitEvent(flag)
+                yield flag
                 assert flag.value == "ok"
                 answered[0] += 1
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.security import (CertError, CertificateAuthority, TrustStore)
 from repro.netlogger import NLVConfig, NLVDataSet, render_ascii
-from repro.simgrid import AllOf, AnyOf, SimulationError, Simulator, Timeout
+from repro.simgrid import AllOf, SimulationError, Timeout
 from repro.ulm import ULMMessage
 
 
@@ -34,28 +34,6 @@ class TestKernelCorners:
         sim.run()
         assert got == [[]]
 
-    def test_any_of_empty_is_an_error(self, sim):
-        def waiter():
-            yield AnyOf([])
-
-        sim.spawn(waiter())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_any_of_simultaneous_triggers_resumes_once(self, sim):
-        a, b = sim.flag("a"), sim.flag("b")
-        got = []
-
-        def waiter():
-            flag, value = yield AnyOf([a, b])
-            got.append(flag.name)
-
-        sim.spawn(waiter())
-        sim.call_in(1.0, a.trigger, 1)
-        sim.call_in(1.0, b.trigger, 2)
-        sim.run()
-        assert got == ["a"]  # FIFO tie-break, exactly one resume
-
     def test_killed_process_runs_finally_blocks(self, sim):
         cleaned = []
 
@@ -70,15 +48,18 @@ class TestKernelCorners:
         sim.run()
         assert cleaned == [True]
 
-    def test_interrupt_after_death_is_noop(self, sim):
+    def test_kill_after_death_is_noop(self, sim):
         def proc():
             yield Timeout(1.0)
+            return "done"
 
         p = sim.spawn(proc())
         sim.run()
-        p.interrupt("too late")  # must not raise or reschedule
+        p.kill()  # must not raise, reschedule or re-trigger done
         sim.run()
         assert not p.alive
+        assert p.done.value == "done"
+        assert sim.pending_events == 0
 
     def test_run_reentry_rejected(self, sim):
         def proc():
