@@ -98,6 +98,23 @@ class TestProcesses:
         assert p.done.value == 42
         assert not p.alive
 
+    def test_wait_event_resumes_with_value(self, sim):
+        """A process parked on a flag resumes at the trigger's instant
+        with the trigger's value, not at the end of the run."""
+        flag = sim.flag("data")
+        got = []
+
+        def waiter():
+            value = yield flag
+            got.append((value, sim.now))
+
+        sim.spawn(waiter())
+        sim.call_in(3.0, flag.trigger, "payload")
+        sim.call_in(5.0, lambda: None)
+        sim.run()
+        assert got == [("payload", 3.0)]
+        assert sim.now == 5.0
+
     def test_yielding_flag_directly_works(self, sim):
         flag = sim.flag()
         got = []
@@ -361,6 +378,28 @@ class TestImmediateQueue:
         assert trace == [("finally", 0.0)]
         assert not p.alive and sim.pending_events == 0
         assert sim.events_executed == 2   # the first step and the kill
+
+    def test_interrupted_flag_wait_leaves_no_stale_waiter(self, sim):
+        """A process taken out of a flag wait (kill is the one control
+        that does so) must not be stepped by a later trigger of that
+        flag: its registration stays on the flag but is inert."""
+        flag = sim.flag("never-mind")
+        trace = []
+
+        def proc():
+            try:
+                yield flag
+                trace.append("flag-resumed")
+            finally:
+                trace.append(("finally", sim.now))
+
+        p = sim.spawn(proc())
+        sim.call_in(1.0, p.kill)
+        sim.call_in(2.0, flag.trigger, "late")   # stale for p
+        sim.run()
+        assert trace == [("finally", 1.0)]
+        assert not p.alive and not p.failed
+        assert flag.triggered and sim.pending_events == 0
 
     def test_same_instant_flag_resume_then_kill_cancels_new_timer(self, sim):
         """If a flag resume and a kill land in the same instant (resume
