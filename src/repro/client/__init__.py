@@ -18,9 +18,11 @@ Specs (:class:`SubscriptionSpec`) declare *what* to subscribe —
 mode, wire format, event filter, delivery, principal — and handles
 (:class:`SubscriptionHandle`) are *live* subscriptions: iterate
 ``.events()``, ``.attach()`` callbacks, ``.latest()``, ``.stats()``,
-``.pause()``/``.resume()``, ``.close()``.  The same spec/handle types
-power the built-in consumer types (collector, archiver, overview,
-procmon, autocollector).
+``.close()``.  A stream is opened and closed, never paused; a remote
+consumer that falls behind has the oldest events of its full gateway
+outbox shed, and a self-healing session replays the committed ones
+from the archive.  The same spec/handle types power the built-in
+consumer types (collector, archiver, overview, procmon, autocollector).
 """
 
 from ..core.subscriptions import (DEFAULT_BUFFER_LIMIT, Delivery, SpecError,

@@ -162,7 +162,7 @@ class _StreamTracker:
     """
 
     __slots__ = ("last_date", "_seen", "duplicates", "replay_floor",
-                 "fast_forward", "live_date")
+                 "live_date")
 
     def __init__(self) -> None:
         self.last_date = float("-inf")
@@ -178,10 +178,6 @@ class _StreamTracker:
         #: under backpressure a live copy can trail its archive commit
         #: by the whole queue, not just the clock-skew slack
         self.live_date = float("-inf")
-        #: set while the handle is paused: the next scan advances the
-        #: floor without dispatching, so the paused-over window (which
-        #: the gateway counts as filtered) is never resurrected
-        self.fast_forward = False
 
     def admit(self, event: Any) -> bool:
         key = hash(event)
@@ -509,15 +505,7 @@ class ClientSession:
             for handle in list(self.handles):
                 if handle.closed:
                     continue
-                tracker = handle._heal_tracker
-                if tracker is None:
-                    continue
-                if handle.paused:
-                    # pause means "drop" (gateway counts the gap as
-                    # filtered): mark the tracker so the first scan
-                    # after resume swallows the paused-over window
-                    # instead of resurrecting it
-                    tracker.fast_forward = True
+                if handle._heal_tracker is None:
                     continue
                 if self._gateway_reachable(handle.gateway):
                     due.append(handle)
@@ -612,15 +600,14 @@ class ClientSession:
         handle's floor minus the slack, and each handle walks its own
         stream's rows from its own floor — exactly what a scan of its
         own would return.  Each handle is re-checked before its turn (a
-        callback may have closed or paused it); a callback that appends
+        callback may have closed it); a callback that appends
         to the archive makes the rows stale, so the handles still to go
         get a fresh scan.  Every handle here is tracked: the archive and
         tracking are both switched on by :meth:`enable_auto_heal`."""
         archive = self._heal_archive
         if archive is None:
             return
-        pending = [handle for handle in handles if not handle.paused]
-        pending.reverse()       # popped from the end, so first goes first
+        pending = handles[::-1]     # popped from the end: first goes first
         self.in_replay = True
         try:
             while pending:
@@ -634,9 +621,6 @@ class ClientSession:
                 while pending:
                     handle = pending.pop()
                     if handle.closed:
-                        continue
-                    if handle.paused:
-                        handle._heal_tracker.fast_forward = True
                         continue
                     self._replay_stream(handle,
                                         rows.get(handle.spec.sensor, ()))
@@ -663,7 +647,6 @@ class ClientSession:
         # on a fresh clone so the gateway's live instance isn't skewed
         flt = handle.spec.event_filter
         replay_filter = flt.clone() if flt is not None else None
-        fast_forward = tracker.fast_forward
         for msg in islice(rows, bisect_left(rows, t0, key=_date), None):
             # the floor is per-STREAM: hosts' clocks are skewed
             # relative to each other, so a cross-stream max date
@@ -671,8 +654,6 @@ class ClientSession:
             # streams whose clocks run behind
             if msg.date > max_seen:
                 max_seen = msg.date
-            if fast_forward:
-                continue  # swallowing a paused-over window
             if replay_filter is not None and \
                     not replay_filter.accept(msg):
                 continue
@@ -690,7 +671,6 @@ class ClientSession:
                  if b >= t0]
         if holes:
             max_seen = min(max_seen, max(floor, min(holes)))
-        tracker.fast_forward = False
         tracker.replay_floor = max_seen
         # 2x slack: a live copy can arrive a little behind the archive
         # commit it duplicates; keep its identity around.  Under
@@ -702,19 +682,6 @@ class ClientSession:
 
     # -- introspection -----------------------------------------------------------------
 
-    def stats(self) -> list[dict]:
-        gates = self._resilience.gate_info(_EDGE_RESUBSCRIBE)
-        rows = []
-        for handle in self.handles:
-            row = handle.stats()
-            gate = gates.get(handle.spec.sensor)
-            if gate is not None:
-                # this stream is mid-backoff: surface when the healer
-                # will try again and how many attempts have failed
-                row["resilience"] = dict(gate)
-            rows.append(row)
-        return rows
-
     def heal_stats(self) -> dict:
         """Self-healing counters (zeros when auto-heal is off)."""
         return {"enabled": self._heal_enabled,
@@ -725,17 +692,14 @@ class ClientSession:
 
     def backpressure_stats(self) -> dict:
         """Aggregate overload posture across this session's handles:
-        how much is queued gateway-side, how much was shed (by any
-        overflow policy), and whether any stream is currently in an
-        overflow/blocked/degraded state.  Per-handle detail stays on
-        ``handle.stats()``."""
+        how much is queued gateway-side, how much was shed (the oldest
+        frames of full outboxes), and how many streams are currently
+        overflowing.  Per-handle detail stays on ``handle.stats()``."""
         queued = dropped = overflowing = 0
         for handle in self.handles:
-            stats = handle.stats()
-            queued += stats.get("queued", 0)
-            dropped += stats.get("dropped", 0)
-            if stats.get("overflow", False):
-                overflowing += 1
+            queued += handle.queued
+            dropped += handle.dropped
+            overflowing += handle.overflow
         return {"queued": queued, "dropped": dropped,
                 "handles_overflowing": overflowing,
                 "handles": len(self.handles)}

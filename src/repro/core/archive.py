@@ -568,9 +568,6 @@ class EventArchive:
             self.degraded_reason = "compaction_backlog"
         return True
 
-    def extend(self, messages: Iterable[ULMMessage]) -> int:
-        return sum(1 for m in messages if self.append(m))
-
     # -- sealing & the catalog -------------------------------------------------
 
     def checkpoint(self) -> bool:

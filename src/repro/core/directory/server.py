@@ -530,9 +530,6 @@ class DirectoryServer:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def entry_count(self) -> int:
-        return len(self.backend)
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "up" if self.up else "DOWN"
         return f"<DirectoryServer {self.name} [{self.backend.name}] {state}>"

@@ -38,8 +38,8 @@ Subscriptions are opened from a typed :class:`SubscriptionSpec` via
 :meth:`EventGateway.open`.  The :class:`SubscriptionHandle` it returns
 *is* the subscription (see :mod:`repro.core.subscriptions`): the
 gateway keeps no record of its own beside it — ``_subs`` and the
-per-sensor fan-out lists hold the handles, the outbox, backpressure
-flags and counters are the handle's slots — and every way a
+per-sensor fan-out lists hold the handles, the outbox, overflow flag
+and counters are the handle's slots — and every way a
 subscription ends (``handle.close()``, the networked ``unsubscribe``
 op, a dead-consumer reap, a host crash, a retired sensor) is
 :meth:`EventGateway.unsubscribe`, after which the gateway no longer
@@ -93,7 +93,7 @@ class _SensorHandle:
         self.generic = []
         self.by_event = {}
         for sub in self.subscriptions:
-            if sub.spec.mode is not SubscriptionMode.STREAM or sub.paused:
+            if sub.spec.mode is not SubscriptionMode.STREAM:
                 continue
             flt = sub.spec.event_filter
             if type(flt) is EventNames:
@@ -143,12 +143,9 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         self._filtered_closed = 0
         #: malformed wires dropped at the intake port
         self.intake_decode_errors = 0
-        # backpressure accounting — every shed event lands in exactly
-        # one policy bucket, so drops are never silent
+        # backpressure accounting: every event shed from a full outbox
+        # is counted here and on its handle, so drops are never silent
         self.events_shed = 0
-        self.shed_by_policy = {"drop_oldest": 0, "drop_newest": 0,
-                               "block": 0, "degrade": 0}
-        self.sub_overflows = 0
         self.outbox_peak = 0
         self.outbox_limit_max = 0
         #: events still queued when their subscription was torn down
@@ -260,67 +257,26 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             frame = rendered.get(sub.wire_fmt)
             if frame is None:
                 frame = rendered[sub.wire_fmt] = Frame.of(msg, sub.wire_fmt)
-            if sub.drain_rate is None and not sub.outbox \
-                    and not sub.blocked and not sub.degraded:
+            if sub.drain_rate is None and not sub.outbox:
                 # fast path: unthrottled and nothing queued ahead
                 sub.delivered += 1
                 self.events_delivered += 1
                 burst.append((*sub.remote, (sub.wire_key, frame), frame.size,
                               sub.src_port, sub.fail_cb, sub.ok_cb))
             else:
-                self._enqueue(sub, msg, frame)
-
-    def _send_frame(self, sub: SubscriptionHandle, frame: Frame) -> None:
-        dst_host, dst_port = sub.remote
-        self.transport.send(self.host, dst_host, dst_port,
-                            (sub.wire_key, frame),
-                            size_bytes=frame.size, src_port=sub.src_port,
-                            on_fail=sub.fail_cb,
-                            on_delivered=sub.ok_cb)
+                self._enqueue(sub, frame)
 
     # -- backpressure: bounded outboxes + drain pump -----------------------------
 
-    def _enqueue(self, sub: SubscriptionHandle, msg: ULMMessage,
-                 frame: Frame) -> None:
-        """Queue one rendered event for a throttled/backed-up consumer,
-        applying the subscription's overflow policy at the cap."""
-        if sub.degraded:
-            # summary-only until the queue drains: shed, but remember
-            sub.shed_degraded += 1
-            self.events_shed += 1
-            self.shed_by_policy["degrade"] += 1
-            self._ensure_pump(sub)
-            return
-        if sub.blocked:
-            sub.dropped_blocked += 1
-            self.events_shed += 1
-            self.shed_by_policy["block"] += 1
-            self._ensure_pump(sub)
-            return
+    def _enqueue(self, sub: SubscriptionHandle, frame: Frame) -> None:
+        """Queue one rendered event for a throttled/backed-up consumer;
+        a full outbox sheds its oldest frame to make room."""
         if len(sub.outbox) >= sub.spec.outbox_limit:
+            sub.outbox.popleft()
+            sub.outbox.append(frame)
             sub.overflow = True
-            self.sub_overflows += 1
+            sub.dropped += 1
             self.events_shed += 1
-            policy = sub.spec.overflow
-            if policy == "drop_oldest":
-                sub.outbox.popleft()
-                sub.outbox.append(frame)
-                sub.dropped_oldest += 1
-                self.shed_by_policy["drop_oldest"] += 1
-            elif policy == "drop_newest":
-                sub.dropped_newest += 1
-                self.shed_by_policy["drop_newest"] += 1
-            elif policy == "block":
-                # stop intake until the consumer drains to half the cap
-                sub.blocked = True
-                sub.dropped_blocked += 1
-                self.shed_by_policy["block"] += 1
-            else:  # degrade: stream becomes summary-only until drained
-                sub.degraded = True
-                sub.degrade_from = msg.date
-                sub.degrade_shed_mark = sub.shed_degraded
-                sub.shed_degraded += 1
-                self.shed_by_policy["degrade"] += 1
         else:
             sub.outbox.append(frame)
             depth = len(sub.outbox)
@@ -331,9 +287,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         self._ensure_pump(sub)
 
     def _ensure_pump(self, sub: SubscriptionHandle) -> None:
-        if sub.pump is not None or sub.paused or not self.up:
-            return
-        if not sub.outbox and not sub.degraded:
+        if sub.pump is not None or not sub.outbox or not self.up:
             return
         if sub.drain_rate is None:
             sub.pump = self.sim.call_soon(self._pump_one, sub)
@@ -342,38 +296,24 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                                         self._pump_one, sub)
 
     def _pump_one(self, sub: SubscriptionHandle) -> None:
+        """Send the outbox's oldest frame, then schedule the next."""
         sub.pump = None
-        if sub.closed or sub.paused or not self.up:
+        if sub.closed or not self.up or not sub.outbox:
             return
-        if sub.outbox:
-            frame = sub.outbox.popleft()
-            sub.delivered += 1
-            self.events_delivered += 1
-            self._send_frame(sub, frame)
-            if sub.closed:
-                return  # undeliverable once too often: the send reaped it
-        depth = len(sub.outbox)
-        if depth * 2 <= sub.spec.outbox_limit:
-            sub.blocked = False
-            sub.overflow = sub.overflow and sub.degraded
-        if depth == 0 and sub.degraded:
-            sub.degraded = sub.overflow = False
-            self._send_degrade_summary(sub)
-        if sub.outbox:
-            self._ensure_pump(sub)
-
-    def _send_degrade_summary(self, sub: SubscriptionHandle) -> None:
-        """The degrade policy's catch-up event: one synthetic summary
-        covering everything shed while the stream was summary-only."""
-        shed = sub.shed_degraded - sub.degrade_shed_mark
-        now = self.host.timestamp() if self.host is not None else self.sim.now
-        summary = ULMMessage(
-            date=now, host=self.host.name if self.host else self.name,
-            prog=sub.spec.sensor, lvl="Warning",
-            event="SUB_DEGRADED_SUMMARY",
-            fields={"SHED": shed, "FROM": sub.degrade_from, "TO": now})
-        sub.summaries_sent += 1
-        self._send_frame(sub, Frame.of(summary, sub.wire_fmt))
+        frame = sub.outbox.popleft()
+        sub.delivered += 1
+        self.events_delivered += 1
+        dst_host, dst_port = sub.remote
+        self.transport.send(self.host, dst_host, dst_port,
+                            (sub.wire_key, frame),
+                            size_bytes=frame.size, src_port=sub.src_port,
+                            on_fail=sub.fail_cb,
+                            on_delivered=sub.ok_cb)
+        if sub.closed:
+            return  # undeliverable once too often: the send reaped it
+        if len(sub.outbox) * 2 <= sub.spec.outbox_limit:
+            sub.overflow = False
+        self._ensure_pump(sub)
 
     def throttle_consumer(self, host_name: str,
                           rate: Optional[float]) -> int:
@@ -488,35 +428,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
     def on_host_up(self) -> None:
         self.up = True
 
-    # -- flow control --------------------------------------------------------------
-
-    def pause(self, sub_id: int) -> bool:
-        """Stop deliveries for one subscription, keeping it registered.
-
-        Paused subscriptions are dropped from the fan-out index, so the
-        per-event hot path pays nothing for them; events missed while
-        paused count as filtered."""
-        sub = self._subs.get(sub_id)
-        if sub is None or sub.paused \
-                or sub.spec.mode is not SubscriptionMode.STREAM:
-            return False
-        sub.paused = True
-        if sub.pump is not None:
-            # the outbox holds its contents across the pause; the pump
-            # restarts on resume
-            sub.pump.cancel()
-            sub.pump = None
-        sub._sensor.reindex()
-        return True
-
-    def resume(self, sub_id: int) -> bool:
-        sub = self._subs.get(sub_id)
-        if sub is None or not sub.paused:
-            return False
-        sub.paused = False
-        sub._sensor.reindex()
-        self._ensure_pump(sub)
-        return True
+    # -- query mode ----------------------------------------------------------------
 
     def query(self, sensor_name: str, *, principal: Any = None) -> Optional[ULMMessage]:
         """Query mode: the most recent event (no channel)."""
@@ -579,15 +491,15 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                         delivery=Delivery.remote(msg.src_host, req["port"]))
                 handle = self.open(spec)
                 transport.reply(msg, {"ok": True, "sub_id": handle.sub_id})
-            elif op in ("unsubscribe", "pause", "resume"):
-                # §7.1: a stream is its consumer's to control — the host
-                # it delivers to — not any host that can guess an integer
+            elif op == "unsubscribe":
+                # §7.1: a stream is its consumer's to end — the host it
+                # delivers to — not any host that can guess an integer
                 sub = self._subs.get(req["sub_id"])
                 if sub is not None and (sub.remote is None
                                         or sub.remote[0] is not msg.src_host):
                     raise GatewayError(f"subscription {sub.sub_id} is not "
                                        f"delivered to {msg.src_host.name}")
-                transport.reply(msg, {"ok": getattr(self, op)(req["sub_id"])})
+                transport.reply(msg, {"ok": self.unsubscribe(req["sub_id"])})
             elif op == "query":
                 event = self.query(req["sensor"],
                                    principal=req.get("principal"))
@@ -623,8 +535,6 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                 "events_filtered": self.events_filtered,
                 "intake_decode_errors": self.intake_decode_errors,
                 "events_shed": self.events_shed,
-                "shed_by_policy": dict(self.shed_by_policy),
-                "sub_overflows": self.sub_overflows,
                 "outbox_peak": self.outbox_peak,
                 "outbox_limit_max": self.outbox_limit_max,
                 "outbox_abandoned": self.outbox_abandoned,

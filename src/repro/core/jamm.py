@@ -204,7 +204,7 @@ class JAMMDeployment:
     @staticmethod
     def standard_config(*, cpu: bool = False, memory: bool = False,
                         vmstat: bool = True, netstat: bool = True,
-                        iostat: bool = False, tcpdump: bool = True,
+                        tcpdump: bool = True,
                         process_pattern: Optional[str] = None,
                         period: float = 1.0) -> JAMMConfig:
         """The paper's §6 host-sensor set: CPU and memory sensors on
@@ -218,8 +218,6 @@ class JAMMDeployment:
             config.add_sensor("vmstat", "vmstat", period=period)
         if netstat:
             config.add_sensor("netstat", "netstat", period=period)
-        if iostat:
-            config.add_sensor("iostat", "iostat", period=5 * period)
         if tcpdump:
             config.add_sensor("tcpdump", "tcpdump")
         if process_pattern is not None:
@@ -284,9 +282,3 @@ class JAMMDeployment:
         client = self.directory_client()
         return client.search(f"ou=sensors,{self.suffix}", filter_text).entries
 
-    def stats(self) -> dict:
-        return {
-            "gateways": {n: g.stats() for n, g in self.gateways.items()},
-            "managers": {n: len(m.sensors) for n, m in self.managers.items()},
-            "directory_entries": self.directory.master.entry_count(),
-        }

@@ -471,10 +471,6 @@ class ResiliencePolicy:
         for gk in drop:
             del self._gates[gk]
 
-    def gate_info(self, edge: str) -> dict:
-        return {gk[1]: {"failures": gate.failures, "retry_at": gate.retry_at}
-                for gk, gate in self._gates.items() if gk[0] == edge}
-
     # -- attempt gating (sync + driver) ------------------------------------
 
     def rank_endpoints(self, keys: Sequence[Any], *,

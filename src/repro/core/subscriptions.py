@@ -12,11 +12,17 @@ build on:
   path, principal), validated before it touches a gateway;
 * :class:`SubscriptionHandle` — the object a subscription *is*, for
   the consumer (iterate received events, query the latest one, read
-  the counters, pause/resume the stream, close) and for the gateway,
-  which keeps its per-subscription state — delivery target, outbox,
-  backpressure flags, counters — in the handle's slots and nowhere
-  else.  ``filtered`` is derived, not counted: one identity, stated on
-  the class.
+  the counters, close) and for the gateway, which keeps its
+  per-subscription state — delivery target, outbox, counters — in the
+  handle's slots and nowhere else.  ``filtered`` is derived, not
+  counted: one identity, stated on the class.
+
+A stream is opened and then closed (or reaped); it is never paused.  A
+remote stream whose consumer drains slower than the sensor produces
+queues in a bounded outbox, and a full outbox sheds its *oldest* frame
+to make room: the consumer keeps receiving the freshest window, and a
+self-healing session's archive replay recovers the committed events
+that were shed.
 
 Specs serialize to plain dicts (:meth:`SubscriptionSpec.to_request`) so
 the networked consumer path can ship them over the wire unchanged.
@@ -34,21 +40,15 @@ from .filters import EventFilter, filter_from_dict
 
 __all__ = ["SubscriptionMode", "WireFormat", "Delivery", "SubscriptionSpec",
            "SubscriptionHandle", "SpecError", "DEFAULT_BUFFER_LIMIT",
-           "DEFAULT_OUTBOX_LIMIT", "OVERFLOW_POLICIES", "sensor_key_for"]
+           "DEFAULT_OUTBOX_LIMIT", "sensor_key_for"]
 
 #: how many delivered events a handle retains for ``.events()``
 DEFAULT_BUFFER_LIMIT = 256
 
 #: gateway-side outbox cap for remote subscriptions (events queued for
-#: a consumer that drains slower than the sensor produces)
+#: a consumer that drains slower than the sensor produces; at the cap
+#: the oldest queued event is shed)
 DEFAULT_OUTBOX_LIMIT = 256
-
-#: what a gateway does when a remote subscription's outbox is full:
-#: ``drop_oldest``/``drop_newest`` shed one event (auto-heal replay
-#: recovers committed ones), ``block`` stops intake until the consumer
-#: drains to half the cap, ``degrade`` flips the stream to summary-only
-#: until the queue empties.  All four account every shed event.
-OVERFLOW_POLICIES = ("block", "drop_oldest", "drop_newest", "degrade")
 
 
 def sensor_key_for(entry: Any) -> str:
@@ -139,8 +139,6 @@ class SubscriptionSpec:
     buffer_limit: int = DEFAULT_BUFFER_LIMIT
     #: gateway-side queue cap for remote delivery (backpressure)
     outbox_limit: int = DEFAULT_OUTBOX_LIMIT
-    #: one of :data:`OVERFLOW_POLICIES`
-    overflow: str = "drop_oldest"
 
     def __post_init__(self) -> None:
         if not self.sensor or not isinstance(self.sensor, str):
@@ -160,8 +158,6 @@ class SubscriptionSpec:
             raise SpecError("buffer_limit must be >= 0")
         if not isinstance(self.outbox_limit, int) or self.outbox_limit < 1:
             raise SpecError("outbox_limit must be an int >= 1")
-        if self.overflow not in OVERFLOW_POLICIES:
-            raise SpecError(f"unknown overflow policy {self.overflow!r}")
 
     # -- shaping -------------------------------------------------------------
 
@@ -177,11 +173,11 @@ class SubscriptionSpec:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, *, require_delivery: bool = True) -> None:
+    def validate(self) -> None:
         """Raise :class:`SpecError` unless the spec is openable."""
         if self.delivery is not None:
             self.delivery.validate()
-        if self.mode is SubscriptionMode.STREAM and require_delivery:
+        if self.mode is SubscriptionMode.STREAM:
             if self.delivery is None or self.delivery.kind == "none":
                 raise SpecError("streaming subscription needs a delivery path")
 
@@ -191,8 +187,7 @@ class SubscriptionSpec:
         """The networked-subscribe payload (gateway ``op=subscribe``)."""
         req: dict = {"op": "subscribe", "sensor": self.sensor,
                      "mode": self.mode.value, "fmt": self.fmt.value,
-                     "outbox_limit": self.outbox_limit,
-                     "overflow": self.overflow}
+                     "outbox_limit": self.outbox_limit}
         if self.event_filter is not None:
             req["filter"] = self.event_filter.to_dict()
         if self.principal is not None:
@@ -207,8 +202,7 @@ class SubscriptionSpec:
         return cls(sensor=req["sensor"], mode=req.get("mode", "stream"),
                    fmt=req.get("fmt", "ulm"), event_filter=flt,
                    principal=req.get("principal"),
-                   outbox_limit=req.get("outbox_limit", DEFAULT_OUTBOX_LIMIT),
-                   overflow=req.get("overflow", "drop_oldest"))
+                   outbox_limit=req.get("outbox_limit", DEFAULT_OUTBOX_LIMIT))
 
 
 class SubscriptionHandle:
@@ -220,14 +214,15 @@ class SubscriptionHandle:
     side tables).  The consumer's half buffers the last
     ``spec.buffer_limit`` delivered events for :meth:`events` and fans
     each one out to every :meth:`attach`-ed callback.  The gateway's
-    half is the rest of the slots — delivery target, outbox and
-    backpressure flags, the ``delivered`` and per-policy shed counters
-    — which only the owning gateway writes, and stops writing at
+    half is the rest of the slots — delivery target, outbox, the
+    ``overflow`` flag, the ``delivered`` and ``dropped`` counters —
+    which only the owning gateway writes, and stops writing at
     teardown: a closed handle simply keeps its last values.
 
     ``filtered`` is not counted anywhere.  Every event the sensor sent
-    while a stream subscription was open was delivered, shed, is still
-    queued, or was filtered (by its filter, or by being paused), so::
+    while a stream subscription was open was delivered, shed (the
+    oldest frame of a full outbox), is still queued, or was filtered,
+    so::
 
         filtered = events_in(now, or at teardown) - events_in(at open)
                    - delivered - dropped - queued
@@ -236,14 +231,12 @@ class SubscriptionHandle:
     # handles ride the per-event delivery path; __weakref__ lets the
     # sanitizer track them without keeping them alive
     __slots__ = ("gateway", "spec", "sub_id", "closed", "reaped",
-                 "superseded", "paused", "_admit", "_callbacks", "_buffer",
+                 "superseded", "_admit", "_callbacks", "_buffer",
                  "_heal_tracker", "_sensor", "_events_open", "_events_end",
                  "_queued_end", "delivered", "remote", "wire_key",
                  "wire_fmt", "src_port", "fail_count", "fail_cb", "ok_cb",
-                 "outbox", "drain_rate", "overflow", "blocked", "degraded",
-                 "outbox_peak", "dropped_oldest", "dropped_newest",
-                 "dropped_blocked", "shed_degraded", "summaries_sent",
-                 "degrade_from", "degrade_shed_mark", "pump", "__weakref__")
+                 "outbox", "drain_rate", "overflow", "outbox_peak",
+                 "dropped", "pump", "__weakref__")
 
     def __init__(self, gateway: Any, spec: SubscriptionSpec, sub_id: int,
                  sensor_record: Any):
@@ -261,9 +254,6 @@ class SubscriptionHandle:
         #: than the consumer closing it — the signal self-healing
         #: sessions resubscribe on
         self.reaped = False
-        #: paused subscriptions are dropped from the gateway's fan-out
-        #: structures, so the per-event hot path never sees them
-        self.paused = False
         #: optional admission predicate installed by self-healing
         #: sessions (watermark/dup suppression); None costs one check
         self._admit: Optional[Callable] = None
@@ -305,22 +295,13 @@ class SubscriptionHandle:
         self.outbox: deque = deque()
         #: events/s the drain pump releases; None = unthrottled
         self.drain_rate: Optional[float] = None
-        #: True while the gateway is shedding or holding this
-        #: subscription's events: from the moment the outbox hits its
-        #: cap until the consumer drains it to half (hysteresis), and
-        #: for as long as ``blocked`` / ``degraded`` last
+        #: True from the moment the outbox hits its cap until the
+        #: consumer drains it to half (hysteresis)
         self.overflow = False
-        self.blocked = False        # block policy engaged (intake shed)
-        self.degraded = False       # degrade policy engaged (summary-only)
         self.outbox_peak = 0
-        self.dropped_oldest = 0
-        self.dropped_newest = 0
-        self.dropped_blocked = 0
-        self.shed_degraded = 0
-        self.summaries_sent = 0
-        #: degrade-window accounting feeding the summary event
-        self.degrade_from = 0.0
-        self.degrade_shed_mark = 0
+        #: events shed for this subscription: the oldest frame of a full
+        #: outbox, counted, never silent
+        self.dropped = 0
         #: the scheduled drain-pump call, if one is pending
         self.pump: Any = None
 
@@ -337,13 +318,6 @@ class SubscriptionHandle:
     @property
     def fmt(self) -> WireFormat:
         return self.spec.fmt
-
-    @property
-    def dropped(self) -> int:
-        """Events the gateway shed for this subscription (all overflow
-        policies combined); every drop is accounted, never silent."""
-        return (self.dropped_oldest + self.dropped_newest
-                + self.dropped_blocked + self.shed_degraded)
 
     @property
     def queued(self) -> int:
@@ -400,33 +374,16 @@ class SubscriptionHandle:
         return {"sub_id": self.sub_id, "sensor": spec.sensor,
                 "mode": spec.mode.value, "fmt": self.wire_fmt,
                 "delivered": self.delivered, "filtered": self.filtered,
-                "paused": self.paused,
                 # backpressure surface (zeros for in-process delivery)
                 "queued": self.queued,
                 "outbox_limit": spec.outbox_limit,
                 "outbox_peak": self.outbox_peak,
-                "overflow_policy": spec.overflow,
                 "overflow": self.overflow,
-                "blocked": self.blocked,
-                "degraded": self.degraded,
                 "drain_rate": self.drain_rate,
                 "dropped": self.dropped,
-                "dropped_oldest": self.dropped_oldest,
-                "dropped_newest": self.dropped_newest,
-                "dropped_blocked": self.dropped_blocked,
-                "shed_degraded": self.shed_degraded,
-                "summaries_sent": self.summaries_sent,
                 "buffered": len(self._buffer), "closed": self.closed}
 
-    # -- flow control -------------------------------------------------------------
-
-    def pause(self) -> bool:
-        """Stop deliveries without giving up the subscription.  False
-        once the subscription is closed or was reaped."""
-        return not self.closed and self.gateway.pause(self.sub_id)
-
-    def resume(self) -> bool:
-        return not self.closed and self.gateway.resume(self.sub_id)
+    # -- teardown -----------------------------------------------------------------
 
     def close(self) -> bool:
         """Tear the subscription down.  Idempotent: the second and
@@ -444,7 +401,6 @@ class SubscriptionHandle:
 
     def __repr__(self) -> str:  # pragma: no cover
         state = ("reaped" if self.reaped else
-                 "closed" if self.closed else
-                 "paused" if self.paused else "open")
+                 "closed" if self.closed else "open")
         return (f"<SubscriptionHandle #{self.sub_id} {self.spec.sensor!r} "
                 f"{self.spec.mode.value}/{self.spec.fmt.value} {state}>")

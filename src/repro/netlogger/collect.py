@@ -67,35 +67,17 @@ def iter_merge(*streams: Iterable[ULMMessage]) -> Iterator[ULMMessage]:
 
     Holds one message per stream: merging many large per-sensor logs
     (e.g. ``iter_parse`` over collected files) never materializes them.
+    Equal timestamps come out in stream order.
     """
-    heap = []
-    for idx, stream in enumerate(streams):
-        it = iter(stream)
-        for msg in it:
-            heap.append((msg.sort_key(), idx, msg, it))
-            break
-    heapq.heapify(heap)
-    while heap:
-        _, idx, msg, it = heap[0]
-        yield msg
-        for nxt in it:
-            heapq.heapreplace(heap, (nxt.sort_key(), idx, nxt, it))
-            break
-        else:
-            heapq.heappop(heap)
+    return heapq.merge(*streams, key=ULMMessage.sort_key)
 
 
-def merge_logs(*logs: Iterable[ULMMessage],
-               assume_sorted: bool = False) -> list[ULMMessage]:
+def merge_logs(*logs: Iterable[ULMMessage]) -> list[ULMMessage]:
     """Merge per-sensor logs into one time-ordered stream.
 
     Each input is sorted first (sensors emit in order, but clock
-    adjustments can reorder) unless ``assume_sorted`` says the inputs
-    are already ordered — then they are consumed lazily, one message
-    at a time, through :func:`iter_merge`.
+    adjustments can reorder), then merged by :func:`iter_merge`.
     """
-    if assume_sorted:
-        return list(iter_merge(*logs))
     return list(iter_merge(*(sort_log(log) for log in logs)))
 
 

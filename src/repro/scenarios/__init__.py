@@ -12,9 +12,8 @@ fault schedule must preserve:
   never reorder, and no stream ever delivers the same id twice;
 * **directory convergence** — after the world heals, every replica's
   tree equals the master's;
-* **bounded, accounted backpressure** — gateway outboxes never exceed
-  their caps and every shed event lands in exactly one overflow-policy
-  bucket;
+* **bounded backpressure** — gateway outboxes never exceed their caps
+  (a full one sheds its oldest event, which replay recovers);
 * **closed archive accounting** — every event the commit log admitted
   is retained, shed, retired, downsampled, or quarantined (storage
   faults and retention drop events, never lose count of them);

@@ -10,8 +10,8 @@ Two JAMM mechanisms depend on an HTTP server (§3.0, §5.0):
   software updates trivial".
 
 The model is a versioned key/value document store served over the
-control-plane transport (or answered locally when no transport is
-wired, for unit tests).
+control-plane transport; in-process readers (the sensor manager's
+config refresh, the RMI daemon's codebase) use :meth:`HTTPServer.get_local`.
 """
 
 from __future__ import annotations
@@ -70,17 +70,11 @@ class HTTPServer:
         self._docs[path] = doc
         return doc
 
-    def delete(self, path: str) -> None:
-        self._docs.pop(path, None)
-
     def get_local(self, path: str) -> Document:
         doc = self._docs.get(path)
         if doc is None:
             raise HTTPError(404, f"not found: {path}")
         return doc
-
-    def paths(self) -> list[str]:
-        return sorted(self._docs)
 
     # -- network handler --------------------------------------------------------
 
@@ -101,10 +95,10 @@ class HTTPServer:
 
 
 class HTTPClient:
-    """GET documents from an :class:`HTTPServer`, local or over the net."""
+    """GET documents from an :class:`HTTPServer` over the network."""
 
     def __init__(self, sim: Simulator, host: Host,
-                 transport: Optional[MessageTransport] = None):
+                 transport: MessageTransport):
         self.sim = sim
         self.host = host
         self.transport = transport
@@ -114,21 +108,6 @@ class HTTPClient:
         """Fetch ``path``; the returned flag triggers with a response dict
         (``status`` 200/304/404, plus ``body``/``etag`` on 200)."""
         flag = EventFlag(self.sim, name=f"http:{path}")
-        if self.transport is None or server.transport is None:
-            # local fetch: answer immediately (next event)
-            def local() -> None:
-                try:
-                    doc = server.get_local(path)
-                except HTTPError as exc:
-                    flag.trigger({"status": exc.status, "reason": exc.reason})
-                    return
-                if etag is not None and etag == doc.etag:
-                    flag.trigger({"status": 304, "etag": doc.etag})
-                else:
-                    flag.trigger({"status": 200, "etag": doc.etag,
-                                  "body": doc.body, "version": doc.version})
-            self.sim.call_soon(local)
-            return flag
         rpc = self.transport.request(self.host, server.host,
                                      HTTPServer.HTTP_PORT,
                                      {"path": path, "if_none_match": etag},

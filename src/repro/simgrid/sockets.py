@@ -94,10 +94,6 @@ class Message:
     sent_at: float = 0.0
     delivered_at: float = 0.0
 
-    @property
-    def latency(self) -> float:
-        return self.delivered_at - self.sent_at
-
 
 class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
     """Reliable small-message delivery over a :class:`Network`.

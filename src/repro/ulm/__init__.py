@@ -14,7 +14,7 @@ from .fields import (DATE, EPOCH, HOST, LEVELS, LVL, NL_EVNT, PROG,
                      is_valid_field_name, parse_date, quantize_date)
 from .frame import Frame
 from .message import ULMMessage
-from .parse import (ParseError, iter_parse, iter_serialize, parse,
+from .parse import (ParseError, iter_parse, parse,
                     parse_stream, serialize, serialize_stream)
 from .xmlfmt import (XMLFormatError, from_xml, stream_from_xml,
                      stream_to_xml, to_xml)
@@ -24,7 +24,7 @@ __all__ = [
     "LEVELS", "LVL", "NL_EVNT", "PROG", "ParseError", "REQUIRED_FIELDS",
     "ULMMessage", "XMLFormatError", "decode", "decode_many", "encode",
     "encode_many", "format_date", "from_xml", "is_valid_field_name",
-    "iter_parse", "iter_serialize", "parse", "parse_date", "parse_stream",
+    "iter_parse", "parse", "parse_date", "parse_stream",
     "quantize_date", "serialize", "serialize_stream", "stream_from_xml",
     "stream_to_xml", "to_xml",
 ]

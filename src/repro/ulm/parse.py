@@ -23,7 +23,7 @@ from .fields import (DATE, FieldError, HOST, LVL, PROG, REQUIRED_FIELDS,
 from .message import ULMMessage
 
 __all__ = ["serialize", "parse", "parse_stream", "serialize_stream",
-           "iter_parse", "iter_serialize", "ParseError"]
+           "iter_parse", "ParseError"]
 
 
 class ParseError(ValueError):
@@ -210,13 +210,6 @@ def serialize_stream(messages: Iterable[ULMMessage]) -> str:
     """Render many messages as newline-terminated ULM text."""
     text = "\n".join(map(serialize, messages))
     return text + "\n" if text else ""
-
-
-def iter_serialize(messages: Iterable[ULMMessage]) -> Iterator[str]:
-    """Lazily render messages as newline-terminated lines — the
-    streaming-write fast path (no intermediate joined string)."""
-    for msg in messages:
-        yield serialize(msg) + "\n"
 
 
 def iter_parse(text: str, *, skip_malformed: bool = False) -> Iterator[ULMMessage]:

@@ -1,11 +1,10 @@
-"""Bounded outboxes, overflow policies, and the drain pump.
+"""Bounded outboxes, the shed-oldest overflow, and the drain pump.
 
 The gateway's per-subscription outbox turns a slow consumer from an
-unbounded-memory hazard into a bounded queue with an explicit policy at
-the cap: ``drop_oldest`` / ``drop_newest`` shed and keep streaming,
-``block`` stops intake until the consumer drains, ``degrade`` swaps the
-stream to a single catch-up summary.  Every shed event is accounted in
-exactly one policy bucket — overload is loud, never silent.
+unbounded-memory hazard into a bounded queue: at the cap the oldest
+queued event is shed and the stream keeps going with the freshest
+window.  Every shed event is counted on its handle and on the gateway —
+overload is loud, never silent.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ def build(reap_threshold: int = 3):
     return world, gateway, sensor, consumer_host, received
 
 
-def open_remote(gateway, consumer_host, *, limit: int = 4,
-                overflow: str = "drop_oldest"):
+def open_remote(gateway, consumer_host, *, limit: int = 4):
     return gateway.open(SubscriptionSpec(
         sensor="vmstat", delivery=Delivery.remote(consumer_host, PORT),
-        outbox_limit=limit, overflow=overflow))
+        outbox_limit=limit))
 
 
 def emit(world, sensor, n: int, *, run: bool = True, settle: float = 0.5):
@@ -83,7 +81,6 @@ class TestOverflowPolicies:
         stats = handle.stats()
         assert stats["queued"] == 4
         assert stats["dropped"] == 6
-        assert stats["dropped_oldest"] == 6
         assert stats["overflow"] is True
         world.run(until=world.sim.now + 10.0)   # drain at 2/s
         assert [m.event for m in received] == ["E6", "E7", "E8", "E9"]
@@ -93,82 +90,21 @@ class TestOverflowPolicies:
         assert stats["overflow"] is False       # hysteresis cleared it
         gw_stats = gw.stats()
         assert gw_stats["events_shed"] == 6
-        assert gw_stats["shed_by_policy"]["drop_oldest"] == 6
         assert gw_stats["outbox_peak"] == 4
         assert gw_stats["outbox_limit_max"] == 4
 
-    def test_drop_newest_keeps_the_oldest_window(self):
-        world, gw, sensor, consumer_host, received = build()
-        make_seq(sensor)
-        handle = open_remote(gw, consumer_host, limit=4,
-                             overflow="drop_newest")
-        gw.throttle_consumer(CONSUMER, 2.0)
-        emit(world, sensor, 10, run=False)
-        world.run(until=world.sim.now + 10.0)
-        assert [m.event for m in received] == ["E0", "E1", "E2", "E3"]
-        assert handle.stats()["dropped_newest"] == 6
-        assert gw.stats()["shed_by_policy"]["drop_newest"] == 6
-
-    def test_block_stops_intake_until_half_drained(self):
-        world, gw, sensor, consumer_host, received = build()
-        make_seq(sensor)
-        handle = open_remote(gw, consumer_host, limit=4, overflow="block")
-        gw.throttle_consumer(CONSUMER, 2.0)
-        emit(world, sensor, 6, run=False)       # 4 queued, 2 refused
-        stats = handle.stats()
-        assert stats["queued"] == 4
-        assert stats["blocked"] is True
-        assert stats["dropped_blocked"] == 2
-        # while blocked, everything is refused — even below the cap
-        world.run(until=world.sim.now + 0.6)    # drains 1 (depth 3 > 2)
-        emit(world, sensor, 1, run=False)
-        assert handle.stats()["dropped_blocked"] == 3
-        world.run(until=world.sim.now + 0.7)    # drains to depth 2 == half
-        assert handle.stats()["blocked"] is False
-        emit(world, sensor, 1, run=False)       # accepted again
-        assert handle.stats()["queued"] == 3
-        world.run(until=world.sim.now + 10.0)
-        assert [m.event for m in received] == \
-            ["E0", "E1", "E2", "E3", "E7"]
-        assert gw.stats()["shed_by_policy"]["block"] == 3
-
-    def test_degrade_swaps_stream_for_one_summary(self):
-        world, gw, sensor, consumer_host, received = build()
-        make_seq(sensor)
-        handle = open_remote(gw, consumer_host, limit=4, overflow="degrade")
-        gw.throttle_consumer(CONSUMER, 2.0)
-        emit(world, sensor, 10, run=False)      # 4 queued, 6 shed
-        stats = handle.stats()
-        assert stats["degraded"] is True
-        assert stats["shed_degraded"] == 6
-        world.run(until=world.sim.now + 10.0)   # queue drains -> summary
-        events = [m.event for m in received]
-        assert events[:4] == ["E0", "E1", "E2", "E3"]
-        assert events[4] == "SUB_DEGRADED_SUMMARY"
-        summary = received[4]
-        assert summary.lvl == "Warning"
-        assert summary.get_int("SHED") == 6
-        stats = handle.stats()
-        assert stats["degraded"] is False
-        assert stats["summaries_sent"] == 1
-        assert stats["delivered"] == 4          # the summary is not data
-        # streaming resumed after the summary
-        emit(world, sensor, 1)
-        world.run(until=world.sim.now + 1.0)
-        assert [m.event for m in received][-1] == "E10"
-        assert gw.stats()["shed_by_policy"]["degrade"] == 6
-
     def test_every_shed_event_lands_in_one_bucket(self):
+        """The bucket is the handle the event was shed from: the
+        gateway's total is the sum of the handles' ``dropped``."""
         world, gw, sensor, consumer_host, _received = build()
         make_seq(sensor)
-        for policy in ("drop_oldest", "drop_newest", "block", "degrade"):
-            open_remote(gw, consumer_host, limit=2, overflow=policy)
+        handles = [open_remote(gw, consumer_host, limit=limit)
+                   for limit in (1, 2, 3, 4)]
         gw.throttle_consumer(CONSUMER, 1.0)
         emit(world, sensor, 8, run=False)
-        stats = gw.stats()
-        assert stats["events_shed"] == sum(stats["shed_by_policy"].values())
-        assert stats["events_shed"] == 4 * 6    # each sub shed 6 of 8
-        assert stats["sub_overflows"] >= 4
+        assert [h.dropped for h in handles] == [7, 6, 5, 4]
+        assert [h.queued for h in handles] == [1, 2, 3, 4]
+        assert gw.stats()["events_shed"] == 7 + 6 + 5 + 4
 
 
 class TestAccountingIdentity:
@@ -184,22 +120,6 @@ class TestAccountingIdentity:
 
 
 class TestPauseResumeAndReap:
-    def test_overflow_during_pause_held_and_drained_on_resume(self):
-        world, gw, sensor, consumer_host, received = build()
-        make_seq(sensor)
-        handle = open_remote(gw, consumer_host, limit=4)
-        gw.throttle_consumer(CONSUMER, 2.0)
-        emit(world, sensor, 3, run=False)       # queue: E0..E2
-        assert handle.pause() is True           # pump cancelled, queue held
-        world.run(until=world.sim.now + 5.0)
-        assert received == []
-        assert handle.stats()["queued"] == 3
-        emit(world, sensor, 5, run=False)       # paused subs get nothing
-        assert handle.stats()["queued"] == 3
-        assert handle.resume() is True
-        world.run(until=world.sim.now + 5.0)
-        assert [m.event for m in received] == ["E0", "E1", "E2"]
-
     def test_overflow_racing_reap_abandons_queue_accounted(self):
         world, gw, sensor, consumer_host, _received = build()
         make_seq(sensor)

@@ -1,7 +1,7 @@
 """Tests for the unified subscription/session API (repro.client).
 
 Covers the tentpole surfaces: typed specs (validation), first-class
-handles (events/latest/stats/pause/resume/close), session lifecycle,
+handles (events/latest/stats/close), session lifecycle,
 fluent discovery, idempotent teardown, and
 the per-gateway/per-sim id-counter fixes.
 """
@@ -125,7 +125,7 @@ class TestSubscriptionHandle:
         assert stats["filtered"] == 0
         assert stats["sensor"] == sensor.name
         assert stats["buffered"] == 6
-        assert not stats["paused"] and not stats["closed"]
+        assert not stats["closed"]
 
     def test_close_is_idempotent(self):
         world, _h, gw, sensor = bare_gateway()
@@ -165,78 +165,6 @@ class TestSubscriptionHandle:
         events = list(handle.events())
         assert len(events) == 3  # only the newest three retained
         assert handle.stats()["delivered"] == 10
-
-
-class TestPauseResume:
-    def test_pause_stops_and_resume_restarts_delivery(self):
-        world, _h, gw, sensor = bare_gateway()
-        handle = gw.open(SubscriptionSpec(sensor=sensor.name,
-                                          delivery=Delivery.callback()))
-        world.run(until=3.5)       # events at t=0..3 -> 4 delivered
-        assert handle.pause() is True
-        assert handle.paused
-        assert handle.pause() is False  # already paused
-        world.run(until=6.5)       # t=4,5,6 missed
-        assert handle.stats()["delivered"] == 4
-        assert handle.resume() is True
-        assert handle.resume() is False
-        world.run(until=8.5)       # t=7,8 delivered again
-        stats = handle.stats()
-        assert stats["delivered"] == 6
-        assert stats["filtered"] == 3  # the paused window counts as filtered
-        # aggregate accounting ties out: delivered + filtered == ingested
-        gw_stats = gw.stats()
-        assert gw_stats["events_delivered"] + gw_stats["events_filtered"] \
-            == gw_stats["events_in"]
-        assert gw_stats["events_filtered"] == 3
-
-    def test_pause_resume_indexed_subscription(self):
-        world, _h, gw, sensor = bare_gateway()
-        handle = gw.open(SubscriptionSpec(
-            sensor=sensor.name, delivery=Delivery.callback(),
-            event_filter=EventNames(["CPU_USAGE"])))
-        world.run(until=2.5)
-        handle.pause()
-        world.run(until=5.5)
-        handle.resume()
-        world.run(until=7.5)
-        stats = handle.stats()
-        assert stats["delivered"] == 3 + 2
-        assert stats["filtered"] == 3
-        gw_stats = gw.stats()
-        assert gw_stats["events_delivered"] + gw_stats["events_filtered"] \
-            == gw_stats["events_in"]
-
-    def test_paused_gap_counted_once_across_observations(self):
-        """stats()/sub_stats() reconcile while paused; the gap must not
-        be double-counted when resume folds it in later."""
-        world, _h, gw, sensor = bare_gateway()
-        handle = gw.open(SubscriptionSpec(sensor=sensor.name,
-                                          delivery=Delivery.callback()))
-        world.run(until=1.5)
-        handle.pause()
-        world.run(until=3.5)
-        gw.stats()            # observes part of the gap (t=2,3)
-        handle.stats()        # and again via sub_stats
-        world.run(until=5.5)
-        handle.resume()       # folds the remainder (t=4,5)
-        world.run(until=6.5)
-        stats = handle.stats()
-        assert stats["delivered"] == 3  # t=0,1,6
-        assert stats["filtered"] == 4   # t=2..5, once each
-        gw_stats = gw.stats()
-        assert gw_stats["events_delivered"] + gw_stats["events_filtered"] \
-            == gw_stats["events_in"]
-
-    def test_forwarding_stays_on_while_paused(self):
-        """Pause is flow control, not teardown: the subscription stays
-        registered and the sensor keeps forwarding."""
-        world, _h, gw, sensor = bare_gateway()
-        handle = gw.open(SubscriptionSpec(sensor=sensor.name,
-                                          delivery=Delivery.callback()))
-        handle.pause()
-        assert sensor.sink is not None
-        assert gw.stats()["subscriptions"] == 1
 
 
 # ---------------------------------------------------------------- id counters

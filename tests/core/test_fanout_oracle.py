@@ -2,17 +2,15 @@
 
 ``EventGateway.ingest`` never scans its subscriptions: stream
 subscriptions with an ``EventNames`` filter are reached through a
-NL.EVNT index, paused ones are dropped from the fan-out lists, nobody
-counts ``filtered`` (every subscription derives it from one identity
-when somebody looks), and each requested wire format is rendered once
-per event.  The
-trivially-correct version is the one ``wide_fanout`` carries in
+NL.EVNT index, nobody counts ``filtered`` (every subscription derives
+it from one identity when somebody looks), and each requested wire
+format is rendered once per event.  The trivially-correct version is the one ``wide_fanout`` carries in
 ``benchmarks/e2e/workloads.py``: keep every event that was ingested and
 ask *every* subscription's filter — a plain closure over
 ``(event name, VALUE)`` — about *every* one of them.
 
-Hypothesis drives one gateway through open / pause / resume / close /
-throttle / emit, over in-process callbacks and remote consumers in all
+Hypothesis drives one gateway through open / close / throttle / emit,
+a retired sensor and a gateway crash, over in-process callbacks and remote consumers in all
 three wire formats, fed by a sensor host across the network and by an
 in-process sensor, and holds it to the model:
 
@@ -20,10 +18,9 @@ in-process sensor, and holds it to the model:
   accepts for it, in ingest order;
 * a throttled one receives a subsequence of them, and the rest is
   accounted: ``delivered + shed + queued`` is the model's accepted
-  count, ``filtered`` is everything else ingested while it was open.
-
-The model never decides what an overflow policy sheds — it reads the
-gateway's own counters and checks that they add up.
+  count, ``filtered`` is everything else ingested while it was open;
+* a full outbox sheds its oldest frame, so whatever is queued is
+  always the newest accepted events, in order.
 
 A subscription is one object, so nothing copies its counters when the
 channel goes: every teardown — ``handle.close()``, a dead-consumer reap,
@@ -39,10 +36,10 @@ raises, while ``EventNames`` (indexed), ``OnChange`` and ``Threshold``
 (stateful, evaluated on every event, in subscription order) share the
 fan-out with them.
 
-Checked against two mutations of ``core/gateway.py`` — ``reindex``
-keeping paused subscriptions in the fan-out lists, ``reindex`` entering
-only the first name of an ``EventNames`` set: each fails the fixed
-script below, the first the random runs as well — and three of the
+Checked against mutations of ``core/gateway.py`` — ``reindex``
+entering only the first name of an ``EventNames`` set fails the fixed
+script below; shedding the newest frame instead of the oldest fails the
+outbox check everywhere — and three of the
 ``filtered`` identity in ``core/subscriptions.py`` (see
 ``test_every_teardown_freezes_the_handle_as_it_read_just_before``).
 Which *format* a recipient's frame is in is not this oracle's business
@@ -77,7 +74,6 @@ SENSORS = (REMOTE, LOCAL)
 SLOW, FAST = "c1", "c0"
 #: long enough for a LAN hop to land, short against the throttled rates
 STEP = 0.02
-POLICIES = ("drop_oldest", "drop_newest", "block", "degrade")
 
 
 @pytest.fixture(autouse=True)
@@ -133,9 +129,6 @@ def make_filter(kind: tuple):
     return Threshold("VALUE", ">", kind[1])
 
 
-SUMMARY = "SUB_DEGRADED_SUMMARY"     # the degrade policy's catch-up event
-
-
 class ModelSub:
     """What the brute-force reference knows about one subscription."""
 
@@ -145,17 +138,15 @@ class ModelSub:
         self.sensor = sensor
         self.where = where              # "callback" | FAST | SLOW
         self.accept = reference_filter(kind)
-        self.paused = False
         self.opened_at = opened_at      # events the sensor had ingested
         self.closed_at = None
         #: ``handle.stats()`` as read right after the teardown
         self.final = None
         #: the N field of every event the reference filter passed
         self.accepted: list = []
-        #: N of every event that arrived (SUMMARY for a catch-up event)
+        #: N of every event that arrived
         self.received: list = []
-        handle.attach(lambda msg: self.received.append(
-            SUMMARY if msg.event == SUMMARY else msg.fields["N"]))
+        handle.attach(lambda msg: self.received.append(msg.fields["N"]))
 
 
 def is_subsequence(short: list, long: list) -> bool:
@@ -196,12 +187,12 @@ class FanoutMachine(RuleBasedStateMachine):
         # an in-process tap per sensor keeps forwarding on for the whole
         # run, and is itself the simplest subscription to hold to the model
         for sensor in SENSORS:
-            self._open(sensor, ("all",), "ulm", "callback", 4, "drop_oldest")
+            self._open(sensor, ("all",), "ulm", "callback", 4)
 
-    def _open(self, sensor, kind, fmt, where, limit, overflow):
+    def _open(self, sensor, kind, fmt, where, limit):
         spec = SubscriptionSpec(sensor=sensor, fmt=fmt, buffer_limit=0,
                                 event_filter=make_filter(kind),
-                                outbox_limit=limit, overflow=overflow)
+                                outbox_limit=limit)
         if where == "callback":
             handle = self.gw.open(spec.replace(delivery=Delivery.callback()))
         else:
@@ -232,8 +223,7 @@ class FanoutMachine(RuleBasedStateMachine):
         for sensor in SENSORS:
             if not any(sub.sensor == sensor and sub.closed_at is None
                        for sub in self.subs):
-                self._open(sensor, ("all",), "ulm", "callback", 4,
-                           "drop_oldest")
+                self._open(sensor, ("all",), "ulm", "callback", 4)
 
     def _settle(self, seconds: float = STEP) -> None:
         self.world.run(until=self.world.now + seconds)
@@ -250,10 +240,9 @@ class FanoutMachine(RuleBasedStateMachine):
     @rule(sensor=st.sampled_from(SENSORS), kind=kinds,
           fmt=st.sampled_from(["ulm", "xml", "binary"]),
           where=st.sampled_from(["callback", FAST, SLOW]),
-          limit=st.integers(1, 4),
-          overflow=st.sampled_from(POLICIES))
-    def open(self, sensor, kind, fmt, where, limit, overflow):
-        self._open(sensor, kind, fmt, where, limit, overflow)
+          limit=st.integers(1, 4))
+    def open(self, sensor, kind, fmt, where, limit):
+        self._open(sensor, kind, fmt, where, limit)
 
     @rule(index=st.integers(0, 63))
     def close(self, index):
@@ -261,21 +250,6 @@ class FanoutMachine(RuleBasedStateMachine):
         if sub is not None:
             assert sub.handle.close() is True
             assert sub.closed_at is not None and not sub.handle.reaped
-
-    @rule(index=st.integers(0, 63))
-    def pause(self, index):
-        sub = self._live(index)
-        if sub is not None:
-            assert sub.handle.pause() == (not sub.paused)
-            sub.paused = True
-
-    @rule(index=st.integers(0, 63))
-    def resume(self, index):
-        sub = self._live(index)
-        if sub is not None:
-            assert sub.handle.resume() == sub.paused
-            sub.paused = False
-            self._settle()
 
     @rule(sensor=st.sampled_from(SENSORS))
     def retire(self, sensor):
@@ -337,7 +311,7 @@ class FanoutMachine(RuleBasedStateMachine):
             self.ingested[sensor] += 1
             for sub in self.subs:
                 if sub.sensor == sensor and sub.closed_at is None \
-                        and not sub.paused and sub.accept(name, value):
+                        and sub.accept(name, value):
                     sub.accepted.append(str(self.serial))
         self._settle()
 
@@ -353,17 +327,19 @@ class FanoutMachine(RuleBasedStateMachine):
         until = self.ingested[sub.sensor] if sub.closed_at is None \
             else sub.closed_at
         assert stats == sub.final or sub.closed_at is None, (stats, sub.final)
-        assert stats["overflow"] or not (stats["blocked"] or stats["degraded"])
         routed = stats["delivered"] + stats["dropped"] + stats["queued"]
         assert routed == len(sub.accepted), (sub.where, stats)
         assert stats["filtered"] == until - sub.opened_at - routed, \
             (sub.where, stats)
-        got = [n for n in sub.received if n is not SUMMARY]
+        got = sub.received
         if sub.where == SLOW:
-            # what was shed is the policy's business; what arrived is not
+            # a full outbox sheds its oldest frame: what is still queued
+            # is the newest accepted events, and what arrived is in order
+            queued = [frame.message().fields["N"]
+                      for frame in sub.handle.outbox]
+            assert queued == sub.accepted[len(sub.accepted) - len(queued):]
             assert len(got) <= stats["delivered"]
             assert is_subsequence(got, sub.accepted)
-            assert len(sub.received) - len(got) <= stats["summaries_sent"]
         else:
             assert stats["dropped"] == stats["queued"] == 0
             assert got == sub.accepted, sub.where
@@ -390,18 +366,13 @@ class FanoutMachine(RuleBasedStateMachine):
         # open the taps: whatever is still queued for a live consumer
         # drains, and then everything delivered has also arrived
         self.gw.throttle_consumer(SLOW, None)
-        for sub in self.subs:
-            if sub.closed_at is None and sub.paused:
-                sub.handle.resume()
-                sub.paused = False
         self._settle(1.0)
         self.subscriptions_match_the_model()
         for sub in self.subs:
             if sub.closed_at is None:
                 stats = sub.handle.stats()
                 assert stats["queued"] == 0
-                assert len(sub.received) == \
-                    stats["delivered"] + stats["summaries_sent"]
+                assert len(sub.received) == stats["delivered"]
         for consumer in self.consumers.values():
             assert consumer.decode_errors == 0
             consumer.close()
@@ -412,81 +383,67 @@ FanoutMachine.TestCase.settings = settings(
 TestFanoutOracle = FanoutMachine.TestCase
 
 
-def test_index_pause_and_overflow_on_one_fixed_script():
+def test_index_and_overflow_on_one_fixed_script():
     """The oracle on one script that reaches every state the rules can:
-    an indexed and a generic subscription paused across events, a
-    throttled consumer overflowing under each policy, a close with
-    events still queued, a sensor retired under its subscribers — and
-    checks the script really got there."""
+    indexed and generic subscriptions side by side, throttled consumers
+    overflowing outboxes of four sizes, a close with events still
+    queued, a sensor retired under its subscribers — and checks the
+    script really got there."""
     machine = FanoutMachine()
     machine.build(seed=3)
     names = ("names", frozenset({"CPU_USAGE"}))
-    machine.open(REMOTE, names, "xml", FAST, 4, "drop_oldest")          # 2
-    machine.open(REMOTE, ("on-change",), "binary", "callback", 4, "block")
-    machine.open(LOCAL, ("threshold", 5.0), "ulm", FAST, 4, "block")    # 4
-    for index, policy in enumerate(POLICIES):
+    machine.open(REMOTE, names, "xml", FAST, 4)                         # 2
+    machine.open(REMOTE, ("on-change",), "binary", "callback", 4)       # 3
+    machine.open(LOCAL, ("threshold", 5.0), "ulm", FAST, 4)             # 4
+    for index, limit in enumerate((1, 2, 3, 4)):
         machine.open(SENSORS[index % 2], ("all",), ("ulm", "xml", "binary")
-                     [index % 3], SLOW, 2, policy)                      # 5..8
+                     [index % 3], SLOW, limit)                          # 5..8
     # a second indexed subscription beside #2 with a disjoint name set:
     # every REMOTE event below reaches one of them through the index and
     # is counted as filtered for the other
     machine.open(REMOTE, ("names", frozenset({"NET_IO", "DISK_IO"})),
-                 "binary", FAST, 4, "drop_oldest")                      # 9
+                 "binary", FAST, 4)                                     # 9
     beat = [(REMOTE, "CPU_USAGE", "3"), (LOCAL, "NET_IO", "7"),
             (REMOTE, "NET_IO", "41"), (LOCAL, "CPU_USAGE", "0")]
     machine.emit(beat)
     machine.subscriptions_match_the_model()
-    # a pause nobody looks into
-    machine.pause(2)
-    machine.pause(3)
-    machine.emit(beat)
-    machine.resume(2)
-    machine.resume(3)
-    machine.subscriptions_match_the_model()
-    # and one that is read while it lasts
-    machine.pause(2)
-    machine.pause(3)
     machine.throttle(5.0)
     for _ in range(4):
         machine.emit(beat)
         machine.subscriptions_match_the_model()
-    machine.resume(2)
-    machine.resume(3)
     machine.close(5)
     machine.emit(beat)
     machine.subscriptions_match_the_model()
     subs = machine.subs
-    # the REMOTE sensor is retired under a paused indexed subscription
-    # and a blocked one with a full outbox, and comes back
-    machine.pause(2)
+    # the REMOTE sensor is retired under its subscribers, a throttled
+    # one with a full outbox among them, and comes back
     machine.emit(beat)
     machine.retire(REMOTE)
     assert all(subs[i].handle.reaped for i in (0, 2, 3, 7, 9))
-    assert subs[2].final["paused"] and subs[7].final["queued"] == 2
+    assert subs[7].final["queued"] == 3                 # retired while full
     machine.emit(beat)
     machine.subscriptions_match_the_model()
     assert subs[-1].sensor == REMOTE and len(subs[-1].accepted) == 2
-    by_policy = {sub.handle.spec.overflow: sub.handle.stats()
-                 for sub in subs[5:9]}
-    assert all(stats["dropped"] > 0 for stats in by_policy.values())
-    assert by_policy["drop_oldest"]["queued"] == 2      # closed while full
-    assert by_policy["degrade"]["shed_degraded"] > 0
-    assert subs[2].handle.stats()["filtered"] > len(subs[2].accepted) > 0
+    slow = [sub.handle.stats() for sub in subs[5:9]]
+    assert all(stats["dropped"] > 0 for stats in slow)
+    assert slow[0]["queued"] == 1                       # closed while full
+    # half of REMOTE's beat is CPU_USAGE: the index passed it, the rest
+    # was filtered without a filter call
+    assert subs[2].handle.stats()["filtered"] == len(subs[2].accepted) > 0
     assert len(subs[3].accepted) < machine.ingested[REMOTE]
     machine.teardown()
-    assert by_policy["degrade"]["summaries_sent"] == 0  # a snapshot: before
-    assert subs[8].handle.stats()["summaries_sent"] == 1
-    assert machine.gw.stats()["outbox_abandoned"] == 2 + 2
+    assert machine.gw.stats()["outbox_abandoned"] == 1 + 3
 
 
 @pytest.mark.parametrize("path", ["close", "reap", "crash", "unregister"])
 def test_every_teardown_freezes_the_handle_as_it_read_just_before(path):
     """What the deleted ``_final_stats`` copy used to guarantee: four
-    throttled subscriptions, one per overflow policy, each shedding
-    with a full outbox, and a paused indexed one, torn down by each of
-    the four callers of the one teardown path.  ``_watch_teardowns``
-    compares the reads around the teardown itself; ``_check`` compares
-    every later read with them while the sensor keeps sending.
+    throttled subscriptions with outboxes of four sizes, each shedding
+    with a full outbox, and an indexed one on a consumer nobody
+    throttles, torn down by each of the four callers of the one
+    teardown path.  ``_watch_teardowns`` compares the reads around the
+    teardown itself; ``_check`` compares every later read with them
+    while the sensor keeps sending.
 
     Mutations of the ``filtered`` identity tried against this file:
     leaving ``queued`` out of it fails ``_check``'s ``filtered == until
@@ -502,14 +459,13 @@ def test_every_teardown_freezes_the_handle_as_it_read_just_before(path):
     the reap and crash cases here)."""
     machine = FanoutMachine()
     machine.build(seed=11)
-    for policy in POLICIES:
-        machine.open(REMOTE, ("all",), "ulm", SLOW, 2, policy)          # 2..5
-    machine.open(REMOTE, ("names", frozenset({"NET_IO"})), "xml", FAST, 4,
-                 "drop_oldest")                                         # 6
+    for limit in (1, 2, 3, 4):
+        machine.open(REMOTE, ("all",), "ulm", SLOW, limit)              # 2..5
+    machine.open(REMOTE, ("names", frozenset({"NET_IO"})), "xml", FAST,
+                 4)                                                     # 6
     subs = machine.subs[2:]
     beat = [(REMOTE, "NET_IO", "7"), (REMOTE, "CPU_USAGE", "3")]
     machine.emit(beat)
-    machine.pause(6)
     machine.throttle(5.0)
     for _ in range(3):
         machine.emit(beat)
@@ -523,13 +479,14 @@ def test_every_teardown_freezes_the_handle_as_it_read_just_before(path):
         for index in range(2, 7):
             machine.close(index)
     elif path == "reap":
-        # the consumer dies; three undeliverable pump sends per stream
+        # the slow consumer dies; three undeliverable pump sends per
+        # stream, while the fast one keeps acknowledging
         machine.world.hosts[SLOW].crash()
         for _ in range(8):
             machine.emit(beat)
             machine.drain()
         assert machine.gw.subs_reaped == 4
-        assert not subs[4].handle.closed    # a paused stream sends nothing
+        assert not subs[4].handle.closed
         machine.close(6)
     elif path == "crash":
         machine.crash()
@@ -538,7 +495,6 @@ def test_every_teardown_freezes_the_handle_as_it_read_just_before(path):
     assert [sub.handle.reaped for sub in subs] == \
         [path != "close"] * 4 + [path in ("crash", "unregister")]
     assert all(sub.final["closed"] and sub.handle.closed for sub in subs)
-    assert subs[4].final["paused"]
     assert sum(sub.final["queued"] for sub in subs) == \
         machine.gw.outbox_abandoned > 0
 

@@ -2,10 +2,10 @@
 
 The gateway reaps a subscription after ``reap_threshold`` undeliverable
 sends.  These tests pin down the interleavings between a reap and the
-consumer-side handle API (pause/resume/close), which used to be
-unspecified: a reaped handle must behave exactly like a closed one —
-idempotently, with its final counters frozen — never error, and never
-double-release gateway state.
+consumer's ``handle.close()``, which used to be unspecified: a reaped
+handle must behave exactly like a closed one — idempotently, with its
+final counters frozen — never error, and never double-release gateway
+state.
 """
 
 from __future__ import annotations
@@ -135,39 +135,6 @@ class TestHandleRacingReap:
         assert handle.close() is False      # nothing left to release
         assert gw.stats()["subscriptions"] == 0
         assert gw.subs_reaped == 1
-
-    def test_pause_and_resume_after_reap_return_false(self):
-        world, gw, sensor, consumer_host, _ = build()
-        handle = open_remote(gw, consumer_host)
-        consumer_host.crash()
-        emit(world, sensor, 3)
-        assert handle.pause() is False
-        assert handle.resume() is False
-        assert handle.stats()["closed"] is True
-
-    def test_paused_subscription_is_never_reaped(self):
-        """Paused subs leave the fan-out index: no sends, no failures,
-        no reap — the consumer can come back and resume."""
-        world, gw, sensor, consumer_host, received = build()
-        handle = open_remote(gw, consumer_host)
-        assert handle.pause() is True
-        consumer_host.crash()
-        emit(world, sensor, 10)
-        assert not handle.reaped
-        consumer_host.restart()
-        assert handle.resume() is True
-        emit(world, sensor, 2)
-        assert len(received) == 2
-
-    def test_resume_racing_reap_on_dead_consumer(self):
-        world, gw, sensor, consumer_host, _ = build()
-        handle = open_remote(gw, consumer_host)
-        handle.pause()
-        consumer_host.crash()
-        assert handle.resume() is True      # resume itself succeeds...
-        emit(world, sensor, 3)              # ...then the reap lands
-        assert handle.reaped
-        assert handle.resume() is False
 
     def test_close_with_failure_in_flight(self):
         """A delivery already on the wire fails after the handle closed:

@@ -90,21 +90,21 @@ class TestGatewayWireProtocol:
 
     def test_backpressure_spec_survives_the_wire(self):
         world, _s, gw_host, consumer, gw, sensor = gateway_world()
-        spec = SubscriptionSpec(sensor.name, overflow="block", outbox_limit=8)
+        spec = SubscriptionSpec(sensor.name, outbox_limit=8)
         back = SubscriptionSpec.from_request(spec.to_request())
-        assert (back.overflow, back.outbox_limit) == ("block", 8)
-        # absent keys are the defaults: pre-existing requests are unchanged
+        assert back.outbox_limit == 8
+        # an absent key is the default: pre-existing requests are unchanged
         plain = SubscriptionSpec.from_request({"sensor": sensor.name})
-        assert (plain.overflow, plain.outbox_limit) == ("drop_oldest", 256)
+        assert plain.outbox_limit == 256
         reply = world.transport.request(
             consumer, gw_host, GATEWAY_PORT,
             {**spec.to_request(), "port": 22004})
         world.run(until=1.0)
         assert reply.value["ok"]
         opened = gw._subs[reply.value["sub_id"]].spec
-        assert (opened.overflow, opened.outbox_limit) == ("block", 8)
+        assert opened.outbox_limit == 8
 
-    @pytest.mark.parametrize("junk", [{"overflow": "levitate"},
+    @pytest.mark.parametrize("junk", [{"outbox_limit": -3},
                                       {"outbox_limit": 0},
                                       {"outbox_limit": "lots"}])
     def test_bad_backpressure_spec_is_refused(self, junk):
@@ -119,8 +119,7 @@ class TestGatewayWireProtocol:
 
     def test_only_the_delivery_host_controls_a_subscription(self):
         """§2.2/§7.1: the gateway is the access-control point — another
-        host cannot tear down, pause or resume a stream by guessing its
-        integer id."""
+        host cannot tear down a stream by guessing its integer id."""
         world, _s, gw_host, consumer, gw, sensor = gateway_world()
         intruder = world.add_host("x")
         world.lan([intruder], switch="sw")
@@ -131,27 +130,25 @@ class TestGatewayWireProtocol:
             {"op": "subscribe", "sensor": sensor.name, "port": 22006})
         world.run(until=2.5)
         sub_id = reply.value["sub_id"]
-        refused = [world.transport.request(intruder, gw_host, GATEWAY_PORT,
-                                           {"op": op, "sub_id": sub_id})
-                   for op in ("unsubscribe", "pause", "resume")]
+        refused = world.transport.request(intruder, gw_host, GATEWAY_PORT,
+                                          {"op": "unsubscribe",
+                                           "sub_id": sub_id})
         world.run(until=3.0)
-        for r in refused:
-            assert r.value["ok"] is False
-            assert "not delivered to x" in r.value["error"]
+        assert refused.value["ok"] is False
+        assert "not delivered to x" in refused.value["error"]
         handle = gw._subs[sub_id]
-        assert not handle.closed and not handle.paused
+        assert not handle.closed
         count = len(deliveries)
         world.run(until=8.0)
         assert len(deliveries) >= count + 4  # the stream keeps arriving
-        # ...and the owner still can: pause, resume, and an unknown id
-        # stays a plain False rather than an error
-        for i, (op, sid, ok) in enumerate((("pause", sub_id, True),
-                                           ("resume", sub_id, True),
-                                           ("unsubscribe", sub_id + 99, False))):
+        # ...and the owner still can, while an unknown id stays a plain
+        # False rather than an error
+        for i, (sid, ok) in enumerate(((sub_id + 99, False), (sub_id, True))):
             r = world.transport.request(consumer, gw_host, GATEWAY_PORT,
-                                        {"op": op, "sub_id": sid})
+                                        {"op": "unsubscribe", "sub_id": sid})
             world.run(until=8.5 + i / 2)
             assert r.value == {"ok": ok}
+        assert handle.closed
 
     def test_bad_op_reports_error(self):
         world, _s, gw_host, consumer, gw, sensor = gateway_world()

@@ -1,9 +1,9 @@
 """Self-healing ClientSession semantics (auto-heal watchdog).
 
 Regression tests for the review findings on the healing path: per-
-lineage (not per-sensor) dedupe trackers, filter/pause-respecting
-replay, and bounded tracker memory; and for the catch-up pass's one
-archive scan, which must deliver exactly what one scan per handle would.
+lineage (not per-sensor) dedupe trackers, filter-respecting replay, and
+bounded tracker memory; and for the catch-up pass's one archive scan,
+which must deliver exactly what one scan per handle would.
 """
 
 from __future__ import annotations
@@ -72,25 +72,6 @@ def test_replay_respects_event_filter():
     assert list(excluded.events()) == []
 
 
-def test_replay_does_not_resurrect_paused_gap():
-    """Events missed while paused count as filtered (gateway
-    semantics); resume must not replay them from the archive."""
-    world, jamm, archive, client, session = build()
-    info = client.sensors(type="seq")[0]
-    handle = session.subscribe(info)
-    session.enable_auto_heal(archive=archive, check_interval=1.0)
-    world.run(until=4.0)
-    seen_before = {e.fields["SEQ"] for e in handle.events()}
-    assert handle.pause()
-    world.run(until=8.0)
-    assert handle.resume()
-    world.run(until=12.0)
-    seqs = sorted(int(e.fields["SEQ"]) for e in handle.events(drain=True))
-    # a contiguous gap covering the paused window must remain
-    assert len(seqs) < 24  # 12s at 2 events/s, minus the paused gap
-    assert seen_before, "no events before the pause"
-
-
 def test_tracker_memory_is_bounded_by_replay_window():
     world, jamm, archive, client, session = build()
     info = client.sensors(type="seq")[0]
@@ -121,12 +102,8 @@ def per_handle_replay(session, handles) -> None:
     at its turn as the watchdog loop would, gets an archive scan of its
     own."""
     for handle in handles:
-        if handle.closed:
-            continue
-        if handle.paused:
-            handle._heal_tracker.fast_forward = True
-            continue
-        ClientSession._replay(session, [handle])
+        if not handle.closed:
+            ClientSession._replay(session, [handle])
 
 
 def test_a_pass_over_many_streams_scans_the_archive_once():
@@ -144,9 +121,9 @@ def test_a_pass_over_many_streams_scans_the_archive_once():
 
 
 def record_heal_run(replay=None) -> tuple:
-    """A healing session over three streams, run through a pause, a
-    handle that joins late (its floor is 0, the lowest, and it is last
-    in line) and a consumer-host crash; returns every delivery, the
+    """A healing session over three streams, run through a handle that
+    joins late (its floor is 0, the lowest, and it is last in line) and
+    a consumer-host crash; returns every delivery, the
     heal counters, each tracker's end state and the scan count."""
     world, jamm, archive, client, session = build(sensors=3)
     if replay is not None:
@@ -167,16 +144,13 @@ def record_heal_run(replay=None) -> tuple:
         infos[0], on_event=recorder("filtered"),
         event_filter=EventNames(["NO_SUCH_EVENT"])))
     session.enable_auto_heal(archive=archive, check_interval=1.0)
-    world.run(until=4.0)
-    handles[1].pause()
     world.run(until=6.0)
-    handles[1].resume()
     session.subscribe(infos[2], on_event=recorder("late"))
     monitor = client.host
     world.sim.call_in(1.0, monitor.crash)
     world.sim.call_in(3.0, monitor.restart)
     world.run(until=14.0)
-    trackers = [(t.replay_floor, t.duplicates, t.fast_forward, t.live_date)
+    trackers = [(t.replay_floor, t.duplicates, t.live_date)
                 for t in session._trackers]
     return log, session.heal_stats(), trackers, len(starts)
 
@@ -191,23 +165,6 @@ def test_the_shared_scan_delivers_what_per_handle_scans_do():
     assert heal == ref_heal
     assert trackers == ref_trackers
     assert scans < ref_scans
-
-
-def test_a_paused_stale_handle_does_not_widen_the_scan():
-    world, jamm, archive, client, session = build(sensors=2)
-    paused, live = [session.subscribe(info)
-                    for info in client.sensors(type="seq")]
-    session.enable_auto_heal(archive=archive, check_interval=1.0)
-    world.run(until=2.0)
-    assert paused.pause()
-    world.run(until=8.0)
-    stale = paused._heal_tracker
-    assert stale.replay_floor < 2.0 < live._heal_tracker.replay_floor
-    starts = count_scans(archive)
-    expected = live._heal_tracker.replay_floor - 1.0    # minus the slack
-    session.heal_now()
-    assert stale.fast_forward and stale.replay_floor < 2.0
-    assert starts == [expected]
 
 
 def missed(prog: str, seq: int, date: float) -> ULMMessage:

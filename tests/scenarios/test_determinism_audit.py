@@ -107,7 +107,7 @@ def test_the_rerun_line_rebuilds_the_scenario_it_came_from():
     scenario = Scenario(
         name="rerun", seed=15, plan=plan, n_sensor_hosts=2,
         horizon=30.0, storms=True, flaky=True, resilience=True,
-        outbox_limit=8, overflow_policy="block", sanitize=False,
+        outbox_limit=8, sanitize=False,
         archive_retention_age=30.0, archive_retention_bytes=1 << 20,
         archive_downsample_after=15.0, compaction_interval=None)
     line = ScenarioResult(scenario=scenario, plan=plan).repro_line()

@@ -117,12 +117,12 @@ def test_every_frame_redecodes_on_the_fault_free_scenario(audit):
 
 def test_every_frame_redecodes_under_a_random_fault_plan(audit):
     """Crashes, partitions, a throttled consumer: frames wait in
-    outboxes, are abandoned, replayed from the archive and summarized
-    by the degrade policy — and still say what their wire says."""
+    outboxes, are shed or abandoned, replayed from the archive — and
+    still say what their wire says."""
     runner, result = run_audited(
         Scenario(name="frame-oracle-faults", seed=15, horizon=40.0,
                  drain=15.0, sensor_period=0.2, random_steps=40,
-                 outbox_limit=4, overflow_policy="degrade"),
+                 outbox_limit=4),
         audit)
     result.check()
     kinds = {event.kind for event in result.plan}

@@ -30,7 +30,6 @@ SAMPLES = {
     "flaky": [True],
     "resilience": [True, ResilienceConfig(jitter=0.5)],
     "outbox_limit": [8],
-    "overflow_policy": ["block"],
     "sanitize": [False],
     "archive_segment_events": [16],
     "archive_retention_age": [30.0],
