@@ -83,9 +83,6 @@ class MatisseViewer:
                                     name=f"matisse[{self.viewer.name}]")
         return self._proc
 
-    def stop(self) -> None:
-        self.running = False
-
     def _loop(self, n_frames: Optional[int], deadline: Optional[float]):
         frame_id = 0
         while self.running:

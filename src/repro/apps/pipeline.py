@@ -116,9 +116,6 @@ class MatissePipeline:
         self._workers = workers
         return workers
 
-    def stop(self) -> None:
-        self.running = False
-
     def _lane(self, node: Host, budget, deadline):
         session = self.sessions[node.name]
         result_flow = self.result_flows[node.name]
@@ -158,9 +155,6 @@ class MatissePipeline:
             return 0.0
         span = self.display_times[-1] - self.display_times[0]
         return (len(self.display_times) - 1) / span if span > 0 else 0.0
-
-    def total_retransmits(self) -> int:
-        return sum(s.total_retransmits() for s in self.sessions.values())
 
     def close(self) -> None:
         self.running = False

@@ -141,9 +141,6 @@ class SensorSelection(Sequence):
     def __iter__(self) -> Iterator[SensorInfo]:
         return iter(self._infos)
 
-    def keys(self) -> list[str]:
-        return [info.key for info in self._infos]
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<SensorSelection {len(self._infos)} sensor(s) "
                 f"filter={self.filter_text!r}>")

@@ -56,9 +56,6 @@ class SearchResult:
     entries: list
     referrals: list
 
-    def dns(self) -> list[str]:
-        return [str(e.dn) for e in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -44,10 +44,6 @@ class PeriodSummary:
     total_events: int
     by_event: dict
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
 
 def summarize_period(archive: EventArchive, t0: float, t1: float, *,
                      host: Optional[str] = None) -> PeriodSummary:

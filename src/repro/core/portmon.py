@@ -77,12 +77,6 @@ class PortMonitorAgent:
         self._proc = self.sim.spawn(self._loop(),
                                     name=f"portmon[{self.host.name}]")
 
-    def stop(self) -> None:
-        self.running = False
-        if self._proc is not None and self._proc.alive:
-            self._proc.kill()
-            self._proc = None
-
     # -- engine -----------------------------------------------------------------------
 
     def _port_active(self, port: int) -> bool:

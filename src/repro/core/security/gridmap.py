@@ -21,9 +21,6 @@ class GridMap:
     def add(self, subject: str, local_user: str) -> None:
         self._map[subject] = local_user
 
-    def remove(self, subject: str) -> None:
-        self._map.pop(subject, None)
-
     def lookup(self, subject: str) -> Optional[str]:
         """Local user for an identity (proxies resolve to their owner's
         subject before lookup — callers pass the *effective* identity)."""

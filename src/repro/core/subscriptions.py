@@ -91,7 +91,7 @@ class Delivery:
       when the handle's buffer / attached callbacks are the consumer;
     * ``Delivery.remote(host, port)`` — events pushed over the simulated
       network to a bound port as ``((gateway, sub id), Frame)`` pairs;
-    * ``Delivery.none()`` — no event channel (query mode).
+    * ``Delivery()`` — no event channel (query mode).
     """
 
     kind: str = "none"                      # "callback" | "remote" | "none"
@@ -105,10 +105,6 @@ class Delivery:
     @classmethod
     def remote(cls, host: Any, port: int) -> "Delivery":
         return cls(kind="remote", address=(host, port))
-
-    @classmethod
-    def none(cls) -> "Delivery":
-        return cls(kind="none")
 
     def validate(self) -> None:
         if self.kind not in ("callback", "remote", "none"):

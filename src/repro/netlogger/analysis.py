@@ -73,10 +73,6 @@ class Gap:
     start: float
     end: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def find_gaps(messages: Iterable[ULMMessage], *, event: Optional[str] = None,
               min_gap: float = 1.0) -> list[Gap]:

@@ -61,9 +61,6 @@ class FileDestination(Destination):
     def emit(self, msg: ULMMessage) -> None:
         self.messages.append(msg)
 
-    def text(self) -> str:
-        return "".join(serialize(m) + "\n" for m in self.messages)
-
     def __len__(self) -> int:
         return len(self.messages)
 
@@ -231,6 +228,3 @@ class NetLogger:
         self.written += 1
         return msg
 
-    def flush(self) -> None:
-        if isinstance(self.dest, MemoryDestination):
-            self.dest.flush()

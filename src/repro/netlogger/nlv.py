@@ -57,9 +57,6 @@ class LoadlineSeries:
     name: str
     samples: list  # (time, value)
 
-    def values(self) -> list[float]:
-        return [v for _, v in self.samples]
-
     def at(self, t: float) -> Optional[float]:
         """Step-interpolated value at time t (None before first sample)."""
         current = None
@@ -75,12 +72,6 @@ class LoadlineSeries:
 class PointSeries:
     name: str
     samples: list  # (time, value or None)
-
-    def times(self) -> list[float]:
-        return [t for t, _ in self.samples]
-
-    def values(self) -> list:
-        return [v for _, v in self.samples]
 
 
 class NLVDataSet:

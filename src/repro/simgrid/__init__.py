@@ -21,8 +21,7 @@ from .network import (InterfaceCounters, Link, NetNode, Network, NoRouteError,
 from .processes import OSProcess, ProcessTable, ProcState
 from .randomness import RandomStreams
 from .resources import CPUModel, CPUSample, MemoryModel, MemorySample
-from .rmi import (RMI_PORT, ActivationSpec, RemoteRef, RMIDaemon, RMIError,
-                  exported_methods)
+from .rmi import RMI_PORT, ActivationSpec, RemoteRef, RMIDaemon, RMIError
 from .snmp import OID, SNMPAgent, SNMPManager
 from .sockets import DeliveryError, Message, MessageTransport
 from .tcp import TCPFlow, TCPStats, poisson_draw
@@ -40,5 +39,5 @@ __all__ = [
     "RMIError", "RMI_PORT", "RouterNode", "ScheduledCall",
     "SimulationError", "Simulator", "SNMPAgent", "SNMPManager",
     "SwitchNode", "TCPFlow", "TCPStats", "Timeout", "TokenBucket",
-    "exported_methods", "poisson_draw",
+    "poisson_draw",
 ]

@@ -46,10 +46,6 @@ class HostClock:
         self._drift = drift
         self._drift_epoch = sim.now  # virtual time at which offset was last set
 
-    @property
-    def drift(self) -> float:
-        return self._drift
-
     def error(self) -> float:
         """Current clock error relative to true time (seconds)."""
         return self._base_offset + self._drift * (self.sim.now - self._drift_epoch)

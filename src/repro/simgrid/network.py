@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = ["NetNode", "RouterNode", "SwitchNode", "Link", "LinkDirection",
            "Network", "NoRouteError", "InterfaceCounters", "Path",
@@ -540,9 +540,6 @@ class Network:
         return lk
 
     # -- state --------------------------------------------------------------
-
-    def nodes(self) -> Iterable[NetNode]:
-        return self._nodes.values()
 
     def links(self) -> list[Link]:
         return list(self._links)

@@ -30,18 +30,13 @@ from .httpd import HTTPServer
 from .kernel import EventFlag, Simulator, Timeout
 from .sockets import DeliveryError, Message, MessageTransport
 
-__all__ = ["RMIDaemon", "RemoteRef", "RMIError", "ActivationSpec", "exported_methods"]
+__all__ = ["RMIDaemon", "RemoteRef", "RMIError", "ActivationSpec"]
 
 RMI_PORT = 1099
 
 
 class RMIError(RuntimeError):
     """Remote invocation failure (unknown object/method, remote exception)."""
-
-
-def exported_methods(obj: Any) -> list[str]:
-    return [n for n in dir(obj)
-            if not n.startswith("_") and callable(getattr(obj, n))]
 
 
 @dataclass
@@ -138,12 +133,6 @@ class RMIDaemon:
         if spec.name in self._exports:
             raise RMIError(f"name already bound: {spec.name}")
         self._exports[spec.name] = _Export(spec.name, spec=spec)
-
-    def unbind(self, name: str) -> None:
-        self._exports.pop(name, None)
-
-    def names(self) -> list[str]:
-        return sorted(self._exports)
 
     def export(self, name: str) -> Optional[_Export]:
         return self._exports.get(name)

@@ -129,9 +129,6 @@ class SNMPManager:
     def agent(self, device: str) -> Optional[SNMPAgent]:
         return self._agents.get(device)
 
-    def devices(self) -> list[str]:
-        return sorted(self._agents)
-
     def get(self, device: str, oid: str, *, community: str = "public") -> Any:
         self.queries += 1
         agent = self._agents.get(device)

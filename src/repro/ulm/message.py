@@ -11,7 +11,7 @@ files").
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .fields import (DATE, FieldError, HOST, LVL, NL_EVNT, PROG,
                      check_token, format_date, is_valid_field_name)
@@ -125,13 +125,6 @@ class ULMMessage:
             cached = self._date_str = format_date(self.date)
         return cached
 
-    def items(self) -> Iterable[tuple[str, str]]:
-        """All fields, required first, in wire order."""
-        yield DATE, self.date_str
-        yield HOST, self.host
-        yield PROG, self.prog
-        yield LVL, self.lvl
-        yield from self.fields.items()
 
     # -- identity / ordering ------------------------------------------------------
 

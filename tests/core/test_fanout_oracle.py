@@ -36,10 +36,11 @@ raises, while ``EventNames`` (indexed), ``OnChange`` and ``Threshold``
 (stateful, evaluated on every event, in subscription order) share the
 fan-out with them.
 
-Checked against mutations of ``core/gateway.py`` — ``reindex``
+Checked against two mutations of ``core/gateway.py`` — ``reindex``
 entering only the first name of an ``EventNames`` set fails the fixed
-script below; shedding the newest frame instead of the oldest fails the
-outbox check everywhere — and three of the
+script below and the random runs; a full outbox shedding the arriving
+frame instead of its oldest fails the outbox check in the fixed script
+and in all four teardown cases — and three of the
 ``filtered`` identity in ``core/subscriptions.py`` (see
 ``test_every_teardown_freezes_the_handle_as_it_read_just_before``).
 Which *format* a recipient's frame is in is not this oracle's business
@@ -404,7 +405,8 @@ def test_index_and_overflow_on_one_fixed_script():
     machine.open(REMOTE, ("names", frozenset({"NET_IO", "DISK_IO"})),
                  "binary", FAST, 4)                                     # 9
     beat = [(REMOTE, "CPU_USAGE", "3"), (LOCAL, "NET_IO", "7"),
-            (REMOTE, "NET_IO", "41"), (LOCAL, "CPU_USAGE", "0")]
+            (REMOTE, "NET_IO", "41"), (LOCAL, "CPU_USAGE", "0"),
+            (REMOTE, "DISK_IO", "60.5")]
     machine.emit(beat)
     machine.subscriptions_match_the_model()
     machine.throttle(5.0)
@@ -423,13 +425,14 @@ def test_index_and_overflow_on_one_fixed_script():
     assert subs[7].final["queued"] == 3                 # retired while full
     machine.emit(beat)
     machine.subscriptions_match_the_model()
-    assert subs[-1].sensor == REMOTE and len(subs[-1].accepted) == 2
+    assert subs[-1].sensor == REMOTE and len(subs[-1].accepted) == 3
     slow = [sub.handle.stats() for sub in subs[5:9]]
     assert all(stats["dropped"] > 0 for stats in slow)
     assert slow[0]["queued"] == 1                       # closed while full
-    # half of REMOTE's beat is CPU_USAGE: the index passed it, the rest
-    # was filtered without a filter call
-    assert subs[2].handle.stats()["filtered"] == len(subs[2].accepted) > 0
+    # a third of REMOTE's beat is CPU_USAGE: the index passed it, the
+    # rest was filtered without a filter call, and #9 took that rest
+    assert subs[2].handle.stats()["filtered"] == \
+        2 * len(subs[2].accepted) == len(subs[9].accepted) > 0
     assert len(subs[3].accepted) < machine.ingested[REMOTE]
     machine.teardown()
     assert machine.gw.stats()["outbox_abandoned"] == 1 + 3
