@@ -16,21 +16,14 @@ Under pytest the recorder is re-armed before every test phase, because
 some tests install a profile or trace hook of their own.  Code that
 runs in a grandchild process (a test that spawns a script) is not seen.
 
-Usage::
-
-    python scripts/reach.py                    # all drivers -> docs/REACH.md
-    python scripts/reach.py --check            # also exit 1 when a function
-                                               # outside KEEP is reached by
-                                               # nothing
-    python scripts/reach.py --drivers examples,analysis --out /tmp/r.md
-
-The ``tests`` driver takes several minutes under the profiler, so this
+Usage: ``python scripts/reach.py``.  It runs every driver, writes
+``docs/REACH.md`` and exits 1 when a function outside the keep rules
+(``KEEP`` and ``kept``) is reached by no driver.  The ``tests`` driver takes several minutes under the profiler, so this
 is a nightly job, not part of tier-1.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -49,7 +42,7 @@ E2E_WORKLOADS = ("steady_pipeline", "wide_fanout", "fault_storm",
                  "archive_mixed")
 
 #: functions allowed to be reached by no driver, each with its reason.
-#: Names the e2e tracer patches (``_boundaries()`` and ``_CODEC`` in
+#: Functions the e2e tracer patches (``_boundaries()`` and ``_CODEC`` in
 #: ``benchmarks/e2e/tracer.py``), dunders, ``# pragma: no cover``
 #: functions and methods a subclass in ``src/`` overrides are kept
 #: without being listed here.
@@ -109,26 +102,39 @@ def functions_in(root: Path) -> list[Function]:
     """Every function and method defined in the ``*.py`` files under
     ``root`` (a directory holding packages, like ``src/``)."""
     found: list[Function] = []
-    # class name -> (base names, method names), to spot overridden methods
-    classes: dict[str, tuple[list[str], set[str]]] = {}
+    # "module:Class" -> (bases as (module, name) references, method
+    # names), to spot overridden methods
+    classes: dict[str, tuple[list[tuple[str, str]], set[str]]] = {}
+    # module -> local name -> (module, name) it was imported from; the
+    # name is "" for an imported module
+    imports: dict[str, dict[str, tuple[str, str]]] = {}
     methods: list[tuple[str, Function]] = []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
         module = module_name(path, root)
+        imports[module] = _imports(tree, module, path.name == "__init__.py")
         lines = text.splitlines()
         owner: dict[int, Function] = {}
+
+        def base_ref(base: ast.expr) -> tuple[str, str]:
+            if isinstance(base, ast.Name):
+                return module, base.id
+            if isinstance(base, ast.Attribute) and isinstance(
+                    base.value, ast.Name):
+                src, name = imports[module].get(base.value.id, ("", ""))
+                return (f"{src}.{name}" if name else src), base.attr
+            return "", ""
 
         def visit(node: ast.AST, prefix: str, cls: str | None) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    bases = [b.id if isinstance(b, ast.Name) else
-                             b.attr if isinstance(b, ast.Attribute) else ""
-                             for b in child.bases]
+                    key = f"{module}:{prefix}{child.name}"
                     names = {n.name for n in child.body if isinstance(
                         n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-                    classes.setdefault(child.name, (bases, names))
-                    visit(child, f"{prefix}{child.name}.", child.name)
+                    classes[key] = ([base_ref(b) for b in child.bases],
+                                    names)
+                    visit(child, f"{prefix}{child.name}.", key)
                 elif isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
                     first = min([child.lineno] + [d.lineno for d in
@@ -150,10 +156,24 @@ def functions_in(root: Path) -> list[Function]:
         visit(tree, "", None)
         for fn in owner.values():
             fn.lines += 1
+
+    def resolve(module: str, name: str) -> str | None:
+        """The ``module:Class`` key a name in ``module`` stands for,
+        following imports and re-exports; None outside ``root``."""
+        seen: set[tuple[str, str]] = set()
+        while name and (module, name) not in seen:
+            if f"{module}:{name}" in classes:
+                return f"{module}:{name}"
+            seen.add((module, name))
+            module, name = imports.get(module, {}).get(name, ("", ""))
+        return None
+
     subclasses: dict[str, list[str]] = {}
-    for name, (bases, _names) in classes.items():
+    for key, (bases, _names) in classes.items():
         for base in bases:
-            subclasses.setdefault(base, []).append(name)
+            target = resolve(*base)
+            if target is not None:
+                subclasses.setdefault(target, []).append(key)
     for cls, fn in methods:
         todo, seen = list(subclasses.get(cls, ())), set()
         while todo:
@@ -166,6 +186,29 @@ def functions_in(root: Path) -> list[Function]:
                 break
             todo.extend(subclasses.get(sub, ()))
     return found
+
+
+def _imports(tree: ast.Module, module: str,
+             package: bool) -> dict[str, tuple[str, str]]:
+    """Local name -> ``(module, name)`` for every import in ``tree``
+    (anywhere in it: a function may import lazily)."""
+    here = module.split(".") if package else module.split(".")[:-1]
+    names: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = here[:len(here) - node.level + 1] if node.level else []
+            src = ".".join(parts + ([node.module] if node.module else []))
+            for alias in node.names:
+                names.setdefault(alias.asname or alias.name,
+                                 (src, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names.setdefault(alias.asname, (alias.name, ""))
+                else:
+                    top = alias.name.split(".")[0]
+                    names.setdefault(top, (top, ""))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -305,49 +348,51 @@ def kept(fn: Function, patched: set[str]) -> str | None:
         return "pragma: no cover"
     if fn.overridden:
         return "base method a subclass overrides"
-    if fn.qualname.split(":")[-1] in patched:
+    if fn.qualname in patched:
         return "patched by name by the e2e tracer"
     return None
 
 
 def tracer_patch_names() -> set[str]:
-    """``Owner.attr`` for every tracer boundary, plus the codec names."""
+    """``module:Owner.attr`` for every tracer boundary, plus the
+    ``module:function`` each codec name of ``repro.ulm`` resolves to."""
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT))
+    import repro.ulm as ulm
     from benchmarks.e2e import tracer
-    names = {f"{owner.__name__}.{attr}"
+    names = {f"{owner.__module__}:{owner.__qualname__}.{attr}"
              for owner, attr, _name, _where in tracer._boundaries()}
-    names.update(attr for attr, _name, _where in tracer._CODEC)
+    for attr, _name, _where in tracer._CODEC:
+        fn = getattr(ulm, attr)
+        names.add(f"{fn.__module__}:{fn.__qualname__}")
     return names
 
 
 def unreached(reach: Reach, patched: set[str]) -> list[tuple[Function, str]]:
     """Functions no driver reached, each with its keep reason ("" when
     nothing keeps it)."""
-    hit = set().union(*reach.reached.values()) if reach.reached else set()
+    hit = set().union(*reach.reached.values())
     return [(fn, kept(fn, patched) or "") for fn in reach.functions
             if fn.qualname not in hit]
 
 
 def render(reach: Reach, patched: set[str]) -> str:
-    drivers = [d for d in DRIVERS if d in reach.reached]
     hit_any = set().union(*reach.reached.values())
-    others = {d: set().union(*(reach.reached[o] for o in drivers if o != d))
-              for d in drivers}
+    not_tests = set().union(*(reach.reached[d] for d in DRIVERS
+                              if d != "tests"))
     rows: dict[str, dict] = {}
     for fn in reach.functions:
         row = rows.setdefault(fn.module, {"fns": 0, "lines": 0, "none": 0,
                                           "tests_only": 0,
-                                          **{d: 0 for d in drivers}})
+                                          **{d: 0 for d in DRIVERS}})
         row["fns"] += 1
         row["lines"] += fn.lines
-        for d in drivers:
+        for d in DRIVERS:
             if fn.qualname in reach.reached[d]:
                 row[d] += fn.lines
         if fn.qualname not in hit_any:
             row["none"] += fn.lines
-        elif ("tests" in drivers and fn.qualname in reach.reached["tests"]
-              and fn.qualname not in others["tests"]):
+        elif fn.qualname not in not_tests:
             row["tests_only"] += fn.lines
     out = ["# Reach map of `src/`", "",
            "Generated by `python scripts/reach.py`; do not edit by hand.",
@@ -356,22 +401,22 @@ def render(reach: Reach, patched: set[str]) -> str:
            "parent's) belong to a function each driver calls at least once.",
            "`tests only` counts lines no driver but `tests` reaches;",
            "`none` counts lines no driver reaches.  Drivers: " +
-           ", ".join(f"`{d}`" for d in drivers) + ".", ""]
-    header = ["module", "functions", "lines", *drivers, "tests only", "none"]
+           ", ".join(f"`{d}`" for d in DRIVERS) + ".", ""]
+    header = ["module", "functions", "lines", *DRIVERS, "tests only", "none"]
     out.append("| " + " | ".join(header) + " |")
     out.append("|" + "---|" * len(header))
-    total = {k: 0 for k in ("fns", "lines", "none", "tests_only", *drivers)}
+    total = {k: 0 for k in ("fns", "lines", "none", "tests_only", *DRIVERS)}
     for module in sorted(rows):
         row = rows[module]
         for k in total:
             total[k] += row[k]
         out.append("| " + " | ".join(
             [f"`{module}`", str(row["fns"]), str(row["lines"]),
-             *(str(row[d]) for d in drivers), str(row["tests_only"]),
+             *(str(row[d]) for d in DRIVERS), str(row["tests_only"]),
              str(row["none"])]) + " |")
     out.append("| **total** | " + " | ".join(
         [str(total["fns"]), str(total["lines"]),
-         *(str(total[d]) for d in drivers), str(total["tests_only"]),
+         *(str(total[d]) for d in DRIVERS), str(total["tests_only"]),
          str(total["none"])]) + " |")
     missing = unreached(reach, patched)
     out += ["", "## Functions no driver reaches", ""]
@@ -384,14 +429,14 @@ def render(reach: Reach, patched: set[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def collect(drivers: Iterable[str]) -> Reach:
+def collect() -> Reach:
     reach = Reach(functions_in(SRC))
     with tempfile.TemporaryDirectory() as tmp:
-        for driver in drivers:
+        for driver in DRIVERS:
             dump = Path(tmp) / f"{driver}.json"
             print(f"reach: running {driver}", file=sys.stderr, flush=True)
             subprocess.run([sys.executable, __file__, "--record", driver,
-                            "--dump", str(dump)], cwd=ROOT, check=False,
+                            str(dump)], cwd=ROOT, check=False,
                            stdout=subprocess.DEVNULL)
             places = json.loads(dump.read_text()) if dump.exists() else []
             if not places:
@@ -401,32 +446,25 @@ def collect(drivers: Iterable[str]) -> Reach:
     return reach
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--drivers", default=",".join(DRIVERS),
-                        help="comma-separated subset of " + ", ".join(DRIVERS))
-    parser.add_argument("--out", default=str(ROOT / "docs" / "REACH.md"))
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if a function outside the keep-list "
-                             "is reached by no driver")
-    parser.add_argument("--record", help=argparse.SUPPRESS)
-    parser.add_argument("--dump", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.record:
-        record_driver(args.record, Path(args.dump))
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--record"] and len(argv) == 3:
+        # the child process of one driver (see ``collect``)
+        record_driver(argv[1], Path(argv[2]))
         return 0
-    drivers = [d for d in args.drivers.split(",") if d]
-    reach = collect(drivers)
+    if argv:
+        raise SystemExit("usage: python scripts/reach.py")
+    reach = collect()
     patched = tracer_patch_names()
-    Path(args.out).write_text(render(reach, patched), encoding="utf-8")
+    out = ROOT / "docs" / "REACH.md"
+    out.write_text(render(reach, patched), encoding="utf-8")
     dead = [fn for fn, reason in unreached(reach, patched) if not reason]
     print(f"reach: {len(reach.functions)} functions, "
-          f"{len(dead)} reached by no driver and not kept; wrote {args.out}",
+          f"{len(dead)} reached by no driver and not kept; wrote {out}",
           file=sys.stderr)
     for fn in dead:
         print(f"  {fn.qualname} ({fn.path}:{fn.first})", file=sys.stderr)
-    return 1 if args.check and dead else 0
+    return 1 if dead else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -47,11 +47,45 @@ def test_reach_lists_the_function_nobody_calls(tmp_path, monkeypatch):
                           recorder.reached(tmp_path / "src"))
     assert hit == {"reachfixture:called"}
 
-    result = reach.Reach(functions, {"tests": hit})
+    result = reach.Reach(functions, {d: set() for d in reach.DRIVERS})
+    result.reached["tests"] = hit
     missing = reach.unreached(result, patched=set())
     assert [(fn.qualname, why) for fn, why in missing] == \
         [("reachfixture:never_called", "")]
     table = reach.render(result, patched=set())
-    assert "| `reachfixture` | 2 | 5 | 2 | 2 | 3 |" in table
+    # functions, lines, then tests / paper / examples / e2e / analysis,
+    # tests only, none
+    assert "| `reachfixture` | 2 | 5 | 2 | 0 | 0 | 0 | 0 | 2 | 3 |" in table
     assert "- `reachfixture:never_called` (src/reachfixture/__init__.py:5, " \
         "3 lines)" in table
+
+
+def test_keep_rules_match_qualified_names_not_bare_ones(tmp_path,
+                                                        monkeypatch):
+    """Two modules each define ``Base.run``; only ``a``'s is overridden
+    (through a re-export), and a tracer patch of ``a.encode`` keeps
+    nothing in ``b``."""
+    reach = load_reach(monkeypatch)
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .a import Base\n")
+    (package / "a.py").write_text(
+        "class Base:\n    def run(self):\n        pass\n\n\n"
+        "def encode():\n    pass\n")
+    (package / "b.py").write_text(
+        "class Base:\n    def run(self):\n        pass\n\n\n"
+        "def encode():\n    pass\n")
+    (package / "c.py").write_text(
+        "from pkg import Base\n\n\n"
+        "class Child(Base):\n    def run(self):\n        pass\n")
+    functions = reach.functions_in(tmp_path / "src")
+    result = reach.Reach(functions, {d: set() for d in reach.DRIVERS})
+    missing = dict((fn.qualname, why) for fn, why in reach.unreached(
+        result, patched={"pkg.a:encode"}))
+    assert missing == {
+        "pkg.a:Base.run": "base method a subclass overrides",
+        "pkg.a:encode": "patched by name by the e2e tracer",
+        "pkg.b:Base.run": "",
+        "pkg.b:encode": "",
+        "pkg.c:Child.run": "",
+    }
