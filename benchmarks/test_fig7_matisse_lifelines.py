@@ -91,7 +91,7 @@ def test_fig7_lifeline_analysis(once):
 
     report("E2", "Fig. 7 — Matisse analysis via JAMM + NetLogger", [
         ("sensors subscribed", "all components (13 hosts' worth)",
-         f"{subscribed} sensors / {len({m.host for m in log})} hosts"),
+         f"{len(subscribed)} sensors / {len({m.host for m in log})} hosts"),
         ("complete frame lifelines", "(lifeline primitive)",
          f"{len(complete)}"),
         ("frame-delivery gaps >= 1 s", "visible gap", f"{len(gaps)}"),
@@ -104,7 +104,7 @@ def test_fig7_lifeline_analysis(once):
     ])
 
     # shapes
-    assert subscribed >= 15            # vmstat+netstat+tcpdump on 5 hosts
+    assert len(subscribed) >= 15            # vmstat+netstat+tcpdump on 5 hosts
     assert len(complete) >= 10
     assert all(l.is_monotonic() for l in complete)
     assert retrans, "4-socket WAN configuration must show retransmissions"

@@ -72,12 +72,11 @@ def polling_arm(seed):
 
     def poll_loop():
         while True:
-            for entry in collector.discover(
-                    "(&(sensortype=cpu)(status=running))"):
-                key = entry.first("sensorkey")
-                if key and key not in seen:
-                    seen.add(key)
-                    collector.subscribe_entry(entry)
+            for info in collector.client.sensors(type="cpu",
+                                                  status="running"):
+                if info.key not in seen:
+                    seen.add(info.key)
+                    collector.subscribe(info)
             yield Timeout(POLL_INTERVAL)
 
     world.sim.spawn(poll_loop(), name="poller")

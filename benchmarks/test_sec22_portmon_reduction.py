@@ -43,12 +43,10 @@ def run_arm(on_demand: bool, duty_seconds: float, seed: int,
         # directory's persistent search — poll here for simplicity
         seen = set()
         while True:
-            for entry in collector.discover("(objectclass=sensor)"):
-                key = entry.first("sensorkey")
-                if key and key not in seen and \
-                        entry.first("status") == "running":
-                    seen.add(key)
-                    collector.subscribe_entry(entry)
+            for info in collector.client.sensors():
+                if info.key not in seen and info.status == "running":
+                    seen.add(info.key)
+                    collector.subscribe(info)
             yield Timeout(2.0)
 
     world.sim.spawn(subscribe_loop(), name="subscriber")
@@ -123,6 +121,6 @@ def test_triggered_sensors_cover_the_active_periods(once):
         ("events during transfer", ">0", f"{received}"),
         ("transfer completed", "yes", f"{transferred}"),
     ])
-    assert opened == 1
+    assert len(opened) == 1
     assert received > 0
     assert transferred

@@ -55,8 +55,8 @@ def main() -> None:
 
     monitoring = jamm.client(host=gw_host)
     collector = jamm.collector(host=gw_host)
-    n = collector.subscribe_all(monitoring.sensors())
-    print(f"Subscribed to {n} sensors found in the directory.\n")
+    handles = collector.subscribe_all(monitoring.sensors())
+    print(f"Subscribed to {len(handles)} sensors found in the directory.\n")
 
     # --- run the application --------------------------------------------------
     app_sensor = jamm.managers[client.name].sensors["mplay"]

@@ -21,8 +21,10 @@ mode, wire format, event filter, delivery, principal — and handles
 ``.close()``.  A stream is opened and closed, never paused; a remote
 consumer that falls behind has the oldest events of its full gateway
 outbox shed, and a self-healing session replays the committed ones
-from the archive.  The same spec/handle types power the built-in
-consumer types (collector, archiver, overview, procmon, autocollector).
+from the archive.  A session is a :class:`~repro.core.consumers.Consumer`,
+like the built-in consumer types (collector, archiver, overview,
+procmon, autocollector): each is built from a client, which discovers
+sensors and resolves gateways for it, and subscribes the same way.
 """
 
 from ..core.subscriptions import (DEFAULT_BUFFER_LIMIT, Delivery, SpecError,

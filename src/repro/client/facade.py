@@ -8,7 +8,8 @@ typed API:
   compiles keyword criteria to RFC-2254 LDAP filter text and returns a
   :class:`SensorSelection` of typed :class:`SensorInfo` rows;
 * sessions: ``with client.session() as s:`` yields a
-  :class:`ClientSession` whose ``subscribe``/``subscribe_all`` return
+  :class:`ClientSession` (a :class:`~repro.core.consumers.Consumer`)
+  whose ``subscribe``/``subscribe_all`` return
   :class:`~repro.core.subscriptions.SubscriptionHandle` objects and
   whose exit tears every subscription down (idempotently, surfacing
   per-handle errors after all have been attempted);
@@ -21,10 +22,11 @@ typed API:
   delivery with per-stream duplicate suppression, so committed events
   survive gateway crashes and network partitions.
 
-The facade never talks to gateway internals: it resolves gateways the
-same way every consumer does and opens subscriptions through
-:meth:`EventGateway.open` with declarative
-:class:`~repro.core.subscriptions.SubscriptionSpec` objects.
+Discovery (:meth:`MonitoringClient.sensors`) and gateway lookup
+(:meth:`MonitoringClient.gateway_for`) live here once: every consumer
+is built from a client and subscribes through them, ending in
+:meth:`EventGateway.open` with a declarative
+:class:`~repro.core.subscriptions.SubscriptionSpec`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.consumers.base import Consumer, TeardownError
 from ..core.resilience import ResiliencePolicy
-from ..core.subscriptions import (SubscriptionHandle, SubscriptionSpec,
-                                  sensor_key_for)
+from ..core.subscriptions import SubscriptionHandle, sensor_key_for
 
 __all__ = ["MonitoringClient", "ClientSession", "SensorInfo",
            "SensorSelection", "ClientError", "compile_sensor_filter"]
@@ -110,7 +111,7 @@ class SensorInfo:
     status: Optional[str]
     gateway_name: Optional[str]
     gateway_host: Optional[str]
-    #: the underlying directory entry (consumers subscribe through it)
+    #: the underlying directory entry (None for a hand-built row)
     entry: Any = field(compare=False, repr=False, default=None)
 
     @classmethod
@@ -199,8 +200,10 @@ class MonitoringClient:
     """Facade over a directory client and a gateway resolver.
 
     Usually obtained from a deployment: ``client = jamm.client()``.
-    Standalone construction needs the pieces every consumer needs —
-    the simulator, a directory client, and a gateway resolver.
+    Standalone construction needs the simulator, a directory client and
+    a gateway resolver.  Every consumer — a session or a built-in
+    consumer type — is built from one and discovers sensors and
+    resolves gateways through it.
     """
 
     def __init__(self, sim: Any, *, directory: Any,
@@ -299,24 +302,19 @@ class MonitoringClient:
         return f"<MonitoringClient host={host} suffix={self.suffix!r}>"
 
 
-class ClientSession:
+class ClientSession(Consumer):
     """A scope of subscriptions with deterministic teardown.
 
-    Internally a plain :class:`Consumer` supplies the delivery
-    machinery (receive port, frame unpacking, handle demux), so sessions
-    behave exactly like the built-in consumer types — they just have no
-    ``on_event`` of their own: events live on the handles.
+    A session is a plain :class:`Consumer` — the same subscribing,
+    receive port, frame unpacking and handle demux as the built-in
+    consumer types, with no ``on_event`` of its own: events live on the
+    handles.  What it adds is the scope (a closed session refuses new
+    subscriptions) and self-healing (:meth:`enable_auto_heal`).
     """
 
     def __init__(self, client: MonitoringClient, *, principal: Any = None,
                  name: str = ""):
-        self.client = client
-        self._consumer = Consumer(
-            client.sim, name=name, host=client.host,
-            directory=client.directory,
-            resolve_gateway=client.resolve_gateway,
-            principal=principal if principal is not None else client.principal,
-            suffix=client.suffix)
+        super().__init__(client, name=name, principal=principal)
         self.closed = False
         # -- self-healing state (inert until enable_auto_heal) -------------
         self._heal_enabled = False
@@ -329,71 +327,22 @@ class ClientSession:
         #: one): resubscribe backoff gates, gateway health, counters.
         #: Records nothing until a failure happens — free when idle.
         self._resilience = client.resilience if client.resilience is not None \
-            else ResiliencePolicy(client.sim,
-                                  name=f"session[{self._consumer.name}]")
+            else ResiliencePolicy(client.sim, name=f"session[{self.name}]")
         #: True while missed events are being replayed from the archive
         self.in_replay = False
         self.resubscribes = 0
         self.replayed = 0
 
-    @property
-    def handles(self) -> list[SubscriptionHandle]:
-        return self._consumer.handles
-
-    @property
-    def received(self) -> int:
-        """Events delivered into this session (all handles)."""
-        return self._consumer.received
-
     # -- subscribing -----------------------------------------------------------
 
-    def subscribe(self, target: Union[str, SensorInfo, Any], *,
-                  spec: Optional[SubscriptionSpec] = None,
-                  on_event: Any = None, event_filter: Any = None,
-                  mode: str = "stream", fmt: str = "ulm") -> SubscriptionHandle:
-        """Open one subscription; ``target`` is a SensorInfo, a
-        directory entry, or a sensor key string."""
+    def subscribe(self, target: Any, **kwargs: Any) -> SubscriptionHandle:
+        """:meth:`Consumer.subscribe` on an open session; a healing
+        session tracks the new handle's stream."""
         self._require_open()
-        info = self.client._resolve(target)
-        if isinstance(info, SensorInfo) and info.entry is None:
-            raise ClientError(
-                f"sensor info {info.key!r} carries no directory entry; "
-                "subscribe with one discovered via client.sensors()/find()")
-        handle = self._consumer.subscribe_entry(
-            info, spec=spec, event_filter=event_filter, mode=mode, fmt=fmt)
-        if on_event is not None:
-            handle.attach(on_event)
+        handle = super().subscribe(target, **kwargs)
         if self._heal_enabled:
             self._track(handle)
         return handle
-
-    def subscribe_all(self, selection: Union[None, str, Iterable] = None, *,
-                      spec: Optional[SubscriptionSpec] = None,
-                      on_event: Any = None, event_filter: Any = None,
-                      mode: str = "stream", fmt: str = "ulm",
-                      **criteria: Any) -> list[SubscriptionHandle]:
-        """Open a subscription per sensor and return the handles.
-
-        ``selection`` is a :class:`SensorSelection`, LDAP filter text,
-        or None — in which case the keyword ``criteria`` run through
-        fluent discovery (``s.subscribe_all(type="cpu")``).
-        """
-        self._require_open()
-        if selection is None:
-            selection = self.client.sensors(**criteria)
-        elif criteria:
-            raise ClientError("pass either a selection or criteria, not both")
-        if isinstance(selection, str):
-            selection = self.client.sensors(filter_text=selection)
-        handles = []
-        for info in selection:
-            per_spec = spec.clone() if spec is not None else None
-            per_flt = event_filter.clone() if event_filter is not None else None
-            handles.append(self.subscribe(info, spec=per_spec,
-                                          on_event=on_event,
-                                          event_filter=per_flt,
-                                          mode=mode, fmt=fmt))
-        return handles
 
     # -- self-healing ------------------------------------------------------------------
 
@@ -440,7 +389,7 @@ class ClientSession:
                 self._track(handle)
         if self._heal_proc is None or not self._heal_proc.alive:
             self._heal_proc = self.client.sim.spawn(
-                self._heal_loop(), name=f"session-heal[{self._consumer.name}]")
+                self._heal_loop(), name=f"session-heal[{self.name}]")
         return self
 
     def _track(self, handle: SubscriptionHandle,
@@ -564,10 +513,10 @@ class ClientSession:
                 return False
         except Exception:
             return False
-        accept = self._consumer._accept
         for callback in dead._callbacks:
-            if callback is not accept and callback not in \
-                    replacement._callbacks:
+            # the replacement's own ``_accept`` compares equal to the
+            # dead handle's, so it is not attached twice
+            if callback not in replacement._callbacks:
                 replacement.attach(callback)
         # the replacement continues the dead handle's stream: it takes
         # over the tracker (watermark + dedupe state spans the
@@ -580,9 +529,9 @@ class ClientSession:
                 self._trackers.remove(fresh)
             self._track(replacement, tracker=dead_tracker)
         dead.superseded = True
-        if dead in self._consumer.handles:
-            self._consumer.handles.remove(dead)
-        self._consumer._wire_handles.pop(dead.wire_key, None)
+        if dead in self.handles:
+            self.handles.remove(dead)
+        self._wire_handles.pop(dead.wire_key, None)
         self.resubscribes += 1
         self._replay([replacement])
         return True
@@ -732,7 +681,7 @@ class ClientSession:
         if self._heal_proc is not None and self._heal_proc.alive:
             self._heal_proc.kill()
         self._heal_proc = None
-        self._consumer.close()
+        super().close()
 
     def __enter__(self) -> "ClientSession":
         return self
@@ -747,4 +696,4 @@ class ClientSession:
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "closed" if self.closed else f"{len(self.handles)} handle(s)"
-        return f"<ClientSession {self._consumer.name} {state}>"
+        return f"<ClientSession {self.name} {state}>"

@@ -29,12 +29,12 @@ class ArchiverAgent(Consumer):
     #: resilience-policy edge name for catalog publishes
     PUBLISH_EDGE = "archiver.publish"
 
-    def __init__(self, sim, *, archive: Optional[EventArchive] = None,
+    def __init__(self, client, *, archive: Optional[EventArchive] = None,
                  policy: Optional[SamplingPolicy] = None,
                  publish_interval: float = 60.0,
                  compaction_interval: Optional[float] = None,
                  resilience: Any = None, **kwargs):
-        super().__init__(sim, **kwargs)
+        super().__init__(client, **kwargs)
         #: optional :class:`repro.core.resilience.ResiliencePolicy`:
         #: catalog publishes are counted per edge and feed the shared
         #: ("directory", "publish") health score
@@ -50,18 +50,17 @@ class ArchiverAgent(Consumer):
         self.compactor = None
         if compaction_interval is not None:
             self.compactor = self.archive.start_compaction(
-                sim, interval=compaction_interval)
+                self.sim, interval=compaction_interval)
 
-    def subscribe_all(self, selection: Any = "(objectclass=sensor)",
-                      **kwargs: Any) -> int:
-        """Subscribe (filter text or a ``repro.client`` sensor
-        selection) and start the periodic catalog publisher."""
-        opened = super().subscribe_all(selection, **kwargs)
-        if self.directory is not None and self._publisher is None:
+    def subscribe_all(self, selection: Any = None, **kwargs: Any) -> list:
+        """:meth:`Consumer.subscribe_all`, then start the periodic
+        catalog publisher."""
+        handles = super().subscribe_all(selection, **kwargs)
+        if self.client.directory is not None and self._publisher is None:
             self._publisher = self.sim.spawn(self._publish_loop(),
                                              name=f"archiver-pub[{self.name}]")
         self.publish_catalog()
-        return opened
+        return handles
 
     def on_event(self, event: ULMMessage) -> None:
         if self.archive.append(event):
@@ -73,12 +72,12 @@ class ArchiverAgent(Consumer):
     # -- archive directory entry ---------------------------------------------------
 
     def catalog_dn(self) -> str:
-        return f"archive={self.archive.name},ou=archives,{self.suffix}"
+        return f"archive={self.archive.name},ou=archives,{self.client.suffix}"
 
     def publish_catalog(self) -> bool:
         """Upsert the directory entry describing the archive contents.
         Returns ``True`` when the publish reached the directory."""
-        if self.directory is None:
+        if self.client.directory is None:
             return True
         # counters are incremental; host/event names cost one pass over
         # the catalog plus the unsealed head (at most the seal threshold)
@@ -110,7 +109,7 @@ class ArchiverAgent(Consumer):
         if self.resilience is not None:
             self.resilience.edge(self.PUBLISH_EDGE)["attempts"] += 1
         try:
-            self.directory.publish(self.catalog_dn(), attrs)
+            self.client.directory.publish(self.catalog_dn(), attrs)
         except Exception:
             if self.resilience is not None:
                 self.resilience.fail(self.PUBLISH_EDGE,

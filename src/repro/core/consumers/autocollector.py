@@ -27,8 +27,8 @@ class AutoCollector(EventCollector):
 
     consumer_type = "autocollector"
 
-    def __init__(self, sim, **kwargs):
-        super().__init__(sim, **kwargs)
+    def __init__(self, client, **kwargs):
+        super().__init__(client, **kwargs)
         self._watch_filter: Optional[str] = None
         self._event_filter_proto: Any = None
         self._spec_proto: Any = None
@@ -36,62 +36,50 @@ class AutoCollector(EventCollector):
         self._subscribed_keys: set[str] = set()
         self.notifications = 0
 
-    def watch(self, filter_text: Any = "(objectclass=sensor)", *,
-              spec: Any = None, event_filter: Any = None,
-              base: Optional[str] = None) -> int:
+    def watch(self, selection: Any = "(objectclass=sensor)", *,
+              spec: Any = None, event_filter: Any = None) -> list:
         """Subscribe to current matches and to every future one.
 
-        ``filter_text`` is LDAP filter text or a ``repro.client``
-        sensor selection (whose compiled ``filter_text`` is reused for
-        the persistent search).  ``spec`` is a
+        ``selection`` is LDAP filter text or a ``client.sensors(...)``
+        selection (whose compiled ``filter_text`` is reused for the
+        persistent search).  ``spec`` is a
         :class:`~repro.core.subscriptions.SubscriptionSpec` prototype
-        cloned per sensor.  Returns the number of *immediate*
-        subscriptions; later arrivals are handled by the
-        persistent-search notification.
+        cloned per sensor.  Returns the handles opened *now*; later
+        arrivals are handled by the persistent-search notification.
         """
-        entries = None
-        if not isinstance(filter_text, str):
-            # a persistent search needs filter text to match *future*
-            # sensors, so a bare entry list is not enough here — but a
-            # selection's current entries need no second directory trip
-            selection = filter_text
-            selection_filter = getattr(selection, "filter_text", None)
-            if selection_filter is None:
-                raise ConsumerError(
-                    f"{self.name}: watch() needs LDAP filter text or a "
-                    "selection carrying one (client.sensors(...)), not "
-                    f"{type(selection).__name__}")
-            entries = [getattr(item, "entry", item) for item in selection]
-            filter_text = selection_filter
+        if isinstance(selection, str):
+            selection = self.client.sensors(filter_text=selection)
+        # a persistent search needs filter text to match *future*
+        # sensors, so a bare entry list is not enough here
+        filter_text = getattr(selection, "filter_text", None)
+        if filter_text is None:
+            raise ConsumerError(
+                f"{self.name}: watch() needs LDAP filter text or a "
+                "selection carrying one (client.sensors(...)), not "
+                f"{type(selection).__name__}")
         self._watch_filter = filter_text
         self._event_filter_proto = event_filter
         self._spec_proto = spec
-        base = base or f"ou=sensors,{self.suffix}"
-        if entries is None:
-            entries = self.discover(filter_text, base=base)
-        opened = 0
-        for entry in entries:
-            opened += self._maybe_subscribe(entry)
-        self._psearch_id = self.directory.persistent_search(
-            base, filter_text, self._on_notification)
-        return opened
+        handles = []
+        for info in selection:
+            handles += self._maybe_subscribe(info)
+        self._psearch_id = self.client.directory.persistent_search(
+            f"ou=sensors,{self.client.suffix}", filter_text,
+            self._on_notification)
+        return handles
 
-    def _maybe_subscribe(self, entry) -> int:
-        key = entry.first("sensorkey") or str(entry.dn)
-        if key in self._subscribed_keys:
-            return 0
-        if entry.first("status") == "stopped":
-            return 0
-        flt = (self._event_filter_proto.clone()
-               if self._event_filter_proto is not None else None)
-        per_spec = (self._spec_proto.clone()
-                    if self._spec_proto is not None else None)
+    def _maybe_subscribe(self, target) -> list:
+        info = self.client._resolve(target)
+        if info.key in self._subscribed_keys or info.status == "stopped":
+            return []
         try:
-            self.subscribe_entry(entry, spec=per_spec, event_filter=flt)
+            handles = self.subscribe_all(
+                [info], spec=self._spec_proto,
+                event_filter=self._event_filter_proto)
         except Exception:
-            return 0  # gateway unknown / not yet reachable: next update
-        self._subscribed_keys.add(key)
-        return 1
+            return []  # gateway unknown / not yet reachable: next update
+        self._subscribed_keys.add(info.key)
+        return handles
 
     def _on_notification(self, op: str, entry) -> None:
         """LDAP tells us a sensor entry appeared or changed."""
@@ -100,10 +88,10 @@ class AutoCollector(EventCollector):
             self._maybe_subscribe(entry)
 
     def close(self) -> None:
-        if self._psearch_id is not None and self.directory is not None:
+        if self._psearch_id is not None:
             try:
                 # cancel on whichever server holds the registration
-                for server in getattr(self.directory, "servers", []):
+                for server in getattr(self.client.directory, "servers", []):
                     server.cancel_psearch(self._psearch_id)
             except Exception:
                 pass

@@ -6,11 +6,21 @@ The flow every consumer follows: look sensors up in the directory
 subscribe via each sensor's event gateway, and receive the event
 stream.
 
-Subscriptions are declarative: each one is a
-:class:`~repro.core.subscriptions.SubscriptionSpec` opened against the
-sensor's gateway, and the consumer holds the resulting
-:class:`~repro.core.subscriptions.SubscriptionHandle` objects
-(``self.handles``) — no hand-tracked ``(gateway, sub_id)`` tuples.
+A consumer is built from one :class:`repro.client.MonitoringClient`,
+which does the looking up: ``client.sensors`` is the discovery and
+``client.gateway_for`` the gateway lookup, for every consumer type and
+for :class:`~repro.client.ClientSession` alike.  The consumer itself
+only subscribes:
+
+* ``subscribe(target)`` opens one subscription to a sensor — a
+  ``SensorInfo``, a directory entry or a sensor key;
+* ``subscribe_all(selection)`` opens one per sensor in a selection,
+  filter text or discovery keywords, cloning a stateful spec or
+  filter per sensor;
+* ``open(gateway, spec)`` is the gateway-level step both end in.
+
+Each returns the :class:`~repro.core.subscriptions.SubscriptionHandle`
+objects it opened, and the consumer holds them (``self.handles``).
 
 Delivery paths:
 
@@ -29,12 +39,11 @@ it (``copy()`` first).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from ...ulm import ULMMessage
 from ..subscriptions import (DEFAULT_BUFFER_LIMIT, Delivery,
-                             SubscriptionHandle, SubscriptionSpec,
-                             sensor_key_for)
+                             SubscriptionHandle, SubscriptionSpec)
 
 __all__ = ["Consumer", "ConsumerError", "TeardownError"]
 
@@ -65,7 +74,7 @@ class TeardownError(ConsumerError):
 
 
 class Consumer:
-    """Base class for the four JAMM consumer types."""
+    """Base class for the JAMM consumer types and client sessions."""
 
     consumer_type = "consumer"
     #: events each handle buffers for ``.events()`` when the consumer
@@ -75,17 +84,17 @@ class Consumer:
     #: explicitly passed spec always keeps its own ``buffer_limit``.
     handle_buffer_limit = DEFAULT_BUFFER_LIMIT
 
-    def __init__(self, sim, *, name: str = "", host: Any = None,
-                 directory: Any = None, resolve_gateway: Optional[Callable] = None,
-                 principal: Any = None, suffix: str = "o=grid"):
-        self.sim = sim
+    def __init__(self, client: Any, *, name: str = "",
+                 principal: Any = None):
+        #: the :class:`repro.client.MonitoringClient` this consumer
+        #: discovers sensors and resolves gateways through
+        self.client = client
+        self.sim = client.sim
+        self.host = client.host
         self.name = name or (f"{self.consumer_type}"
-                             f"{sim.serial(f'consumer:{self.consumer_type}')}")
-        self.host = host
-        self.directory = directory
-        self.resolve_gateway = resolve_gateway
-        self.principal = principal
-        self.suffix = suffix
+                             f"{self.sim.serial(f'consumer:{self.consumer_type}')}")
+        self.principal = principal if principal is not None \
+            else client.principal
         self.received = 0
         self.decode_errors = 0
         #: live SubscriptionHandle objects, in open order
@@ -94,27 +103,7 @@ class Consumer:
         self._wire_handles: dict[tuple, SubscriptionHandle] = {}
         self._recv_port: Optional[int] = None
 
-    # -- discovery -----------------------------------------------------------
-
-    def discover(self, filter_text: str = "(objectclass=sensor)", *,
-                 base: Optional[str] = None) -> list:
-        """Directory lookup: which sensors exist, and via which gateway."""
-        if self.directory is None:
-            raise ConsumerError(f"{self.name}: no directory client")
-        base = base or f"ou=sensors,{self.suffix}"
-        return self.directory.search(base, filter_text).entries
-
     # -- subscription -------------------------------------------------------------
-
-    def _gateway_for(self, entry) -> Any:
-        if self.resolve_gateway is None:
-            raise ConsumerError(f"{self.name}: no gateway resolver")
-        gateway = self.resolve_gateway(entry.first("gateway"),
-                                       entry.first("gatewayhost"))
-        if gateway is None:
-            raise ConsumerError(
-                f"{self.name}: unknown gateway {entry.first('gateway')!r}")
-        return gateway
 
     def _ensure_recv_port(self) -> int:
         if self._recv_port is None:
@@ -123,63 +112,66 @@ class Consumer:
             self.host.ports.bind(self._recv_port, self._handle_delivery)
         return self._recv_port
 
-    def subscribe_entry(self, entry, *, spec: Optional[SubscriptionSpec] = None,
-                        event_filter: Any = None, mode: str = "stream",
-                        fmt: str = "ulm") -> SubscriptionHandle:
-        """Subscribe to the sensor a directory entry (or a
-        ``repro.client`` SensorInfo wrapping one) describes."""
-        entry = getattr(entry, "entry", entry)
-        gateway = self._gateway_for(entry)
-        sensor_name = sensor_key_for(entry)
-        if spec is not None:
-            spec = spec.replace(sensor=sensor_name)
-        return self.subscribe(gateway, sensor_name, spec=spec,
-                              event_filter=event_filter, mode=mode, fmt=fmt)
-
-    def subscribe_all(self, selection: Union[str, Iterable] =
-                      "(objectclass=sensor)", *,
-                      spec: Optional[SubscriptionSpec] = None,
-                      event_filter: Any = None, mode: str = "stream",
-                      fmt: str = "ulm", base: Optional[str] = None) -> int:
-        """Subscribe to every sensor in ``selection``.
-
-        ``selection`` is either LDAP filter text (resolved through the
-        directory) or an iterable of directory entries / SensorInfo
-        objects — e.g. a ``repro.client`` ``client.sensors(...)``
-        selection.  Stateful specs/filters are cloned per subscription
-        so change/threshold detection stays independent per sensor.
-        Returns the number of subscriptions opened.
-        """
-        if isinstance(selection, str):
-            entries = self.discover(selection, base=base)
-        else:
-            entries = list(selection)
-        for entry in entries:
-            per_spec = spec.clone() if spec is not None else None
-            flt = event_filter.clone() if event_filter is not None else None
-            self.subscribe_entry(entry, spec=per_spec, event_filter=flt,
-                                 mode=mode, fmt=fmt)
-        return len(entries)
-
-    def subscribe(self, gateway, sensor_name: Optional[str] = None, *,
+    def subscribe(self, target: Any, *,
                   spec: Optional[SubscriptionSpec] = None,
-                  event_filter: Any = None, mode: str = "stream",
-                  fmt: str = "ulm") -> SubscriptionHandle:
-        """Open one subscription on ``gateway`` and return its handle.
+                  on_event: Any = None, event_filter: Any = None,
+                  mode: str = "stream", fmt: str = "ulm") -> SubscriptionHandle:
+        """Open one subscription to ``target`` — a ``SensorInfo``, a
+        directory entry or a sensor key — through its gateway.
 
-        Builds a :class:`SubscriptionSpec` from the kwargs unless one is
-        passed explicitly; the consumer supplies the delivery path
-        (receive port when both sides are networked, in-process
-        otherwise) and its principal.
+        Builds a :class:`SubscriptionSpec` from the keywords unless one
+        is passed (its sensor is set to the target's); ``on_event`` is
+        attached to the new handle.
         """
+        info = self.client._resolve(target)
         if spec is None:
-            if sensor_name is None:
-                raise ConsumerError(f"{self.name}: need a sensor name or spec")
-            spec = SubscriptionSpec(sensor=sensor_name, mode=mode, fmt=fmt,
+            spec = SubscriptionSpec(sensor=info.key, mode=mode, fmt=fmt,
                                     event_filter=event_filter,
                                     buffer_limit=self.handle_buffer_limit)
-        elif sensor_name is not None and spec.sensor != sensor_name:
-            spec = spec.replace(sensor=sensor_name)
+        else:
+            spec = spec.replace(sensor=info.key)
+        handle = self.open(self.client.gateway_for(info), spec)
+        if on_event is not None:
+            handle.attach(on_event)
+        return handle
+
+    def subscribe_all(self, selection: Union[None, str, Iterable] = None, *,
+                      spec: Optional[SubscriptionSpec] = None,
+                      on_event: Any = None, event_filter: Any = None,
+                      mode: str = "stream", fmt: str = "ulm",
+                      **criteria: Any) -> list[SubscriptionHandle]:
+        """Open a subscription per sensor and return the handles.
+
+        ``selection`` is a ``client.sensors(...)`` selection (or any
+        iterable of sensors), LDAP filter text, or None — in which case
+        the keyword ``criteria`` run through fluent discovery
+        (``subscribe_all(type="cpu")``).  Stateful specs/filters are
+        cloned per subscription so change/threshold detection stays
+        independent per sensor.
+        """
+        if selection is None:
+            selection = self.client.sensors(**criteria)
+        elif criteria:
+            raise ConsumerError("pass either a selection or criteria, not both")
+        if isinstance(selection, str):
+            selection = self.client.sensors(filter_text=selection)
+        handles = []
+        for info in selection:
+            per_spec = spec.clone() if spec is not None else None
+            per_flt = event_filter.clone() if event_filter is not None else None
+            handles.append(self.subscribe(info, spec=per_spec,
+                                          on_event=on_event,
+                                          event_filter=per_flt,
+                                          mode=mode, fmt=fmt))
+        return handles
+
+    def open(self, gateway: Any, spec: SubscriptionSpec) -> SubscriptionHandle:
+        """Open ``spec`` on ``gateway`` and hold the handle.
+
+        The consumer supplies its principal and, for a stream spec
+        without one, the delivery path: its receive port when both
+        sides are networked, an in-process callback otherwise.
+        """
         if spec.principal is None and self.principal is not None:
             spec = spec.replace(principal=self.principal)
         use_network = (self.host is not None and gateway.host is not None

@@ -23,8 +23,8 @@ class EventCollector(Consumer):
     consumer_type = "collector"
     handle_buffer_limit = 0  # events live in self.messages/self.window
 
-    def __init__(self, sim, *, window_span: float = 120.0, **kwargs):
-        super().__init__(sim, **kwargs)
+    def __init__(self, client, *, window_span: float = 120.0, **kwargs):
+        super().__init__(client, **kwargs)
         self.messages: list[ULMMessage] = []
         self.window = LogWindow(span=window_span)
 

@@ -70,8 +70,8 @@ class OverviewMonitor(Consumer):
     consumer_type = "overview"
     handle_buffer_limit = 0  # only per-host latest state is kept
 
-    def __init__(self, sim, **kwargs):
-        super().__init__(sim, **kwargs)
+    def __init__(self, client, **kwargs):
+        super().__init__(client, **kwargs)
         #: host name -> most recent event from that host
         self.state: dict[str, ULMMessage] = {}
         self.rules: list[OverviewRule] = []

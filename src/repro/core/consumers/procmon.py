@@ -97,8 +97,8 @@ class ProcessMonitorConsumer(Consumer):
     consumer_type = "procmon"
     handle_buffer_limit = 0  # actions_taken is the record of interest
 
-    def __init__(self, sim, *, rules: Optional[dict] = None, **kwargs):
-        super().__init__(sim, **kwargs)
+    def __init__(self, client, *, rules: Optional[dict] = None, **kwargs):
+        super().__init__(client, **kwargs)
         self.rules: dict[str, _Action] = dict(rules or {})
         self.actions_taken: list[ActionRecord] = []
 

@@ -32,7 +32,13 @@ __all__ = ["JAMMDeployment"]
 
 
 class JAMMDeployment:
-    """One JAMM instance: directory group + gateways + sensor managers."""
+    """One JAMM instance: directory group + gateways + sensor managers.
+
+    Consumers are built from a :class:`repro.client.MonitoringClient`:
+    :meth:`client` returns one (its sessions are consumers), and each
+    consumer-type factory (:meth:`collector`, :meth:`archiver`, ...)
+    builds its consumer on a client of its own.
+    """
 
     def __init__(self, world: GridWorld, *, suffix: str = "o=grid",
                  n_directory_replicas: int = 1,
@@ -226,55 +232,42 @@ class JAMMDeployment:
 
     # -- consumers ---------------------------------------------------------------------
 
-    def _consumer_kwargs(self, host: Any, principal: Any) -> dict:
-        return {"host": host,
-                "directory": self.directory_client(host=host,
-                                                   prefer_replica=True),
-                "resolve_gateway": self.resolve_gateway,
-                "principal": principal,
-                "suffix": self.suffix}
+    def _consumer(self, cls: type, host: Any, principal: Any,
+                  kwargs: dict) -> Any:
+        """A ``cls`` consumer built from a client over a replica-first
+        directory client on ``host``, kept in ``self.consumers``."""
+        from ..client import MonitoringClient  # lazy: avoids import cycle
+        client = MonitoringClient(
+            self.sim,
+            directory=self.directory_client(host=host, prefer_replica=True),
+            resolve_gateway=self.resolve_gateway, host=host,
+            principal=principal, suffix=self.suffix)
+        consumer = cls(client, **kwargs)
+        self.consumers.append(consumer)
+        return consumer
 
     def collector(self, *, host: Any = None, principal: Any = None,
                   **kwargs) -> EventCollector:
-        consumer = EventCollector(self.sim,
-                                  **self._consumer_kwargs(host, principal),
-                                  **kwargs)
-        self.consumers.append(consumer)
-        return consumer
+        return self._consumer(EventCollector, host, principal, kwargs)
 
     def auto_collector(self, *, host: Any = None, principal: Any = None,
                        **kwargs) -> AutoCollector:
-        consumer = AutoCollector(self.sim,
-                                 **self._consumer_kwargs(host, principal),
-                                 **kwargs)
-        self.consumers.append(consumer)
-        return consumer
+        return self._consumer(AutoCollector, host, principal, kwargs)
 
     def archiver(self, *, host: Any = None, principal: Any = None,
                  **kwargs) -> ArchiverAgent:
         hostname = host.name if host is not None else "local"
         kwargs.setdefault("resilience",
                           self.make_policy(f"archiver[{hostname}]"))
-        consumer = ArchiverAgent(self.sim,
-                                 **self._consumer_kwargs(host, principal),
-                                 **kwargs)
-        self.consumers.append(consumer)
-        return consumer
+        return self._consumer(ArchiverAgent, host, principal, kwargs)
 
     def process_monitor(self, *, host: Any = None, principal: Any = None,
                         **kwargs) -> ProcessMonitorConsumer:
-        consumer = ProcessMonitorConsumer(
-            self.sim, **self._consumer_kwargs(host, principal), **kwargs)
-        self.consumers.append(consumer)
-        return consumer
+        return self._consumer(ProcessMonitorConsumer, host, principal, kwargs)
 
     def overview_monitor(self, *, host: Any = None, principal: Any = None,
                          **kwargs) -> OverviewMonitor:
-        consumer = OverviewMonitor(self.sim,
-                                   **self._consumer_kwargs(host, principal),
-                                   **kwargs)
-        self.consumers.append(consumer)
-        return consumer
+        return self._consumer(OverviewMonitor, host, principal, kwargs)
 
     # -- introspection ----------------------------------------------------------------------
 

@@ -220,7 +220,7 @@ class TestIdempotentTeardown:
     def test_double_closed_handles_do_not_fail_teardown(self):
         _w, _sh, monitor, jamm, gw = deployed()
         collector = jamm.collector(host=monitor)
-        handles = [collector.subscribe(gw, "vmstat@dpss1.lbl.gov")
+        handles = [collector.subscribe("vmstat@dpss1.lbl.gov")
                    for _ in range(3)]
         handles[1].close()  # consumer-held handle closed out-of-band
         collector.unsubscribe_all()  # must not raise
@@ -230,9 +230,9 @@ class TestIdempotentTeardown:
     def test_teardown_error_surfaces_all_failures(self):
         _w, _sh, monitor, jamm, gw = deployed()
         collector = jamm.collector(host=monitor)
-        h1 = collector.subscribe(gw, "vmstat@dpss1.lbl.gov")
-        h2 = collector.subscribe(gw, "vmstat@dpss1.lbl.gov")
-        h3 = collector.subscribe(gw, "vmstat@dpss1.lbl.gov")
+        h1 = collector.subscribe("vmstat@dpss1.lbl.gov")
+        h2 = collector.subscribe("vmstat@dpss1.lbl.gov")
+        h3 = collector.subscribe("vmstat@dpss1.lbl.gov")
 
         # SubscriptionHandle is slotted, so patch at class level and
         # make only h2 explode
@@ -369,17 +369,26 @@ class TestClientSession:
             with client.session() as session:
                 session.subscribe("no-such-sensor")
 
-    def test_entry_less_sensor_info_rejected_clearly(self):
+    def test_entry_less_sensor_info_subscribes(self):
+        """A hand-built SensorInfo names its sensor and gateway, which is
+        all a subscription needs: no directory entry behind it."""
         from repro.client import SensorInfo
-        _w, _sh, monitor, jamm, _gw = deployed()
+        world, _sh, monitor, jamm, _gw = deployed()
         client = jamm.client(host=monitor)
         bare = SensorInfo(key="vmstat@dpss1.lbl.gov", name="vmstat",
                           host="dpss1.lbl.gov", type="vmstat",
                           status="running", gateway_name="gw0",
                           gateway_host=None)
         with client.session() as session:
-            with pytest.raises(ClientError, match="no directory entry"):
-                session.subscribe(bare)
+            handle = session.subscribe(bare)
+            assert handle.sensor == "vmstat@dpss1.lbl.gov"
+            world.run(until=1.5)
+            assert len(list(handle.events())) == 3
+            ghost = SensorInfo(key="ghost", name="ghost", host=None,
+                               type=None, status=None, gateway_name="gw9",
+                               gateway_host=None)
+            with pytest.raises(ClientError, match="unknown gateway"):
+                session.subscribe(ghost)
 
     def test_session_over_the_network_demuxes_to_handles(self):
         """With a networked gateway the session binds a receive port;
@@ -397,7 +406,7 @@ class TestClientSession:
             assert all(m.event == "CPU_USAGE" for m in cpu_events)
             assert vm_events and all(m.event.startswith("VMSTAT")
                                      for m in vm_events)
-        assert session._consumer._recv_port is None  # port unbound
+        assert session._recv_port is None  # port unbound
 
     def test_spec_prototype_cloned_per_sensor(self):
         world, _sh, monitor, jamm, _gw = deployed(cpu=True)
@@ -427,8 +436,8 @@ class TestConsumersOnSpecs:
         world, _sh, monitor, jamm, _gw = deployed(cpu=True)
         client = jamm.client(host=monitor)
         collector = jamm.collector(host=monitor)
-        opened = collector.subscribe_all(client.sensors(type="vmstat"))
-        assert opened == 1
+        handles = collector.subscribe_all(client.sensors(type="vmstat"))
+        assert handles == collector.handles
         world.run(until=3.5)
         assert collector.received == 9  # three vmstat series, t=1..3
         assert len(collector.handles) == 1
@@ -454,12 +463,40 @@ class TestConsumersOnSpecs:
         client = jamm.client(host=monitor)
         auto = jamm.auto_collector(host=monitor)
         opened = auto.watch(client.sensors(type="cpu"))
-        assert opened == 1
+        assert opened == auto.handles and len(opened) == 1
         assert auto._watch_filter == "(&(objectclass=sensor)(sensortype=cpu))"
         world.run(until=2.5)
         assert auto.received == 2
         auto.close()
         auto.close()  # idempotent
+
+    def test_collector_and_session_open_the_same_specs(self):
+        """One subscribe path: a consumer type and a session given the
+        same selection open the same specs — sensor keys, principal, a
+        per-sensor clone of a stateful filter — and return the handles."""
+        _w, _sh, monitor, jamm, _gw = deployed(cpu=True)
+        client = jamm.client(host=monitor, principal="alice")
+        selection = client.sensors()
+        flt = Threshold("CPU.USER", ">", 0.5)
+        collector = jamm.collector(host=monitor, principal="alice")
+        session = client.session()
+        opened = {"collector": collector.subscribe_all(selection,
+                                                       event_filter=flt),
+                  "session": session.subscribe_all(selection,
+                                                   event_filter=flt)}
+        assert opened["collector"] == collector.handles
+        assert opened["session"] == session.handles
+        for handles in opened.values():
+            assert [h.sensor for h in handles] == [i.key for i in selection]
+            assert {h.spec.principal for h in handles} == {"alice"}
+            filters = [h.spec.event_filter for h in handles]
+            assert all(type(f) is Threshold and f is not flt
+                       for f in filters)
+            assert len(set(map(id, filters))) == len(selection) == 2
+        assert [(h.mode, h.fmt) for h in opened["collector"]] == \
+            [(h.mode, h.fmt) for h in opened["session"]]
+        collector.close()
+        session.close()
 
     def test_autocollector_watch_rejects_bare_entry_lists(self):
         """A persistent search needs filter text to match future

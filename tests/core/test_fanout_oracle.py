@@ -59,6 +59,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  precondition, rule)
 
+from repro.client import MonitoringClient
 from repro.core import EventGateway, JAMMConfig
 from repro.core.consumers.base import Consumer
 from repro.core.filters import AllEvents, EventNames, OnChange, Threshold
@@ -90,6 +91,12 @@ kinds = st.one_of(
               st.frozensets(st.sampled_from(NAMES), min_size=1, max_size=2)),
     st.just(("on-change",)),
     st.tuples(st.just("threshold"), st.sampled_from([2.0, 5.0, 50.0])))
+
+
+def bursts(min_size: int):
+    return st.lists(st.tuples(st.sampled_from(SENSORS),
+                              st.sampled_from(NAMES), st.sampled_from(VALUES)),
+                    min_size=min_size, max_size=4)
 
 
 def reference_filter(kind: tuple):
@@ -156,8 +163,9 @@ def is_subsequence(short: list, long: list) -> bool:
 
 
 class FanoutMachine(RuleBasedStateMachine):
-    @initialize(seed=st.integers(0, 2**16))
-    def build(self, seed):
+    @initialize(seed=st.integers(0, 2**16),
+                slow=st.sampled_from([5.0, 40.0]), burst=bursts(3))
+    def build(self, seed, slow=None, burst=()):
         world = self.world = GridWorld(seed=seed)
         sensor_host = world.add_host("s0")
         gw_host = world.add_host("gw")
@@ -179,8 +187,9 @@ class FanoutMachine(RuleBasedStateMachine):
         gw.register_sensor(self.local_sensor)
         self.sensor_objects = {REMOTE: (self.remote_sensor, manager),
                                LOCAL: (self.local_sensor, None)}
-        self.consumers = {host.name: Consumer(world.sim, host=host)
-                          for host in consumer_hosts}
+        self.consumers = {host.name: Consumer(MonitoringClient(
+            world.sim, directory=None, resolve_gateway=None, host=host))
+            for host in consumer_hosts}
         self._watch_teardowns()
         self.serial = 0
         self.ingested = {name: 0 for name in SENSORS}
@@ -189,6 +198,16 @@ class FanoutMachine(RuleBasedStateMachine):
         # run, and is itself the simplest subscription to hold to the model
         for sensor in SENSORS:
             self._open(sensor, ("all",), "ulm", "callback", 4)
+        if slow is not None:
+            # the random runs start with the slow consumer throttled
+            # behind a one-frame outbox on each sensor, and a first
+            # burst puts two events on one of them: every random run
+            # sheds.  The fixed scripts below start without
+            for sensor in SENSORS:
+                self._open(sensor, ("all",), "ulm", SLOW, 1)
+            self.throttle(slow)
+            self.emit(burst)
+            assert self.gw.events_shed > 0
 
     def _open(self, sensor, kind, fmt, where, limit):
         spec = SubscriptionSpec(sensor=sensor, fmt=fmt, buffer_limit=0,
@@ -197,7 +216,7 @@ class FanoutMachine(RuleBasedStateMachine):
         if where == "callback":
             handle = self.gw.open(spec.replace(delivery=Delivery.callback()))
         else:
-            handle = self.consumers[where].subscribe(self.gw, spec=spec)
+            handle = self.consumers[where].open(self.gw, spec)
             assert handle.spec.delivery.kind == "remote"
         self.subs.append(ModelSub(handle, sensor, kind, where,
                                   self.ingested[sensor]))
@@ -285,10 +304,7 @@ class FanoutMachine(RuleBasedStateMachine):
         assert self.gw.throttle_consumer(SLOW, rate) == remote_slow
         self._settle()
 
-    @rule(burst=st.lists(st.tuples(st.sampled_from(SENSORS),
-                                   st.sampled_from(NAMES),
-                                   st.sampled_from(VALUES)),
-                         min_size=1, max_size=4))
+    @rule(burst=bursts(1))
     def emit(self, burst):
         for sensor, name, value in burst:
             self.serial += 1
@@ -374,6 +390,10 @@ class FanoutMachine(RuleBasedStateMachine):
                 stats = sub.handle.stats()
                 assert stats["queued"] == 0
                 assert len(sub.received) == stats["delivered"]
+                # a full outbox sheds its oldest frame, never the one
+                # arriving: the newest accepted event always gets through
+                assert sub.received[-1:] == sub.accepted[-1:], \
+                    (sub.where, stats)
         for consumer in self.consumers.values():
             assert consumer.decode_errors == 0
             consumer.close()

@@ -3,6 +3,7 @@ protocol, directory remote operations, and RMI-exported managers."""
 
 import pytest
 
+from repro.client import MonitoringClient
 from repro.core import EventGateway, GATEWAY_PORT, JAMMConfig, JAMMDeployment
 from repro.core.consumers.base import Consumer
 from repro.core.directory import DirectoryClient, DirectoryServer, LDAPBackend
@@ -282,10 +283,11 @@ class TestStreamsOwnOneSourcePort:
                                 transport=world.transport, config=config,
                                 supervision_interval=None)
         manager.start()
-        consumer = Consumer(world.sim, host=c_host)
+        consumer = Consumer(MonitoringClient(
+            world.sim, directory=None, resolve_gateway=None, host=c_host))
         received = []
         for fmt in ("ulm", "xml", "binary"):
-            consumer.subscribe(gw, spec=SubscriptionSpec(
+            consumer.open(gw, SubscriptionSpec(
                 sensor="probe@s", fmt=fmt)).attach(received.append)
         server = DirectoryServer(world.sim, backend=LDAPBackend(),
                                  host=d_host, transport=world.transport)

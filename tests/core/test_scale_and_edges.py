@@ -34,7 +34,7 @@ class TestMultiGateway:
         world, hosts, noc, jamm, gw_a, gw_b = multi_gateway_world()
         collector = jamm.collector(host=noc)
         opened = collector.subscribe_all("(sensortype=cpu)")
-        assert opened == 8
+        assert len(opened) == 8
         world.run(until=5.0)
         # every host's events arrived, through two distinct gateways
         assert {m.host for m in collector.messages} == \
@@ -65,7 +65,7 @@ class TestMultiGateway:
             jamm.add_manager(host, config=config, gateway=gw)
         world.run(until=0.3)
         collector = jamm.collector(host=gwh)
-        assert collector.subscribe_all("(sensortype=vmstat)") == 20
+        assert len(collector.subscribe_all("(sensortype=vmstat)")) == 20
         world.run(until=20.0)
         # 20 hosts x 3 events/s x ~20 s
         assert collector.received > 1000

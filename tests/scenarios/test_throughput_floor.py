@@ -113,7 +113,8 @@ def test_three_format_fanout_renders_once_and_decodes_never(codec_calls):
     for host in consumer_hosts:
         for fmt in ("ulm", "xml", "binary"):
             collector = jamm.collector(host=host)
-            assert collector.subscribe_all("(sensortype=cpu)", fmt=fmt) == 1
+            assert len(collector.subscribe_all("(sensortype=cpu)",
+                                               fmt=fmt)) == 1
             collectors.append(collector)
     world.run(until=20.0)
     jamm.managers["s0"].stop_sensor("cpu")
