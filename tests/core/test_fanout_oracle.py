@@ -40,7 +40,9 @@ Checked against two mutations of ``core/gateway.py`` — ``reindex``
 entering only the first name of an ``EventNames`` set fails the fixed
 script below and the random runs; a full outbox shedding the arriving
 frame instead of its oldest fails the outbox check in the fixed script
-and in all four teardown cases — and three of the
+and in all four teardown cases, and the random runs (every one of them
+starts with a throttled one-frame outbox that sheds) at their teardown
+check, where the newest accepted event must arrive — and three of the
 ``filtered`` identity in ``core/subscriptions.py`` (see
 ``test_every_teardown_freezes_the_handle_as_it_read_just_before``).
 Which *format* a recipient's frame is in is not this oracle's business
